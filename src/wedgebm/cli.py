@@ -15,14 +15,12 @@ import sys
 
 from .densities import (killed_density_images, killed_density_series,
                         reflected_density_images, reflected_density_series)
-from .drift import DriftSpec, reflected_with_drift, stopped_with_drift
-from .geometry import (CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec,
-                       decorrelate)
+from .geometry import (ANGLE_TOL, TWO_PI, CorrelatedSetup, PolarPoint,
+                       RegionCase, WedgeSpec)
 from .montecarlo import (EstimatorConfig, FaultFractionExceeded, Mode,
-                         TestFunction, eps_sweep, estimate, folding_stats)
-from .rng import RngStream
-from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded,
-                       algorithm_reflected, algorithm_stopped)
+                         TestFunction, eps_sweep, estimate, folding_stats,
+                         map_paths)
+from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
 
 ESTIMATE_HEADER = ("mode,func,alpha,start_r,start_theta,T,eps,fold_cap,steps,"
                    "n,seed,estimate,half_width,n_faults,mean_folds,"
@@ -205,8 +203,27 @@ def _add_correlated(sub):
                      choices=[case.value for case in RegionCase])
 
 
+def _refuse_drift(args, reason):
+    if args.drift is not None and args.drift != (0.0, 0.0):
+        raise UsageError(f"{reason}; --drift is not supported here")
+
+
+def _start_in_wedge(start, wedge):
+    """The start point itself when it lies in the closed wedge, snapped onto
+    a ray when its angle is within ANGLE_TOL of that ray modulo 2 pi (the
+    samplers' own tolerance), otherwise a UsageError."""
+    if wedge.contains(start, tol=0.0):
+        return start
+    for ray in (wedge.alpha_minus, wedge.alpha_plus):
+        if abs((start.theta - ray + math.pi) % TWO_PI - math.pi) <= ANGLE_TOL:
+            return PolarPoint(start.r, ray)
+    raise UsageError(f"start angle {start.theta} outside "
+                     f"[{wedge.alpha_minus}, {wedge.alpha_plus}]")
+
+
 def _resolve_problem(args):
-    """Returns {'setup': CorrelatedSetup} or {'wedge', 'start', 'drift'}."""
+    """The geometry and start point every command reads from its flags:
+    {'setup': CorrelatedSetup} or {'wedge', 'start', 'drift'}."""
     drift = args.drift if args.drift is not None else (0.0, 0.0)
     corr = [getattr(args, name, None)
             for name in ("sigma1", "sigma2", "rho", "slope", "region")]
@@ -234,9 +251,8 @@ def _resolve_problem(args):
     else:
         raise UsageError("a start point is required: --start r,theta or "
                          "--x x,y")
-    if not wedge.contains(start, tol=1e-9):
-        raise UsageError(f"start angle {start.theta} outside (0, {args.alpha})")
-    return {"wedge": wedge, "start": start, "drift": tuple(drift)}
+    return {"wedge": wedge, "start": _start_in_wedge(start, wedge),
+            "drift": tuple(drift)}
 
 
 def _merge_preset(args, presets):
@@ -266,17 +282,9 @@ def _pick(args, eff, name, default):
 # ---------------------------------------------------------------------------
 
 def cmd_density(args):
-    if args.alpha is None:
-        raise UsageError("--alpha is required")
-    wedge = WedgeSpec(0.0, args.alpha)
-    if args.start is not None:
-        start = PolarPoint(args.start[0], args.start[1])
-    elif args.x is not None:
-        start = PolarPoint.from_cartesian(args.x[0], args.x[1])
-    else:
-        raise UsageError("a start point is required")
-    if not wedge.contains(start, tol=1e-9):
-        raise UsageError("start outside the wedge")
+    _refuse_drift(args, "the transition densities are driftless")
+    geo = _resolve_problem(args)
+    wedge, start = geo["wedge"], geo["start"]
     t = args.T if args.T is not None else 1.0
     if not math.isfinite(t):
         raise UsageError("density evaluation needs a finite T")
@@ -310,49 +318,18 @@ def cmd_density(args):
 
 
 def _sample_common(args, reflected):
-    geo = _resolve_problem(args)
-    if "setup" in geo:
-        prob = decorrelate(geo["setup"])
-        wedge, start, drift_vec, inverse = (prob.wedge, prob.start,
-                                            prob.drift, prob.inverse)
-    else:
-        wedge, start, drift_vec = geo["wedge"], geo["start"], geo["drift"]
-        inverse = None
-    T = args.T if args.T is not None else 1.0
-    n = args.n if args.n is not None else 10
-    eps = args.eps if args.eps is not None else DEFAULT_EPSILON
-    cap = args.fold_cap if args.fold_cap is not None else DEFAULT_FOLD_CAP
-    drift = DriftSpec(tuple(drift_vec))
-    lines = [SAMPLE_HEADER if not reflected else SAMPLE_HEADER + ",fault"]
-    for i in range(n):
-        rng = RngStream(args.seed).derive(i)
-        fault = 0
-        try:
-            if reflected:
-                if drift.is_zero:
-                    s = algorithm_reflected(start, T, wedge, rng, epsilon=eps,
-                                            fold_cap=cap)
-                else:
-                    s = reflected_with_drift(start, drift, T, wedge, rng,
-                                             epsilon=eps, fold_cap=cap)
-            else:
-                if drift.is_zero:
-                    s = algorithm_stopped(start, T, wedge, rng,
-                                          iteration_cap=cap)
-                else:
-                    s = stopped_with_drift(start, drift, T, wedge, rng,
-                                           iteration_cap=cap)
-        except FoldCapExceeded as exc:
-            s = exc.partial
-            fault = 1
-        x, y = s.cartesian_endpoint()
-        if inverse is not None:
-            x, y = inverse((x, y))
-        fields = [i, x, y, s.elapsed, int(s.hit_boundary), s.folds, s.weight]
+    config = _build_config(args, {}, "reflected" if reflected else "stopped",
+                           "constant_1", n_default=10)
+
+    def row(index, sample, fault, xy):
+        fields = [index, xy[0], xy[1], sample.elapsed, int(sample.hit_boundary),
+                  sample.folds, sample.weight]
         if reflected:
-            fields.append(fault)
-        lines.append(_row(*fields))
-    _emit(lines, args.out)
+            fields.append(int(fault))
+        return _row(*fields)
+
+    header = SAMPLE_HEADER + ",fault" if reflected else SAMPLE_HEADER
+    _emit([header] + map_paths(config, row), args.out)
     return 0
 
 
@@ -364,7 +341,10 @@ def cmd_sample_reflected(args):
     return _sample_common(args, reflected=True)
 
 
-def _build_config(merged, eff, mode_default, func_default, extra=None):
+def _build_config(merged, eff, mode_default, func_default, n_default=10000,
+                  extra=None):
+    """The EstimatorConfig of every sampling command: flags first, then the
+    preset `eff`, then the defaults."""
     geo = _resolve_problem(merged)
     mode = Mode(_pick(merged, eff, "mode", mode_default))
     func = TestFunction(_pick(merged, eff, "func", func_default))
@@ -372,7 +352,7 @@ def _build_config(merged, eff, mode_default, func_default, extra=None):
         "mode": mode,
         "func": func,
         "horizon": _pick(merged, eff, "T", 1.0),
-        "n_samples": _pick(merged, eff, "n", 10000),
+        "n_samples": _pick(merged, eff, "n", n_default),
         "seed": merged.seed,
         "epsilon": _pick(merged, eff, "eps", DEFAULT_EPSILON),
         "fold_cap": _pick(merged, eff, "fold_cap", DEFAULT_FOLD_CAP),
@@ -414,19 +394,14 @@ def cmd_ito(args):
     steps = _pick(merged, eff, "steps", None)
     if steps is None:
         raise UsageError("--steps is required for the Euler runner")
-    if merged.drift is not None and merged.drift != (0.0, 0.0):
-        raise UsageError("the Euler runner takes drift through --mu/--kappa")
-    if getattr(merged, "sigma1", None) is not None:
-        raise UsageError("the Euler runner takes an explicit wedge; "
-                         "correlated input is not supported here")
+    _refuse_drift(merged, "the Euler runner takes drift through --mu/--kappa")
     extra = {
         "steps": steps,
         "mu": tuple(_pick(merged, eff, "mu", (0.0, 0.0))),
         "kappa": tuple(_pick(merged, eff, "kappa", (0.0, 0.0))),
     }
-    config = _build_config(merged, eff, "euler_stopped", "radius_sq", extra)
-    if config.mode not in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
-        raise UsageError("ito runs euler_stopped or euler_reflected")
+    config = _build_config(merged, eff, "euler_stopped", "radius_sq",
+                           extra=extra)
     report = estimate(config)
     _emit(_estimate_lines(config, report), args.out)
     print(f"wall time {report.wall_time_seconds:.2f} s", file=sys.stderr)
@@ -434,27 +409,8 @@ def cmd_ito(args):
 
 
 def cmd_folds(args):
-    merged = args
-    if merged.drift is not None and merged.drift != (0.0, 0.0):
-        raise UsageError("fold diagnostics run the driftless sampler; "
-                         "--drift is not supported here")
-    geo = _resolve_problem(merged)
-    kwargs = {
-        "mode": Mode.REFLECTED,
-        "func": TestFunction.CONSTANT_1,
-        "horizon": merged.T if merged.T is not None else 1.0,
-        "n_samples": merged.n if merged.n is not None else 1000,
-        "seed": merged.seed,
-        "epsilon": merged.eps if merged.eps is not None else DEFAULT_EPSILON,
-        "fold_cap": merged.fold_cap if merged.fold_cap is not None
-        else DEFAULT_FOLD_CAP,
-    }
-    if "setup" in geo:
-        kwargs["setup"] = geo["setup"]
-    else:
-        kwargs["wedge"] = geo["wedge"]
-        kwargs["start"] = geo["start"]
-    config = EstimatorConfig(**kwargs)
+    _refuse_drift(args, "fold diagnostics run the driftless sampler")
+    config = _build_config(args, {}, "reflected", "constant_1", n_default=1000)
     if args.eps_sweep is not None:
         lines = ["eps,mean_folds,n"]
         for eps, mean in eps_sweep(config, args.eps_sweep):

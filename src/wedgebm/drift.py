@@ -203,37 +203,15 @@ def _cell_start(fwd, pos, cell_wedge):
     return PolarPoint(p.r, cell_wedge.alpha_plus if over <= under else 0.0)
 
 
-def euler_stopped(coeffs, start, grid, wedge, rng):
+def euler_stopped(coeffs, start, grid, wedge, rng, fold_cap=DEFAULT_FOLD_CAP):
     """Frozen-coefficient Euler scheme for the stopped diffusion.
 
     start is a PolarPoint in the wedge. Returns the exact within-cell hit
     state of the first cell that reports a boundary hit; the weight collects
-    the per-cell drift reweighting factors in log space.
+    the per-cell drift reweighting factors in log space. fold_cap bounds the
+    recursion passes of each cell.
     """
-    pos = start.cartesian()
-    log_w = 0.0
-    folds = 0
-    times = grid.times
-    for k in range(len(times) - 1):
-        t_k = times[k]
-        dt = times[k + 1] - t_k
-        b_k = coeffs.drift(pos, t_k)
-        s_k = coeffs.diffusion(pos, t_k)
-        fwd, bwd, cell_wedge = _cell_frame(s_k, wedge)
-        cell_start = _cell_start(fwd, pos, cell_wedge)
-        b_cell = DriftSpec(_apply2(fwd, b_k))
-        sub = algorithm_stopped(cell_start, dt, cell_wedge, rng)
-        log_w += girsanov_log_weight(b_cell, sub.driving_endpoint, sub.elapsed,
-                                     cell_start.cartesian())
-        pos = _apply2(bwd, sub.cartesian_endpoint())
-        folds += sub.folds
-        if sub.hit_boundary:
-            return PathSample(endpoint=PolarPoint.from_cartesian(*pos),
-                              elapsed=t_k + sub.elapsed, hit_boundary=True,
-                              folds=folds, weight=math.exp(log_w))
-    return PathSample(endpoint=PolarPoint.from_cartesian(*pos),
-                      elapsed=grid.horizon, hit_boundary=False, folds=folds,
-                      weight=math.exp(log_w))
+    return _euler(coeffs, start, grid, wedge, rng, False, None, fold_cap)
 
 
 def euler_reflected(coeffs, start, grid, wedge, rng, epsilon=DEFAULT_EPSILON,
@@ -241,8 +219,15 @@ def euler_reflected(coeffs, start, grid, wedge, rng, epsilon=DEFAULT_EPSILON,
     """Frozen-coefficient Euler scheme for the reflected diffusion.
 
     Reflection is normal in each cell's decorrelated frame (exact for
-    rotation-like diffusion matrices; see the module docstring).
+    rotation-like diffusion matrices; see the module docstring). epsilon and
+    fold_cap apply to each cell's exact sub-path.
     """
+    return _euler(coeffs, start, grid, wedge, rng, True, epsilon, fold_cap)
+
+
+def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
+    """The Euler loop of both schemes; `reflected` picks the exact sampler
+    each cell runs."""
     pos = start.cartesian()
     log_w = 0.0
     folds = 0
@@ -256,14 +241,24 @@ def euler_reflected(coeffs, start, grid, wedge, rng, epsilon=DEFAULT_EPSILON,
         fwd, bwd, cell_wedge = _cell_frame(s_k, wedge)
         cell_start = _cell_start(fwd, pos, cell_wedge)
         b_cell = DriftSpec(_apply2(fwd, b_k))
-        sub = algorithm_reflected(cell_start, dt, cell_wedge, rng,
-                                  epsilon=epsilon, fold_cap=fold_cap,
-                                  track_driving=True)
-        log_w += girsanov_log_weight(b_cell, sub.driving_endpoint, dt,
+        if reflected:
+            sub = algorithm_reflected(cell_start, dt, cell_wedge, rng,
+                                      epsilon=epsilon, fold_cap=fold_cap,
+                                      track_driving=True)
+        else:
+            sub = algorithm_stopped(cell_start, dt, cell_wedge, rng,
+                                    iteration_cap=fold_cap)
+        # a reflected sub-path always runs the whole cell: elapsed == dt
+        log_w += girsanov_log_weight(b_cell, sub.driving_endpoint, sub.elapsed,
                                      cell_start.cartesian())
         pos = _apply2(bwd, sub.cartesian_endpoint())
         folds += sub.folds
         approx = approx or sub.approx_used
+        if sub.hit_boundary:
+            return PathSample(endpoint=PolarPoint.from_cartesian(*pos),
+                              elapsed=t_k + sub.elapsed, hit_boundary=True,
+                              folds=folds, weight=math.exp(log_w),
+                              approx_used=approx)
     return PathSample(endpoint=PolarPoint.from_cartesian(*pos),
                       elapsed=grid.horizon, hit_boundary=False, folds=folds,
                       weight=math.exp(log_w), approx_used=approx)

@@ -1,12 +1,15 @@
-"""Monte Carlo harness: configuration, estimation, fold diagnostics.
+"""Monte Carlo harness: configuration, the path engine, estimation, fold
+diagnostics.
 
-Every path owns the sub-stream derived from its index, so estimates are
-byte-reproducible for a fixed (config, seed) no matter how many worker
-threads execute the paths; the reduction always runs in index order.
+`simulate` draws one path of a configuration and `map_paths` runs it for
+every path index. Every path owns the sub-stream derived from its index, so
+results are byte-reproducible for a fixed (config, seed) no matter how many
+worker threads execute the paths; the reduction always runs in index order.
 """
 
 import math
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -27,7 +30,6 @@ class Mode(Enum):
     REFLECTED = "reflected"
     EULER_STOPPED = "euler_stopped"
     EULER_REFLECTED = "euler_reflected"
-    DENSITY_EVAL = "density_eval"
 
 
 class TestFunction(Enum):
@@ -139,51 +141,72 @@ def _frame_coeffs(coeffs, problem):
     return CoefficientField(drift=b, diffusion=s)
 
 
-def _run_one(config, resolved, index):
-    """One path: returns (weighted value, folds, weight, faulted, approx)."""
-    wedge, start, drift_vec, problem = resolved
-    rng = RngStream(config.seed).derive(index)
-    drift = DriftSpec(tuple(drift_vec))
+def simulate(config, resolved, rng):
+    """One path of `config` drawn from `rng`: returns (PathSample, faulted).
+
+    resolved holds the per-run constants built by `map_paths`: (wedge,
+    start, DriftSpec, Euler coefficient field, Euler time grid), all in
+    standard coordinates. A path that exceeds the fold cap returns its
+    partial state with faulted=True.
+    """
+    wedge, start, drift, coeffs, grid = resolved
+    T, cap, eps = config.horizon, config.fold_cap, config.epsilon
+    mode = config.mode
     try:
-        if config.mode is Mode.STOPPED:
+        if mode is Mode.STOPPED:
             if drift.is_zero:
-                sample = algorithm_stopped(start, config.horizon, wedge, rng,
-                                           iteration_cap=config.fold_cap)
+                sample = algorithm_stopped(start, T, wedge, rng, iteration_cap=cap)
             else:
-                sample = stopped_with_drift(start, drift, config.horizon, wedge, rng,
-                                            iteration_cap=config.fold_cap)
-        elif config.mode is Mode.REFLECTED:
+                sample = stopped_with_drift(start, drift, T, wedge, rng,
+                                            iteration_cap=cap)
+        elif mode is Mode.REFLECTED:
             if drift.is_zero:
-                sample = algorithm_reflected(start, config.horizon, wedge, rng,
-                                             epsilon=config.epsilon,
-                                             fold_cap=config.fold_cap)
+                sample = algorithm_reflected(start, T, wedge, rng, epsilon=eps,
+                                             fold_cap=cap)
             else:
-                sample = reflected_with_drift(start, drift, config.horizon, wedge, rng,
-                                              epsilon=config.epsilon,
-                                              fold_cap=config.fold_cap)
-        elif config.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
-            coeffs = config.coeffs
-            if coeffs is None:
-                coeffs = linear_field(config.mu, config.kappa, config.sigma)
-            if problem is not None:
-                coeffs = _frame_coeffs(coeffs, problem)
-            grid = TimeGrid.uniform(config.horizon, config.steps)
-            if config.mode is Mode.EULER_STOPPED:
-                sample = euler_stopped(coeffs, start, grid, wedge, rng)
-            else:
-                sample = euler_reflected(coeffs, start, grid, wedge, rng,
-                                         epsilon=config.epsilon,
-                                         fold_cap=config.fold_cap)
+                sample = reflected_with_drift(start, drift, T, wedge, rng,
+                                              epsilon=eps, fold_cap=cap)
+        elif mode is Mode.EULER_STOPPED:
+            sample = euler_stopped(coeffs, start, grid, wedge, rng, fold_cap=cap)
         else:
-            raise ValueError(f"{config.mode} is not a path-sampling mode")
+            sample = euler_reflected(coeffs, start, grid, wedge, rng, epsilon=eps,
+                                     fold_cap=cap)
     except FoldCapExceeded as fault:
-        return 0.0, fault.partial.folds, 1.0, True, False
-    xy = sample.cartesian_endpoint()
-    if problem is not None:
-        xy = problem.inverse(xy)
-    value = apply_test_function(config.func, sample, xy)
-    return (value * sample.weight, sample.folds, sample.weight, False,
-            sample.approx_used)
+        return fault.partial, True
+    return sample, False
+
+
+def map_paths(config, fn):
+    """[fn(index, sample, faulted, xy) for every path index of `config`].
+
+    xy is the sample's endpoint mapped back to the input frame. Path i draws
+    from sub-stream i of the seed, whichever worker thread runs it, so the
+    list does not depend on config.workers.
+    """
+    wedge, start, drift, problem = config.resolve()
+    coeffs = grid = None
+    if config.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
+        coeffs = config.coeffs
+        if coeffs is None:
+            coeffs = linear_field(config.mu, config.kappa, config.sigma)
+        if problem is not None:
+            coeffs = _frame_coeffs(coeffs, problem)
+        grid = TimeGrid.uniform(config.horizon, config.steps)
+    resolved = (wedge, start, DriftSpec(tuple(drift)), coeffs, grid)
+    root = RngStream(config.seed)
+
+    def one(index):
+        sample, faulted = simulate(config, resolved, root.derive(index))
+        xy = sample.cartesian_endpoint()
+        if problem is not None:
+            xy = problem.inverse(xy)
+        return fn(index, sample, faulted, xy)
+
+    indices = range(config.n_samples)
+    if config.workers <= 1:
+        return [one(i) for i in indices]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        return list(pool.map(one, indices, chunksize=64))
 
 
 def estimate(config):
@@ -192,20 +215,24 @@ def estimate(config):
     Faulted paths (recursion cap) are excluded from the estimate and
     counted; more than 10% of them aborts the run.
     """
-    if config.mode is Mode.DENSITY_EVAL:
-        raise ValueError("DENSITY_EVAL is not a sampling mode; "
-                         "evaluate the density directly")
     t0 = time.perf_counter()
-    resolved = config.resolve()
+    func = config.func
+
+    def row(_index, sample, faulted, xy):
+        if faulted:
+            return None
+        value = apply_test_function(func, sample, xy)
+        return value * sample.weight, sample.folds, sample.weight
+
+    rows = map_paths(config, row)
     n = config.n_samples
-    rows = _run_paths(config, resolved, range(n))
-    n_faults = sum(1 for row in rows if row[3])
+    good = [r for r in rows if r is not None]
+    n_faults = n - len(good)
     if n_faults > 0.1 * n:
         raise FaultFractionExceeded(
             f"{n_faults} of {n} paths exceeded the recursion cap "
             f"(> 10%); raise fold_cap or epsilon", n_faults, n)
-    good = [row for row in rows if not row[3]]
-    vals = [row[0] for row in good]
+    vals = [r[0] for r in good]
     m = len(vals)
     mean = math.fsum(vals) / m
     if m > 1:
@@ -213,7 +240,7 @@ def estimate(config):
         half = 1.96 * math.sqrt(var / m)
     else:
         half = math.inf
-    weights = [row[2] for row in good]
+    weights = [r[2] for r in good]
     wsum = math.fsum(weights)
     wsq = math.fsum(w * w for w in weights)
     return McReport(
@@ -221,20 +248,11 @@ def estimate(config):
         half_width_95=half,
         n_samples=n,
         n_faults=n_faults,
-        mean_folds=math.fsum(row[1] for row in good) / m,
+        mean_folds=math.fsum(r[1] for r in good) / m,
         mean_weight=wsum / m,
         ess=(wsum * wsum / wsq) if wsq > 0 else 0.0,
         wall_time_seconds=time.perf_counter() - t0,
         seed=config.seed)
-
-
-def _run_paths(config, resolved, indices):
-    indices = list(indices)
-    if config.workers <= 1:
-        return [_run_one(config, resolved, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(lambda i: _run_one(config, resolved, i), indices,
-                             chunksize=64))
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +273,11 @@ def folding_stats(config):
     an explicit overflow bucket (they enter the mean at the cap value)."""
     if config.mode is not Mode.REFLECTED:
         raise ValueError("folding stats are defined for the REFLECTED mode")
-    wedge, start, _drift, _map = config.resolve()
-    counts = {}
-    overflow = 0
-    folds_all = []
-    for i in range(config.n_samples):
-        rng = RngStream(config.seed).derive(i)
-        try:
-            sample = algorithm_reflected(start, config.horizon, wedge, rng,
-                                         epsilon=config.epsilon,
-                                         fold_cap=config.fold_cap)
-            folds = sample.folds
-            counts[folds] = counts.get(folds, 0) + 1
-        except FoldCapExceeded:
-            folds = config.fold_cap
-            overflow += 1
-        folds_all.append(folds)
-    folds_all.sort()
+    done = map_paths(config, lambda _i, sample, faulted, _xy:
+                     None if faulted else sample.folds)
+    counts = Counter(f for f in done if f is not None)
+    overflow = done.count(None)
+    folds_all = sorted(config.fold_cap if f is None else f for f in done)
     n = len(folds_all)
     quant = {q: folds_all[min(n - 1, int(q * n))] for q in (0.5, 0.9, 0.99)}
     return FoldingStats(counts=counts, overflow=overflow,

@@ -278,9 +278,49 @@ def test_exit_code_usage_errors(capsys):
                                    "--drift", "0.1,0.0"]) == 2
     # folds refuses drift
     assert run_cli(["folds"] + T1 + ["--n", "10", "--drift", "0.1,0.0"]) == 2
+    # so does density, whose kernels are driftless
+    assert run_cli(["density", "--alpha", "1.0472", "--x", "1.5,0.3",
+                    "--t", "0.7", "--grid", "2", "--drift", "5,5"]) == 2
+    # sample-* needs at least one path, like estimate
+    assert run_cli(["sample-stopped"] + T1 + ["--n", "0"]) == 2
     # unknown flag (argparse exit)
     assert run_cli(["estimate"] + T1 + ["--bogus"]) == 2
     capsys.readouterr()
+
+
+def test_start_within_angle_tol_of_a_ray_is_snapped_onto_it(tmp_path):
+    # 1e-13 below the lower ray: the angle reads 2 pi - 6.7e-14
+    near_ray = ["--alpha", "0.9", "--x", "1.5,-1e-13", "--T", "1"]
+    code, data = run_to_file(tmp_path, "s.csv",
+                             ["sample-stopped"] + near_ray + ["--n", "3"])
+    assert code == 0
+    _, rows = parse_csv(data)
+    for r in rows:
+        assert (r["x"], r["y"], r["elapsed"], r["hit_boundary"]) == \
+            ("1.5", "0", "0", "1")
+    code, _ = run_to_file(tmp_path, "d.csv",
+                          ["density"] + near_ray + ["--grid", "2"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["estimate", "density"])
+def test_start_beyond_angle_tol_of_a_ray_is_a_usage_error(command, capsys):
+    assert run_cli([command, "--alpha", "0.9", "--start", "1.5,0.9000000005",
+                    "--T", "1"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_ito_fold_cap_applies_to_each_euler_stopped_cell(tmp_path):
+    argv = ["ito"] + T1 + ["--mode", "euler_stopped", "--n", "30", "--steps",
+                           "20", "--seed", "3", "--mu", "0.1,0.2", "--kappa",
+                           "0.7,0.5"]
+    code, data = run_to_file(tmp_path, "capped.csv", argv + ["--fold-cap", "1"])
+    assert code == 0
+    _, rows = parse_csv(data)
+    assert rows[0]["fold_cap"] == "1"
+    assert int(rows[0]["n_faults"]) > 0
+    _, uncapped = run_to_file(tmp_path, "uncapped.csv", argv)
+    assert parse_csv(uncapped)[1][0]["n_faults"] == "0"
 
 
 def test_missing_config_file(capsys):

@@ -117,11 +117,6 @@ def test_estimate_aborts_on_fault_fraction():
     assert info.value.n_faults > 0.1 * info.value.n_samples
 
 
-def test_estimate_rejects_density_mode():
-    with pytest.raises(ValueError):
-        estimate(table1_config(mode=Mode.DENSITY_EVAL))
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         table1_config(n_samples=0)
