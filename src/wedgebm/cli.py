@@ -26,6 +26,9 @@ ESTIMATE_HEADER = ("mode,func,alpha,start_r,start_theta,T,eps,fold_cap,steps,"
                    "n,seed,estimate,half_width,n_faults,mean_folds,"
                    "mean_weight,ess")
 SAMPLE_HEADER = "index,x,y,elapsed,hit_boundary,folds,weight"
+WORKERS_HELP = ("worker threads; the output does not depend on this. The "
+                "threads share the GIL, so more than one is slower (two ran "
+                "at 0.66x the speed of one on 2 cores)")
 
 TABLE1_GEOMETRY = {"alpha": 0.9, "start": (1.5, 0.3), "T": 1.0}
 TABLE2_GEOMETRY = {"alpha": 0.58, "start": (3.0, 0.4), "T": 1.0}
@@ -469,8 +472,7 @@ def build_parser():
     p.add_argument("--mode", choices=["stopped", "reflected"], default=None)
     p.add_argument("--func", default=None,
                    choices=[f.value for f in TestFunction])
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (output does not depend on this)")
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     for preset in ESTIMATE_PRESETS:
         p.add_argument("--" + preset.replace("_", "-"), dest=preset,
                        action="store_true",
@@ -494,7 +496,7 @@ def build_parser():
                    default=None)
     p.add_argument("--func", default=None,
                    choices=[f.value for f in TestFunction])
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--mu", type=_pair, default=None, metavar="M1,M2",
                    help="mean-reversion rates")
     p.add_argument("--kappa", type=_pair, default=None, metavar="K1,K2",

@@ -170,8 +170,10 @@ class ExitLawParams:
     gammas: tuple
 
     @classmethod
-    def for_side(cls, wedge, start, side):
-        m = require_pi_over_m(wedge)
+    def for_side(cls, wedge, start, side, _m=None):
+        """The law on `side` for a start in the pi/m wedge; a caller that
+        already knows m passes it as _m."""
+        m = require_pi_over_m(wedge) if _m is None else _m
         th0 = start.theta
         if not (wedge.alpha_minus + 1e-12 < th0 < wedge.alpha_plus - 1e-12) or start.r <= 0:
             raise ValueError("start must be strictly interior to the wedge")

@@ -233,12 +233,17 @@ def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
     folds = 0
     approx = False
     times = grid.times
+    frame_sigma = frame = None
     for k in range(len(times) - 1):
         t_k = times[k]
         dt = times[k + 1] - t_k
         b_k = coeffs.drift(pos, t_k)
-        s_k = coeffs.diffusion(pos, t_k)
-        fwd, bwd, cell_wedge = _cell_frame(s_k, wedge)
+        (a, b), (c, d) = s_k = coeffs.diffusion(pos, t_k)
+        # the frame depends on sigma alone: keep it while sigma is unchanged
+        # (compared entry by entry, so any 2x2 sequence, arrays too, works)
+        if (a, b, c, d) != frame_sigma:
+            frame_sigma, frame = (a, b, c, d), _cell_frame(s_k, wedge)
+        fwd, bwd, cell_wedge = frame
         cell_start = _cell_start(fwd, pos, cell_wedge)
         b_cell = DriftSpec(_apply2(fwd, b_k))
         if reflected:

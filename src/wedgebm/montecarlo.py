@@ -206,7 +206,7 @@ def map_paths(config, fn):
     if config.workers <= 1:
         return [one(i) for i in indices]
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(one, indices, chunksize=64))
+        return list(pool.map(one, indices))
 
 
 def estimate(config):

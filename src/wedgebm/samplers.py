@@ -13,12 +13,13 @@ internally in the rotated frame where the lower ray is the positive x-axis;
 boundary hits carry the exact ray angle, never a rounded float.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .corner import CornerState, corner_triggered, sample_corner, sample_driving_angle
 from .densities import ExitLawParams
-from .geometry import PolarPoint, Side, WedgeSpec, fold_into_wedge, image_angle
+from .geometry import ANGLE_TOL, PolarPoint, Side, WedgeSpec, fold_into_wedge
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,6 +122,10 @@ def sample_exit_time(params, r, rng):
     """
     sines = [math.sin(g) for g in params.gammas]
     cs = params.c_values(r)
+    if not all(map(math.isfinite, cs)):
+        raise ValueError(
+            f"start radius {params.start.r:g} (exit radius {r:g}) is too large "
+            f"for the exit-law exponents, which overflow")
     weights = []
     for s, c in zip(sines, cs):
         if s > 0.0:
@@ -132,6 +137,7 @@ def sample_exit_time(params, r, rng):
     total_w = math.fsum(weights)
     if total_w <= 0.0:
         raise AssertionError("no nonnegative mixture component; start not interior?")
+    c_min = min(cs)
     for _ in range(_AR_CAP):
         pick = rng.uniform() * total_w
         acc = 0.0
@@ -146,11 +152,12 @@ def sample_exit_time(params, r, rng):
             e = rng.exponential()
         t = cs[comp] / (2.0 * e)
         # stabilized signed/positive sums at the proposed t
-        m_exp = min(cs) / (2.0 * t)
+        two_t = 2.0 * t
+        m_exp = c_min / two_t
         num = 0.0
         den = 0.0
         for s, c in zip(sines, cs):
-            term = math.exp(-c / (2.0 * t) + m_exp)
+            term = math.exp(-c / two_t + m_exp)
             num += s * term
             if s > 0.0:
                 den += s * term
@@ -162,22 +169,30 @@ def sample_exit_time(params, r, rng):
     raise RuntimeError("exit-time acceptance-rejection failed to terminate")
 
 
-def sample_survivor(start, wedge, horizon, rng):
+def sample_survivor(start, wedge, horizon, rng, _m=None):
     """Endpoint at `horizon` conditioned on never leaving the pi/m wedge.
 
     Proposes from the equal-weight mixture of Gaussians centered at the
     rotation preimages of the start (the even images), and accepts with the
-    ratio of the signed 2m-image sum to the even-image sum.
+    ratio of the signed 2m-image sum to the even-image sum. The recursions
+    pass the m of their sub-wedge as _m.
     """
-    m = wedge.pi_over_m()
+    m = wedge.pi_over_m() if _m is None else _m
     if m is None:
         raise ValueError("survivor sampling needs a pi/m wedge")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     r0, th0 = start.r, start.theta
     alpha = wedge.opening
-    images = [image_angle(k, th0, wedge) for k in range(2 * m)]
+    # the 2m image angles, as geometry.image_angle computes them
+    shift = 2.0 * wedge.alpha_minus
+    images = [(th0 + k * alpha if k % 2 == 0 else (k + 1) * alpha - th0 + shift) % TWO_PI
+              for k in range(2 * m)]
     centers = [(th0 - 2.0 * j * alpha) for j in range(m)]
+    lo = wedge.alpha_minus - ANGLE_TOL
+    hi = wedge.alpha_plus + ANGLE_TOL
+    r0_sq = r0 * r0
+    two_h = 2.0 * horizon
     sd = math.sqrt(horizon)
     for _ in range(_AR_CAP):
         j = 0
@@ -187,25 +202,28 @@ def sample_survivor(start, wedge, horizon, rng):
         cy = r0 * math.sin(centers[j])
         x = cx + sd * rng.normal()
         y = cy + sd * rng.normal()
-        cand = PolarPoint.from_cartesian(x, y)
-        if not wedge.contains_angle(cand.theta):
+        # the wedge test needs only the angle; most proposals fail it
+        theta = math.atan2(y, x) % TWO_PI
+        if not lo <= theta <= hi:
             continue
-        d2 = [cand.r * cand.r + r0 * r0 - 2.0 * cand.r * r0 * math.cos(cand.theta - ang)
-              for ang in images]
+        r = math.hypot(x, y)
+        sq = r * r + r0_sq
+        cross = 2.0 * r * r0
+        d2 = [sq - cross * math.cos(theta - ang) for ang in images]
         base = min(d2)
         signed = 0.0
         even = 0.0
-        for k, v in enumerate(d2):
-            term = math.exp(-(v - base) / (2.0 * horizon))
-            signed += term if k % 2 == 0 else -term
-            if k % 2 == 0:
-                even += term
+        for k in range(0, 2 * m, 2):
+            term = math.exp(-(d2[k] - base) / two_h)
+            signed += term
+            even += term
+            signed -= math.exp(-(d2[k + 1] - base) / two_h)
         if signed < 0.0:
             signed = 0.0
         if signed > even * (1.0 + 1e-12):
             raise RuntimeError(f"survivor acceptance ratio {signed/even} above 1")
         if rng.uniform() * even <= signed:
-            return cand
+            return PolarPoint(r, theta)
     raise RuntimeError("survivor acceptance-rejection failed to terminate")
 
 
@@ -226,6 +244,17 @@ def _sub_opening(alpha):
     return math.pi / m, m
 
 
+@functools.lru_cache(maxsize=16)
+def _pass_plan(alpha):
+    """(theta_cap, m, sub-wedge <0, theta_cap>) of every pass in a wedge of
+    opening alpha. Cached per opening: a run, and every Euler cell of a
+    constant diffusion, reuses one plan. The small fixed size bounds the
+    cache when a state-dependent diffusion gives each cell its own opening.
+    """
+    theta_cap, m = _sub_opening(alpha)
+    return theta_cap, m, WedgeSpec(0.0, theta_cap)
+
+
 def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
     """Exact endpoint of W at tau and T (stopped at the wedge boundary).
 
@@ -243,8 +272,7 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
         end = PolarPoint(r_n, ray)
         return PathSample(endpoint=end, elapsed=0.0, hit_boundary=True, folds=0,
                           driving_endpoint=end.cartesian())
-    theta_cap, _m_sub = _sub_opening(alpha)
-    sub = WedgeSpec(0.0, theta_cap)
+    theta_cap, m_sub, sub = _pass_plan(alpha)
     t_n = 0.0
     for n in range(1, iteration_cap + 1):
         beta_lo = min(max(th - theta_cap / 2.0, 0.0), alpha - theta_cap)
@@ -253,9 +281,9 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
         rel = PolarPoint(r_n, th - beta_lo)
         side = sample_exit_side(rel, sub, rng)
         r_new = _draw_exit_radius(rel, sub, side, rng)
-        tau = sample_exit_time(ExitLawParams.for_side(sub, rel, side), r_new, rng)
+        tau = sample_exit_time(ExitLawParams.for_side(sub, rel, side, _m=m_sub), r_new, rng)
         if t_n + tau >= T:
-            surv = sample_survivor(rel, sub, T - t_n, rng)
+            surv = sample_survivor(rel, sub, T - t_n, rng, _m=m_sub)
             end = PolarPoint(surv.r, wedge.alpha_minus + beta_lo + surv.theta)
             return PathSample(endpoint=end, elapsed=T, hit_boundary=False, folds=n,
                               driving_endpoint=end.cartesian())
@@ -315,8 +343,7 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
             drive = (pt.r * math.cos(phi), pt.r * math.sin(phi))
         return PathSample(endpoint=end, elapsed=T, hit_boundary=False, folds=0,
                           driving_endpoint=drive)
-    theta_cap, _m_sub = _sub_opening(alpha)
-    sub = WedgeSpec(0.0, theta_cap)
+    theta_cap, m_sub, sub = _pass_plan(alpha)
     outer = WedgeSpec(0.0, alpha) if base > 0.0 else wedge
     wx, wy = (0.0, 0.0)  # accumulated driving displacement, internal frame
     t_n = 0.0
@@ -350,9 +377,9 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
         rel = PolarPoint(r_n, theta_cap / 2.0)
         side = sample_exit_side(rel, sub, rng)
         r_new = _draw_exit_radius(rel, sub, side, rng)
-        tau = sample_exit_time(ExitLawParams.for_side(sub, rel, side), r_new, rng)
+        tau = sample_exit_time(ExitLawParams.for_side(sub, rel, side, _m=m_sub), r_new, rng)
         if t_n + tau >= T:
-            surv = sample_survivor(rel, sub, t_rem, rng)
+            surv = sample_survivor(rel, sub, t_rem, rng, _m=m_sub)
             pre_fold = beta_lo + surv.theta
             folded = fold_into_wedge(pre_fold, outer)
             if track_driving:

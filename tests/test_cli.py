@@ -1,7 +1,12 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import wedgebm
 from wedgebm.cli import run_cli
 
 T1 = ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "1"]
@@ -308,6 +313,21 @@ def test_start_beyond_angle_tol_of_a_ray_is_a_usage_error(command, capsys):
     assert run_cli([command, "--alpha", "0.9", "--start", "1.5,0.9000000005",
                     "--T", "1"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["1e160", "1e200"])
+def test_start_radius_too_large_for_exit_law_is_a_clean_error(radius):
+    # the exit-law exponents overflow past radius ~1e154; that used to escape
+    # as an AssertionError traceback from samplers.sample_exit_time
+    src = str(pathlib.Path(wedgebm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wedgebm.cli", "estimate", "--alpha", "0.9",
+         "--start", f"{radius},0.3", "--T", "1", "--n", "2"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "too large for the exit-law exponents" in proc.stderr
 
 
 def test_ito_fold_cap_applies_to_each_euler_stopped_cell(tmp_path):

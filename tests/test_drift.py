@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from wedgebm import drift as drift_module
 from wedgebm.drift import (CoefficientField, DriftSpec, TimeGrid, _cell_frame,
                            euler_reflected, euler_stopped, girsanov_log_weight,
                            girsanov_weight, linear_field, reflected_with_drift,
                            stopped_with_drift)
 from wedgebm.geometry import PolarPoint, WedgeSpec
 from wedgebm.rng import RngStream
+from wedgebm.samplers import _pass_plan
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -279,3 +281,45 @@ def test_euler_ou_against_brute_force():
     bvals = (pos ** 2).sum(axis=1)
     bse = bvals.std(ddof=1) / math.sqrt(n)
     assert abs(mean - bvals.mean()) <= 3.5 * (se + bse) + 0.05
+
+
+def test_constant_sigma_euler_work_per_path_does_not_grow_with_steps(monkeypatch):
+    # the cell frame is kept while sigma is unchanged, and the cell wedge's
+    # sub-wedge and m come from a plan built once per opening
+    counts = {"pi_over_m": 0, "cell_frame": 0}
+    pi_over_m, cell_frame = WedgeSpec.pi_over_m, drift_module._cell_frame
+
+    def counted_pi_over_m(self):
+        counts["pi_over_m"] += 1
+        return pi_over_m(self)
+
+    def counted_cell_frame(sigma, wedge):
+        counts["cell_frame"] += 1
+        return cell_frame(sigma, wedge)
+
+    monkeypatch.setattr(WedgeSpec, "pi_over_m", counted_pi_over_m)
+    monkeypatch.setattr(drift_module, "_cell_frame", counted_cell_frame)
+    coeffs = linear_field((0.1, 0.2), (0.7, 0.5), ((1.0, 0.0), (0.0, 1.0)))
+    seen = []
+    for steps in (50, 200):
+        _pass_plan.cache_clear()
+        counts.update(pi_over_m=0, cell_frame=0)
+        euler_reflected(coeffs, START, TimeGrid.uniform(1.0, steps), W09,
+                        RngStream(2), epsilon=0.01)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["cell_frame"] == 1
+    assert seen[0]["pi_over_m"] <= 1
+
+
+def test_euler_accepts_an_array_valued_diffusion():
+    # the frame cache compares sigma entry by entry, so a numpy diffusion
+    # runs, with the same draws and result as the equal tuple one
+    sig = ((1.1, 0.2), (-0.1, 0.9))
+    grid = TimeGrid.uniform(1.0, 30)
+    as_tuple = linear_field((0.1, 0.2), (0.7, 0.5), sig)
+    as_array = CoefficientField(drift=as_tuple.drift,
+                                diffusion=lambda _x, _t: np.array(sig))
+    for scheme in (euler_stopped, euler_reflected):
+        assert scheme(as_array, START, grid, W09, RngStream(6)) == \
+            scheme(as_tuple, START, grid, W09, RngStream(6))

@@ -11,11 +11,15 @@ To print the digests of the current code:
 """
 
 import hashlib
+import math
 import sys
 
 import pytest
 
 from wedgebm.cli import run_cli
+from wedgebm.drift import CoefficientField, TimeGrid, euler_reflected
+from wedgebm.geometry import PolarPoint, WedgeSpec
+from wedgebm.rng import RngStream
 
 T1 = ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "1"]
 CORR = ["--sigma1", "1.2", "--sigma2", "0.8", "--rho", "0.4",
@@ -53,6 +57,13 @@ CASES = {
                                     "--drift", "0.2,0.1"] + CORR,
     "sample_reflected_faults": ["sample-reflected"] + T1 + [
         "--n", "30", "--eps", "0", "--fold-cap", "5"],
+    # an exact pi/m opening: the sub-wedge reuses alpha itself
+    "sample_reflected_pi_over_3": ["sample-reflected", "--alpha", PI_OVER_3,
+                                   "--start", "1.5,0.3", "--T", "1", "--n",
+                                   "30", "--eps", "0.03"],
+    # an opening above pi: every pass runs in a half-plane (m = 1)
+    "sample_stopped_alpha_4": ["sample-stopped", "--alpha", "4.0", "--start",
+                               "1.5,2.0", "--T", "1", "--n", "30"],
     "folds_histogram": ["folds"] + T1 + ["--n", "200", "--eps", "0",
                                          "--fold-cap", "40"],
     "folds_eps_sweep": ["folds"] + T1 + ["--n", "100", "--eps-sweep",
@@ -68,7 +79,8 @@ CASES = {
 }
 SEED = ["--seed", "7"]
 
-# recorded from the code before the path-engine refactor
+# recorded from the code before the path-engine refactor; the pi/3 and
+# alpha = 4 sampling cases were recorded before the pass plan
 DIGESTS = {
     "density_images_killed":
         "20e1fc928f8ccfb52c36b01f3cae8d7d5ce0a753378acb5631447eaa07c2ac95",
@@ -112,13 +124,49 @@ DIGESTS = {
         "539a58986e6bb6f643451c2831bad12877522f3d6e144b1a44e58115ade374f8",
     "sample_reflected_faults":
         "5bc1606e8bcaef08ed4dca42922b68f3d9939e07ef89e846ec623f8f1e7d2188",
+    "sample_reflected_pi_over_3":
+        "3ea035761245388776eb6d1f5e5739f46eb1d9282bd59e8e48820b0fcef307a2",
     "sample_stopped":
         "85786341dc9e797faf15e815eeab01d5d0f0b71000721751366a16090953b156",
+    "sample_stopped_alpha_4":
+        "5e0ca6f498ac9ebb8ac66c0b99d780ab3632625a514642bd39d59214fcf960a2",
     "sample_stopped_correlated":
         "221fa0a4605e77107fc62347b9e514949db2eed01b5d62a71c0a943cf1d163d5",
     "sample_stopped_drift":
         "1e0a90f9430cdb91344755b778e47cc1dc7547a73f63a9f9dd93ca48213f5cc2",
 }
+
+# recorded from the code before the pass plan (sub-wedge, m and images built
+# once per opening, the Euler cell frame reused while sigma is unchanged)
+EULER_STATE_DEPENDENT_DIGEST = (
+    "e121ec1ab43ac1ded94f7d65d06f87498ec014337be1564eeed61330a41f6d30")
+
+
+# the frozen diffusion changes with the state, so every Euler cell has its
+# own frame and its own sub-wedge opening
+def _state_dependent_field():
+    def b(x, _t):
+        return (-0.5 * x[0], 0.2 - 0.3 * x[1])
+
+    def s(x, _t):
+        return ((1.0 + 0.3 * math.tanh(x[0]), 0.2 * math.sin(x[1])),
+                (-0.1, 0.8 + 0.2 * math.cos(x[0])))
+
+    return CoefficientField(drift=b, diffusion=s)
+
+
+def euler_state_dependent_digest():
+    """sha256 of the repr of every PathSample field of five Euler paths."""
+    coeffs = _state_dependent_field()
+    grid = TimeGrid.uniform(1.0, 40)
+    wedge = WedgeSpec(0.0, 0.9)
+    root = RngStream(7)
+    h = hashlib.sha256()
+    for i in range(5):
+        sample = euler_reflected(coeffs, PolarPoint(1.5, 0.3), grid, wedge,
+                                 root.derive(i), epsilon=0.03)
+        h.update(repr(vars(sample)).encode())
+    return h.hexdigest()
 
 
 def digest(argv, out_path):
@@ -136,6 +184,10 @@ def test_every_case_has_a_digest():
     assert sorted(DIGESTS) == sorted(CASES)
 
 
+def test_euler_state_dependent_diffusion_matches_golden_digest():
+    assert euler_state_dependent_digest() == EULER_STATE_DEPENDENT_DIGEST
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -144,3 +196,4 @@ if __name__ == "__main__":
         out = pathlib.Path(tmp) / "out.csv"
         for name in sorted(CASES):
             sys.stdout.write(f'    "{name}":\n        "{digest(CASES[name], out)}",\n')
+    print(f'EULER_STATE_DEPENDENT_DIGEST = "{euler_state_dependent_digest()}"')

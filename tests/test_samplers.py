@@ -9,13 +9,14 @@ from scipy.stats import expon, kstest, ks_2samp, norm
 
 from wedgebm.densities import ExitLawParams, exit_joint_density, \
     exit_radius_marginal, killed_density_images
+from wedgebm import samplers
 from wedgebm.geometry import PolarPoint, Side, WedgeSpec
 from wedgebm.rng import RngStream
 from wedgebm.samplers import (FoldCapExceeded, algorithm_reflected,
                               algorithm_stopped, direct_pi_over_m_reflected,
                               sample_exit_radius, sample_exit_side,
                               sample_exit_time, sample_reflected_from_origin,
-                              sample_survivor, _sub_opening)
+                              sample_survivor, _pass_plan, _sub_opening)
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -186,6 +187,52 @@ def test_sub_opening_exact_reuse():
         theta, got_m = _sub_opening(alpha)
         assert theta == alpha
         assert got_m == m
+
+
+@given(st.floats(0.05, 2.0 * math.pi))
+@settings(deadline=None, max_examples=300)
+def test_pass_plan_m_is_the_sub_wedge_m(alpha):
+    # the recursions hand this m to for_side and sample_survivor, which
+    # would otherwise compute it from the sub-wedge
+    theta, m, sub = _pass_plan(alpha)
+    assert (theta, m) == _sub_opening(alpha)
+    assert sub == WedgeSpec(0.0, theta)
+    assert sub.pi_over_m() == m
+
+
+def test_survivor_and_exit_law_same_with_and_without_known_m():
+    wedge = WedgeSpec(0.0, math.pi / 4)
+    start = PolarPoint(1.2, 0.5)
+    plain, known = RngStream(11), RngStream(11)
+    assert [sample_survivor(start, wedge, 0.8, plain) for _ in range(50)] == \
+        [sample_survivor(start, wedge, 0.8, known, _m=4) for _ in range(50)]
+    for side in Side:
+        assert ExitLawParams.for_side(wedge, start, side, _m=4) == \
+            ExitLawParams.for_side(wedge, start, side)
+
+
+def test_reflected_paths_look_up_m_once_per_opening(monkeypatch):
+    # the sub-wedge and its m are a pass plan built once per opening, not
+    # recomputed on every pass
+    calls = []
+    original = WedgeSpec.pi_over_m
+
+    def counted(self):
+        calls.append(self.opening)
+        return original(self)
+
+    monkeypatch.setattr(WedgeSpec, "pi_over_m", counted)
+    counts, passes = [], []
+    for n in (20, 200):
+        _pass_plan.cache_clear()
+        calls.clear()
+        root = RngStream(4)
+        passes.append(sum(algorithm_reflected(START, 1.0, W09, root.derive(i),
+                                              epsilon=0.03).folds
+                          for i in range(n)))
+        counts.append(len(calls))
+    assert passes[1] > 5 * passes[0]
+    assert counts[0] == counts[1] <= 1
 
 
 # ---------------------------------------------------------------------------
