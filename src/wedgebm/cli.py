@@ -174,7 +174,7 @@ def _inject_config(argv):
 # shared flag groups and problem resolution
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, with_eps=True):
+def _add_common(sub, sampling=True):
     sub.add_argument("--alpha", type=float, default=None,
                      help="wedge opening in radians (lower ray at angle 0)")
     sub.add_argument("--start", type=_pair, default=None, metavar="R,THETA",
@@ -183,11 +183,12 @@ def _add_common(sub, with_eps=True):
                      help="start point, cartesian")
     sub.add_argument("--T", "--t", dest="T", type=_horizon, default=None,
                      help="time horizon (accepts inf)")
-    sub.add_argument("--n", type=int, default=None, help="number of samples")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument("--out", default=None, metavar="FILE.CSV",
                      help="write CSV here instead of stdout")
-    if with_eps:
+    if sampling:
+        sub.add_argument("--n", type=int, default=None,
+                         help="number of samples")
+        sub.add_argument("--seed", type=int, default=0, help="master seed")
         sub.add_argument("--eps", type=float, default=None,
                          help="corner threshold (0 disables the shortcut)")
         sub.add_argument("--fold-cap", type=int, default=None,
@@ -444,7 +445,7 @@ def build_parser():
 
     p = subs.add_parser("density", help="evaluate the transition density on "
                                         "a polar grid (CSV: r,theta,value)")
-    _add_common(p, with_eps=False)
+    _add_common(p, sampling=False)
     p.add_argument("--mode", choices=["killed", "reflected"],
                    default="reflected")
     p.add_argument("--grid", type=int, default=50,

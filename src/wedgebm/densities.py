@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy import integrate
-
 from .bessel import DEFAULT_TOL, log_bessel_i, series_tail_cutoff
 from .geometry import PolarPoint, Side, WedgeSpec, image_angle, require_pi_over_m
 
@@ -118,10 +116,10 @@ def _series_density(kind, wedge, x, y, t, tol):
     cutoff = series_tail_cutoff(nu_step, z, tol, lead_order=lead)
     terms = []
     if kind is Kind.REFLECTED:
-        terms.append(0.5 * math.exp(log_base + log_bessel_i(0, z, tol) - z))
+        terms.append(0.5 * math.exp(log_base + log_bessel_i(0, z) - z))
     for n in range(1, cutoff):
         nu = n * math.pi / alpha
-        lb = log_bessel_i(nu, z, tol)
+        lb = log_bessel_i(nu, z)
         if lb == -math.inf:
             continue
         mag = math.exp(log_base + lb - z)
@@ -253,6 +251,10 @@ def survival_probability(m, x, t):
     """P(tau > t) for the killed motion in <0, pi/m>, by adaptive quadrature
     of the image-sum kernel. Absolute error ~1e-9, well under the 1e-7 the
     tests rely on."""
+    # imported here, its only use: scipy.integrate is a quarter of a second
+    # and ~26 MB that `import wedgebm` would otherwise pay on every run
+    from scipy import integrate
+
     require_m = int(m)
     if require_m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from wedgebm.bessel import (DEFAULT_TOL, SeriesCapExceeded, SeriesTolerance,
-                            bessel_i, log_bessel_i, series_tail_cutoff)
+from wedgebm.bessel import bessel_i, log_bessel_i, series_tail_cutoff
 
 # high-precision reference values frozen from
 # scripts/oracles/bessel_reference.py (mpmath, 50 digits)
@@ -23,12 +22,15 @@ REFERENCE = [
     (3.5, 8.0, 191.34058783326503),
     (0.0, 50.0, 2.9325537838493363e+20),
     (2.0, 100.0, 1.0523843193243106e+42),
+    (700.0, 225.0, 1.4657083350588896e-246),
 ]
 
 LOG_REFERENCE = [
     (0.0, 800.0, 795.73891195074502),
     (2.0, 1000.0, 995.62530788945305),
     (7.5, 2000.0, 1995.2666067516308),
+    (0.0, 1e4, 9994.4759037814323),
+    (math.pi / 0.9, 22500.0, 22494.070160951321),
 ]
 
 
@@ -68,17 +70,20 @@ def test_small_argument_behaviour():
     assert bessel_i(nu, x) == pytest.approx(lead, rel=1e-12)
 
 
+def test_log_is_minus_inf_where_the_scaled_value_underflows():
+    # log(e^-x I(pi/0.01, 2.1)) = -1482.8, below the smallest double's -744.4
+    nu, x = math.pi / 0.01, 2.1
+    assert log_bessel_i(nu, x) == -math.inf
+    # every later order underflows too, so the certified sum is empty
+    assert series_tail_cutoff(nu, x, lead_order=nu) == 1
+
+
 def test_validation():
-    with pytest.raises(ValueError):
-        log_bessel_i(-0.5, 1.0)
-    with pytest.raises(ValueError):
-        log_bessel_i(0.5, -1.0)
-
-
-def test_series_cap_raises():
-    tight = SeriesTolerance(rel_tol=1e-12, max_terms=3)
-    with pytest.raises(SeriesCapExceeded):
-        log_bessel_i(0.0, 50.0, tight)
+    for func in (log_bessel_i, bessel_i):
+        for nu, x in [(-0.5, 1.0), (0.5, -1.0), (math.nan, 1.0),
+                      (0.5, math.inf)]:
+            with pytest.raises(ValueError):
+                func(nu, x)
 
 
 @given(st.floats(0.0, 20.0), st.floats(1e-6, 50.0))

@@ -286,6 +286,9 @@ def test_exit_code_usage_errors(capsys):
     # so does density, whose kernels are driftless
     assert run_cli(["density", "--alpha", "1.0472", "--x", "1.5,0.3",
                     "--t", "0.7", "--grid", "2", "--drift", "5,5"]) == 2
+    # and takes no sample size or seed, which it would ignore
+    assert run_cli(["density", "--alpha", "1.0472", "--x", "1.5,0.3",
+                    "--t", "0.7", "--grid", "2", "--seed", "3"]) == 2
     # sample-* needs at least one path, like estimate
     assert run_cli(["sample-stopped"] + T1 + ["--n", "0"]) == 2
     # unknown flag (argparse exit)

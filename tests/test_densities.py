@@ -1,10 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+import wedgebm
 from wedgebm.densities import (ExitLawParams, Kind, corner_kernel,
                                density_drdtheta_to_dy, density_dy_to_drdtheta,
                                exit_joint_density, exit_radius_marginal,
@@ -49,6 +54,33 @@ def test_series_matches_images(m):
         scale = 1.0 / (TWO_PI * t)  # free-kernel magnitude
         assert ki == pytest.approx(ks, rel=1e-8, abs=1e-8 * scale)
         assert ri == pytest.approx(rs, rel=1e-8, abs=1e-8 * scale)
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-4])
+def test_series_matches_images_at_small_t(t):
+    # near the start the Bessel argument r*r0/t reaches 2.25e4 at t = 1e-4
+    wedge = WedgeSpec(0.0, math.pi / 3)
+    start = PolarPoint(1.5, 0.3)
+    step = 2.0 * math.sqrt(t)
+    pairs = ((killed_density_series, killed_density_images),
+             (reflected_density_series, reflected_density_images))
+    for dr in (-step, 0.0, step):
+        for dth in (-step / start.r, 0.0, step / start.r):
+            target = PolarPoint(start.r + dr, start.theta + dth)
+            for series, images in pairs:
+                got = density_drdtheta_to_dy(series(wedge, target, start, t),
+                                             target.r)
+                assert got == pytest.approx(images(3, start, target, t),
+                                            rel=1e-10)
+
+
+def test_killed_series_in_a_narrow_wedge_is_zero():
+    # the first order pi/0.01 already underflows (e^-z I_314(z) ~ e^-1483 at
+    # z = 2.1), so the certified sum is empty rather than searched for
+    wedge = WedgeSpec(0.0, 0.01)
+    value = killed_density_series(wedge, PolarPoint(1.5, 0.005),
+                                  PolarPoint(1.4, 0.004), 1.0)
+    assert value == 0.0
 
 
 def test_quarter_plane_kernels_factor_into_1d_products():
@@ -169,6 +201,19 @@ def test_series_rejects_outside_points():
         reflected_density_series(wedge, inside, outside, 0.5)
     with pytest.raises(ValueError):
         killed_density_series(wedge, inside, inside, -0.5)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # survival_probability imports it when called: it adds ~0.25 s and
+    # ~26 MB to every process that imports wedgebm, and nothing else uses it
+    src = str(pathlib.Path(wedgebm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wedgebm; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_killed_below_reflected():

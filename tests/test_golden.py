@@ -77,10 +77,13 @@ CASES = {
     "density_series_killed": ["density"] + T1 + ["--grid", "3", "--mode",
                                                  "killed"],
 }
-SEED = ["--seed", "7"]
+SEED = ["--seed", "7"]  # for every command but density, which draws nothing
 
 # recorded from the code before the path-engine refactor; the pi/3 and
-# alpha = 4 sampling cases were recorded before the pass plan
+# alpha = 4 sampling cases were recorded before the pass plan;
+# density_series_reflected was recorded again when the Bessel terms moved to
+# scipy's ive: its cell (0.9167, 0.15) sits on a %.12g tie, 0.3683041484075001
+# before and 0.3683041484075000 after (mpmath: 0.36830414840750840)
 DIGESTS = {
     "density_images_killed":
         "20e1fc928f8ccfb52c36b01f3cae8d7d5ce0a753378acb5631447eaa07c2ac95",
@@ -89,7 +92,7 @@ DIGESTS = {
     "density_series_killed":
         "af5993bc6fdfbd4b6083702d596d745e817ddf9421bb2d19188ba306678c54bf",
     "density_series_reflected":
-        "72921cdd690b6b9a2325a171483c6389ea97318e7af401346899185966913af9",
+        "8970ea8770a4f113a764be5b32116085882535400b0854210ee40e349176d0fd",
     "estimate_correlated":
         "b6c996be05ed3d7da899a345b6ab73c634f140554c35a25be3dff57f6743e29d",
     "estimate_drift_reflected":
@@ -170,7 +173,8 @@ def euler_state_dependent_digest():
 
 
 def digest(argv, out_path):
-    code = run_cli(argv + SEED + ["--out", str(out_path)])
+    seed = [] if argv[0] == "density" else SEED
+    code = run_cli(argv + seed + ["--out", str(out_path)])
     assert code == 0, argv
     return hashlib.sha256(out_path.read_bytes()).hexdigest()
 
