@@ -2,7 +2,7 @@
 Brownian motion stopped or normally reflected in a wedge."""
 
 from .bessel import (DEFAULT_TOL, SeriesCapExceeded, SeriesTolerance,
-                     bessel_i, log_bessel_i, series_tail_cutoff)
+                     log_bessel_i, series_tail_cutoff)
 from .corner import (CornerState, corner_triggered, reference_cdf,
                      reference_mass, sample_corner, sample_driving_angle,
                      sample_reference_radius)
@@ -17,7 +17,7 @@ from .drift import (CoefficientField, DriftSpec, TimeGrid, euler_reflected,
                     linear_field, reflected_with_drift, stopped_with_drift)
 from .geometry import (CorrelatedSetup, DecorrelatedProblem, PolarPoint,
                        RegionCase, Side, WedgeSpec, decorrelate,
-                       fold_into_wedge, image_angle, require_pi_over_m)
+                       fold_into_wedge, image_angles, require_pi_over_m)
 from .montecarlo import (EstimatorConfig, FaultFractionExceeded, FoldingStats,
                          McReport, Mode, TestFunction,
                          double_barrier_constants, eps_sweep, estimate,

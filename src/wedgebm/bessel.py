@@ -4,7 +4,6 @@ The densities only ever use the exponentially scaled value e^{-x} I_nu(x):
 their argument r*r0/t blows up as t -> 0, far past the x ~ 709 where I_nu
 itself overflows. `log_bessel_i` is therefore built on scipy's `ive`, which
 stays in range for every argument, with x added back in log space.
-`bessel_i` is scipy's `iv` behind the same input validation.
 
 `series_tail_cutoff` certifies where the densities' sums over the orders
 n*pi/alpha can be truncated.
@@ -49,14 +48,6 @@ def log_bessel_i(nu, x):
     _check_args(nu, x)
     scaled = special.ive(nu, x)
     return math.log(scaled) + x if scaled > 0.0 else -math.inf
-
-
-def bessel_i(nu, x):
-    """I_nu(x). Saturates to inf above the float range (roughly x > 709 at
-    small orders) and to 0 below it, as doubles do; log_bessel_i reaches
-    further."""
-    _check_args(nu, x)
-    return float(special.iv(nu, x))
 
 
 def series_tail_cutoff(nu_step, x, tol=DEFAULT_TOL, lead_order=0.0):

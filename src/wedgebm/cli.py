@@ -295,6 +295,8 @@ def cmd_density(args):
     grid = args.grid
     if grid < 1:
         raise UsageError("--grid must be at least 1")
+    if args.rmax is not None and not args.rmax > 0:
+        raise UsageError("--rmax must be positive")
     rmax = args.rmax if args.rmax is not None else start.r + 4.0 * math.sqrt(t)
     m = wedge.pi_over_m()
     killed = args.mode == "killed"

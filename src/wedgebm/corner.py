@@ -9,13 +9,14 @@ dominated by its order-zero term. That leading kernel,
 is sampled exactly: the angle is uniform, and the radius comes from the
 reference density rho(r) = r e^{-(r - r_n)^2 / 2 t'} (closed-form CDF,
 inverted by safeguarded Newton), thinned by the acceptance probability
-e^{-x} I_0(x) <= 1 at x = r r_n / t'.
+e^{-x} I_0(x) <= 1 (scipy's `ive`) at x = r r_n / t'.
 """
 
 import math
 from dataclasses import dataclass
 
-from .bessel import log_bessel_i
+from scipy import special
+
 from .geometry import PolarPoint
 
 SQRT_TWO = math.sqrt(2.0)
@@ -46,7 +47,7 @@ def corner_triggered(r_n, t_prime, epsilon):
     """True when the corner branch should replace the recursion."""
     if t_prime <= 0:
         raise ValueError(f"remaining time must be positive, got {t_prime}")
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN included
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     return epsilon > 0.0 and r_n * r_n / t_prime < epsilon
 
@@ -122,7 +123,7 @@ def sample_corner(state, rng):
     for _ in range(10 ** 7):
         r = sample_reference_radius(state.r_n, state.t_prime, rng)
         x = r * x_scale
-        accept = math.exp(log_bessel_i(0, x) - x)
+        accept = special.ive(0, x)
         if accept > 1.0 + 1e-12 or accept <= 0.0:
             raise RuntimeError(f"corner acceptance probability {accept} out of range")
         if rng.uniform() < accept:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bessel import DEFAULT_TOL, log_bessel_i, series_tail_cutoff
-from .geometry import PolarPoint, Side, WedgeSpec, image_angle, require_pi_over_m
+from .geometry import PolarPoint, Side, WedgeSpec, image_angles, require_pi_over_m
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,8 +68,7 @@ def _image_terms(m, x, y, t, signed):
     rx, ry = x.r, y.r
     norm = 1.0 / (TWO_PI * t)
     terms = []
-    for k in range(2 * m):
-        ang = image_angle(k, y.theta, wedge)
+    for k, ang in enumerate(image_angles(y.theta, wedge, m)):
         d2 = rx * rx + ry * ry - 2.0 * rx * ry * math.cos(x.theta - ang)
         val = norm * math.exp(-d2 / (2.0 * t))
         if signed and k % 2 == 1:

@@ -103,22 +103,17 @@ def require_pi_over_m(wedge):
     return m
 
 
-def image_angle(k, theta, wedge):
-    """Angle of the k-th image of (r, theta) in the 2m-sector tiling.
+def image_angles(theta, wedge, m):
+    """Angles of the 2m images of (r, theta) in the 2m-sector tiling.
 
-    For a pi/m wedge the plane is tiled by 2m copies of the wedge; the k-th
-    isometry is a rotation for even k and a reflection for odd k. Returns
-    the image angle modulo 2 pi.
+    For a pi/m wedge (the caller passes its m) the plane is tiled by 2m
+    copies of the wedge; the k-th isometry is a rotation for even k and a
+    reflection for odd k. Returns the image angles modulo 2 pi, in k order.
     """
-    m = require_pi_over_m(wedge)
-    if not 0 <= k < 2 * m:
-        raise ValueError(f"image index {k} outside 0..{2 * m - 1}")
     alpha = wedge.opening
-    if k % 2 == 0:
-        ang = theta + k * alpha
-    else:
-        ang = (k + 1) * alpha - theta + 2.0 * wedge.alpha_minus
-    return ang % TWO_PI
+    shift = 2.0 * wedge.alpha_minus
+    return [(theta + k * alpha if k % 2 == 0 else (k + 1) * alpha - theta + shift) % TWO_PI
+            for k in range(2 * m)]
 
 
 def fold_into_wedge(theta_tilde, wedge):

@@ -4,7 +4,8 @@ The building blocks follow the exit-law decomposition: which ray is hit,
 the exit radius (closed-form inverse CDF), the exit time given the radius
 (acceptance-rejection with an inverse-exponential proposal per mixture
 component), and the endpoint conditioned on not exiting (acceptance-rejection
-against an even-image Gaussian mixture). `algorithm_stopped` composes these
+against the free Gaussian endpoint folded into the wedge, the reflection
+principle's reflected endpoint). `algorithm_stopped` composes these
 recursively over sub-wedges of opening pi/m; `algorithm_reflected` adds the
 folding step and the corner termination.
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .corner import CornerState, corner_triggered, sample_corner, sample_driving_angle
 from .densities import ExitLawParams
-from .geometry import ANGLE_TOL, PolarPoint, Side, WedgeSpec, fold_into_wedge
+from .geometry import PolarPoint, Side, WedgeSpec, fold_into_wedge, image_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,59 +173,58 @@ def sample_exit_time(params, r, rng):
 def sample_survivor(start, wedge, horizon, rng, _m=None):
     """Endpoint at `horizon` conditioned on never leaving the pi/m wedge.
 
-    Proposes from the equal-weight mixture of Gaussians centered at the
-    rotation preimages of the start (the even images), and accepts with the
-    ratio of the signed 2m-image sum to the even-image sum. The recursions
-    pass the m of their sub-wedge as _m.
+    Proposes the free Gaussian endpoint folded into the wedge by the
+    2m-sector tiling, whose density is the unsigned 2m-image sum (the
+    reflected kernel), and accepts with the ratio of the signed image sum
+    (the killed kernel) to it. The ratio is at most 1, so the acceptance
+    rate is exactly P(tau > horizon). The recursions pass the m of their
+    sub-wedge as _m.
     """
     m = wedge.pi_over_m() if _m is None else _m
     if m is None:
         raise ValueError("survivor sampling needs a pi/m wedge")
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    r0, th0 = start.r, start.theta
-    alpha = wedge.opening
-    # the 2m image angles, as geometry.image_angle computes them
-    shift = 2.0 * wedge.alpha_minus
-    images = [(th0 + k * alpha if k % 2 == 0 else (k + 1) * alpha - th0 + shift) % TWO_PI
-              for k in range(2 * m)]
-    centers = [(th0 - 2.0 * j * alpha) for j in range(m)]
-    lo = wedge.alpha_minus - ANGLE_TOL
-    hi = wedge.alpha_plus + ANGLE_TOL
-    r0_sq = r0 * r0
+    images = image_angles(start.theta, wedge, m)
+    x0, y0 = start.cartesian()
+    r0_sq = start.r * start.r
     two_h = 2.0 * horizon
     sd = math.sqrt(horizon)
     for _ in range(_AR_CAP):
-        j = 0
-        if m > 1:
-            j = min(int(rng.uniform() * m), m - 1)
-        cx = r0 * math.cos(centers[j])
-        cy = r0 * math.sin(centers[j])
-        x = cx + sd * rng.normal()
-        y = cy + sd * rng.normal()
-        # the wedge test needs only the angle; most proposals fail it
-        theta = math.atan2(y, x) % TWO_PI
-        if not lo <= theta <= hi:
-            continue
-        r = math.hypot(x, y)
+        r, rel = _sector_fold(x0 + sd * rng.normal(), y0 + sd * rng.normal(), wedge, m)
+        theta = wedge.alpha_minus + rel
         sq = r * r + r0_sq
-        cross = 2.0 * r * r0
+        cross = 2.0 * r * start.r
         d2 = [sq - cross * math.cos(theta - ang) for ang in images]
         base = min(d2)
         signed = 0.0
-        even = 0.0
+        total = 0.0
         for k in range(0, 2 * m, 2):
-            term = math.exp(-(d2[k] - base) / two_h)
-            signed += term
-            even += term
-            signed -= math.exp(-(d2[k + 1] - base) / two_h)
+            even = math.exp(-(d2[k] - base) / two_h)
+            odd = math.exp(-(d2[k + 1] - base) / two_h)
+            signed += even - odd
+            total += even + odd
         if signed < 0.0:
             signed = 0.0
-        if signed > even * (1.0 + 1e-12):
-            raise RuntimeError(f"survivor acceptance ratio {signed/even} above 1")
-        if rng.uniform() * even <= signed:
+        if rng.uniform() * total <= signed:
             return PolarPoint(r, theta)
     raise RuntimeError("survivor acceptance-rejection failed to terminate")
+
+
+def _sector_fold(x, y, wedge, m):
+    """(radius, angle) of the plane point (x, y) folded into the pi/m wedge
+    by the 2m-sector tiling: the reflection principle's map from the free
+    endpoint to the reflected one.
+
+    The angle is measured from alpha_minus. The sectors have the wedge's
+    own opening, which a sub-wedge within PI_OVER_M_TOL of pi/m shares with
+    its outer wedge, and the result is clamped into [0, opening].
+    """
+    alpha = wedge.opening
+    phi = (math.atan2(y, x) - wedge.alpha_minus) % TWO_PI
+    j = min(int(phi / alpha), 2 * m - 1)
+    th = phi - j * alpha if j % 2 == 0 else (j + 1) * alpha - phi
+    return math.hypot(x, y), min(max(th, 0.0), alpha)
 
 
 def _sub_opening(alpha):
@@ -326,7 +326,7 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
     """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN included
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     alpha = wedge.opening
     th = _interior_angle(start, wedge)
@@ -428,21 +428,14 @@ def sample_reflected_from_origin(T, alpha, rng):
 
 
 def direct_pi_over_m_reflected(start, T, m, rng):
-    """One-shot reflected endpoint for openings pi/m: simulate the free
-    Brownian endpoint and fold the plane's 2m sectors back onto the wedge."""
+    """One-shot reflected endpoint for openings pi/m: the free Brownian
+    endpoint from the cartesian `start`, folded into <0, pi/m> by the
+    2m-sector tiling."""
     if m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
-    alpha = math.pi / m
     sd = math.sqrt(T)
     x = start[0] + sd * rng.normal()
     y = start[1] + sd * rng.normal()
-    free = PolarPoint.from_cartesian(x, y)
-    j = min(int(free.theta / alpha), 2 * m - 1)
-    if j % 2 == 0:
-        th = free.theta - j * alpha
-    else:
-        th = (j + 1) * alpha - free.theta
-    th = min(max(th, 0.0), alpha)
-    return PolarPoint(free.r, th)
+    return PolarPoint(*_sector_fold(x, y, WedgeSpec(0.0, math.pi / m), m))

@@ -289,6 +289,14 @@ def test_exit_code_usage_errors(capsys):
     # and takes no sample size or seed, which it would ignore
     assert run_cli(["density", "--alpha", "1.0472", "--x", "1.5,0.3",
                     "--t", "0.7", "--grid", "2", "--seed", "3"]) == 2
+    # a radial extent of zero has no grid cells to evaluate
+    assert run_cli(["density", "--alpha", "0.9", "--start", "1.5,0.3",
+                    "--t", "1", "--rmax", "0", "--grid", "2"]) == 2
+    # NaN epsilon is not the exact mode
+    assert run_cli(["estimate"] + T1 + ["--n", "5", "--mode", "reflected",
+                                        "--eps", "nan"]) == 2
+    assert run_cli(["ito"] + T1 + ["--n", "2", "--steps", "5", "--mode",
+                                   "euler_reflected", "--eps", "nan"]) == 2
     # sample-* needs at least one path, like estimate
     assert run_cli(["sample-stopped"] + T1 + ["--n", "0"]) == 2
     # unknown flag (argparse exit)

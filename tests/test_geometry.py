@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from wedgebm.geometry import (CorrelatedSetup, PolarPoint, RegionCase,
                               WedgeSpec, decorrelate, fold_into_wedge,
-                              image_angle, require_pi_over_m)
+                              image_angles, require_pi_over_m)
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,7 +54,8 @@ def test_image_angles_tile_the_plane():
     for m in (1, 2, 3, 6):
         w = WedgeSpec(0.0, math.pi / m)
         theta = 0.37 * w.opening
-        angles = [image_angle(k, theta, w) for k in range(2 * m)]
+        angles = image_angles(theta, w, m)
+        assert len(angles) == 2 * m
         inside = [a for a in angles if w.contains_angle(a)]
         assert len(inside) == 1
         assert inside[0] == pytest.approx(theta, abs=1e-12)
@@ -67,15 +68,7 @@ def test_image_angles_tile_the_plane():
 def test_image_angle_k1_reflects_across_upper_ray():
     w = WedgeSpec(0.0, math.pi / 3)
     theta = 0.2
-    assert image_angle(1, theta, w) == pytest.approx(2 * w.opening - theta)
-
-
-def test_image_angle_index_range():
-    w = WedgeSpec(0.0, math.pi / 2)
-    with pytest.raises(ValueError):
-        image_angle(4, 0.3, w)
-    with pytest.raises(ValueError):
-        image_angle(-1, 0.3, w)
+    assert image_angles(theta, w, 3)[1] == pytest.approx(2 * w.opening - theta)
 
 
 @given(st.floats(0.05, TWO_PI - 0.05), st.floats(-1.0, 2.0))

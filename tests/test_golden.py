@@ -79,11 +79,13 @@ CASES = {
 }
 SEED = ["--seed", "7"]  # for every command but density, which draws nothing
 
-# recorded from the code before the path-engine refactor; the pi/3 and
-# alpha = 4 sampling cases were recorded before the pass plan;
-# density_series_reflected was recorded again when the Bessel terms moved to
-# scipy's ive: its cell (0.9167, 0.15) sits on a %.12g tie, 0.3683041484075001
-# before and 0.3683041484075000 after (mpmath: 0.36830414840750840)
+# the density cases were recorded before the path-engine refactor, and
+# density_series_reflected again when the Bessel terms moved to scipy's ive:
+# its cell (0.9167, 0.15) sits on a %.12g tie, 0.3683041484075001 before and
+# 0.3683041484075000 after (mpmath: 0.36830414840750840). Every case that
+# draws a survivor (all sampling cases but the T = inf exit rows and the fold
+# counts, where the survivor and corner draws are terminal) was recorded
+# again when the survivor proposal became the folded free Gaussian endpoint.
 DIGESTS = {
     "density_images_killed":
         "20e1fc928f8ccfb52c36b01f3cae8d7d5ce0a753378acb5631447eaa07c2ac95",
@@ -94,55 +96,55 @@ DIGESTS = {
     "density_series_reflected":
         "8970ea8770a4f113a764be5b32116085882535400b0854210ee40e349176d0fd",
     "estimate_correlated":
-        "b6c996be05ed3d7da899a345b6ab73c634f140554c35a25be3dff57f6743e29d",
+        "0e98a13d34763953f263ccf9aa2a8bd98f9eb131d2587e0bc93ab50340d313a5",
     "estimate_drift_reflected":
-        "970b0a277f55052bf91fd10795bff05157e1d885ea3dd2ebd6ab4ae228ab49d6",
+        "3c25de836e6ff7f1aab276c6584c35a24f6af28c8e4519d57f324adbcfbe377d",
     "estimate_table1_coord1":
-        "d6638b0fc22ff7677018aa80168c98df2c7f289cd27a69d4d2057e8f0046308f",
+        "1cede1c528130b855f732eea3fa64a69abd21fed6ec85f837683e067d2590d03",
     "estimate_table1_exit":
         "b84ac3b1ba9acca4384dd1e79970e266a76e906d7e7be9f2736176e4f7a347db",
     "estimate_table1_reflected":
-        "f348d530f3057ddcc20f9e1c0d862f005611e91fd333eb7343754f46454b12b1",
+        "b0070f9bd805a91bc1b8126c5c7202d714cdd7a82db8efa9fcb1ee8d8d916992",
     "estimate_table1_stopped":
-        "88e45122c9c69bd857e47e90dc7581ad665b241dbeb2e9ce837de7a4d74c6cd1",
+        "ba6af5326d4e39c9e9671f82b7e0bbb46e18b21186226cde88c43b39489f03bf",
     "estimate_table1_tau":
         "f93ef2e7241a521283cbc69206868686817a6603116455a4d6bbfa16ed51adb9",
     "estimate_table2_reflected":
-        "10f6d7abe7bc9de211dfd1f3ebf7414cf6d895587ee46286706cb9678e896555",
+        "5b1da3180075376198d29a876b50d7c4b73e1145552d1ec09dee912e659eab9d",
     "estimate_table2_stopped":
-        "5c8036480f53493e96886b7d48f8ca48a2d91e179ef2c970e1692c608f5e25ec",
+        "3f65a823a52b0a6b89f06795918668248647dedf0e1e1f289ff7099879c0ecba",
     "folds_eps_sweep":
         "a886ea11eef1765ab96f72229f8f7881dc41f0aaf065cb57882bf7a5e37c4a53",
     "folds_histogram":
         "fe8f46334930ae6843b4dd2edb2fa72d587614bd96baf6daddedabff9a86c7ef",
     "ito_table3_reflected":
-        "b64e11b70ec2466ae09d2e308aef60750ccd2b9ba55d495e8ff35e4597b45b34",
+        "ef83e9bcca0429ce9871545a4c9e4a1b407545986ff0bc5a8b1aa720cf9918ab",
     "ito_table3_stopped":
-        "52548d17ad7b20b200c87409f83d70e7e4db2cfeb9270c6d3de2c33a702044f0",
+        "b6e88c2dc7b3ba674a975b5636d726d77b97016010ad159c633233fae2f7679e",
     "sample_reflected":
-        "631a89208af3e0ac3d4f72a356be98c8475d5dbc407a03af880d1193c4ef8c63",
+        "057ba823866fcc6976de3f7a9b96fe2c07ffedb66c8a62cbfce9f9b2e771207a",
     "sample_reflected_correlated":
-        "133294ccb8e57de74297d07fdbc1f3e2ec9f9367be6344773fb6718ec384af02",
+        "2b7a1b61bcfa6ae8a7fc8b5fa0f88ab0cd0f3236b3e881f40c0f7e301cce6239",
     "sample_reflected_drift":
-        "539a58986e6bb6f643451c2831bad12877522f3d6e144b1a44e58115ade374f8",
+        "3142f513a64afddc5fb1a9bf09514241dd4e7de2f94cf6f27714bb829c6faa53",
     "sample_reflected_faults":
-        "5bc1606e8bcaef08ed4dca42922b68f3d9939e07ef89e846ec623f8f1e7d2188",
+        "8efe59bce9a3ef1bfd0f216fd7289bfea9419e0e5b0abb3b8c1ef820ad0b6c17",
     "sample_reflected_pi_over_3":
-        "3ea035761245388776eb6d1f5e5739f46eb1d9282bd59e8e48820b0fcef307a2",
+        "d53306aa11cecd8f90b9b13507f32c37414215ccad17372843d447e8be556662",
     "sample_stopped":
-        "85786341dc9e797faf15e815eeab01d5d0f0b71000721751366a16090953b156",
+        "38cf5541edc725314f3f9bfd516a3412580a38dbdc7a250ece339e70ef5c7f64",
     "sample_stopped_alpha_4":
-        "5e0ca6f498ac9ebb8ac66c0b99d780ab3632625a514642bd39d59214fcf960a2",
+        "fbf90889f0dc65c77342a3e8d0ff6278c936c8f8d1d708a9a1ff2db6aeaa96c8",
     "sample_stopped_correlated":
-        "221fa0a4605e77107fc62347b9e514949db2eed01b5d62a71c0a943cf1d163d5",
+        "7aea103d892302fe16f75f38e3016a47443db55d8181364a307e93e27d6bcbb9",
     "sample_stopped_drift":
-        "1e0a90f9430cdb91344755b778e47cc1dc7547a73f63a9f9dd93ca48213f5cc2",
+        "ce6eb5f4b8a8ec6cca8ded35f319fb6e1caf5c130813154b3f001a96051c765c",
 }
 
-# recorded from the code before the pass plan (sub-wedge, m and images built
-# once per opening, the Euler cell frame reused while sigma is unchanged)
+# recorded again when the survivor proposal became the folded free Gaussian
+# endpoint; every Euler cell ends in a survivor draw
 EULER_STATE_DEPENDENT_DIGEST = (
-    "e121ec1ab43ac1ded94f7d65d06f87498ec014337be1564eeed61330a41f6d30")
+    "614df598a51eb7144426420e925d7adcb16d7978f84a7cf0c07f748ced42f739")
 
 
 # the frozen diffusion changes with the state, so every Euler cell has its

@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.stats import expon, kstest, ks_2samp, norm
+from scipy.stats import chi2, expon, kstest, ks_2samp, norm
 
 from wedgebm.densities import ExitLawParams, exit_joint_density, \
-    exit_radius_marginal, killed_density_images
+    exit_radius_marginal, killed_density_images, survival_probability
 from wedgebm import samplers
-from wedgebm.geometry import PolarPoint, Side, WedgeSpec
+from wedgebm.geometry import TWO_PI, PolarPoint, Side, WedgeSpec, image_angles
 from wedgebm.rng import RngStream
 from wedgebm.samplers import (FoldCapExceeded, algorithm_reflected,
                               algorithm_stopped, direct_pi_over_m_reflected,
                               sample_exit_radius, sample_exit_side,
                               sample_exit_time, sample_reflected_from_origin,
-                              sample_survivor, _pass_plan, _sub_opening)
+                              sample_survivor, _pass_plan, _sector_fold,
+                              _sub_opening)
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -163,6 +164,94 @@ def test_survivor_endpoint_statistics():
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - want) <= 3.5 * se
+
+
+# (m, wedge, start, horizon): a start in the bulk at a long horizon, and a
+# start 0.05 off the lower ray of a wedge with alpha_minus > 0
+SURVIVOR_CASES = [
+    (4, WedgeSpec(0.0, math.pi / 4), PolarPoint(1.5, 0.3), 1.0),
+    (6, WedgeSpec(0.5, 0.5 + math.pi / 6), PolarPoint(1.5, 0.55), 0.2),
+]
+
+
+def _standard_frame(wedge, point):
+    return PolarPoint(point.r, point.theta - wedge.alpha_minus)
+
+
+@pytest.mark.parametrize("m,wedge,start,t", SURVIVOR_CASES,
+                         ids=["bulk_m4", "near_ray_m6"])
+def test_survivor_chi_square_against_killed_kernel(m, wedge, start, t):
+    # cell probabilities: the killed kernel integrated over an r x theta
+    # grid, normalized by the survival mass P(tau > t)
+    x0 = _standard_frame(wedge, start)
+    surv = survival_probability(m, x0, t)
+    sd = math.sqrt(t)
+    r_edges = np.linspace(max(0.0, start.r - 3.0 * sd), start.r + 3.0 * sd, 7)
+    r_edges[0], r_edges[-1] = 0.0, start.r + 10.0 * sd
+    th_edges = np.linspace(0.0, wedge.opening, 7)
+    probs = np.array([[integrate.dblquad(
+        lambda r, th: killed_density_images(m, x0, PolarPoint(r, th), t) * r,
+        th_edges[j], th_edges[j + 1], r_edges[i], r_edges[i + 1],
+        epsabs=1e-10)[0] for j in range(6)] for i in range(6)]) / surv
+    assert probs.sum() == pytest.approx(1.0, abs=1e-6)
+    n = 8000
+    rng = RngStream(17)
+    draws = [_standard_frame(wedge, sample_survivor(start, wedge, t, rng))
+             for _ in range(n)]
+    assert all(0.0 <= d.theta <= wedge.opening and d.r < r_edges[-1]
+               for d in draws)
+    counts, _, _ = np.histogram2d([d.r for d in draws], [d.theta for d in draws],
+                                  bins=[r_edges, th_edges])
+    expected = n * probs
+    keep = expected >= 5.0  # pool the sparse cells into one
+    obs = np.append(counts[keep], counts[~keep].sum())
+    exp = np.append(expected[keep], expected[~keep].sum())
+    stat = ((obs - exp) ** 2 / exp).sum()
+    assert chi2.sf(stat, len(obs) - 1) > 1e-3
+
+
+@pytest.mark.parametrize("wedge,m", [(WedgeSpec(0.0, math.pi / 4 + 5e-10), 4),
+                                     (WedgeSpec(0.5, 0.5 + math.pi / 6), 6)])
+def test_sector_fold_maps_each_point_to_its_image_in_the_wedge(wedge, m):
+    # the first opening sits within PI_OVER_M_TOL of pi/4, as a sub-wedge
+    # reusing its outer opening does; the second has alpha_minus > 0
+    for phi in np.linspace(0.0, TWO_PI, 1001):
+        r, th = _sector_fold(2.0 * math.cos(phi), 2.0 * math.sin(phi), wedge, m)
+        assert r == pytest.approx(2.0, rel=1e-15)
+        assert 0.0 <= th <= wedge.opening
+        # the free point is one of the images of the folded one
+        gaps = [abs((a - phi + math.pi) % TWO_PI - math.pi)
+                for a in image_angles(wedge.alpha_minus + th, wedge, m)]
+        assert min(gaps) <= 1e-8
+
+
+class _CountingStream:
+    """An RngStream that counts its normal draws."""
+
+    def __init__(self, seed):
+        self._rng = RngStream(seed)
+        self.normals = 0
+
+    def normal(self):
+        self.normals += 1
+        return self._rng.normal()
+
+    def uniform(self):
+        return self._rng.uniform()
+
+
+@pytest.mark.parametrize("m,wedge,start,t", SURVIVOR_CASES,
+                         ids=["bulk_m4", "near_ray_m6"])
+def test_survivor_acceptance_is_the_survival_probability(m, wedge, start, t):
+    # each proposal is one free Gaussian endpoint, two normals
+    rng = _CountingStream(23)
+    n = 2000
+    for _ in range(n):
+        sample_survivor(start, wedge, t, rng)
+    proposals = rng.normals // 2
+    p = survival_probability(m, _standard_frame(wedge, start), t)
+    se = math.sqrt(p * (1.0 - p) / proposals)
+    assert abs(n / proposals - p) <= 4.0 * se
 
 
 def test_survivor_needs_pi_over_m():
