@@ -1,8 +1,7 @@
 """Exact simulation and closed-form transition densities for planar
 Brownian motion stopped or normally reflected in a wedge."""
 
-from .bessel import (DEFAULT_TOL, SeriesCapExceeded, SeriesTolerance,
-                     log_bessel_i, series_tail_cutoff)
+from .bessel import SeriesCapExceeded, log_bessel_i, series_tail_cutoff
 from .corner import (CornerState, corner_triggered, reference_cdf,
                      reference_mass, sample_corner, sample_driving_angle,
                      sample_reference_radius)

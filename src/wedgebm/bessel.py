@@ -10,23 +10,15 @@ n*pi/alpha can be truncated.
 """
 
 import math
-from dataclasses import dataclass
 
 from scipy import special
 
 LOG_HALF = math.log(0.5)
 
 
-@dataclass(frozen=True)
-class SeriesTolerance:
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-
-
-DEFAULT_TOL = SeriesTolerance()
+# relative truncation target of the series densities: the dropped tail stays
+# below this fraction of the leading term
+SERIES_REL_TOL = 1e-12
 
 
 class SeriesCapExceeded(RuntimeError):
@@ -50,12 +42,13 @@ def log_bessel_i(nu, x):
     return math.log(scaled) + x if scaled > 0.0 else -math.inf
 
 
-def series_tail_cutoff(nu_step, x, tol=DEFAULT_TOL, lead_order=0.0):
+def series_tail_cutoff(nu_step, x, lead_order=0.0):
     """Smallest N so that sum_{n>=N} I_{n*nu_step}(x) is provably below
-    rel_tol times I_{lead_order}(x)/2, the magnitude of the leading term of
-    the series being truncated. A sine series starts at order nu_step, so it
-    must pass lead_order=nu_step: at small x the orders decay so fast that a
-    tail certified only against I_0 is far from small relative to the sum.
+    SERIES_REL_TOL times I_{lead_order}(x)/2, the magnitude of the leading
+    term of the series being truncated. A sine series starts at order
+    nu_step, so it must pass lead_order=nu_step: at small x the orders decay
+    so fast that a tail certified only against I_0 is far from small
+    relative to the sum.
 
     Uses the term bound I_nu(x) <= (x/2)^nu e^{x^2/(4(nu+1))} / Gamma(nu+1)
     (from Gamma(k+nu+1) >= Gamma(nu+1)(nu+1)^k) together with a geometric
@@ -72,7 +65,7 @@ def series_tail_cutoff(nu_step, x, tol=DEFAULT_TOL, lead_order=0.0):
     log_lead = log_bessel_i(lead_order, x)
     if log_lead == -math.inf:
         return 1
-    log_target = math.log(tol.rel_tol) + log_lead + LOG_HALF
+    log_target = math.log(SERIES_REL_TOL) + log_lead + LOG_HALF
     log_half_x = math.log(0.5 * x)
 
     def log_order_bound(nu):

@@ -354,6 +354,7 @@ def _build_config(merged, eff, mode_default, func_default, n_default=10000,
     geo = _resolve_problem(merged)
     mode = Mode(_pick(merged, eff, "mode", mode_default))
     func = TestFunction(_pick(merged, eff, "func", func_default))
+    workers = getattr(merged, "workers", None)
     kwargs = {
         "mode": mode,
         "func": func,
@@ -362,7 +363,7 @@ def _build_config(merged, eff, mode_default, func_default, n_default=10000,
         "seed": merged.seed,
         "epsilon": _pick(merged, eff, "eps", DEFAULT_EPSILON),
         "fold_cap": _pick(merged, eff, "fold_cap", DEFAULT_FOLD_CAP),
-        "workers": getattr(merged, "workers", None) or 1,
+        "workers": 1 if workers is None else workers,
     }
     if "setup" in geo:
         kwargs["setup"] = geo["setup"]

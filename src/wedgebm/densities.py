@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .bessel import DEFAULT_TOL, log_bessel_i, series_tail_cutoff
+from .bessel import log_bessel_i, series_tail_cutoff
 from .geometry import PolarPoint, Side, WedgeSpec, image_angles, require_pi_over_m
 
 TWO_PI = 2.0 * math.pi
@@ -99,7 +99,7 @@ def killed_density_images(m, x, y, t):
 # Bessel series, any opening, densities w.r.t. dr dtheta
 # ---------------------------------------------------------------------------
 
-def _series_density(kind, wedge, x, y, t, tol):
+def _series_density(kind, wedge, x, y, t):
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     alpha = wedge.opening
@@ -112,7 +112,7 @@ def _series_density(kind, wedge, x, y, t, tol):
     log_base = -((r - r0) ** 2) / (2.0 * t)  # = -(r^2+r0^2)/2t + z
     nu_step = math.pi / alpha
     lead = 0.0 if kind is Kind.REFLECTED else nu_step
-    cutoff = series_tail_cutoff(nu_step, z, tol, lead_order=lead)
+    cutoff = series_tail_cutoff(nu_step, z, lead_order=lead)
     terms = []
     if kind is Kind.REFLECTED:
         terms.append(0.5 * math.exp(log_base + log_bessel_i(0, z) - z))
@@ -129,14 +129,14 @@ def _series_density(kind, wedge, x, y, t, tol):
     return (2.0 * r / (t * alpha)) * _signed_sum(terms)
 
 
-def reflected_density_series(wedge, x, y, t, tol=DEFAULT_TOL):
+def reflected_density_series(wedge, x, y, t):
     """Reflected transition density w.r.t. dr dtheta, any opening."""
-    return _series_density(Kind.REFLECTED, wedge, x, y, t, tol)
+    return _series_density(Kind.REFLECTED, wedge, x, y, t)
 
 
-def killed_density_series(wedge, x, y, t, tol=DEFAULT_TOL):
+def killed_density_series(wedge, x, y, t):
     """Killed transition density w.r.t. dr dtheta, any opening."""
-    return _series_density(Kind.KILLED, wedge, x, y, t, tol)
+    return _series_density(Kind.KILLED, wedge, x, y, t)
 
 
 def density_dy_to_drdtheta(value, r):

@@ -76,14 +76,12 @@ def stopped_with_drift(start, drift, T, wedge, rng, iteration_cap=DEFAULT_FOLD_C
 
 def reflected_with_drift(start, drift, T, wedge, rng, epsilon=DEFAULT_EPSILON,
                          fold_cap=DEFAULT_FOLD_CAP):
-    """Reflected sampler under constant drift.
-
-    The driving endpoint is accumulated from the pre-folding displacements
-    of the sub-steps (completed by the shared-radius uniform-angle draw when
-    the corner branch ends the path), then the path is reweighted.
+    """Reflected sampler under constant drift: the driftless path, which
+    carries its driving endpoint like every reflected path (see
+    algorithm_reflected), reweighted by that endpoint.
     """
     sample = algorithm_reflected(start, T, wedge, rng, epsilon=epsilon,
-                                 fold_cap=fold_cap, track_driving=True)
+                                 fold_cap=fold_cap)
     sample.weight = girsanov_weight(drift, sample.driving_endpoint, T,
                                     start.cartesian())
     return sample
@@ -248,8 +246,7 @@ def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
         b_cell = DriftSpec(_apply2(fwd, b_k))
         if reflected:
             sub = algorithm_reflected(cell_start, dt, cell_wedge, rng,
-                                      epsilon=epsilon, fold_cap=fold_cap,
-                                      track_driving=True)
+                                      epsilon=epsilon, fold_cap=fold_cap)
         else:
             sub = algorithm_stopped(cell_start, dt, cell_wedge, rng,
                                     iteration_cap=fold_cap)

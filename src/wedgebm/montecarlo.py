@@ -85,8 +85,6 @@ class EstimatorConfig:
     steps: int = 0
     mu: tuple = (0.0, 0.0)
     kappa: tuple = (0.0, 0.0)
-    sigma: tuple = IDENTITY
-    coeffs: CoefficientField = None
     workers: int = 1
 
     def __post_init__(self):
@@ -94,6 +92,10 @@ class EstimatorConfig:
             raise ValueError("n_samples must be at least 1")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        if not self.epsilon >= 0:  # NaN included
+            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.setup is None and (self.wedge is None or self.start is None):
             raise ValueError("either a correlated setup or wedge+start is required")
         if self.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
@@ -186,9 +188,7 @@ def map_paths(config, fn):
     wedge, start, drift, problem = config.resolve()
     coeffs = grid = None
     if config.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
-        coeffs = config.coeffs
-        if coeffs is None:
-            coeffs = linear_field(config.mu, config.kappa, config.sigma)
+        coeffs = linear_field(config.mu, config.kappa, IDENTITY)
         if problem is not None:
             coeffs = _frame_coeffs(coeffs, problem)
         grid = TimeGrid.uniform(config.horizon, config.steps)

@@ -46,9 +46,10 @@ class PathSample:
     endpoint is the process position at elapsed time; hit_boundary tells
     whether the path was stopped on a ray (the endpoint angle then equals
     the ray angle exactly); folds counts recursion passes including the
-    terminal survivor or corner pass; driving_endpoint is the endpoint of
-    the driving Brownian motion when it was tracked (it always equals the
-    process endpoint for stopped paths).
+    terminal survivor, corner or apex pass; driving_endpoint is the endpoint
+    of the driving Brownian motion, which every stopped or reflected path
+    carries (a stopped path's equals its endpoint). Euler paths and the
+    partial state of a fault leave it None.
     """
 
     endpoint: PolarPoint
@@ -255,6 +256,20 @@ def _pass_plan(alpha):
     return theta_cap, m, WedgeSpec(0.0, theta_cap)
 
 
+def _exit_draw(rel, sub, m_sub, rng):
+    """(side, radius, time) of one pass's exit from the pi/m sub-wedge."""
+    side = sample_exit_side(rel, sub, rng)
+    r = _draw_exit_radius(rel, sub, side, rng)
+    params = ExitLawParams.for_side(sub, rel, side, _m=m_sub)
+    return side, r, sample_exit_time(params, r, rng)
+
+
+def _stopped_sample(end, elapsed, hit_boundary, folds):
+    """A stopped path's PathSample: its driving endpoint is its endpoint."""
+    return PathSample(endpoint=end, elapsed=elapsed, hit_boundary=hit_boundary,
+                      folds=folds, driving_endpoint=end.cartesian())
+
+
 def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
     """Exact endpoint of W at tau and T (stopped at the wedge boundary).
 
@@ -269,40 +284,30 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
     # starting on the boundary means tau = 0
     if r_n == 0.0 or th <= 0.0 or th >= alpha:
         ray = wedge.alpha_minus if th <= alpha - th else wedge.alpha_plus
-        end = PolarPoint(r_n, ray)
-        return PathSample(endpoint=end, elapsed=0.0, hit_boundary=True, folds=0,
-                          driving_endpoint=end.cartesian())
+        return _stopped_sample(PolarPoint(r_n, ray), 0.0, True, 0)
     theta_cap, m_sub, sub = _pass_plan(alpha)
     t_n = 0.0
     for n in range(1, iteration_cap + 1):
         beta_lo = min(max(th - theta_cap / 2.0, 0.0), alpha - theta_cap)
-        lower_is_ray = beta_lo == 0.0
-        upper_is_ray = beta_lo == alpha - theta_cap
         rel = PolarPoint(r_n, th - beta_lo)
-        side = sample_exit_side(rel, sub, rng)
-        r_new = _draw_exit_radius(rel, sub, side, rng)
-        tau = sample_exit_time(ExitLawParams.for_side(sub, rel, side, _m=m_sub), r_new, rng)
+        side, r_new, tau = _exit_draw(rel, sub, m_sub, rng)
         if t_n + tau >= T:
             surv = sample_survivor(rel, sub, T - t_n, rng, _m=m_sub)
             end = PolarPoint(surv.r, wedge.alpha_minus + beta_lo + surv.theta)
-            return PathSample(endpoint=end, elapsed=T, hit_boundary=False, folds=n,
-                              driving_endpoint=end.cartesian())
+            return _stopped_sample(end, T, False, n)
         t_n += tau
-        if side is Side.MINUS and lower_is_ray:
+        if side is Side.MINUS and beta_lo == 0.0:
             end = PolarPoint(r_new, wedge.alpha_minus)
-            return PathSample(endpoint=end, elapsed=t_n, hit_boundary=True, folds=n,
-                              driving_endpoint=end.cartesian())
-        if side is Side.PLUS and upper_is_ray:
+        elif side is Side.PLUS and beta_lo == alpha - theta_cap:
             end = PolarPoint(r_new, wedge.alpha_plus)
-            return PathSample(endpoint=end, elapsed=t_n, hit_boundary=True, folds=n,
-                              driving_endpoint=end.cartesian())
-        if r_new <= APEX_RADIUS_FLOOR:
+        elif r_new <= APEX_RADIUS_FLOOR:
             # underflowed onto the apex, which belongs to both rays
             end = PolarPoint(0.0, wedge.alpha_minus)
-            return PathSample(endpoint=end, elapsed=t_n, hit_boundary=True, folds=n,
-                              driving_endpoint=end.cartesian())
-        th = beta_lo if side is Side.MINUS else beta_lo + theta_cap
-        r_n = r_new
+        else:
+            th = beta_lo if side is Side.MINUS else beta_lo + theta_cap
+            r_n = r_new
+            continue
+        return _stopped_sample(end, t_n, True, n)
     partial = PathSample(endpoint=PolarPoint(r_n, wedge.alpha_minus + th),
                          elapsed=t_n, hit_boundary=False, folds=iteration_cap)
     raise FoldCapExceeded(
@@ -310,7 +315,7 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
 
 
 def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
-                        fold_cap=DEFAULT_FOLD_CAP, track_driving=False):
+                        fold_cap=DEFAULT_FOLD_CAP):
     """Endpoint at T of the normally reflected motion in the wedge.
 
     epsilon > 0 enables the corner termination: whenever the squared radius
@@ -319,10 +324,12 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
     and approx_used is set. epsilon = 0 is the exact mode; its pass count
     has infinite mean, hence the cap with a structured fault.
 
-    With track_driving the pre-folding displacement of every sub-step is
-    accumulated into the driving Brownian endpoint (needed for drift
-    reweighting); the corner branch completes it with a uniform circle angle
-    at the terminal radius.
+    Every path carries the endpoint of its driving Brownian motion (drift
+    reweighting needs it): the pre-folding displacement of every pass is
+    accumulated into it. A path that ends at the apex (a start there, or a
+    radius underflowed onto it) or in the corner branch completes it with a
+    uniform circle angle at the terminal radius. An apex start reports 0
+    folds.
     """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"horizon must be positive and finite, got {T}")
@@ -332,75 +339,56 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
     th = _interior_angle(start, wedge)
     r_n = start.r
     base = wedge.alpha_minus
-    if r_n == 0.0:
-        pt = sample_reflected_from_origin(T, alpha, rng)
-        end = PolarPoint(pt.r, base + pt.theta)
-        drive = None
-        if track_driving:
-            # started at the apex: the driving endpoint shares the radius,
-            # with an independent uniform angle on the whole circle
-            phi = sample_driving_angle(rng)
-            drive = (pt.r * math.cos(phi), pt.r * math.sin(phi))
-        return PathSample(endpoint=end, elapsed=T, hit_boundary=False, folds=0,
-                          driving_endpoint=drive)
     theta_cap, m_sub, sub = _pass_plan(alpha)
     outer = WedgeSpec(0.0, alpha) if base > 0.0 else wedge
     wx, wy = (0.0, 0.0)  # accumulated driving displacement, internal frame
     t_n = 0.0
-    for n in range(1, fold_cap + 1):
+    terminal = None
+    approx = False
+    # an apex start ends at once, in the apex draw of pass 0
+    for n in range(0 if r_n == 0.0 else 1, fold_cap + 1):
         t_rem = T - t_n
         if r_n <= APEX_RADIUS_FLOOR:
-            # underflowed onto the apex; finish with the exact apex law
-            pt = sample_reflected_from_origin(t_rem, alpha, rng)
-            drive = None
-            if track_driving:
-                phi = sample_driving_angle(rng)
-                wx += pt.r * math.cos(phi) - r_n * math.cos(th)
-                wy += pt.r * math.sin(phi) - r_n * math.sin(th)
-                drive = _absolute_driving(start, base, wx, wy)
-            end = PolarPoint(pt.r, base + pt.theta)
-            return PathSample(endpoint=end, elapsed=T, hit_boundary=False, folds=n,
-                              driving_endpoint=drive)
+            # at the apex, or underflowed onto it: the exact apex law
+            terminal = sample_reflected_from_origin(t_rem, alpha, rng)
+            break
         if corner_triggered(r_n, t_rem, epsilon):
             state = CornerState(r_n=r_n, t_prime=t_rem, alpha=alpha, epsilon=epsilon)
-            pt = sample_corner(state, rng)
-            drive = None
-            if track_driving:
-                phi = sample_driving_angle(rng)
-                wx += pt.r * math.cos(phi) - r_n * math.cos(th)
-                wy += pt.r * math.sin(phi) - r_n * math.sin(th)
-                drive = _absolute_driving(start, base, wx, wy)
-            end = PolarPoint(pt.r, base + pt.theta)
-            return PathSample(endpoint=end, elapsed=T, hit_boundary=False, folds=n,
-                              approx_used=True, driving_endpoint=drive)
+            terminal = sample_corner(state, rng)
+            approx = True
+            break
         beta_lo = th - theta_cap / 2.0
         rel = PolarPoint(r_n, theta_cap / 2.0)
-        side = sample_exit_side(rel, sub, rng)
-        r_new = _draw_exit_radius(rel, sub, side, rng)
-        tau = sample_exit_time(ExitLawParams.for_side(sub, rel, side, _m=m_sub), r_new, rng)
-        if t_n + tau >= T:
+        side, r_new, tau = _exit_draw(rel, sub, m_sub, rng)
+        survived = t_n + tau >= T
+        if survived:
             surv = sample_survivor(rel, sub, t_rem, rng, _m=m_sub)
-            pre_fold = beta_lo + surv.theta
-            folded = fold_into_wedge(pre_fold, outer)
-            if track_driving:
-                wx += surv.r * math.cos(pre_fold) - r_n * math.cos(th)
-                wy += surv.r * math.sin(pre_fold) - r_n * math.sin(th)
-            end = PolarPoint(surv.r, base + folded)
-            drive = _absolute_driving(start, base, wx, wy) if track_driving else None
-            return PathSample(endpoint=end, elapsed=T, hit_boundary=False, folds=n,
-                              driving_endpoint=drive)
-        pre_fold = beta_lo if side is Side.MINUS else beta_lo + theta_cap
-        if track_driving:
-            wx += r_new * math.cos(pre_fold) - r_n * math.cos(th)
-            wy += r_new * math.sin(pre_fold) - r_n * math.sin(th)
+            r_new, pre_fold = surv.r, beta_lo + surv.theta
+        else:
+            pre_fold = beta_lo if side is Side.MINUS else beta_lo + theta_cap
+        wx += r_new * math.cos(pre_fold) - r_n * math.cos(th)
+        wy += r_new * math.sin(pre_fold) - r_n * math.sin(th)
         th = fold_into_wedge(pre_fold, outer)
         r_n = r_new
+        if survived:
+            break
         t_n += tau
-    partial = PathSample(endpoint=PolarPoint(r_n, base + th), elapsed=t_n,
-                         hit_boundary=False, folds=fold_cap)
-    raise FoldCapExceeded(
-        f"reflected recursion exceeded {fold_cap} folds "
-        f"(expected for epsilon = 0)", partial)
+    else:
+        partial = PathSample(endpoint=PolarPoint(r_n, base + th), elapsed=t_n,
+                             hit_boundary=False, folds=fold_cap)
+        raise FoldCapExceeded(
+            f"reflected recursion exceeded {fold_cap} folds "
+            f"(expected for epsilon = 0)", partial)
+    if terminal is not None:
+        # the driving endpoint shares the terminal radius, with an
+        # independent uniform angle on the whole circle
+        phi = sample_driving_angle(rng)
+        wx += terminal.r * math.cos(phi) - r_n * math.cos(th)
+        wy += terminal.r * math.sin(phi) - r_n * math.sin(th)
+        r_n, th = terminal.r, terminal.theta
+    return PathSample(endpoint=PolarPoint(r_n, base + th), elapsed=T,
+                      hit_boundary=False, folds=n, approx_used=approx,
+                      driving_endpoint=_absolute_driving(start, base, wx, wy))
 
 
 def _absolute_driving(start, base, wx, wy):

@@ -23,6 +23,10 @@ from wedgebm.montecarlo import (EstimatorConfig, Mode, TestFunction,
 from wedgebm.rng import RngStream
 from wedgebm.samplers import algorithm_stopped
 
+# every criterion runs at the full sample size: `pytest -m "not slow"` is
+# the quick loop, the plain run still includes them
+pytestmark = pytest.mark.slow
+
 TABLE1_WEDGE = WedgeSpec(0.0, 0.9)
 TABLE1_START = PolarPoint(1.5, 0.3)
 TABLE2_WEDGE = WedgeSpec(0.0, 0.58)

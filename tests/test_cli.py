@@ -297,6 +297,14 @@ def test_exit_code_usage_errors(capsys):
                                         "--eps", "nan"]) == 2
     assert run_cli(["ito"] + T1 + ["--n", "2", "--steps", "5", "--mode",
                                    "euler_reflected", "--eps", "nan"]) == 2
+    # ... nor where the epsilon goes unused, and neither is a negative one
+    assert run_cli(["estimate"] + T1 + ["--n", "5", "--eps", "nan"]) == 2
+    assert run_cli(["estimate"] + T1 + ["--n", "5", "--eps", "-1"]) == 2
+    assert run_cli(["ito"] + T1 + ["--n", "2", "--steps", "5", "--mode",
+                                   "euler_stopped", "--eps", "nan"]) == 2
+    # a worker count below 1 is refused, not replaced
+    assert run_cli(["estimate"] + T1 + ["--n", "5", "--workers", "0"]) == 2
+    assert run_cli(["estimate"] + T1 + ["--n", "5", "--workers", "-3"]) == 2
     # sample-* needs at least one path, like estimate
     assert run_cli(["sample-stopped"] + T1 + ["--n", "0"]) == 2
     # unknown flag (argparse exit)

@@ -25,6 +25,13 @@ T1 = ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "1"]
 CORR = ["--sigma1", "1.2", "--sigma2", "0.8", "--rho", "0.4",
         "--slope", "2.0", "--region", "and_pos", "--x", "1.0,0.5", "--T", "1"]
 PI_OVER_3 = "1.0471975511965976"  # an image-sum opening
+APEX_START = ["sample-reflected", "--alpha", "0.9", "--start", "0,0", "--T",
+              "1", "--n", "30"]
+APEX_FLOOR = ["sample-reflected", "--alpha", "0.9", "--start", "1e-151,0.3",
+              "--T", "1", "--n", "30"]
+CORNER = ["sample-reflected", "--alpha", "0.9", "--start", "0.05,0.3", "--T",
+          "1", "--n", "30", "--eps", "0.1"]
+DRIFT = ["--drift", "0.3,-0.2"]
 
 CASES = {
     "estimate_table1_stopped": ["estimate", "--table1-stopped", "--n", "200"],
@@ -64,6 +71,15 @@ CASES = {
     # an opening above pi: every pass runs in a half-plane (m = 1)
     "sample_stopped_alpha_4": ["sample-stopped", "--alpha", "4.0", "--start",
                                "1.5,2.0", "--T", "1", "--n", "30"],
+    # the three reflected endings: an apex start (folds 0), a start below
+    # the apex floor (folds 1) and a first-pass corner draw; with drift the
+    # weight column also pins the driving endpoint each ending draws
+    "sample_reflected_apex_start": APEX_START,
+    "sample_reflected_apex_floor": APEX_FLOOR,
+    "sample_reflected_corner": CORNER,
+    "sample_reflected_apex_start_drift": APEX_START + DRIFT,
+    "sample_reflected_apex_floor_drift": APEX_FLOOR + DRIFT,
+    "sample_reflected_corner_drift": CORNER + DRIFT,
     "folds_histogram": ["folds"] + T1 + ["--n", "200", "--eps", "0",
                                          "--fold-cap", "40"],
     "folds_eps_sweep": ["folds"] + T1 + ["--n", "100", "--eps-sweep",
@@ -86,6 +102,8 @@ SEED = ["--seed", "7"]  # for every command but density, which draws nothing
 # draws a survivor (all sampling cases but the T = inf exit rows and the fold
 # counts, where the survivor and corner draws are terminal) was recorded
 # again when the survivor proposal became the folded free Gaussian endpoint.
+# The apex, apex-floor and corner cases were recorded before the reflected
+# recursion always tracked its driving endpoint, and pin that it did not move.
 DIGESTS = {
     "density_images_killed":
         "20e1fc928f8ccfb52c36b01f3cae8d7d5ce0a753378acb5631447eaa07c2ac95",
@@ -123,6 +141,18 @@ DIGESTS = {
         "b6e88c2dc7b3ba674a975b5636d726d77b97016010ad159c633233fae2f7679e",
     "sample_reflected":
         "057ba823866fcc6976de3f7a9b96fe2c07ffedb66c8a62cbfce9f9b2e771207a",
+    "sample_reflected_apex_floor":
+        "e776d433d87911cbe0bb31b10c298eb51a5a152833d7cc1328541597cac337b4",
+    "sample_reflected_apex_floor_drift":
+        "de9b403830dda8d4dd66f06b503038199d4a00bea608ada10cadac13ea28a9a7",
+    "sample_reflected_apex_start":
+        "07194227523dc637138e4fb5a7754ec65221cd45ad5872747e3fa94f17adec77",
+    "sample_reflected_apex_start_drift":
+        "64def71b45bf15de8ce362380c159f271cd3f34e03ea854f39b3e3f9f00388fd",
+    "sample_reflected_corner":
+        "3e528552b6a1a9e738d8c9eda2dab8b59fa13c5c262c6640a3f8bf9fb919c610",
+    "sample_reflected_corner_drift":
+        "4eae1ff9ccbc30fa30f26eedf519071e66705853a1ca87ac13e6a86a72b2cc0d",
     "sample_reflected_correlated":
         "2b7a1b61bcfa6ae8a7fc8b5fa0f88ab0cd0f3236b3e881f40c0f7e301cce6239",
     "sample_reflected_drift":

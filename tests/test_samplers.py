@@ -463,6 +463,8 @@ def test_reflected_corner_shortcut_first_pass():
     assert s.approx_used
     assert s.folds == 1
     assert s.elapsed == 1.0
+    assert len(s.driving_endpoint) == 2
+    assert all(map(math.isfinite, s.driving_endpoint))
 
 
 def test_reflected_origin_start():
@@ -472,6 +474,9 @@ def test_reflected_origin_start():
         s = algorithm_reflected(PolarPoint(0.0, 0.0), 0.7, W09, rng0.derive(i))
         assert s.folds == 0
         assert W09.contains_angle(s.endpoint.theta)
+        # the driving endpoint shares the endpoint's radius
+        assert math.hypot(*s.driving_endpoint) == pytest.approx(s.endpoint.r,
+                                                                rel=1e-12)
         vals.append(s.endpoint.r ** 2)
     # from the apex the squared radius is exponential with mean 2 T
     mean = np.mean(vals)
@@ -489,17 +494,6 @@ def test_reflected_fold_cap_fault():
     assert W09.contains_angle(partial.endpoint.theta)
 
 
-def test_reflected_track_driving_keeps_endpoint():
-    for i in range(30):
-        plain = algorithm_reflected(START, 1.0, W09, RngStream(70).derive(i))
-        tracked = algorithm_reflected(START, 1.0, W09, RngStream(70).derive(i),
-                                      track_driving=True)
-        assert plain.endpoint == tracked.endpoint
-        assert plain.folds == tracked.folds
-        assert tracked.driving_endpoint is not None
-        assert plain.driving_endpoint is None
-
-
 def test_reflected_driving_displacement_moments():
     # the driving endpoint is a standard Brownian endpoint: mean = start,
     # per-coordinate variance = T
@@ -507,8 +501,7 @@ def test_reflected_driving_displacement_moments():
     n, t = 4000, 0.8
     dx, dy = [], []
     for i in range(n):
-        s = algorithm_reflected(START, t, W09, rng0.derive(i),
-                                track_driving=True)
+        s = algorithm_reflected(START, t, W09, rng0.derive(i))
         wx, wy = s.driving_endpoint
         dx.append(wx - START.cartesian()[0])
         dy.append(wy - START.cartesian()[1])
