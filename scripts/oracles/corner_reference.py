@@ -1,21 +1,13 @@
 """Cross-checks for the corner termination kernel.
 
-* The unnormalized reference density rho(r) = r exp(-(r - r_n)^2 / 2 t') on
-  (0, inf) has closed-form antiderivative
-
-      G(r) = t' (e^{-r_n^2/2t'} - e^{-(r-r_n)^2/2t'})
-             + r_n sqrt(2 pi t') (Phi((r-r_n)/sqrt(t')) - Phi(-r_n/sqrt(t'))),
-
-  with total mass  M = t' e^{-r_n^2/2t'} + r_n sqrt(2 pi t') Phi(r_n/sqrt(t')).
-  Both are checked against adaptive quadrature.
-
 * The n=0 radial kernel (r/t') e^{-(r^2+r_n^2)/2t'} I_0(r r_n / t') integrates
   to exactly 1 on (0, inf) (noncentral chi-square normalization), so the corner
   kernel with the uniform angle on [0, alpha] is a probability density.
 
-* The acceptance probability of the AR step is e^{-x} I_0(x) at x = r r_n / t';
-  the predicted mean trial count bound 1 + sqrt(2 pi eps) e^eps is printed for
-  the epsilon values used downstream.
+* Its CDF, by adaptive quadrature, is the Rice law with shape r_n/sqrt(t') and
+  scale sqrt(t') (scipy.stats.rice): the law of the distance from the apex of
+  the free Gaussian endpoint N((r_n, 0), t' I), which is how
+  wedgebm.corner.sample_corner draws the terminal radius.
 """
 
 import math
@@ -23,54 +15,33 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.special import ive
-from scipy.stats import norm
+from scipy.stats import rice
 
 
-def g_closed(r_n, t_prime, r):
-    s = math.sqrt(t_prime)
-    return (t_prime * (math.exp(-r_n * r_n / (2 * t_prime))
-                       - math.exp(-(r - r_n) ** 2 / (2 * t_prime)))
-            + r_n * math.sqrt(2 * math.pi * t_prime)
-            * (norm.cdf((r - r_n) / s) - norm.cdf(-r_n / s)))
-
-
-def total_mass(r_n, t_prime):
-    s = math.sqrt(t_prime)
-    return (t_prime * math.exp(-r_n * r_n / (2 * t_prime))
-            + r_n * math.sqrt(2 * math.pi * t_prime) * norm.cdf(r_n / s))
+def radial_kernel(r, r_n, t_prime):
+    return ((r / t_prime) * math.exp(-((r - r_n) ** 2) / (2 * t_prime))
+            * ive(0, r * r_n / t_prime))
 
 
 def main():
-    print("# closed-form CDF of r exp(-(r-r_n)^2/2t') vs quadrature")
-    worst = 0.0
-    for r_n, t_prime in [(0.0, 0.5), (0.05, 0.5), (0.3, 1.2), (2.0, 0.1)]:
-        for r in (0.1, 0.5, 1.0, 3.0):
-            num = integrate.quad(
-                lambda x: x * math.exp(-(x - r_n) ** 2 / (2 * t_prime)), 0, r)[0]
-            worst = max(worst, abs(num - g_closed(r_n, t_prime, r)))
-        m_num = integrate.quad(
-            lambda x: x * math.exp(-(x - r_n) ** 2 / (2 * t_prime)), 0, np.inf)[0]
-        print(f"  r_n={r_n} t'={t_prime}: mass quad={m_num:.15g} closed={total_mass(r_n, t_prime):.15g}")
-    print(f"  worst |quad - closed| over the grid: {worst:.2e}")
-
-    print()
     print("# n=0 radial kernel normalization (should be 1)")
     for r_n, t_prime in [(0.05, 0.5), (0.3, 1.2), (1.0, 0.2)]:
-        val = integrate.quad(
-            lambda r: (r / t_prime) * math.exp(-((r - r_n) ** 2) / (2 * t_prime))
-            * ive(0, r * r_n / t_prime), 0, np.inf, limit=200)[0]
+        val = integrate.quad(radial_kernel, 0, np.inf, args=(r_n, t_prime),
+                             limit=200)[0]
         print(f"  r_n={r_n} t'={t_prime}: integral = {val:.12g}")
 
     print()
-    print("# AR mean-trial bound 1 + sqrt(2 pi eps) e^eps")
-    for eps in (0.01, 0.03, 0.1):
-        print(f"  eps={eps}: bound = {1 + math.sqrt(2*math.pi*eps)*math.exp(eps):.6g}")
-
-    print()
-    print("# frozen spot values of G and M")
-    for r_n, t_prime, r in [(0.05, 0.5, 0.7), (0.3, 1.2, 0.9)]:
-        print(f"  G(r_n={r_n}, t'={t_prime}, r={r}) = {g_closed(r_n, t_prime, r):.17g}")
-        print(f"  M(r_n={r_n}, t'={t_prime}) = {total_mass(r_n, t_prime):.17g}")
+    print("# n=0 radial kernel CDF (quadrature) vs scipy.stats.rice.cdf")
+    worst = 0.0
+    for r_n, t_prime in [(0.0, 0.5), (0.05, 0.5), (0.3, 1.2), (2.0, 0.1)]:
+        s = math.sqrt(t_prime)
+        for r in (0.1, 0.5, 1.0, 3.0):
+            num = integrate.quad(radial_kernel, 0, r, args=(r_n, t_prime),
+                                 epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            ref = rice.cdf(r, r_n / s, scale=s)
+            worst = max(worst, abs(num - ref))
+            print(f"  r_n={r_n} t'={t_prime} r={r}: quad={num:.15g} rice={ref:.15g}")
+    print(f"  worst |quad - rice| over the grid: {worst:.2e}")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,7 @@
 Brownian motion stopped or normally reflected in a wedge."""
 
 from .bessel import SeriesCapExceeded, log_bessel_i, series_tail_cutoff
-from .corner import (CornerState, corner_triggered, reference_cdf,
-                     reference_mass, sample_corner, sample_driving_angle,
-                     sample_reference_radius)
+from .corner import corner_triggered, sample_corner
 from .densities import (ExitLawParams, Kind, corner_kernel,
                         density_drdtheta_to_dy, density_dy_to_drdtheta,
                         exit_joint_density, exit_radius_marginal,
@@ -25,7 +23,6 @@ from .rng import RngStream
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded,
                        PathSample, algorithm_reflected, algorithm_stopped,
                        direct_pi_over_m_reflected, sample_exit_radius,
-                       sample_exit_side, sample_exit_time,
-                       sample_reflected_from_origin, sample_survivor)
+                       sample_exit_side, sample_exit_time, sample_survivor)
 
 __version__ = "0.1.0"

@@ -96,6 +96,8 @@ class EstimatorConfig:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.fold_cap < 1:
+            raise ValueError(f"fold_cap must be at least 1, got {self.fold_cap}")
         if self.setup is None and (self.wedge is None or self.start is None):
             raise ValueError("either a correlated setup or wedge+start is required")
         if self.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):

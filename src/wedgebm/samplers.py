@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .corner import CornerState, corner_triggered, sample_corner, sample_driving_angle
+from .corner import corner_triggered, sample_corner
 from .densities import ExitLawParams
 from .geometry import PolarPoint, Side, WedgeSpec, fold_into_wedge, image_angles
 
@@ -34,8 +34,8 @@ _AR_CAP = 10 ** 7
 # radii below this are treated as sitting at the apex. In the exact reflected
 # mode the log-radius random-walks and can underflow past where the exit-law
 # exponents are representable; at the apex the Bessel series collapses to its
-# order-zero term for every opening, so the Rayleigh-times-uniform draw is
-# exact there, and the total-variation gap at radius 1e-150 is immeasurable.
+# order-zero term for every opening, so the corner draw is exact there, and
+# the total-variation gap at radius 1e-150 is immeasurable.
 APEX_RADIUS_FLOOR = 1e-150
 
 
@@ -318,18 +318,18 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
                         fold_cap=DEFAULT_FOLD_CAP):
     """Endpoint at T of the normally reflected motion in the wedge.
 
-    epsilon > 0 enables the corner termination: whenever the squared radius
-    over the remaining time drops below epsilon (checked before every pass,
-    including the first), the path ends with one draw from the corner kernel
-    and approx_used is set. epsilon = 0 is the exact mode; its pass count
-    has infinite mean, hence the cap with a structured fault.
+    A path at the apex (a start there, or a radius underflowed onto it)
+    ends with one draw from the corner kernel (see corner.sample_corner),
+    which is exact there. epsilon > 0 enables the corner termination:
+    whenever the squared radius over the remaining time drops below epsilon
+    (checked before every pass, including the first), the path ends with
+    the same draw and approx_used is set. epsilon = 0 is the exact mode;
+    its pass count has infinite mean, hence the cap with a structured fault.
 
     Every path carries the endpoint of its driving Brownian motion (drift
     reweighting needs it): the pre-folding displacement of every pass is
-    accumulated into it. A path that ends at the apex (a start there, or a
-    radius underflowed onto it) or in the corner branch completes it with a
-    uniform circle angle at the terminal radius. An apex start reports 0
-    folds.
+    accumulated into it, and the corner draw's free Gaussian step is the
+    displacement of its terminal pass. An apex start reports 0 folds.
     """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"horizon must be positive and finite, got {T}")
@@ -343,19 +343,19 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
     outer = WedgeSpec(0.0, alpha) if base > 0.0 else wedge
     wx, wy = (0.0, 0.0)  # accumulated driving displacement, internal frame
     t_n = 0.0
-    terminal = None
     approx = False
-    # an apex start ends at once, in the apex draw of pass 0
+    # an apex start ends at once, in the corner draw of pass 0
     for n in range(0 if r_n == 0.0 else 1, fold_cap + 1):
         t_rem = T - t_n
-        if r_n <= APEX_RADIUS_FLOOR:
-            # at the apex, or underflowed onto it: the exact apex law
-            terminal = sample_reflected_from_origin(t_rem, alpha, rng)
-            break
-        if corner_triggered(r_n, t_rem, epsilon):
-            state = CornerState(r_n=r_n, t_prime=t_rem, alpha=alpha, epsilon=epsilon)
-            terminal = sample_corner(state, rng)
-            approx = True
+        at_apex = r_n <= APEX_RADIUS_FLOOR
+        if at_apex or corner_triggered(r_n, t_rem, epsilon):
+            r_end, th_end, dx, dy = sample_corner(r_n, t_rem, alpha, rng)
+            # the step is drawn in the frame of the current point's ray
+            c, s = math.cos(th), math.sin(th)
+            wx += c * dx - s * dy
+            wy += s * dx + c * dy
+            r_n, th = r_end, th_end
+            approx = not at_apex
             break
         beta_lo = th - theta_cap / 2.0
         rel = PolarPoint(r_n, theta_cap / 2.0)
@@ -379,13 +379,6 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
         raise FoldCapExceeded(
             f"reflected recursion exceeded {fold_cap} folds "
             f"(expected for epsilon = 0)", partial)
-    if terminal is not None:
-        # the driving endpoint shares the terminal radius, with an
-        # independent uniform angle on the whole circle
-        phi = sample_driving_angle(rng)
-        wx += terminal.r * math.cos(phi) - r_n * math.cos(th)
-        wy += terminal.r * math.sin(phi) - r_n * math.sin(th)
-        r_n, th = terminal.r, terminal.theta
     return PathSample(endpoint=PolarPoint(r_n, base + th), elapsed=T,
                       hit_boundary=False, folds=n, approx_used=approx,
                       driving_endpoint=_absolute_driving(start, base, wx, wy))
@@ -399,20 +392,6 @@ def _absolute_driving(start, base, wx, wy):
         return (sx + wx, sy + wy)
     cb, sb = math.cos(base), math.sin(base)
     return (sx + cb * wx - sb * wy, sy + sb * wx + cb * wy)
-
-
-def sample_reflected_from_origin(T, alpha, rng):
-    """Reflected endpoint for a start at the apex: Rayleigh radius, uniform
-    angle on [0, alpha], independent."""
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    if not 0.0 < alpha <= TWO_PI:
-        raise ValueError(f"opening must be in (0, 2 pi], got {alpha}")
-    e = rng.exponential()
-    while e == 0.0:
-        e = rng.exponential()
-    r = math.sqrt(2.0 * T * e)
-    return PolarPoint(r, alpha * rng.uniform())
 
 
 def direct_pi_over_m_reflected(start, T, m, rng):

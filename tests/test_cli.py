@@ -305,6 +305,10 @@ def test_exit_code_usage_errors(capsys):
     # a worker count below 1 is refused, not replaced
     assert run_cli(["estimate"] + T1 + ["--n", "5", "--workers", "0"]) == 2
     assert run_cli(["estimate"] + T1 + ["--n", "5", "--workers", "-3"]) == 2
+    # so is a recursion cap that allows no pass
+    assert run_cli(["estimate"] + T1 + ["--n", "5", "--fold-cap", "0"]) == 2
+    assert run_cli(["sample-reflected", "--alpha", "0.9", "--start", "0,0",
+                    "--T", "1", "--n", "5", "--fold-cap", "-1"]) == 2
     # sample-* needs at least one path, like estimate
     assert run_cli(["sample-stopped"] + T1 + ["--n", "0"]) == 2
     # unknown flag (argparse exit)

@@ -1,15 +1,9 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy import integrate
+from scipy.stats import kstest, rice
 
-from wedgebm.corner import (CornerState, corner_triggered, reference_cdf,
-                            reference_mass, sample_corner,
-                            sample_driving_angle, sample_reference_radius)
-from wedgebm.densities import corner_kernel
+from wedgebm.corner import corner_triggered, sample_corner
 from wedgebm.rng import RngStream
 
 
@@ -21,75 +15,26 @@ def test_trigger_rule():
         corner_triggered(0.1, 0.0, 0.03)
 
 
-# frozen from scripts/oracles/corner_reference.py (closed antiderivative
-# checked against quadrature at machine precision)
-@pytest.mark.parametrize("r_n,t_prime,r,want_cdf", [
-    (0.05, 0.5, 0.7, 0.20199553610519275),
-    (0.3, 1.2, 0.9, 0.38326222107085056),
-])
-def test_reference_cdf_frozen(r_n, t_prime, r, want_cdf):
-    assert reference_cdf(r_n, t_prime, r) == pytest.approx(want_cdf, rel=1e-13)
-
-
-@pytest.mark.parametrize("r_n,t_prime,want_mass", [
-    (0.05, 0.5, 0.54556082569960496),
-    (0.3, 1.2, 1.6566019001203951),
-])
-def test_reference_mass_frozen(r_n, t_prime, want_mass):
-    assert reference_mass(r_n, t_prime) == pytest.approx(want_mass, rel=1e-13)
-
-
-def test_reference_cdf_matches_quadrature():
-    r_n, t_prime = 0.12, 0.8
-    for r in (0.2, 0.9, 2.5):
-        want, _ = integrate.quad(
-            lambda s: s * math.exp(-(s - r_n) ** 2 / (2 * t_prime)), 0.0, r)
-        assert reference_cdf(r_n, t_prime, r) == pytest.approx(want, rel=1e-10)
-
-
-@given(st.floats(1e-4, 1.0 - 1e-4), st.floats(0.0, 0.5), st.floats(0.05, 2.0))
-@settings(deadline=None, max_examples=200)
-def test_reference_radius_inverts_cdf(u, r_n, t_prime):
-    r = sample_reference_radius(r_n, t_prime, None, u=u)
-    assert r > 0.0 and math.isfinite(r)
-    got = reference_cdf(r_n, t_prime, r) / reference_mass(r_n, t_prime)
-    assert got == pytest.approx(u, abs=1e-9)
-
-
-def test_reference_radius_stream_draws():
-    rng = RngStream(2)
-    r_n, t_prime = 0.1, 0.6
-    draws = [sample_reference_radius(r_n, t_prime, rng) for _ in range(2000)]
-    mass = reference_mass(r_n, t_prime)
-    want, _ = integrate.quad(
-        lambda s: s * s * math.exp(-(s - r_n) ** 2 / (2 * t_prime)), 0, 20)
-    mean = np.mean(draws)
-    se = np.std(draws, ddof=1) / math.sqrt(len(draws))
-    assert abs(mean - want / mass) <= 3.5 * se
-
-
-def test_corner_sample_matches_kernel_moments():
-    # AR draws against direct quadrature of the order-zero kernel
-    state = CornerState(r_n=0.15, t_prime=0.9, alpha=0.9, epsilon=0.03)
+@pytest.mark.parametrize("r_n", [0.0, 0.15])
+def test_corner_sample_follows_the_order_zero_kernel(r_n):
+    # the order-zero kernel is the Rice law in r times a uniform angle;
+    # at r_n = 0 (the apex) the Rice law is the Rayleigh law
+    t_prime, alpha = 0.9, 0.9
     rng = RngStream(5)
-    pts = [sample_corner(state, rng) for _ in range(3000)]
-    for p in pts:
-        assert 0.0 <= p.theta <= state.alpha
-        assert p.r > 0.0
-    want_r, _ = integrate.quad(
-        lambda r: r * corner_kernel(state.r_n, state.t_prime, state.alpha, r)
-        * state.alpha, 0.0, 20.0)
-    rs = [p.r for p in pts]
-    se = np.std(rs, ddof=1) / math.sqrt(len(rs))
-    assert abs(np.mean(rs) - want_r) <= 3.5 * se
-    # angle is uniform on [0, alpha]
-    ths = [p.theta / state.alpha for p in pts]
-    mean_th = np.mean(ths)
-    assert abs(mean_th - 0.5) <= 3.5 / math.sqrt(12 * len(ths))
+    draws = [sample_corner(r_n, t_prime, alpha, rng) for _ in range(3000)]
+    for r, theta, dx, dy in draws:
+        assert r == math.hypot(r_n + dx, dy)
+        assert 0.0 <= theta < alpha
+    sd = math.sqrt(t_prime)
+    _, p_r = kstest([d[0] for d in draws], rice(r_n / sd, scale=sd).cdf)
+    assert p_r > 1e-3
+    _, p_th = kstest([d[1] / alpha for d in draws], "uniform")
+    assert p_th > 1e-3
 
 
-def test_driving_angle_range():
-    rng = RngStream(9)
-    angles = [sample_driving_angle(rng) for _ in range(500)]
-    assert all(0.0 <= a < 2 * math.pi for a in angles)
-    assert abs(np.mean(angles) - math.pi) <= 4 * math.pi / math.sqrt(12 * 500)
+def test_corner_sample_validation():
+    rng = RngStream(0)
+    for args in ((-0.1, 1.0, 0.9), (0.1, 0.0, 0.9), (0.1, 1.0, 0.0),
+                 (0.1, 1.0, 7.0), (math.nan, 1.0, 0.9)):
+        with pytest.raises(ValueError):
+            sample_corner(*args, rng)

@@ -136,6 +136,26 @@ def test_drifted_reflected_against_brute_force():
     assert abs(mean - bvals.mean()) <= 3.5 * (se + bse) + 0.08
 
 
+def test_reflected_corner_weight_is_mean_one():
+    # r^2 / T = 0.2 < eps: every path ends in the corner draw of pass 1, so
+    # the weight is the Girsanov factor of that draw's driving step alone.
+    # A driving endpoint that ignores where the path sits gives
+    # E[weight] = I_0(|b| r) e^{-b.x} = 0.78 here.
+    start = PolarPoint(0.1, 0.45)
+    drift = DriftSpec((3.0, 0.0))
+    wedge = WedgeSpec(0.0, 0.9)
+    root = RngStream(94)
+    ws = []
+    for i in range(4000):
+        s = reflected_with_drift(start, drift, 0.05, wedge, root.derive(i),
+                                 epsilon=0.5)
+        assert s.approx_used and s.folds == 1
+        ws.append(s.weight)
+    mean = np.mean(ws)
+    se = np.std(ws, ddof=1) / math.sqrt(len(ws))
+    assert abs(mean - 1.0) <= 4.0 * se
+
+
 # ---------------------------------------------------------------------------
 # weak Euler scheme with frozen coefficients
 # ---------------------------------------------------------------------------

@@ -71,9 +71,9 @@ CASES = {
     # an opening above pi: every pass runs in a half-plane (m = 1)
     "sample_stopped_alpha_4": ["sample-stopped", "--alpha", "4.0", "--start",
                                "1.5,2.0", "--T", "1", "--n", "30"],
-    # the three reflected endings: an apex start (folds 0), a start below
-    # the apex floor (folds 1) and a first-pass corner draw; with drift the
-    # weight column also pins the driving endpoint each ending draws
+    # the reflected endings: an apex start (folds 0), a start below the apex
+    # floor (folds 1) and a first-pass corner draw, all one corner draw; with
+    # drift the weight column also pins that draw's driving step
     "sample_reflected_apex_start": APEX_START,
     "sample_reflected_apex_floor": APEX_FLOOR,
     "sample_reflected_corner": CORNER,
@@ -104,6 +104,10 @@ SEED = ["--seed", "7"]  # for every command but density, which draws nothing
 # again when the survivor proposal became the folded free Gaussian endpoint.
 # The apex, apex-floor and corner cases were recorded before the reflected
 # recursion always tracked its driving endpoint, and pin that it did not move.
+# Every case with a reflected path that reaches the apex or the corner (four
+# sample-reflected cases, the three ending cases and their drift variants,
+# and the table-1 and drift reflected estimates) was recorded again when
+# those endings became one free Gaussian step.
 DIGESTS = {
     "density_images_killed":
         "20e1fc928f8ccfb52c36b01f3cae8d7d5ce0a753378acb5631447eaa07c2ac95",
@@ -116,13 +120,13 @@ DIGESTS = {
     "estimate_correlated":
         "0e98a13d34763953f263ccf9aa2a8bd98f9eb131d2587e0bc93ab50340d313a5",
     "estimate_drift_reflected":
-        "3c25de836e6ff7f1aab276c6584c35a24f6af28c8e4519d57f324adbcfbe377d",
+        "5c6aad395c181c859dadf174642bf2273f8d99fdcdaa8c9a8408c5c0f7ae7aca",
     "estimate_table1_coord1":
         "1cede1c528130b855f732eea3fa64a69abd21fed6ec85f837683e067d2590d03",
     "estimate_table1_exit":
         "b84ac3b1ba9acca4384dd1e79970e266a76e906d7e7be9f2736176e4f7a347db",
     "estimate_table1_reflected":
-        "b0070f9bd805a91bc1b8126c5c7202d714cdd7a82db8efa9fcb1ee8d8d916992",
+        "b6052146ae04127a4960ba928bccc8c5c1dd5e30846a765f9957554ba5cb3620",
     "estimate_table1_stopped":
         "ba6af5326d4e39c9e9671f82b7e0bbb46e18b21186226cde88c43b39489f03bf",
     "estimate_table1_tau":
@@ -140,27 +144,27 @@ DIGESTS = {
     "ito_table3_stopped":
         "b6e88c2dc7b3ba674a975b5636d726d77b97016010ad159c633233fae2f7679e",
     "sample_reflected":
-        "057ba823866fcc6976de3f7a9b96fe2c07ffedb66c8a62cbfce9f9b2e771207a",
+        "450886abbfb26f58decc43d39931327da3c537cebb03161bbe0e40b45795236c",
     "sample_reflected_apex_floor":
-        "e776d433d87911cbe0bb31b10c298eb51a5a152833d7cc1328541597cac337b4",
+        "ed6d55e906987b661f2f0772ce0a4b9cc5a785ccb0d454e3fd138b532f118977",
     "sample_reflected_apex_floor_drift":
-        "de9b403830dda8d4dd66f06b503038199d4a00bea608ada10cadac13ea28a9a7",
+        "d580df3cc5e3ab5d8626b72eaad15190990b6d66457d3e286d5aa2d400acb71b",
     "sample_reflected_apex_start":
-        "07194227523dc637138e4fb5a7754ec65221cd45ad5872747e3fa94f17adec77",
+        "da593aa0905b365ddf8439264c43db772de92f11a15b3e2afde802cb03868fc7",
     "sample_reflected_apex_start_drift":
-        "64def71b45bf15de8ce362380c159f271cd3f34e03ea854f39b3e3f9f00388fd",
+        "78b7ad4f10345467832197d99203f23b6de475b518d14183f8d356002dddd5a4",
     "sample_reflected_corner":
-        "3e528552b6a1a9e738d8c9eda2dab8b59fa13c5c262c6640a3f8bf9fb919c610",
+        "c5defb0d18ebee77f43201e7cd46fce0f02cf14c743c168404942d6550a18050",
     "sample_reflected_corner_drift":
-        "4eae1ff9ccbc30fa30f26eedf519071e66705853a1ca87ac13e6a86a72b2cc0d",
+        "34126c094d4e0bd7ec356dff0313cf62a3b438a7bf1f1e8b9c8598f0b5fb17aa",
     "sample_reflected_correlated":
-        "2b7a1b61bcfa6ae8a7fc8b5fa0f88ab0cd0f3236b3e881f40c0f7e301cce6239",
+        "761a6b1afc162064103fe2bce91cf5777aa83e618a2019b4ec547701671a3e93",
     "sample_reflected_drift":
-        "3142f513a64afddc5fb1a9bf09514241dd4e7de2f94cf6f27714bb829c6faa53",
+        "9d6f55186167e5d1e797f31d75e6b216ba62d246b6e6c568e2aa9e6f4d613283",
     "sample_reflected_faults":
         "8efe59bce9a3ef1bfd0f216fd7289bfea9419e0e5b0abb3b8c1ef820ad0b6c17",
     "sample_reflected_pi_over_3":
-        "d53306aa11cecd8f90b9b13507f32c37414215ccad17372843d447e8be556662",
+        "ac9eb6850ae08283cb82bbfa828da404f8ad2883d7c64ce94b160fe6ff878259",
     "sample_stopped":
         "38cf5541edc725314f3f9bfd516a3412580a38dbdc7a250ece339e70ef5c7f64",
     "sample_stopped_alpha_4":

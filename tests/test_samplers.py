@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.stats import chi2, expon, kstest, ks_2samp, norm
+from scipy.stats import chi2, kstest, ks_2samp, norm
 
 from wedgebm.densities import ExitLawParams, exit_joint_density, \
     exit_radius_marginal, killed_density_images, survival_probability
@@ -15,9 +15,8 @@ from wedgebm.rng import RngStream
 from wedgebm.samplers import (FoldCapExceeded, algorithm_reflected,
                               algorithm_stopped, direct_pi_over_m_reflected,
                               sample_exit_radius, sample_exit_side,
-                              sample_exit_time, sample_reflected_from_origin,
-                              sample_survivor, _pass_plan, _sector_fold,
-                              _sub_opening)
+                              sample_exit_time, sample_survivor, _pass_plan,
+                              _sector_fold, _sub_opening)
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -522,16 +521,6 @@ def test_reflected_offset_wedge_is_rotation_of_base_wedge():
                             RngStream(72).derive(1))
     assert a.endpoint.r == pytest.approx(b.endpoint.r, rel=1e-9)
     assert a.endpoint.theta == pytest.approx(b.endpoint.theta + 0.3, abs=1e-9)
-
-
-def test_reflected_from_origin_laws():
-    rng = RngStream(80)
-    t, alpha = 0.5, 0.9
-    pts = [sample_reflected_from_origin(t, alpha, rng) for _ in range(3000)]
-    _, p_r = kstest([p.r ** 2 for p in pts], expon(scale=2 * t).cdf)
-    assert p_r > 1e-3
-    _, p_th = kstest([p.theta / alpha for p in pts], "uniform")
-    assert p_th > 1e-3
 
 
 def test_validation_errors():
