@@ -16,8 +16,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .bessel import log_bessel_i, series_tail_cutoff
-from .geometry import PolarPoint, Side, WedgeSpec, image_angles, require_pi_over_m
+import numpy as np
+from scipy import special
+
+from .bessel import series_tail_cutoff
+from .geometry import (ANGLE_TOL, PolarPoint, Side, WedgeSpec, image_angles,
+                       require_pi_over_m)
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,7 +57,7 @@ def _signed_sum(terms):
 
 
 def _check_in_standard_wedge(point, opening, label):
-    if point.r > 0 and not (-1e-12 <= point.theta <= opening + 1e-12):
+    if point.r > 0 and not (-ANGLE_TOL <= point.theta <= opening + ANGLE_TOL):
         raise ValueError(f"{label} angle {point.theta} outside wedge (0, {opening})")
 
 
@@ -109,24 +113,18 @@ def _series_density(kind, wedge, x, y, t):
     _check_in_standard_wedge(PolarPoint(y.r, th0), alpha, "y")
     r, r0 = x.r, y.r
     z = r * r0 / t
-    log_base = -((r - r0) ** 2) / (2.0 * t)  # = -(r^2+r0^2)/2t + z
+    base = math.exp(-((r - r0) ** 2) / (2.0 * t))  # = e^{-(r^2+r0^2)/2t} e^z
     nu_step = math.pi / alpha
-    lead = 0.0 if kind is Kind.REFLECTED else nu_step
-    cutoff = series_tail_cutoff(nu_step, z, lead_order=lead)
-    terms = []
-    if kind is Kind.REFLECTED:
-        terms.append(0.5 * math.exp(log_base + log_bessel_i(0, z) - z))
-    for n in range(1, cutoff):
-        nu = n * math.pi / alpha
-        lb = log_bessel_i(nu, z)
-        if lb == -math.inf:
-            continue
-        mag = math.exp(log_base + lb - z)
-        if kind is Kind.REFLECTED:
-            terms.append(mag * math.cos(nu * th) * math.cos(nu * th0))
-        else:
-            terms.append(mag * math.sin(nu * th) * math.sin(nu * th0))
-    return (2.0 * r / (t * alpha)) * _signed_sum(terms)
+    reflected = kind is Kind.REFLECTED
+    cutoff = series_tail_cutoff(nu_step, z, lead_order=0.0 if reflected else nu_step)
+    # orders 0 (reflected only) to cutoff - 1 in one scaled-Bessel call
+    nus = np.arange(0 if reflected else 1, cutoff, dtype=float) * math.pi / alpha
+    if reflected:
+        terms = base * special.ive(nus, z) * np.cos(nus * th) * np.cos(nus * th0)
+        terms[0] *= 0.5
+    else:
+        terms = base * special.ive(nus, z) * np.sin(nus * th) * np.sin(nus * th0)
+    return (2.0 * r / (t * alpha)) * _signed_sum(terms.tolist())
 
 
 def reflected_density_series(wedge, x, y, t):
@@ -172,7 +170,8 @@ class ExitLawParams:
         already knows m passes it as _m."""
         m = require_pi_over_m(wedge) if _m is None else _m
         th0 = start.theta
-        if not (wedge.alpha_minus + 1e-12 < th0 < wedge.alpha_plus - 1e-12) or start.r <= 0:
+        inside = wedge.alpha_minus + ANGLE_TOL < th0 < wedge.alpha_plus - ANGLE_TOL
+        if not inside or start.r <= 0:
             raise ValueError("start must be strictly interior to the wedge")
         if side is Side.PLUS:
             gam = tuple(wedge.alpha_plus + TWO_PI * k / m - th0 for k in range(m))
@@ -242,8 +241,8 @@ def corner_kernel(r_n, t_prime, alpha, r, theta=0.0):
     if r_n < 0 or t_prime <= 0 or r < 0:
         raise ValueError("need r_n >= 0, t_prime > 0, r >= 0")
     z = r * r_n / t_prime
-    log_val = -((r - r_n) ** 2) / (2.0 * t_prime) + log_bessel_i(0, z) - z
-    return (r / (t_prime * alpha)) * math.exp(log_val)
+    base = math.exp(-((r - r_n) ** 2) / (2.0 * t_prime))
+    return (r / (t_prime * alpha)) * base * special.ive(0, z)
 
 
 def survival_probability(m, x, t):

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from wedgebm.bessel import log_bessel_i, series_tail_cutoff
+from wedgebm.bessel import (SERIES_REL_TOL, SeriesCapExceeded, log_bessel_i,
+                            series_tail_cutoff)
 
 # high-precision reference values frozen from
 # scripts/oracles/bessel_reference.py (mpmath, 50 digits)
@@ -36,13 +38,9 @@ LOG_REFERENCE = [
 
 @pytest.mark.parametrize("nu,x,want", REFERENCE)
 def test_reference_values(nu, x, want):
-    if special.ive(nu, x) > 0.0:
-        assert log_bessel_i(nu, x) == pytest.approx(math.log(want), rel=1e-13,
-                                                    abs=1e-15)
-    else:
-        # I_700(225) = 1.5e-246 is a double, but e^{-225} I_700(225) ~ 3e-344
-        # is not: log_bessel_i works through the scaled value and says -inf
-        assert log_bessel_i(nu, x) == -math.inf
+    # I_700(225) = 1.5e-246 is a double although e^{-225} I_700(225) ~ 3e-344
+    # is not: log_bessel_i falls back from the scaled to the unscaled value
+    assert log_bessel_i(nu, x) == pytest.approx(math.log(want), rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("nu,x,want", LOG_REFERENCE)
@@ -81,6 +79,12 @@ def test_log_is_minus_inf_where_the_scaled_value_underflows():
     assert log_bessel_i(nu, x) == -math.inf
     # every later order underflows too, so the certified sum is empty
     assert series_tail_cutoff(nu, x, lead_order=nu) == 1
+
+
+def test_log_raises_where_no_double_holds_the_value():
+    # e^{-2000} I_2000(2000) underflows and I_2000(2000) overflows
+    with pytest.raises(OverflowError):
+        log_bessel_i(2000.0, 2000.0)
 
 
 def test_validation():
@@ -138,3 +142,79 @@ def test_tail_cutoff_validation():
         series_tail_cutoff(0.0, 1.0)
     with pytest.raises(ValueError):
         series_tail_cutoff(1.0, -1.0)
+    for nu_step, x, lead in [(math.inf, 1.0, 0.0), (1.0, math.nan, 0.0),
+                             (1.0, math.inf, 0.0), (1.0, 1.0, -1.0),
+                             (1.0, 1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            series_tail_cutoff(nu_step, x, lead_order=lead)
+
+
+def test_tail_cutoff_at_subnormal_argument():
+    # mu/x overflows for x below ~1e-300, where the bound is taken at 1e-300
+    for x in (1e-308, 5e-324):
+        assert series_tail_cutoff(0.5, x) <= 6
+        assert series_tail_cutoff(math.pi / 0.9, x, lead_order=math.pi / 0.9) == 1
+
+
+def test_tail_cutoff_cap():
+    # the closed-form floor sqrt(2 x log(2e12)) / nu_step is past 1e6 orders
+    for nu_step, x in [(math.pi / 0.9, 2.25e12), (1.0, 1.7e308), (1e-300, 1.0)]:
+        with pytest.raises(SeriesCapExceeded):
+            series_tail_cutoff(nu_step, x)
+    # x = 1e8 is below the cap, where a certified cutoff exists
+    assert 20000 < series_tail_cutoff(math.pi / 0.9, 1e8) < 30000
+
+
+# exact minimal cutoffs frozen from scripts/oracles/bessel_reference.py
+# (mpmath): the first N with sum_{n>=N} I_{n step}(x) <= 1e-12 I_lead(x)/2,
+# step = pi/opening, at r*r0/t near the start at t = 1, 1e-2, 1e-4. At these
+# arguments the cosine series (lead 0) and the sine series (lead = step)
+# share it.
+SERIES_MINIMAL_CUTOFFS = [
+    (0.9, 2.25, 5), (0.9, 225.0, 33), (0.9, 22500.0, 334),
+    (math.pi / 3, 2.25, 6), (math.pi / 3, 225.0, 39), (math.pi / 3, 22500.0, 389),
+    (1.5 * math.pi, 2.25, 24), (1.5 * math.pi, 225.0, 175),
+    (1.5 * math.pi, 22500.0, 1791),
+    (2 * math.pi, 2.25, 32), (2 * math.pi, 225.0, 234), (2 * math.pi, 22500.0, 2399),
+]
+
+
+@pytest.mark.parametrize("sine", [False, True])
+@pytest.mark.parametrize("opening,x,minimal", SERIES_MINIMAL_CUTOFFS)
+def test_tail_cutoff_against_exact_minimum(opening, x, minimal, sine):
+    step = math.pi / opening
+    got = series_tail_cutoff(step, x, lead_order=step if sine else 0.0)
+    assert minimal <= got <= minimal + 8
+
+
+# I_{nu+1}(x)/I_nu(x) frozen from scripts/oracles/bessel_reference.py
+# (mpmath): below the bound x/(nu + sqrt(nu^2 + x^2)) = e^{-asinh(nu/x)} the
+# cutoff is certified with, above the lower bound of one order higher
+RATIOS = [
+    (0.0, 1e-3, 0.00049999993750001043),
+    (0.0, 2.25, 0.7348404523792022),
+    (0.5, 1.0, 0.3130352854993313),
+    (math.pi / 0.9, 225.0, 0.98238213386551779),
+    (50.0, 2.25, 0.022048306152193949),
+    (1170.0, 22500.0, 0.94932892474359303),
+]
+
+
+@pytest.mark.parametrize("nu,x,ratio", RATIOS)
+def test_ratio_bound(nu, x, ratio):
+    upper = x / (nu + math.hypot(nu, x))
+    assert upper == pytest.approx(math.exp(-math.asinh(nu / x)), rel=1e-14)
+    assert x / (nu + 1.0 + math.hypot(nu + 1.0, x)) < ratio < upper
+
+
+@given(st.floats(0.05, 2.0 * math.pi), st.floats(math.log(1e-3), math.log(1e5)),
+       st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_tail_cutoff_meets_the_target_by_scipy_sum(opening, log_x, sine):
+    step = math.pi / opening
+    x = math.exp(log_x)
+    lead = step if sine else 0.0
+    cutoff = series_tail_cutoff(step, x, lead_order=lead)
+    # far past the cutoff order the terms are below e^{-16 log(2e12)}
+    tail = special.ive(step * np.arange(cutoff, 4 * cutoff + 100), x).sum()
+    assert tail <= SERIES_REL_TOL * special.ive(lead, x) / 2

@@ -6,10 +6,11 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import norm
 
 import wedgebm
+from wedgebm.bessel import SeriesCapExceeded
 from wedgebm.densities import (ExitLawParams, Kind, corner_kernel,
                                density_drdtheta_to_dy, density_dy_to_drdtheta,
                                exit_joint_density, exit_radius_marginal,
@@ -56,9 +57,9 @@ def test_series_matches_images(m):
         assert ri == pytest.approx(rs, rel=1e-8, abs=1e-8 * scale)
 
 
-@pytest.mark.parametrize("t", [1e-3, 1e-4])
+@pytest.mark.parametrize("t", [1e-3, 1e-4, 1e-5])
 def test_series_matches_images_at_small_t(t):
-    # near the start the Bessel argument r*r0/t reaches 2.25e4 at t = 1e-4
+    # near the start the Bessel argument r*r0/t reaches 2.25e5 at t = 1e-5
     wedge = WedgeSpec(0.0, math.pi / 3)
     start = PolarPoint(1.5, 0.3)
     step = 2.0 * math.sqrt(t)
@@ -74,9 +75,49 @@ def test_series_matches_images_at_small_t(t):
                                             rel=1e-10)
 
 
+def _series_by_loop(kind, alpha, x, y, t, orders=200):
+    """The series summed order by order in plain Python, far past any
+    certified cutoff of the triples below."""
+    z = x.r * y.r / t
+    base = math.exp(-((x.r - y.r) ** 2) / (2.0 * t))
+    trig = math.cos if kind is Kind.REFLECTED else math.sin
+    terms = [0.5 * base * special.ive(0, z)] if kind is Kind.REFLECTED else []
+    for n in range(1, orders):
+        nu = n * math.pi / alpha
+        terms.append(base * special.ive(nu, z) * trig(nu * x.theta) * trig(nu * y.theta))
+    return 2.0 * x.r / (t * alpha) * math.fsum(terms)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 1.5 * math.pi])
+def test_series_matches_an_order_by_order_sum(alpha):
+    # openings without image sums, one of them with order step 2/3 below 1
+    wedge = WedgeSpec(0.0, alpha)
+    rng = np.random.default_rng(11)
+    pairs = ((Kind.KILLED, killed_density_series),
+             (Kind.REFLECTED, reflected_density_series))
+    for start, target, t in random_triples(rng, alpha, 20):
+        for kind, series in pairs:
+            want = _series_by_loop(kind, alpha, target, start, t)
+            # the cutoff drops at most 1e-12 of the leading magnitude 2r/(t alpha)
+            assert series(wedge, target, start, t) == pytest.approx(
+                want, rel=1e-12, abs=1e-11 / t)
+
+
+def test_series_cap_is_decided_before_any_bessel_call(monkeypatch):
+    # at t = 1e-12 the argument is 2.25e12: the closed-form floor of the
+    # cutoff is already past 1e6 orders, so no term is ever evaluated
+    def refuse(*_args):
+        raise AssertionError("special.ive called")
+
+    monkeypatch.setattr(special, "ive", refuse)
+    start = PolarPoint(1.5, 0.3)
+    with pytest.raises(SeriesCapExceeded):
+        killed_density_series(WedgeSpec(0.0, 0.9), start, start, 1e-12)
+
+
 def test_killed_series_in_a_narrow_wedge_is_zero():
     # the first order pi/0.01 already underflows (e^-z I_314(z) ~ e^-1483 at
-    # z = 2.1), so the certified sum is empty rather than searched for
+    # z = 2.1), so the cutoff is 1 and the certified sum is empty
     wedge = WedgeSpec(0.0, 0.01)
     value = killed_density_series(wedge, PolarPoint(1.5, 0.005),
                                   PolarPoint(1.4, 0.004), 1.0)

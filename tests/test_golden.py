@@ -98,7 +98,12 @@ SEED = ["--seed", "7"]  # for every command but density, which draws nothing
 # the density cases were recorded before the path-engine refactor, and
 # density_series_reflected again when the Bessel terms moved to scipy's ive:
 # its cell (0.9167, 0.15) sits on a %.12g tie, 0.3683041484075001 before and
-# 0.3683041484075000 after (mpmath: 0.36830414840750840). Every case that
+# 0.3683041484075000 after (mpmath: 0.36830414840750840). It was recorded a
+# third time when each series term became ive(nu, z) e^{-(r-r0)^2/2t}, with
+# no log round trip: that cell now prints 0.368304148408 (0.3683041484075083)
+# and (4.5833, 0.75) prints 0.000958816614182 (0.0009588166141815516, was
+# ...814829; mpmath 0.00095881661418155845), each the %.12g of the mpmath
+# value. Every case that
 # draws a survivor (all sampling cases but the T = inf exit rows and the fold
 # counts, where the survivor and corner draws are terminal) was recorded
 # again when the survivor proposal became the folded free Gaussian endpoint.
@@ -116,7 +121,7 @@ DIGESTS = {
     "density_series_killed":
         "af5993bc6fdfbd4b6083702d596d745e817ddf9421bb2d19188ba306678c54bf",
     "density_series_reflected":
-        "8970ea8770a4f113a764be5b32116085882535400b0854210ee40e349176d0fd",
+        "9cdc8073545c9f6ad5cae3ff248add55eee55c814c5e9435e47be56cc289f5d7",
     "estimate_correlated":
         "0e98a13d34763953f263ccf9aa2a8bd98f9eb131d2587e0bc93ab50340d313a5",
     "estimate_drift_reflected":
