@@ -42,7 +42,9 @@ def log_bessel_i(nu, x):
     """log I_nu(x), as log(e^{-x} I_nu(x)) + x.
 
     Where e^{-x} I_nu(x) underflows but I_nu(x) is an ordinary double (e.g.
-    I_700(225) ~ 1.5e-246), the log of scipy's unscaled `iv`. Returns -inf
+    I_700(225) ~ 1.5e-246), the log of scipy's unscaled `iv`; where both
+    give nothing at x <= 1e-8, the log of the series' leading term (at
+    x = 1e-308 and nu = 0.5 that is -354.8, a double). Returns -inf
     where I_nu(x) itself underflows; that includes x = 0 with nu > 0, where
     I_nu vanishes. Raises OverflowError where neither double holds the value:
     e^{-x} I_nu(x) below the smallest double and I_nu(x) above the largest,
@@ -55,7 +57,14 @@ def log_bessel_i(nu, x):
     unscaled = special.iv(nu, x)
     if unscaled == math.inf:
         raise OverflowError(f"log I_nu(x) out of double range at nu={nu} x={x}")
-    return math.log(unscaled) if unscaled > 0.0 else -math.inf
+    if unscaled > 0.0:
+        return math.log(unscaled)
+    if 0.0 < x <= 1e-8:
+        # scipy's 0 or nan; (x/2)^nu / Gamma(nu + 1) is off by x^2 / 4(nu + 1)
+        lead = nu * (math.log(x) - math.log(2.0)) - math.lgamma(nu + 1.0)
+        if math.exp(lead) > 0.0:
+            return lead
+    return -math.inf
 
 
 def _log_tail_bound(n, nu_step, x, lead_order):

@@ -15,8 +15,7 @@ import sys
 
 from .densities import (killed_density_images, killed_density_series,
                         reflected_density_images, reflected_density_series)
-from .geometry import (ANGLE_TOL, TWO_PI, CorrelatedSetup, PolarPoint,
-                       RegionCase, WedgeSpec)
+from .geometry import CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec
 from .montecarlo import (EstimatorConfig, FaultFractionExceeded, Mode,
                          TestFunction, eps_sweep, estimate, folding_stats,
                          map_paths)
@@ -212,19 +211,6 @@ def _refuse_drift(args, reason):
         raise UsageError(f"{reason}; --drift is not supported here")
 
 
-def _start_in_wedge(start, wedge):
-    """The start point itself when it lies in the closed wedge, snapped onto
-    a ray when its angle is within ANGLE_TOL of that ray modulo 2 pi (the
-    samplers' own tolerance), otherwise a UsageError."""
-    if wedge.contains(start, tol=0.0):
-        return start
-    for ray in (wedge.alpha_minus, wedge.alpha_plus):
-        if abs((start.theta - ray + math.pi) % TWO_PI - math.pi) <= ANGLE_TOL:
-            return PolarPoint(start.r, ray)
-    raise UsageError(f"start angle {start.theta} outside "
-                     f"[{wedge.alpha_minus}, {wedge.alpha_plus}]")
-
-
 def _resolve_problem(args):
     """The geometry and start point every command reads from its flags:
     {'setup': CorrelatedSetup} or {'wedge', 'start', 'drift'}."""
@@ -255,8 +241,11 @@ def _resolve_problem(args):
     else:
         raise UsageError("a start point is required: --start r,theta or "
                          "--x x,y")
-    return {"wedge": wedge, "start": _start_in_wedge(start, wedge),
-            "drift": tuple(drift)}
+    try:
+        start = wedge.place(start)
+    except ValueError as exc:
+        raise UsageError(f"start {exc}")
+    return {"wedge": wedge, "start": start, "drift": tuple(drift)}
 
 
 def _merge_preset(args, presets):
@@ -384,16 +373,21 @@ def _estimate_lines(config, report):
                  report.mean_folds, report.mean_weight, report.ess)]
 
 
-def cmd_estimate(args):
-    merged, eff = _merge_preset(args, ESTIMATE_PRESETS)
-    config = _build_config(merged, eff, "stopped", "radius_sq")
+def _estimate_and_report(merged, eff, mode_default, extra=None):
+    """The tail of `estimate` and `ito`: run, emit the row, and report the
+    wall time and any faulted paths on stderr."""
+    config = _build_config(merged, eff, mode_default, "radius_sq", extra=extra)
     report = estimate(config)
-    _emit(_estimate_lines(config, report), args.out)
+    _emit(_estimate_lines(config, report), merged.out)
     print(f"wall time {report.wall_time_seconds:.2f} s", file=sys.stderr)
     if report.n_faults:
         print(f"warning: {report.n_faults} faulted paths excluded",
               file=sys.stderr)
     return 0
+
+
+def cmd_estimate(args):
+    return _estimate_and_report(*_merge_preset(args, ESTIMATE_PRESETS), "stopped")
 
 
 def cmd_ito(args):
@@ -407,12 +401,7 @@ def cmd_ito(args):
         "mu": tuple(_pick(merged, eff, "mu", (0.0, 0.0))),
         "kappa": tuple(_pick(merged, eff, "kappa", (0.0, 0.0))),
     }
-    config = _build_config(merged, eff, "euler_stopped", "radius_sq",
-                           extra=extra)
-    report = estimate(config)
-    _emit(_estimate_lines(config, report), args.out)
-    print(f"wall time {report.wall_time_seconds:.2f} s", file=sys.stderr)
-    return 0
+    return _estimate_and_report(merged, eff, "euler_stopped", extra)
 
 
 def cmd_folds(args):

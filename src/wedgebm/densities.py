@@ -21,7 +21,7 @@ from scipy import special
 
 from .bessel import series_tail_cutoff
 from .geometry import (ANGLE_TOL, PolarPoint, Side, WedgeSpec, image_angles,
-                       require_pi_over_m)
+                       require_interior, require_pi_over_m)
 
 TWO_PI = 2.0 * math.pi
 
@@ -169,18 +169,18 @@ class ExitLawParams:
         """The law on `side` for a start in the pi/m wedge; a caller that
         already knows m passes it as _m."""
         m = require_pi_over_m(wedge) if _m is None else _m
+        require_interior(start, wedge)
         th0 = start.theta
-        inside = wedge.alpha_minus + ANGLE_TOL < th0 < wedge.alpha_plus - ANGLE_TOL
-        if not inside or start.r <= 0:
-            raise ValueError("start must be strictly interior to the wedge")
         if side is Side.PLUS:
             gam = tuple(wedge.alpha_plus + TWO_PI * k / m - th0 for k in range(m))
         else:
             gam = tuple(-wedge.alpha_minus - TWO_PI * k / m + th0 for k in range(m))
         return cls(wedge=wedge, start=start, side=side, gammas=gam)
 
-    def c_values(self, r):
-        r0 = self.start.r
+    def c_values(self, r, scale_exp=0):
+        """c_k(r), or with scale_exp = k those at every radius times 2^-k."""
+        r0 = math.ldexp(self.start.r, -scale_exp)
+        r = math.ldexp(r, -scale_exp)
         out = []
         for g in self.gammas:
             d = r - r0 * math.cos(g)

@@ -23,7 +23,7 @@ identity diffusion).
 import math
 from dataclasses import dataclass
 
-from .geometry import PolarPoint, WedgeSpec
+from .geometry import PolarPoint, WedgeSpec, mat_vec
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathSample,
                        algorithm_reflected, algorithm_stopped)
 
@@ -68,6 +68,7 @@ def stopped_with_drift(start, drift, T, wedge, rng, iteration_cap=DEFAULT_FOLD_C
     With drift.b = (0, 0) this reproduces the driftless sampler draw for
     draw, with weight exactly 1.
     """
+    start = wedge.place(start)  # the driving motion starts where the path does
     sample = algorithm_stopped(start, T, wedge, rng, iteration_cap=iteration_cap)
     sample.weight = girsanov_weight(drift, sample.driving_endpoint, sample.elapsed,
                                     start.cartesian())
@@ -80,6 +81,7 @@ def reflected_with_drift(start, drift, T, wedge, rng, epsilon=DEFAULT_EPSILON,
     carries its driving endpoint like every reflected path (see
     algorithm_reflected), reweighted by that endpoint.
     """
+    start = wedge.place(start)
     sample = algorithm_reflected(start, T, wedge, rng, epsilon=epsilon,
                                  fold_cap=fold_cap)
     sample.weight = girsanov_weight(drift, sample.driving_endpoint, T,
@@ -153,15 +155,11 @@ def _cell_frame(sigma_mat, wedge):
     if scale == 0.0 or abs(det) < 1e-12 * scale * scale:
         raise ValueError(f"diffusion matrix {sigma_mat} is singular")
     inv = ((d / det, -b / det), (-c / det, a / det))
-
-    def apply(mat, vx, vy):
-        return (mat[0][0] * vx + mat[0][1] * vy, mat[1][0] * vx + mat[1][1] * vy)
-
     lo, hi = wedge.alpha_minus, wedge.alpha_plus
-    p0 = apply(inv, math.cos(lo), math.sin(lo))
-    p1 = apply(inv, math.cos(hi), math.sin(hi))
+    p0 = mat_vec(inv, (math.cos(lo), math.sin(lo)))
+    p1 = mat_vec(inv, (math.cos(hi), math.sin(hi)))
     mid = 0.5 * (lo + hi)
-    pm = apply(inv, math.cos(mid), math.sin(mid))
+    pm = mat_vec(inv, (math.cos(mid), math.sin(mid)))
     phi0 = math.atan2(p0[1], p0[0]) % TWO_PI
     phi1 = math.atan2(p1[1], p1[0]) % TWO_PI
     ccw = (phi1 - phi0) % TWO_PI
@@ -180,25 +178,6 @@ def _cell_frame(sigma_mat, wedge):
     bwd = ((fwd[1][1] / fdet, -fwd[0][1] / fdet),
            (-fwd[1][0] / fdet, fwd[0][0] / fdet))
     return fwd, bwd, WedgeSpec(0.0, opening)
-
-
-def _apply2(mat, v):
-    return (mat[0][0] * v[0] + mat[0][1] * v[1], mat[1][0] * v[0] + mat[1][1] * v[1])
-
-
-def _cell_start(fwd, pos, cell_wedge):
-    u, v = _apply2(fwd, pos)
-    p = PolarPoint.from_cartesian(u, v)
-    th = p.theta
-    if th <= cell_wedge.alpha_plus:
-        return p
-    # round-off can push a point sitting near a ray to a hair outside;
-    # clamp onto whichever ray is closer, otherwise it is a real error
-    over = th - cell_wedge.alpha_plus
-    under = TWO_PI - th
-    if min(over, under) > 1e-9:
-        raise ValueError("cell start outside the mapped wedge")
-    return PolarPoint(p.r, cell_wedge.alpha_plus if over <= under else 0.0)
 
 
 def euler_stopped(coeffs, start, grid, wedge, rng, fold_cap=DEFAULT_FOLD_CAP):
@@ -226,7 +205,7 @@ def euler_reflected(coeffs, start, grid, wedge, rng, epsilon=DEFAULT_EPSILON,
 def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
     """The Euler loop of both schemes; `reflected` picks the exact sampler
     each cell runs."""
-    pos = start.cartesian()
+    pos = wedge.place(start).cartesian()
     log_w = 0.0
     folds = 0
     approx = False
@@ -242,8 +221,9 @@ def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
         if (a, b, c, d) != frame_sigma:
             frame_sigma, frame = (a, b, c, d), _cell_frame(s_k, wedge)
         fwd, bwd, cell_wedge = frame
-        cell_start = _cell_start(fwd, pos, cell_wedge)
-        b_cell = DriftSpec(_apply2(fwd, b_k))
+        # round-off can put a point on a ray a hair off it in the cell frame
+        cell_start = cell_wedge.place(PolarPoint.from_cartesian(*mat_vec(fwd, pos)))
+        b_cell = DriftSpec(mat_vec(fwd, b_k))
         if reflected:
             sub = algorithm_reflected(cell_start, dt, cell_wedge, rng,
                                       epsilon=epsilon, fold_cap=fold_cap)
@@ -253,7 +233,7 @@ def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
         # a reflected sub-path always runs the whole cell: elapsed == dt
         log_w += girsanov_log_weight(b_cell, sub.driving_endpoint, sub.elapsed,
                                      cell_start.cartesian())
-        pos = _apply2(bwd, sub.cartesian_endpoint())
+        pos = mat_vec(bwd, sub.cartesian_endpoint())
         folds += sub.folds
         approx = approx or sub.approx_used
         if sub.hit_boundary:

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-# Absolute angular tolerance for membership tests at the rays. Boundary
-# classification inside the samplers never relies on this; they carry exact
+# The one angular tolerance at the rays: WedgeSpec.place puts a point this
+# close to a ray onto it. The recursions never rely on it; they carry exact
 # ray tags instead.
 ANGLE_TOL = 1e-12
 
@@ -79,13 +79,27 @@ class WedgeSpec:
     def opening(self):
         return self.alpha_plus - self.alpha_minus
 
-    def contains_angle(self, theta, tol=ANGLE_TOL):
-        return self.alpha_minus - tol <= theta <= self.alpha_plus + tol
+    def contains_angle(self, theta):
+        return self.alpha_minus - ANGLE_TOL <= theta <= self.alpha_plus + ANGLE_TOL
 
-    def contains(self, point, tol=ANGLE_TOL):
-        if point.r == 0.0:
-            return True
-        return self.contains_angle(point.theta, tol)
+    def contains(self, point):
+        return point.r == 0.0 or self.contains_angle(point.theta)
+
+    def place(self, point):
+        """The point unchanged if it is the apex or inside by more than
+        ANGLE_TOL; at the same radius exactly on the nearer ray if its angle,
+        read modulo 2 pi in the turn centred on the bisector, is within
+        ANGLE_TOL of one, from either side; otherwise a ValueError."""
+        th, lo, hi = point.theta, self.alpha_minus, self.alpha_plus
+        if point.r == 0.0 or lo + ANGLE_TOL < th < hi - ANGLE_TOL:
+            return point
+        mid = 0.5 * (lo + hi)
+        if abs(th - mid) > math.pi:
+            th = mid + (th - mid + math.pi) % TWO_PI - math.pi
+        ray = lo if abs(th - lo) <= abs(th - hi) else hi
+        if abs(th - ray) > ANGLE_TOL:
+            raise ValueError(f"angle {point.theta} is outside the wedge [{lo}, {hi}]")
+        return PolarPoint(point.r, ray)
 
     def pi_over_m(self):
         """The integer m with opening == pi/m, or None if there is none."""
@@ -93,6 +107,19 @@ class WedgeSpec:
         if m >= 1 and abs(self.opening - math.pi / m) <= PI_OVER_M_TOL:
             return m
         return None
+
+
+def mat_vec(mat, v):
+    """The 2x2 matrix mat, rows as tuples, times the 2-vector v."""
+    (a, b), (c, d) = mat
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+
+def require_interior(point, wedge):
+    """The exit-law passes' test: off the apex and strictly between the rays
+    (the recursions end a start placed on a ray before any pass)."""
+    if not (point.r > 0.0 and wedge.alpha_minus < point.theta < wedge.alpha_plus):
+        raise ValueError("start must be strictly interior to the wedge")
 
 
 def require_pi_over_m(wedge):
@@ -196,9 +223,7 @@ class DecorrelatedProblem:
     drift: tuple = (0.0, 0.0)
 
     def apply(self, point):
-        (a, b), (c, d) = self.forward_map
-        x, y = point
-        return (a * x + b * y, c * x + d * y)
+        return mat_vec(self.forward_map, point)
 
     def inverse(self, point):
         (a, b), (c, d) = self.forward_map
@@ -239,15 +264,8 @@ def decorrelate(setup):
     alpha_prime = base + (math.pi if union else 0.0)
     # sigma^{-1} for the upper-triangular factor
     inv = ((1.0 / (s1 * root), -rho / (s2 * root)), (0.0, 1.0 / s2))
-    x, y = setup.x0
-    u = inv[0][0] * x + inv[0][1] * y
-    v = inv[1][0] * x + inv[1][1] * y
-    start = PolarPoint.from_cartesian(u, v)
     wedge = WedgeSpec(0.0, alpha_prime)
-    if not wedge.contains(start, tol=1e-9):
-        raise ValueError("mapped start falls outside the mapped wedge; "
-                         "inconsistent setup")
-    bx, by = setup.drift
-    drift = (inv[0][0] * bx + inv[0][1] * by, inv[1][0] * bx + inv[1][1] * by)
+    start = wedge.place(PolarPoint.from_cartesian(*mat_vec(inv, setup.x0)))
     return DecorrelatedProblem(wedge=wedge, start=start, forward_map=inv,
-                               degenerate=degenerate, drift=drift)
+                               degenerate=degenerate,
+                               drift=mat_vec(inv, setup.drift))

@@ -105,6 +105,9 @@ class EstimatorConfig:
                 raise ValueError("Euler modes need steps >= 1")
             if not math.isfinite(self.horizon):
                 raise ValueError("Euler modes need a finite horizon")
+            if any(self.drift) or (self.setup is not None and any(self.setup.drift)):
+                raise ValueError("Euler modes take drift through mu and kappa; "
+                                 "a constant drift would be ignored")
 
     def resolve(self):
         """Returns (wedge, start, drift, problem) where problem is the

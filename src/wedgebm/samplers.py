@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .corner import corner_triggered, sample_corner
 from .densities import ExitLawParams
-from .geometry import PolarPoint, Side, WedgeSpec, fold_into_wedge, image_angles
+from .geometry import (PolarPoint, Side, WedgeSpec, fold_into_wedge, image_angles,
+                       require_interior)
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,18 +73,10 @@ class FoldCapExceeded(RuntimeError):
         self.partial = partial
 
 
-def _interior_angle(start, wedge):
-    if not wedge.contains(start):
-        raise ValueError(f"start {start} outside wedge ({wedge.alpha_minus}, {wedge.alpha_plus})")
-    return start.theta - wedge.alpha_minus
-
-
 def sample_exit_side(start, wedge, rng):
     """Which ray the motion started at `start` exits through."""
-    th = start.theta
-    if start.r <= 0 or not (wedge.alpha_minus < th < wedge.alpha_plus):
-        raise ValueError("start must be strictly interior to the wedge")
-    p_plus = (th - wedge.alpha_minus) / wedge.opening
+    require_interior(start, wedge)
+    p_plus = (start.theta - wedge.alpha_minus) / wedge.opening
     return Side.PLUS if rng.uniform() < p_plus else Side.MINUS
 
 
@@ -95,11 +88,9 @@ def sample_exit_radius(start, wedge, side, u):
     """
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must be strictly inside (0, 1), got {u}")
+    require_interior(start, wedge)
     alpha = wedge.opening
-    th0 = start.theta - wedge.alpha_minus
-    if start.r <= 0 or not 0.0 < th0 < alpha:
-        raise ValueError("start must be strictly interior to the wedge")
-    s = math.pi * th0 / alpha
+    s = math.pi * (start.theta - wedge.alpha_minus) / alpha
     if side is Side.MINUS:
         base = math.cos(s) - math.sin(s) / math.tan((math.pi - s) * (u - 1.0))
     else:
@@ -121,10 +112,15 @@ def sample_exit_time(params, r, rng):
     t^-2 e^{-c_k/2t} terms. The envelope keeps only the nonnegative
     coefficients; each such component, normalized, is sampled exactly as
     t = c_k / (2E) with E unit exponential.
+
+    It draws at every radius times 2^-k, the start radius in [0.5, 1), and
+    scales the time by 4^k: exact, yet c_k ~ (r0 d)^2 of a start at radius
+    1e-150 a hair d off a ray does not underflow.
     """
     sines = [math.sin(g) for g in params.gammas]
-    cs = params.c_values(r)
-    if not all(map(math.isfinite, cs)):
+    k = math.frexp(params.start.r)[1]
+    cs = params.c_values(r, k)
+    if math.inf in cs or math.frexp(max(cs))[1] + 2 * k > 1024:  # 4^k c_k overflows
         raise ValueError(
             f"start radius {params.start.r:g} (exit radius {r:g}) is too large "
             f"for the exit-law exponents, which overflow")
@@ -167,7 +163,7 @@ def sample_exit_time(params, r, rng):
             raise RuntimeError(
                 f"exit-time acceptance ratio {num/den} outside [0, 1]")
         if rng.uniform() * den <= num:
-            return t
+            return math.ldexp(t, 2 * k) if math.frexp(t)[1] + 2 * k <= 1024 else math.inf
     raise RuntimeError("exit-time acceptance-rejection failed to terminate")
 
 
@@ -188,21 +184,22 @@ def sample_survivor(start, wedge, horizon, rng, _m=None):
         raise ValueError(f"horizon must be positive, got {horizon}")
     images = image_angles(start.theta, wedge, m)
     x0, y0 = start.cartesian()
-    r0_sq = start.r * start.r
     two_h = 2.0 * horizon
     sd = math.sqrt(horizon)
     for _ in range(_AR_CAP):
         r, rel = _sector_fold(x0 + sd * rng.normal(), y0 + sd * rng.normal(), wedge, m)
         theta = wedge.alpha_minus + rel
-        sq = r * r + r0_sq
-        cross = 2.0 * r * start.r
-        d2 = [sq - cross * math.cos(theta - ang) for ang in images]
-        base = min(d2)
+        # the squared image distances are (r - r0)^2 + 4 r r0 sin^2(half the
+        # angle) and only their gaps count: the half-angle form keeps a gap
+        # r^2 + r0^2 - 2 r r0 cos cancels (1e-9 off a ray at radius 1e10)
+        cross = 4.0 * r * start.r
+        sin_sq = [math.sin(0.5 * (theta - ang)) ** 2 for ang in images]
+        base = min(sin_sq)
         signed = 0.0
         total = 0.0
         for k in range(0, 2 * m, 2):
-            even = math.exp(-(d2[k] - base) / two_h)
-            odd = math.exp(-(d2[k + 1] - base) / two_h)
+            even = math.exp((base - sin_sq[k]) * cross / two_h)
+            odd = math.exp((base - sin_sq[k + 1]) * cross / two_h)
             signed += even - odd
             total += even + odd
         if signed < 0.0:
@@ -279,7 +276,8 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     alpha = wedge.opening
-    th = _interior_angle(start, wedge)
+    start = wedge.place(start)
+    th = start.theta - wedge.alpha_minus
     r_n = start.r
     # starting on the boundary means tau = 0
     if r_n == 0.0 or th <= 0.0 or th >= alpha:
@@ -336,7 +334,8 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
     if not epsilon >= 0:  # NaN included
         raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
     alpha = wedge.opening
-    th = _interior_angle(start, wedge)
+    start = wedge.place(start)
+    th = start.theta - wedge.alpha_minus
     r_n = start.r
     base = wedge.alpha_minus
     theta_cap, m_sub, sub = _pass_plan(alpha)

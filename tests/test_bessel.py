@@ -73,10 +73,26 @@ def test_small_argument_behaviour():
     assert log_bessel_i(nu, x) == pytest.approx(math.log(lead), rel=1e-12)
 
 
+# log I_nu(x) from mpmath.besseli at 40 digits; scipy's ive gives 0 and its
+# iv 0 or nan at these arguments, though every value is a double
+TINY_ARGUMENT_REFERENCE = [
+    (0.5, 1e-308, -354.82389567372775),
+    (0.5, 1e-305, -351.3700180342367),
+    (0.5, 5e-324, -372.44582731333536),
+]
+
+
+@pytest.mark.parametrize("nu,x,want", TINY_ARGUMENT_REFERENCE)
+def test_tiny_argument_values(nu, x, want):
+    assert log_bessel_i(nu, x) == pytest.approx(want, rel=1e-15)
+
+
 def test_log_is_minus_inf_where_the_scaled_value_underflows():
     # log(e^-x I(pi/0.01, 2.1)) = -1482.8, below the smallest double's -744.4
     nu, x = math.pi / 0.01, 2.1
     assert log_bessel_i(nu, x) == -math.inf
+    # at tiny x too: I_3.49(1e-100) ~ e^-808 underflows
+    assert log_bessel_i(3.49, 1e-100) == -math.inf
     # every later order underflows too, so the certified sum is empty
     assert series_tail_cutoff(nu, x, lead_order=nu) == 1
 

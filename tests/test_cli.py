@@ -316,19 +316,43 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_start_within_angle_tol_of_a_ray_is_snapped_onto_it(tmp_path):
-    # 1e-13 below the lower ray: the angle reads 2 pi - 6.7e-14
-    near_ray = ["--alpha", "0.9", "--x", "1.5,-1e-13", "--T", "1"]
-    code, data = run_to_file(tmp_path, "s.csv",
-                             ["sample-stopped"] + near_ray + ["--n", "3"])
+# a start 1e-13 off a ray of the 0.9 wedge, from either side, and the same
+# start exactly on that ray
+NEAR_RAY = {
+    "lower-inside": ("--x", "1.5,1e-13", "1.5,0"),
+    "lower-outside": ("--x", "1.5,-1e-13", "1.5,0"),
+    "upper-inside": ("--start", "1.5,0.8999999999999", "1.5,0.9"),
+    "upper-outside": ("--start", "1.5,0.9000000000001", "1.5,0.9"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(NEAR_RAY))
+@pytest.mark.parametrize("command", ["sample-stopped", "sample-reflected",
+                                     "density"])
+def test_start_within_angle_tol_of_a_ray_is_snapped_onto_it(tmp_path, command,
+                                                           where):
+    flag, near, on = NEAR_RAY[where]
+    argv = [command, "--alpha", "0.9", "--T", "1"]
+    argv += ["--grid", "2"] if command == "density" else ["--n", "3"]
+    code, data = run_to_file(tmp_path, "near.csv", argv + [flag, near])
     assert code == 0
-    _, rows = parse_csv(data)
-    for r in rows:
+    assert data == run_to_file(tmp_path, "on.csv", argv + ["--start", on])[1]
+    if command == "sample-stopped":
+        for r in parse_csv(data)[1]:
+            assert (r["elapsed"], r["hit_boundary"]) == ("0", "1")
+
+
+def test_correlated_start_on_the_boundary_line_stops_at_once(tmp_path):
+    # decorrelation maps this start 2.2e-16 inside the mapped ray
+    corr = ["--sigma1", "0.7560092608038578", "--sigma2", "0.36107135996785794",
+            "--rho", "-0.8505992572365259", "--slope", "-3.7410169050855",
+            "--region", "and_neg", "--x=-4.547975539878555,17.01405337860103"]
+    code, data = run_to_file(tmp_path, "corr.csv", ["sample-stopped", "--T", "1",
+                                                    "--n", "3"] + corr)
+    assert code == 0
+    for r in parse_csv(data)[1]:
         assert (r["x"], r["y"], r["elapsed"], r["hit_boundary"]) == \
-            ("1.5", "0", "0", "1")
-    code, _ = run_to_file(tmp_path, "d.csv",
-                          ["density"] + near_ray + ["--grid", "2"])
-    assert code == 0
+            ("-4.54797553988", "17.0140533786", "0", "1")
 
 
 @pytest.mark.parametrize("command", ["estimate", "density"])
@@ -353,7 +377,7 @@ def test_start_radius_too_large_for_exit_law_is_a_clean_error(radius):
     assert "too large for the exit-law exponents" in proc.stderr
 
 
-def test_ito_fold_cap_applies_to_each_euler_stopped_cell(tmp_path):
+def test_ito_fold_cap_applies_to_each_euler_stopped_cell(tmp_path, capsys):
     argv = ["ito"] + T1 + ["--mode", "euler_stopped", "--n", "30", "--steps",
                            "20", "--seed", "3", "--mu", "0.1,0.2", "--kappa",
                            "0.7,0.5"]
@@ -362,6 +386,8 @@ def test_ito_fold_cap_applies_to_each_euler_stopped_cell(tmp_path):
     _, rows = parse_csv(data)
     assert rows[0]["fold_cap"] == "1"
     assert int(rows[0]["n_faults"]) > 0
+    assert (f"warning: {rows[0]['n_faults']} faulted paths excluded"
+            in capsys.readouterr().err)
     _, uncapped = run_to_file(tmp_path, "uncapped.csv", argv)
     assert parse_csv(uncapped)[1][0]["n_faults"] == "0"
 

@@ -316,6 +316,9 @@ def test_exit_law_requires_interior_start():
         ExitLawParams.for_side(wedge, PolarPoint(1.0, 0.0), Side.MINUS)
     with pytest.raises(ValueError):
         ExitLawParams.for_side(wedge, PolarPoint(0.0, 0.1), Side.MINUS)
+    # strictly interior is all it asks, like sample_exit_side
+    near_ray = PolarPoint(1.0, 1e-13)
+    assert ExitLawParams.for_side(wedge, near_ray, Side.MINUS).start == near_ray
 
 
 # ---------------------------------------------------------------------------

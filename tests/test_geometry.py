@@ -48,6 +48,47 @@ def test_origin_is_inside_any_wedge():
     assert w.contains(PolarPoint(0.0, 5.0))
 
 
+# ---------------------------------------------------------------------------
+# WedgeSpec.place: the one rule for a point inside, on a ray or outside
+# ---------------------------------------------------------------------------
+
+def test_place_keeps_an_interior_point_and_the_apex():
+    w = WedgeSpec(0.2, 1.1)
+    for p in (PolarPoint(1.5, 0.6), PolarPoint(1.5, 0.2 + 2e-12),
+              PolarPoint(1.5, 1.1 - 2e-12), PolarPoint(0.0, 5.0)):
+        assert w.place(p) is p
+
+
+@pytest.mark.parametrize("theta,ray", [
+    (0.2, 0.2), (0.2 + 1e-13, 0.2), (0.2 - 1e-13, 0.2), (0.2 - 9e-13, 0.2),
+    (1.1, 1.1), (1.1 - 1e-13, 1.1), (1.1 + 1e-13, 1.1), (1.1 + 9e-13, 1.1)])
+def test_place_puts_a_point_near_a_ray_onto_it(theta, ray):
+    placed = WedgeSpec(0.2, 1.1).place(PolarPoint(1.5, theta))
+    assert (placed.r, placed.theta) == (1.5, ray)
+
+
+def test_place_reads_angles_modulo_two_pi():
+    w = WedgeSpec(0.0, 0.9)
+    assert w.place(PolarPoint(2.0, 1e-13)).theta == 0.0
+    assert w.place(PolarPoint(2.0, TWO_PI - 1e-13)).theta == 0.0
+    assert w.place(PolarPoint(2.0, 0.9 - TWO_PI)).theta == 0.9
+    # the full plane's rays are one line: the side of it decides, and an
+    # angle already on a ray keeps it
+    full = WedgeSpec(0.0, TWO_PI)
+    assert full.place(PolarPoint(2.0, 1e-13)).theta == 0.0
+    assert full.place(PolarPoint(2.0, TWO_PI + 1e-13)).theta == 0.0
+    assert full.place(PolarPoint(2.0, TWO_PI - 1e-13)).theta == TWO_PI
+    assert full.place(PolarPoint(2.0, -1e-13)).theta == TWO_PI
+    assert full.place(PolarPoint(2.0, TWO_PI)).theta == TWO_PI
+
+
+@pytest.mark.parametrize("theta", [-2e-12, 0.9 + 2e-12, TWO_PI - 2e-12, 3.0,
+                                   0.3 + TWO_PI])
+def test_place_refuses_a_point_past_the_tolerance(theta):
+    with pytest.raises(ValueError):
+        WedgeSpec(0.0, 0.9).place(PolarPoint(1.0, theta))
+
+
 def test_image_angles_tile_the_plane():
     # the 2m image angles of an interior point are pairwise distinct and
     # exactly one of them (k=0) lies inside the base wedge
@@ -143,6 +184,16 @@ def test_decorrelate_forward_map_sends_region_to_wedge():
     # round trip
     x, y = prob.inverse(prob.apply((0.3, 0.1)))
     assert (x, y) == pytest.approx((0.3, 0.1), abs=1e-14)
+
+
+def test_decorrelate_places_a_start_on_the_boundary_line_on_the_ray():
+    # the start lies on y = slope x; sigma^{-1} maps it 2.2e-16 inside the ray
+    setup = CorrelatedSetup(sigma1=0.7560092608038578, sigma2=0.36107135996785794,
+                            rho=-0.8505992572365259, slope=-3.7410169050855,
+                            region_case=RegionCase.AND_NEG,
+                            x0=(-4.547975539878555, 17.01405337860103))
+    prob = decorrelate(setup)
+    assert prob.start.theta == prob.wedge.alpha_plus
 
 
 def test_decorrelate_map_is_covariance_inverse():

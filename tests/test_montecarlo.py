@@ -131,6 +131,20 @@ def test_config_validation():
         table1_config(mode=Mode.EULER_REFLECTED, steps=10, horizon=math.inf)
 
 
+@pytest.mark.parametrize("mode", [Mode.EULER_STOPPED, Mode.EULER_REFLECTED])
+def test_euler_modes_refuse_a_constant_drift(mode):
+    # the Euler schemes take drift from mu and kappa alone; a constant drift
+    # used to be dropped without a word
+    with pytest.raises(ValueError, match="drift"):
+        table1_config(mode=mode, steps=20, drift=(5.0, -5.0))
+    setup = CorrelatedSetup(sigma1=1.0, sigma2=1.0, rho=0.0,
+                            slope=math.tan(0.9), region_case=RegionCase.AND_POS,
+                            x0=START.cartesian(), drift=(5.0, -5.0))
+    with pytest.raises(ValueError, match="drift"):
+        EstimatorConfig(mode=mode, func=TestFunction.RADIUS_SQ, horizon=1.0,
+                        n_samples=10, seed=0, steps=20, setup=setup)
+
+
 def test_correlated_identity_setup_matches_plain_wedge():
     # sigma = I, rho = 0: decorrelation is the identity, so the setup-based
     # run must agree exactly with the equivalent plain-wedge run

@@ -10,7 +10,9 @@ from scipy.stats import chi2, kstest, ks_2samp, norm
 from wedgebm.densities import ExitLawParams, exit_joint_density, \
     exit_radius_marginal, killed_density_images, survival_probability
 from wedgebm import samplers
-from wedgebm.geometry import TWO_PI, PolarPoint, Side, WedgeSpec, image_angles
+from wedgebm.drift import TimeGrid, euler_reflected, euler_stopped, linear_field
+from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
+                              image_angles)
 from wedgebm.rng import RngStream
 from wedgebm.samplers import (FoldCapExceeded, algorithm_reflected,
                               algorithm_stopped, direct_pi_over_m_reflected,
@@ -120,6 +122,19 @@ def test_exit_time_conditional_distribution():
 
     stat, p = kstest(draws, cdf)
     assert p > 1e-3
+
+
+def test_exit_time_draw_is_scale_free_to_the_bit():
+    # 2e-12 off a ray, exiting at 1 + 2^-40 start radii: at start radius
+    # 2^-500 the exponents ~(r0 d)^2 used to underflow to 0
+    wedge = WedgeSpec(0.0, math.pi / 3)
+    times = []
+    for r0 in (1.0, 2.0 ** -500):
+        params = ExitLawParams.for_side(wedge, PolarPoint(r0, 2e-12), Side.MINUS)
+        times.append(sample_exit_time(params, r0 * (1.0 + 2.0 ** -40),
+                                      RngStream(3)))
+    assert times[0] > 0.0
+    assert times[1] == math.ldexp(times[0], -1000)
 
 
 def test_half_plane_exit_time_tail():
@@ -251,6 +266,17 @@ def test_survivor_acceptance_is_the_survival_probability(m, wedge, start, t):
     p = survival_probability(m, _standard_frame(wedge, start), t)
     se = math.sqrt(p * (1.0 - p) / proposals)
     assert abs(n / proposals - p) <= 4.0 * se
+
+
+def test_survivor_from_a_hair_off_a_ray_far_out():
+    # 1e-9 off the ray at radius 1e10 the start is 10 from it, so it
+    # survives; r^2 + r0^2 - 2 r r0 cos used to cancel the gap between its
+    # image and itself, and no proposal was ever accepted
+    start = PolarPoint(1e10, 1e-9)
+    end = sample_survivor(start, WedgeSpec(0.0, math.pi / 3), 1.0, RngStream(0))
+    x, y = end.cartesian()
+    x0, y0 = start.cartesian()
+    assert math.hypot(x - x0, y - y0) < 10.0
 
 
 def test_survivor_needs_pi_over_m():
@@ -386,6 +412,46 @@ def test_stopped_boundary_start_is_immediate():
     assert s.hit_boundary and s.elapsed == 0.0 and s.folds == 0
     s2 = algorithm_stopped(PolarPoint(0.0, 0.3), 1.0, W09, RngStream(0))
     assert s2.hit_boundary and s2.endpoint.r == 0.0 and s2.folds == 0
+
+
+@given(alpha=st.floats(0.2, TWO_PI), log_r=st.floats(-150.0, 150.0),
+       upper=st.booleans(), outside=st.booleans(),
+       d=st.sampled_from([0.0, 1e-16, 1e-13, 9e-13, 2e-12, 1e-9]),
+       seed=st.integers(0, 2 ** 32))
+@settings(deadline=None, max_examples=300)
+def test_starts_on_and_near_a_ray(alpha, log_r, upper, outside, d, seed):
+    # WedgeSpec.place over the accepted domain: a start within ANGLE_TOL of a
+    # ray, from either side, is on it; one further outside is refused
+    wedge = WedgeSpec(0.0, alpha)
+    ray = alpha if upper else 0.0
+    start = PolarPoint(10.0 ** log_r, ray + d if upper == outside else ray - d)
+    field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
+    grid = TimeGrid.uniform(1.0, 2)
+    runs = {
+        "stopped": lambda rng: algorithm_stopped(start, 1.0, wedge, rng),
+        "reflected": lambda rng: algorithm_reflected(start, 1.0, wedge, rng),
+        "euler_stopped": lambda rng: euler_stopped(field, start, grid, wedge, rng),
+        "euler_reflected": lambda rng: euler_reflected(field, start, grid, wedge, rng),
+    }
+    for name, run in runs.items():
+        if outside and d > ANGLE_TOL:
+            with pytest.raises(ValueError):
+                run(RngStream(seed))
+            continue
+        sample = run(RngStream(seed))
+        assert wedge.contains(sample.endpoint)
+        if "stopped" not in name:
+            continue
+        # a start inside by more than ANGLE_TOL takes a pass, although at
+        # radius 1e-150 its exit time, ~(r d)^2, can round to 0
+        assert (sample.folds == 0) == (d <= ANGLE_TOL)
+        if d <= ANGLE_TOL:
+            assert sample.hit_boundary and sample.elapsed == 0.0
+            # the Euler scheme maps its endpoint back through the cell frame
+            on_ray = wedge.place(sample.endpoint)
+            assert on_ray.theta in (0.0, alpha)
+            assert on_ray.r == pytest.approx(start.r, rel=1e-15)
+            assert name == "euler_stopped" or sample.endpoint == on_ray
 
 
 def test_stopped_single_pass_for_pi_over_m():
