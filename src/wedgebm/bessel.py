@@ -1,10 +1,9 @@
-"""Modified Bessel functions of the first kind, on scipy.special.
+"""Modified Bessel functions of the first kind in the series densities.
 
 The densities only ever use the exponentially scaled value e^{-x} I_nu(x),
 straight from scipy's `ive`: their argument r*r0/t blows up as t -> 0, far
 past the x ~ 709 where I_nu itself overflows, and `ive` stays in range for
-every argument. `log_bessel_i` gives log I_nu(x) as log(ive) + x, or as
-log(iv) where the scaled value underflows and I_nu(x) itself does not.
+every argument.
 
 `series_tail_cutoff` certifies where the densities' sums over the orders
 n*pi/alpha can be truncated. Its bound rests on two facts about I_nu(x),
@@ -31,40 +30,6 @@ MAX_ORDERS = 10 ** 6
 
 class SeriesCapExceeded(RuntimeError):
     """series_tail_cutoff found no certified cutoff below 1e6 orders."""
-
-
-def _check_args(nu, x):
-    if nu < 0 or x < 0 or not (math.isfinite(nu) and math.isfinite(x)):
-        raise ValueError(f"need finite nu >= 0 and x >= 0, got nu={nu} x={x}")
-
-
-def log_bessel_i(nu, x):
-    """log I_nu(x), as log(e^{-x} I_nu(x)) + x.
-
-    Where e^{-x} I_nu(x) underflows but I_nu(x) is an ordinary double (e.g.
-    I_700(225) ~ 1.5e-246), the log of scipy's unscaled `iv`; where both
-    give nothing at x <= 1e-8, the log of the series' leading term (at
-    x = 1e-308 and nu = 0.5 that is -354.8, a double). Returns -inf
-    where I_nu(x) itself underflows; that includes x = 0 with nu > 0, where
-    I_nu vanishes. Raises OverflowError where neither double holds the value:
-    e^{-x} I_nu(x) below the smallest double and I_nu(x) above the largest,
-    which needs x > 1454 and nu past about sqrt(1490 x).
-    """
-    _check_args(nu, x)
-    scaled = special.ive(nu, x)
-    if scaled > 0.0:
-        return math.log(scaled) + x
-    unscaled = special.iv(nu, x)
-    if unscaled == math.inf:
-        raise OverflowError(f"log I_nu(x) out of double range at nu={nu} x={x}")
-    if unscaled > 0.0:
-        return math.log(unscaled)
-    if 0.0 < x <= 1e-8:
-        # scipy's 0 or nan; (x/2)^nu / Gamma(nu + 1) is off by x^2 / 4(nu + 1)
-        lead = nu * (math.log(x) - math.log(2.0)) - math.lgamma(nu + 1.0)
-        if math.exp(lead) > 0.0:
-            return lead
-    return -math.inf
 
 
 def _log_tail_bound(n, nu_step, x, lead_order):

@@ -26,8 +26,8 @@ ESTIMATE_HEADER = ("mode,func,alpha,start_r,start_theta,T,eps,fold_cap,steps,"
                    "mean_weight,ess")
 SAMPLE_HEADER = "index,x,y,elapsed,hit_boundary,folds,weight"
 WORKERS_HELP = ("worker threads; the output does not depend on this. The "
-                "threads share the GIL, so more than one is slower (two ran "
-                "at 0.66x the speed of one on 2 cores)")
+                "threads share the GIL, so more than one does not speed a run "
+                "up")
 
 TABLE1_GEOMETRY = {"alpha": 0.9, "start": (1.5, 0.3), "T": 1.0}
 TABLE2_GEOMETRY = {"alpha": 0.58, "start": (3.0, 0.4), "T": 1.0}

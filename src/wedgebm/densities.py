@@ -4,12 +4,11 @@ Two families of transition densities are provided and kept deliberately
 separate in their conventions:
 
 * image sums (openings pi/m only), values w.r.t. cartesian dy;
-* Bessel series (any opening), values w.r.t. dr dtheta, Jacobian included.
+* Bessel series (any opening), values w.r.t. dr dtheta, Jacobian included,
+  so a series value divided by the target radius is an image-sum value.
 
-`density_dy_to_drdtheta` / `density_drdtheta_to_dy` convert between the two.
-On top of these sit the joint exit law of the stopped process, the 1D
-change-of-measure factors, the corner kernel, and a quadrature helper for
-survival probabilities.
+Next to them sit the parameters of the stopped process's joint exit law on
+one ray, which the exit-time sampler draws from.
 """
 
 import math
@@ -20,10 +19,8 @@ import numpy as np
 from scipy import special
 
 from .bessel import series_tail_cutoff
-from .geometry import (ANGLE_TOL, PolarPoint, Side, WedgeSpec, image_angles,
-                       require_interior, require_pi_over_m)
-
-TWO_PI = 2.0 * math.pi
+from .geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
+                       image_angles, require_interior, require_pi_over_m)
 
 # Signed sums that cancel to something smaller than this (relative to the
 # total term magnitude) are clamped to zero; see _signed_sum.
@@ -137,16 +134,6 @@ def killed_density_series(wedge, x, y, t):
     return _series_density(Kind.KILLED, wedge, x, y, t)
 
 
-def density_dy_to_drdtheta(value, r):
-    return value * r
-
-
-def density_drdtheta_to_dy(value, r):
-    if r == 0.0:
-        raise ValueError("cannot divide out the Jacobian at r = 0")
-    return value / r
-
-
 # ---------------------------------------------------------------------------
 # joint exit law of the stopped process (openings pi/m)
 # ---------------------------------------------------------------------------
@@ -166,10 +153,13 @@ class ExitLawParams:
 
     @classmethod
     def for_side(cls, wedge, start, side, _m=None):
-        """The law on `side` for a start in the pi/m wedge; a caller that
-        already knows m passes it as _m."""
-        m = require_pi_over_m(wedge) if _m is None else _m
-        require_interior(start, wedge)
+        """The law on `side` for a start strictly inside the pi/m wedge. A
+        pass gives the m of its sub-wedge as _m and skips both checks: its
+        exit-side draw has just checked the start."""
+        m = _m
+        if m is None:
+            m = require_pi_over_m(wedge)
+            require_interior(start, wedge)
         th0 = start.theta
         if side is Side.PLUS:
             gam = tuple(wedge.alpha_plus + TWO_PI * k / m - th0 for k in range(m))
@@ -187,89 +177,3 @@ class ExitLawParams:
             s = r0 * math.sin(g)
             out.append(d * d + s * s)
         return out
-
-
-def exit_joint_density(params, r, t):
-    """Joint density (w.r.t. dr dt) of (exit radius, exit time) on one side."""
-    if r <= 0 or t <= 0:
-        raise ValueError(f"need r > 0 and t > 0, got r={r} t={t}")
-    r0 = params.start.r
-    pref = r0 / (TWO_PI * t * t)
-    terms = [math.sin(g) * math.exp(-c / (2.0 * t))
-             for g, c in zip(params.gammas, params.c_values(r))]
-    return pref * _signed_sum(terms)
-
-
-def exit_radius_marginal(params, r):
-    """Density of the exit radius on the chosen side (t integrated out).
-
-    Each term integrates as int t^-2 e^{-c/2t} dt = 2/c; a query at c_k = 0
-    sits exactly on an image point and saturates to +inf.
-    """
-    r0 = params.start.r
-    terms = []
-    for g, c in zip(params.gammas, params.c_values(r)):
-        if c == 0.0:
-            return math.inf
-        terms.append(math.sin(g) / c)
-    return (r0 / math.pi) * _signed_sum(terms)
-
-
-# ---------------------------------------------------------------------------
-# 1D factors, corner kernel, survival probability
-# ---------------------------------------------------------------------------
-
-def one_dim_factor(kind, x0, w, T):
-    """Change-of-measure factor of the 1D half-line kernels against a free
-    Gaussian endpoint w ~ N(x0, T): 1_{w>0} (1 -+ e^{-2 x0 w / T})."""
-    if x0 < 0:
-        raise ValueError(f"x0 must be nonnegative, got {x0}")
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if w <= 0:
-        return 0.0
-    corr = math.exp(-2.0 * x0 * w / T)
-    return 1.0 - corr if kind is Kind.KILLED else 1.0 + corr
-
-
-def corner_kernel(r_n, t_prime, alpha, r, theta=0.0):
-    """Leading-order terminal kernel near the corner, w.r.t. dr dtheta.
-
-    Constant in theta on [0, alpha]. Its normalizer C lies between
-    1/(e^{-r_n^2/2t'} + r_n sqrt(pi/2t')) and e^{r_n^2/2t'}.
-    """
-    if r_n < 0 or t_prime <= 0 or r < 0:
-        raise ValueError("need r_n >= 0, t_prime > 0, r >= 0")
-    z = r * r_n / t_prime
-    base = math.exp(-((r - r_n) ** 2) / (2.0 * t_prime))
-    return (r / (t_prime * alpha)) * base * special.ive(0, z)
-
-
-def survival_probability(m, x, t):
-    """P(tau > t) for the killed motion in <0, pi/m>, by adaptive quadrature
-    of the image-sum kernel. Absolute error ~1e-9, well under the 1e-7 the
-    tests rely on."""
-    # imported here, its only use: scipy.integrate is a quarter of a second
-    # and ~26 MB that `import wedgebm` would otherwise pay on every run
-    from scipy import integrate
-
-    require_m = int(m)
-    if require_m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    alpha = math.pi / require_m
-    if t <= 0:
-        return 1.0
-    r0 = x.r
-    spread = 8.0 * math.sqrt(t)
-    r_lo = max(0.0, r0 - spread)
-    r_hi = r0 + spread
-    if spread < r0:
-        half = min(math.pi, 10.0 * math.sqrt(t) / r0)
-        th_lo = max(0.0, x.theta - half)
-        th_hi = min(alpha, x.theta + half)
-    else:
-        th_lo, th_hi = 0.0, alpha
-    val, _err = integrate.dblquad(
-        lambda r, theta: killed_density_images(require_m, x, PolarPoint(r, theta), t) * r,
-        th_lo, th_hi, r_lo, r_hi, epsabs=1e-9, epsrel=1e-9)
-    return val

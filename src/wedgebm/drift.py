@@ -23,11 +23,9 @@ identity diffusion).
 import math
 from dataclasses import dataclass
 
-from .geometry import PolarPoint, WedgeSpec, mat_vec
+from .geometry import TWO_PI, PolarPoint, WedgeSpec, mat_vec
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathSample,
                        algorithm_reflected, algorithm_stopped)
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)

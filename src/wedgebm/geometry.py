@@ -82,9 +82,6 @@ class WedgeSpec:
     def contains_angle(self, theta):
         return self.alpha_minus - ANGLE_TOL <= theta <= self.alpha_plus + ANGLE_TOL
 
-    def contains(self, point):
-        return point.r == 0.0 or self.contains_angle(point.theta)
-
     def place(self, point):
         """The point unchanged if it is the apex or inside by more than
         ANGLE_TOL; at the same radius exactly on the nearer ray if its angle,
@@ -208,18 +205,12 @@ class CorrelatedSetup:
             return y >= 0 or y >= a * x
         return y >= 0 or y <= a * x
 
-    def covariance_factor(self):
-        """Upper-triangular sigma with sigma sigma^T = [[s1^2, rho s1 s2], ...]."""
-        s1, s2, rho = self.sigma1, self.sigma2, self.rho
-        return ((s1 * math.sqrt(1.0 - rho * rho), s1 * rho), (0.0, s2))
-
 
 @dataclass(frozen=True)
 class DecorrelatedProblem:
     wedge: WedgeSpec
     start: PolarPoint
     forward_map: tuple  # 2x2, rows as tuples; applies to user coordinates
-    degenerate: bool
     drift: tuple = (0.0, 0.0)
 
     def apply(self, point):
@@ -245,16 +236,14 @@ def decorrelate(setup):
 
     where a sign change of s2 - a s1 rho swaps which branch applies. When
     s2 - a s1 rho = 0 the mapped second ray is vertical: alpha' = pi/2
-    (intersection) or 3 pi/2 (union), and the degenerate flag is set so the
-    caller knows the quarter-plane product structure applies.
+    (intersection) or 3 pi/2 (union).
     """
     s1, s2, rho = setup.sigma1, setup.sigma2, setup.rho
     a = setup.slope
     root = math.sqrt(1.0 - rho * rho)
     den = s2 - a * s1 * rho
     union = setup.region_case in (RegionCase.OR_POS, RegionCase.OR_NEG)
-    degenerate = den == 0.0
-    if degenerate:
+    if den == 0.0:
         base = math.pi / 2.0
     else:
         a_prime = a * s1 * root / den
@@ -262,10 +251,10 @@ def decorrelate(setup):
         if a_prime < 0:
             base += math.pi
     alpha_prime = base + (math.pi if union else 0.0)
-    # sigma^{-1} for the upper-triangular factor
+    # sigma^{-1} for the upper-triangular sigma = ((s1 root, s1 rho), (0, s2)),
+    # whose sigma sigma^T is the covariance
     inv = ((1.0 / (s1 * root), -rho / (s2 * root)), (0.0, 1.0 / s2))
     wedge = WedgeSpec(0.0, alpha_prime)
     start = wedge.place(PolarPoint.from_cartesian(*mat_vec(inv, setup.x0)))
     return DecorrelatedProblem(wedge=wedge, start=start, forward_map=inv,
-                               degenerate=degenerate,
                                drift=mat_vec(inv, setup.drift))

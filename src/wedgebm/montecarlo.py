@@ -298,12 +298,3 @@ def eps_sweep(config, eps_values):
         stats = folding_stats(replace(config, epsilon=float(eps)))
         out.append((float(eps), stats.mean))
     return out
-
-
-def double_barrier_constants(m):
-    """Mean and variance of the folding clock of an opening pi/m:
-    (pi^2 / 4m^2, (2/3)(pi/2m)^4)."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    half = math.pi / (2.0 * m)
-    return half * half, (2.0 / 3.0) * half ** 4

@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 from .corner import corner_triggered, sample_corner
 from .densities import ExitLawParams
-from .geometry import (PolarPoint, Side, WedgeSpec, fold_into_wedge, image_angles,
-                       require_interior)
-
-TWO_PI = 2.0 * math.pi
+from .geometry import (TWO_PI, PolarPoint, Side, WedgeSpec, fold_into_wedge,
+                       image_angles, require_interior)
 
 DEFAULT_EPSILON = 0.03
 DEFAULT_FOLD_CAP = 10 ** 6
@@ -279,9 +277,10 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
     start = wedge.place(start)
     th = start.theta - wedge.alpha_minus
     r_n = start.r
-    # starting on the boundary means tau = 0
+    # starting on the boundary means tau = 0; the apex, which belongs to
+    # both rays, is reported on the lower one whatever its angle
     if r_n == 0.0 or th <= 0.0 or th >= alpha:
-        ray = wedge.alpha_minus if th <= alpha - th else wedge.alpha_plus
+        ray = wedge.alpha_minus if r_n == 0.0 or th <= alpha - th else wedge.alpha_plus
         return _stopped_sample(PolarPoint(r_n, ray), 0.0, True, 0)
     theta_cap, m_sub, sub = _pass_plan(alpha)
     t_n = 0.0
@@ -391,17 +390,3 @@ def _absolute_driving(start, base, wx, wy):
         return (sx + wx, sy + wy)
     cb, sb = math.cos(base), math.sin(base)
     return (sx + cb * wx - sb * wy, sy + sb * wx + cb * wy)
-
-
-def direct_pi_over_m_reflected(start, T, m, rng):
-    """One-shot reflected endpoint for openings pi/m: the free Brownian
-    endpoint from the cartesian `start`, folded into <0, pi/m> by the
-    2m-sector tiling."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    if T <= 0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    sd = math.sqrt(T)
-    x = start[0] + sd * rng.normal()
-    y = start[1] + sd * rng.normal()
-    return PolarPoint(*_sector_fold(x, y, WedgeSpec(0.0, math.pi / m), m))

@@ -355,6 +355,17 @@ def test_correlated_start_on_the_boundary_line_stops_at_once(tmp_path):
             ("-4.54797553988", "17.0140533786", "0", "1")
 
 
+@pytest.mark.parametrize("angle", ["0", "0.5", "2", "3"])
+def test_stopped_apex_start_prints_the_apex_unsigned(tmp_path, angle):
+    # the apex belongs to both rays; its angle must not give x or y a sign
+    # (at angle 2 it was reported on the upper ray 3, and 0 * cos 3 = -0)
+    code, data = run_to_file(tmp_path, "apex.csv", [
+        "sample-stopped", "--alpha", "3", "--start", "0," + angle, "--T", "1",
+        "--n", "1"])
+    assert code == 0
+    assert data == b"index,x,y,elapsed,hit_boundary,folds,weight\n0,0,0,0,1,0,1\n"
+
+
 @pytest.mark.parametrize("command", ["estimate", "density"])
 def test_start_beyond_angle_tol_of_a_ray_is_a_usage_error(command, capsys):
     assert run_cli([command, "--alpha", "0.9", "--start", "1.5,0.9000000005",

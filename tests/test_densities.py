@@ -7,17 +7,17 @@ import sys
 import numpy as np
 import pytest
 from scipy import integrate, special
-from scipy.stats import norm
+from scipy.stats import norm, rice
 
 import wedgebm
 from wedgebm.bessel import SeriesCapExceeded
-from wedgebm.densities import (ExitLawParams, Kind, corner_kernel,
-                               density_drdtheta_to_dy, density_dy_to_drdtheta,
-                               exit_joint_density, exit_radius_marginal,
-                               killed_density_images, killed_density_series,
-                               one_dim_factor, reflected_density_images,
-                               reflected_density_series, survival_probability)
+from wedgebm.densities import (ExitLawParams, Kind, killed_density_images,
+                               killed_density_series, reflected_density_images,
+                               reflected_density_series)
 from wedgebm.geometry import PolarPoint, Side, WedgeSpec
+
+from laws import (corner_kernel, exit_joint_density, exit_radius_marginal,
+                  one_dim_factor, survival_probability)
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,12 +46,11 @@ def test_series_matches_images(m):
     wedge = WedgeSpec(0.0, alpha)
     rng = np.random.default_rng(101 + m)
     for start, target, t in random_triples(rng, alpha, 30):
+        # a series value w.r.t. dr dtheta over r is the value w.r.t. dy
         ki = killed_density_images(m, start, target, t)
-        ks = density_drdtheta_to_dy(
-            killed_density_series(wedge, target, start, t), target.r)
+        ks = killed_density_series(wedge, target, start, t) / target.r
         ri = reflected_density_images(m, start, target, t)
-        rs = density_drdtheta_to_dy(
-            reflected_density_series(wedge, target, start, t), target.r)
+        rs = reflected_density_series(wedge, target, start, t) / target.r
         scale = 1.0 / (TWO_PI * t)  # free-kernel magnitude
         assert ki == pytest.approx(ks, rel=1e-8, abs=1e-8 * scale)
         assert ri == pytest.approx(rs, rel=1e-8, abs=1e-8 * scale)
@@ -69,8 +68,7 @@ def test_series_matches_images_at_small_t(t):
         for dth in (-step / start.r, 0.0, step / start.r):
             target = PolarPoint(start.r + dr, start.theta + dth)
             for series, images in pairs:
-                got = density_drdtheta_to_dy(series(wedge, target, start, t),
-                                             target.r)
+                got = series(wedge, target, start, t) / target.r
                 assert got == pytest.approx(images(3, start, target, t),
                                             rel=1e-10)
 
@@ -245,8 +243,8 @@ def test_series_rejects_outside_points():
 
 
 def test_import_leaves_scipy_integrate_unloaded():
-    # survival_probability imports it when called: it adds ~0.25 s and
-    # ~26 MB to every process that imports wedgebm, and nothing else uses it
+    # only the quadrature oracles of the tests use it: it would add ~0.25 s
+    # and ~26 MB to every process that imports wedgebm
     src = str(pathlib.Path(wedgebm.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -265,13 +263,6 @@ def test_killed_below_reflected():
         r = reflected_density_series(wedge, target, start, t)
         assert k >= -1e-12
         assert k <= r + 1e-12
-
-
-def test_density_converters():
-    assert density_dy_to_drdtheta(2.0, 1.5) == 3.0
-    assert density_drdtheta_to_dy(3.0, 1.5) == 2.0
-    with pytest.raises(ValueError):
-        density_drdtheta_to_dy(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +313,7 @@ def test_exit_law_requires_interior_start():
 
 
 # ---------------------------------------------------------------------------
-# corner kernel
+# corner kernel (the law corner.sample_corner draws from)
 # ---------------------------------------------------------------------------
 
 def test_corner_kernel_integrates_to_one():
@@ -333,6 +324,11 @@ def test_corner_kernel_integrates_to_one():
             0.0, alpha, 0.0, r_n + 12.0 * math.sqrt(t_prime),
             epsabs=1e-10)
         assert val == pytest.approx(1.0, abs=1e-7)
+        # its radius marginal is the Rice law test_corner checks the draws on
+        sd = math.sqrt(t_prime)
+        for r in (0.1, 0.8, 2.0):
+            assert alpha * corner_kernel(r_n, t_prime, alpha, r) == pytest.approx(
+                rice(r_n / sd, scale=sd).pdf(r), rel=1e-12)
 
 
 def test_corner_kernel_constant_in_theta():

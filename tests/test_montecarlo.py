@@ -6,9 +6,8 @@ import pytest
 from wedgebm.geometry import (CorrelatedSetup, PolarPoint, RegionCase,
                               WedgeSpec)
 from wedgebm.montecarlo import (EstimatorConfig, FaultFractionExceeded, Mode,
-                                TestFunction, apply_test_function,
-                                double_barrier_constants, eps_sweep, estimate,
-                                folding_stats)
+                                TestFunction, apply_test_function, eps_sweep,
+                                estimate, folding_stats)
 from wedgebm.rng import RngStream
 from wedgebm.samplers import PathSample
 
@@ -200,16 +199,3 @@ def test_eps_sweep_monotone():
     means = [mean for _eps, mean in rows]
     assert means == sorted(means, reverse=True)
     assert all(a > b for a, b in zip(means, means[1:]))
-
-
-def test_double_barrier_constants_identities():
-    mean1, var1 = double_barrier_constants(1)
-    assert mean1 == pytest.approx(math.pi ** 2 / 4.0, rel=1e-15)
-    for m in (1, 2, 3, 5):
-        mean_m, var_m = double_barrier_constants(m)
-        mean_2m, _ = double_barrier_constants(2 * m)
-        assert mean_2m == pytest.approx(mean_m / 4.0, rel=1e-14)
-        assert var_m * 1.5 == pytest.approx((math.pi / (2 * m)) ** 4,
-                                            rel=1e-14)
-    with pytest.raises(ValueError):
-        double_barrier_constants(0)
