@@ -19,8 +19,8 @@ import numpy as np
 from scipy import special
 
 from .bessel import series_tail_cutoff
-from .geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
-                       image_angles, require_interior, require_pi_over_m)
+from .geometry import (TWO_PI, PolarPoint, Side, WedgeSpec, image_angles,
+                       require_interior, require_pi_over_m)
 
 # Signed sums that cancel to something smaller than this (relative to the
 # total term magnitude) are clamped to zero; see _signed_sum.
@@ -53,19 +53,13 @@ def _signed_sum(terms):
     return total
 
 
-def _check_in_standard_wedge(point, opening, label):
-    if point.r > 0 and not (-ANGLE_TOL <= point.theta <= opening + ANGLE_TOL):
-        raise ValueError(f"{label} angle {point.theta} outside wedge (0, {opening})")
-
-
 # ---------------------------------------------------------------------------
 # image sums, openings pi/m, densities w.r.t. cartesian dy
 # ---------------------------------------------------------------------------
 
 def _image_terms(m, x, y, t, signed):
     wedge = WedgeSpec(0.0, math.pi / m)
-    _check_in_standard_wedge(x, wedge.opening, "x")
-    _check_in_standard_wedge(y, wedge.opening, "y")
+    x, y = wedge.place(x), wedge.place(y)
     rx, ry = x.r, y.r
     norm = 1.0 / (TWO_PI * t)
     terms = []
@@ -104,10 +98,9 @@ def _series_density(kind, wedge, x, y, t):
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     alpha = wedge.opening
+    x, y = wedge.place(x), wedge.place(y)
     th = x.theta - wedge.alpha_minus
     th0 = y.theta - wedge.alpha_minus
-    _check_in_standard_wedge(PolarPoint(x.r, th), alpha, "x")
-    _check_in_standard_wedge(PolarPoint(y.r, th0), alpha, "y")
     r, r0 = x.r, y.r
     z = r * r0 / t
     base = math.exp(-((r - r0) ** 2) / (2.0 * t))  # = e^{-(r^2+r0^2)/2t} e^z
@@ -146,9 +139,7 @@ class ExitLawParams:
     each term at radius r is c_k(r) = (r - r0 cos g_k)^2 + r0^2 sin^2 g_k.
     """
 
-    wedge: WedgeSpec
     start: PolarPoint
-    side: Side
     gammas: tuple
 
     @classmethod
@@ -165,7 +156,7 @@ class ExitLawParams:
             gam = tuple(wedge.alpha_plus + TWO_PI * k / m - th0 for k in range(m))
         else:
             gam = tuple(-wedge.alpha_minus - TWO_PI * k / m + th0 for k in range(m))
-        return cls(wedge=wedge, start=start, side=side, gammas=gam)
+        return cls(start=start, gammas=gam)
 
     def c_values(self, r, scale_exp=0):
         """c_k(r), or with scale_exp = k those at every radius times 2^-k."""

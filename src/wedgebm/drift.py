@@ -11,19 +11,20 @@ the path starts; with a start at the origin the two agree.
 
 State-dependent coefficients go through a frozen-coefficient Euler scheme:
 on each grid cell the drift and diffusion are frozen at the left endpoint,
-the cell is mapped to standard-Brownian wedge coordinates by the inverse of
-the frozen diffusion matrix (plus a rotation bringing the lower ray image to
-angle zero), and the exact drifted sampler runs on the sub-interval. For the
-reflected variant the reflection is normal in the decorrelated frame of each
-cell, which coincides with normal reflection in the original frame whenever
-the frozen diffusion is a scalar multiple of a rotation (in particular for
-identity diffusion).
+the cell is mapped to standard-Brownian wedge coordinates by
+`geometry.standard_frame` of the frozen diffusion matrix (its inverse, plus
+a rotation bringing the lower ray image to angle zero), and the exact
+drifted sampler runs on the sub-interval. For the reflected variant the
+reflection is normal in the decorrelated frame of each cell, which
+coincides with normal reflection in the original frame whenever the frozen
+diffusion is a scalar multiple of a rotation (in particular for identity
+diffusion).
 """
 
 import math
 from dataclasses import dataclass
 
-from .geometry import TWO_PI, PolarPoint, WedgeSpec, mat_vec
+from .geometry import PolarPoint, mat_vec, standard_frame
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathSample,
                        algorithm_reflected, algorithm_stopped)
 
@@ -139,45 +140,6 @@ class TimeGrid:
         return cls(times=tuple(times))
 
 
-def _cell_frame(sigma_mat, wedge):
-    """Standard-coordinate frame for one frozen-coefficient cell.
-
-    Maps both wedge rays through sigma^{-1}, locates the image of the wedge
-    interior (the candidate cone containing the image of the bisector), and
-    rotates its lower edge onto angle zero. Returns (forward 2x2, inverse
-    2x2, the image wedge).
-    """
-    (a, b), (c, d) = sigma_mat
-    det = a * d - b * c
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    if scale == 0.0 or abs(det) < 1e-12 * scale * scale:
-        raise ValueError(f"diffusion matrix {sigma_mat} is singular")
-    inv = ((d / det, -b / det), (-c / det, a / det))
-    lo, hi = wedge.alpha_minus, wedge.alpha_plus
-    p0 = mat_vec(inv, (math.cos(lo), math.sin(lo)))
-    p1 = mat_vec(inv, (math.cos(hi), math.sin(hi)))
-    mid = 0.5 * (lo + hi)
-    pm = mat_vec(inv, (math.cos(mid), math.sin(mid)))
-    phi0 = math.atan2(p0[1], p0[0]) % TWO_PI
-    phi1 = math.atan2(p1[1], p1[0]) % TWO_PI
-    ccw = (phi1 - phi0) % TWO_PI
-    mid_off = (math.atan2(pm[1], pm[0]) - phi0) % TWO_PI
-    if mid_off <= ccw:
-        base, opening = phi0, ccw
-    else:
-        base, opening = phi1, TWO_PI - ccw
-    cb, sb = math.cos(base), math.sin(base)
-    rot = ((cb, sb), (-sb, cb))  # rotation by -base
-    fwd = ((rot[0][0] * inv[0][0] + rot[0][1] * inv[1][0],
-            rot[0][0] * inv[0][1] + rot[0][1] * inv[1][1]),
-           (rot[1][0] * inv[0][0] + rot[1][1] * inv[1][0],
-            rot[1][0] * inv[0][1] + rot[1][1] * inv[1][1]))
-    fdet = fwd[0][0] * fwd[1][1] - fwd[0][1] * fwd[1][0]
-    bwd = ((fwd[1][1] / fdet, -fwd[0][1] / fdet),
-           (-fwd[1][0] / fdet, fwd[0][0] / fdet))
-    return fwd, bwd, WedgeSpec(0.0, opening)
-
-
 def euler_stopped(coeffs, start, grid, wedge, rng, fold_cap=DEFAULT_FOLD_CAP):
     """Frozen-coefficient Euler scheme for the stopped diffusion.
 
@@ -217,7 +179,7 @@ def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
         # the frame depends on sigma alone: keep it while sigma is unchanged
         # (compared entry by entry, so any 2x2 sequence, arrays too, works)
         if (a, b, c, d) != frame_sigma:
-            frame_sigma, frame = (a, b, c, d), _cell_frame(s_k, wedge)
+            frame_sigma, frame = (a, b, c, d), standard_frame(s_k, wedge)
         fwd, bwd, cell_wedge = frame
         # round-off can put a point on a ray a hair off it in the cell frame
         cell_start = cell_wedge.place(PolarPoint.from_cartesian(*mat_vec(fwd, pos)))

@@ -2,9 +2,10 @@
 
 A wedge <alpha_minus, alpha_plus> is the set of points whose polar angle lies
 between the two ray angles. All samplers and densities work in "standard"
-coordinates where the driving noise is a standard planar Brownian motion; a
-correlated problem (marginal scales sigma1, sigma2, correlation rho, boundary
-line y = a x) is brought to standard coordinates by `decorrelate`.
+coordinates where the driving noise is a standard planar Brownian motion.
+`standard_frame` is the one map there from noise sigma W in a wedge: each
+Euler cell uses it, and `decorrelate` applies it to a correlated problem
+(marginal scales sigma1, sigma2, correlation rho, boundary line y = a x).
 """
 
 import math
@@ -163,6 +164,45 @@ def fold_into_wedge(theta_tilde, wedge):
 # decorrelation
 # ---------------------------------------------------------------------------
 
+def standard_frame(sigma, wedge):
+    """The linear map taking sigma W in `wedge` to a standard planar Brownian
+    motion in a wedge <0, opening>, for any invertible 2x2 sigma.
+
+    Maps both rays through sigma^{-1}, takes the image cone that holds the
+    image of the bisector, and rotates its lower edge onto angle zero.
+    Returns (forward 2x2, backward 2x2, the image wedge).
+    """
+    (a, b), (c, d) = sigma
+    det = a * d - b * c
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if scale == 0.0 or abs(det) < 1e-12 * scale * scale:
+        raise ValueError(f"diffusion matrix {sigma} is singular")
+    inv = ((d / det, -b / det), (-c / det, a / det))
+    lo, hi = wedge.alpha_minus, wedge.alpha_plus
+    p0 = mat_vec(inv, (math.cos(lo), math.sin(lo)))
+    p1 = mat_vec(inv, (math.cos(hi), math.sin(hi)))
+    mid = 0.5 * (lo + hi)
+    pm = mat_vec(inv, (math.cos(mid), math.sin(mid)))
+    phi0 = math.atan2(p0[1], p0[0]) % TWO_PI
+    phi1 = math.atan2(p1[1], p1[0]) % TWO_PI
+    ccw = (phi1 - phi0) % TWO_PI
+    mid_off = (math.atan2(pm[1], pm[0]) - phi0) % TWO_PI
+    if mid_off <= ccw:
+        base, opening = phi0, ccw
+    else:
+        base, opening = phi1, TWO_PI - ccw
+    cb, sb = math.cos(base), math.sin(base)
+    rot = ((cb, sb), (-sb, cb))  # rotation by -base
+    fwd = ((rot[0][0] * inv[0][0] + rot[0][1] * inv[1][0],
+            rot[0][0] * inv[0][1] + rot[0][1] * inv[1][1]),
+           (rot[1][0] * inv[0][0] + rot[1][1] * inv[1][0],
+            rot[1][0] * inv[0][1] + rot[1][1] * inv[1][1]))
+    fdet = fwd[0][0] * fwd[1][1] - fwd[0][1] * fwd[1][0]
+    bwd = ((fwd[1][1] / fdet, -fwd[0][1] / fdet),
+           (-fwd[1][0] / fdet, fwd[0][0] / fdet))
+    return fwd, bwd, WedgeSpec(0.0, opening)
+
+
 @dataclass(frozen=True)
 class CorrelatedSetup:
     """A correlated problem in user coordinates.
@@ -193,6 +233,21 @@ class CorrelatedSetup:
         if not self.region_contains(self.x0):
             raise ValueError(f"start {self.x0} outside region {self.region_case}")
 
+    @property
+    def sigma(self):
+        """The upper-triangular covariance factor: sigma sigma^T has
+        diagonal (sigma1^2, sigma2^2) and off-diagonal rho sigma1 sigma2."""
+        s1, rho = self.sigma1, self.rho
+        return ((s1 * math.sqrt(1.0 - rho * rho), s1 * rho), (0.0, self.sigma2))
+
+    @property
+    def wedge(self):
+        """The region as a wedge in user coordinates, from the positive
+        x-axis counterclockwise to the ray of y = slope * x that bounds it."""
+        turn = {RegionCase.AND_POS: 0.0, RegionCase.AND_NEG: math.pi,
+                RegionCase.OR_POS: math.pi, RegionCase.OR_NEG: TWO_PI}
+        return WedgeSpec(0.0, math.atan(self.slope) + turn[self.region_case])
+
     def region_contains(self, point):
         x, y = point
         a = self.slope
@@ -211,50 +266,22 @@ class DecorrelatedProblem:
     wedge: WedgeSpec
     start: PolarPoint
     forward_map: tuple  # 2x2, rows as tuples; applies to user coordinates
+    backward_map: tuple  # its inverse; applies to standard coordinates
     drift: tuple = (0.0, 0.0)
-
-    def apply(self, point):
-        return mat_vec(self.forward_map, point)
-
-    def inverse(self, point):
-        (a, b), (c, d) = self.forward_map
-        det = a * d - b * c
-        x, y = point
-        return ((d * x - b * y) / det, (-c * x + a * y) / det)
 
 
 def decorrelate(setup):
-    """Map a correlated setup to a standard-Brownian wedge problem.
+    """Map a correlated setup to a standard-Brownian wedge problem: the
+    standard frame of (setup.sigma, setup.wedge), the start placed in its
+    wedge, and the drift through its forward map.
 
-    Applying sigma^{-1} leaves the x-axis in place and sends the line
-    y = slope * x to a line of slope a' = a s1 sqrt(1-rho^2)/(s2 - a s1 rho).
-    The region becomes the wedge <0, alpha'> with
-
-        intersection cases: alpha' = atan(a')        (a' > 0)
-                            alpha' = pi + atan(a')   (a' < 0)
-        union cases:        the same plus pi,
-
-    where a sign change of s2 - a s1 rho swaps which branch applies. When
-    s2 - a s1 rho = 0 the mapped second ray is vertical: alpha' = pi/2
-    (intersection) or 3 pi/2 (union).
+    sigma^{-1} keeps the x-axis, so the frame needs no rotation: the forward
+    map is sigma^{-1}. scripts/oracles/decorrelation_reference.py derives and
+    checks the closed forms of the opening: atan of the mapped slope
+    a' = a s1 sqrt(1-rho^2)/(s2 - a s1 rho), plus pi where a' < 0, plus pi
+    for a union, and pi/2 (3 pi/2) where s2 = a s1 rho.
     """
-    s1, s2, rho = setup.sigma1, setup.sigma2, setup.rho
-    a = setup.slope
-    root = math.sqrt(1.0 - rho * rho)
-    den = s2 - a * s1 * rho
-    union = setup.region_case in (RegionCase.OR_POS, RegionCase.OR_NEG)
-    if den == 0.0:
-        base = math.pi / 2.0
-    else:
-        a_prime = a * s1 * root / den
-        base = math.atan(a_prime)
-        if a_prime < 0:
-            base += math.pi
-    alpha_prime = base + (math.pi if union else 0.0)
-    # sigma^{-1} for the upper-triangular sigma = ((s1 root, s1 rho), (0, s2)),
-    # whose sigma sigma^T is the covariance
-    inv = ((1.0 / (s1 * root), -rho / (s2 * root)), (0.0, 1.0 / s2))
-    wedge = WedgeSpec(0.0, alpha_prime)
-    start = wedge.place(PolarPoint.from_cartesian(*mat_vec(inv, setup.x0)))
-    return DecorrelatedProblem(wedge=wedge, start=start, forward_map=inv,
-                               drift=mat_vec(inv, setup.drift))
+    fwd, bwd, wedge = standard_frame(setup.sigma, setup.wedge)
+    start = wedge.place(PolarPoint.from_cartesian(*mat_vec(fwd, setup.x0)))
+    return DecorrelatedProblem(wedge=wedge, start=start, forward_map=fwd,
+                               backward_map=bwd, drift=mat_vec(fwd, setup.drift))

@@ -14,10 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .drift import (CoefficientField, DriftSpec, TimeGrid, euler_reflected,
-                    euler_stopped, linear_field, reflected_with_drift,
-                    stopped_with_drift)
-from .geometry import PolarPoint, WedgeSpec, decorrelate
+from .drift import (DriftSpec, TimeGrid, euler_reflected, euler_stopped,
+                    linear_field, reflected_with_drift, stopped_with_drift)
+from .geometry import PolarPoint, WedgeSpec, decorrelate, mat_vec
 from .rng import RngStream
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded,
                        algorithm_reflected, algorithm_stopped)
@@ -132,29 +131,13 @@ class McReport:
     seed: int
 
 
-def _frame_coeffs(coeffs, problem):
-    """Push a user-frame coefficient field through the decorrelation map F:
-    for Z = F Y the drift becomes F b(F^{-1} z) and the diffusion F sigma."""
-    fwd = problem.forward_map
-
-    def b(z, t):
-        return problem.apply(coeffs.drift(problem.inverse(z), t))
-
-    def s(z, t):
-        (a, bb), (c, d) = coeffs.diffusion(problem.inverse(z), t)
-        return ((fwd[0][0] * a + fwd[0][1] * c, fwd[0][0] * bb + fwd[0][1] * d),
-                (fwd[1][0] * a + fwd[1][1] * c, fwd[1][0] * bb + fwd[1][1] * d))
-
-    return CoefficientField(drift=b, diffusion=s)
-
-
 def simulate(config, resolved, rng):
     """One path of `config` drawn from `rng`: returns (PathSample, faulted).
 
     resolved holds the per-run constants built by `map_paths`: (wedge,
-    start, DriftSpec, Euler coefficient field, Euler time grid), all in
-    standard coordinates. A path that exceeds the fold cap returns its
-    partial state with faulted=True.
+    start, DriftSpec, Euler coefficient field, Euler time grid), in standard
+    coordinates but for an Euler run's, which are in the input frame. A path
+    that exceeds the fold cap returns its partial state with faulted=True.
     """
     wedge, start, drift, coeffs, grid = resolved
     T, cap, eps = config.horizon, config.fold_cap, config.epsilon
@@ -193,9 +176,13 @@ def map_paths(config, fn):
     wedge, start, drift, problem = config.resolve()
     coeffs = grid = None
     if config.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
-        coeffs = linear_field(config.mu, config.kappa, IDENTITY)
-        if problem is not None:
-            coeffs = _frame_coeffs(coeffs, problem)
+        # Euler paths run in the input frame, where each cell's standard
+        # frame decorrelates the noise sigma W
+        sigma, setup = IDENTITY, config.setup
+        if setup is not None:
+            sigma, wedge, problem = setup.sigma, setup.wedge, None
+            start = PolarPoint.from_cartesian(*setup.x0)
+        coeffs = linear_field(config.mu, config.kappa, sigma)
         grid = TimeGrid.uniform(config.horizon, config.steps)
     resolved = (wedge, start, DriftSpec(tuple(drift)), coeffs, grid)
     root = RngStream(config.seed)
@@ -204,7 +191,7 @@ def map_paths(config, fn):
         sample, faulted = simulate(config, resolved, root.derive(index))
         xy = sample.cartesian_endpoint()
         if problem is not None:
-            xy = problem.inverse(xy)
+            xy = mat_vec(problem.backward_map, xy)
         return fn(index, sample, faulted, xy)
 
     indices = range(config.n_samples)

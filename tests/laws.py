@@ -2,9 +2,8 @@
 
 None of these runs in the package: the exit law's densities, the survival
 probability by quadrature, the 1D half-line factors, the one-shot reflected
-endpoint for openings pi/m, the covariance factor of a correlated setup and
-the order-zero corner kernel that `corner.sample_corner` draws from are
-oracles only.
+endpoint for openings pi/m and the order-zero corner kernel that
+`corner.sample_corner` draws from are oracles only.
 """
 
 import math
@@ -107,9 +106,3 @@ def direct_pi_over_m_reflected(start, T, m, rng):
     y = start[1] + sd * rng.normal()
     return PolarPoint(*_sector_fold(x, y, WedgeSpec(0.0, math.pi / m), m))
 
-
-def covariance_factor(setup):
-    """Upper-triangular sigma with sigma sigma^T = [[s1^2, rho s1 s2], ...]
-    for a CorrelatedSetup."""
-    s1, s2, rho = setup.sigma1, setup.sigma2, setup.rho
-    return ((s1 * math.sqrt(1.0 - rho * rho), s1 * rho), (0.0, s2))

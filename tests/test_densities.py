@@ -242,6 +242,23 @@ def test_series_rejects_outside_points():
         killed_density_series(wedge, inside, inside, -0.5)
 
 
+def test_densities_put_a_point_a_hair_below_the_lower_ray_on_it():
+    # its angle reads 2 pi - 1e-13; WedgeSpec.place, the samplers' ray rule,
+    # puts it on the lower ray, in both families and as target or start
+    below = PolarPoint.from_cartesian(1.0, -1e-13)
+    on_ray = PolarPoint(1.0, 0.0)
+    start = PolarPoint(1.5, 0.3)
+    wedge = WedgeSpec(0.0, 0.9)
+    for series in (reflected_density_series, killed_density_series):
+        assert series(wedge, below, start, 1.0) == series(wedge, on_ray, start, 1.0)
+        assert series(wedge, start, below, 1.0) == series(wedge, start, on_ray, 1.0)
+    for images in (reflected_density_images, killed_density_images):
+        assert images(3, below, start, 1.0) == images(3, on_ray, start, 1.0)
+        assert images(3, start, below, 1.0) == images(3, start, on_ray, 1.0)
+    assert reflected_density_series(wedge, below, start, 1.0) == \
+        pytest.approx(0.36818246986, rel=1e-10)
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # only the quadrature oracles of the tests use it: it would add ~0.25 s
     # and ~26 MB to every process that imports wedgebm

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from wedgebm import drift as drift_module
-from wedgebm.drift import (CoefficientField, DriftSpec, TimeGrid, _cell_frame,
+from wedgebm.drift import (CoefficientField, DriftSpec, TimeGrid,
                            euler_reflected, euler_stopped, girsanov_log_weight,
                            girsanov_weight, linear_field, reflected_with_drift,
                            stopped_with_drift)
-from wedgebm.geometry import PolarPoint, WedgeSpec
+from wedgebm.geometry import PolarPoint, WedgeSpec, standard_frame
 from wedgebm.rng import RngStream
 from wedgebm.samplers import _pass_plan
 
@@ -181,7 +181,7 @@ def test_linear_field_values():
 
 
 def test_cell_frame_identity():
-    fwd, bwd, cell = _cell_frame(((1.0, 0.0), (0.0, 1.0)), W09)
+    fwd, bwd, cell = standard_frame(((1.0, 0.0), (0.0, 1.0)), W09)
     assert cell.opening == pytest.approx(0.9, abs=1e-15)
     assert fwd == ((1.0, 0.0), (0.0, 1.0))
     assert bwd == ((1.0, 0.0), (0.0, 1.0))
@@ -189,7 +189,7 @@ def test_cell_frame_identity():
 
 def test_cell_frame_maps_rays_to_cell_edges():
     sigma = ((1.2, 0.4), (0.0, 0.8))
-    fwd, bwd, cell = _cell_frame(sigma, W09)
+    fwd, bwd, cell = standard_frame(sigma, W09)
     for ang, want in ((0.0, 0.0), (0.9, cell.opening)):
         vx = math.cos(ang)
         vy = math.sin(ang)
@@ -206,7 +206,7 @@ def test_cell_frame_maps_rays_to_cell_edges():
 
 def test_cell_frame_rejects_singular_sigma():
     with pytest.raises(ValueError):
-        _cell_frame(((1.0, 2.0), (0.5, 1.0)), W09)
+        standard_frame(((1.0, 2.0), (0.5, 1.0)), W09)
 
 
 def test_euler_driftless_is_exact_any_step_count():
@@ -307,7 +307,7 @@ def test_constant_sigma_euler_work_per_path_does_not_grow_with_steps(monkeypatch
     # the cell frame is kept while sigma is unchanged, and the cell wedge's
     # sub-wedge and m come from a plan built once per opening
     counts = {"pi_over_m": 0, "cell_frame": 0}
-    pi_over_m, cell_frame = WedgeSpec.pi_over_m, drift_module._cell_frame
+    pi_over_m = WedgeSpec.pi_over_m
 
     def counted_pi_over_m(self):
         counts["pi_over_m"] += 1
@@ -315,10 +315,10 @@ def test_constant_sigma_euler_work_per_path_does_not_grow_with_steps(monkeypatch
 
     def counted_cell_frame(sigma, wedge):
         counts["cell_frame"] += 1
-        return cell_frame(sigma, wedge)
+        return standard_frame(sigma, wedge)
 
     monkeypatch.setattr(WedgeSpec, "pi_over_m", counted_pi_over_m)
-    monkeypatch.setattr(drift_module, "_cell_frame", counted_cell_frame)
+    monkeypatch.setattr(drift_module, "standard_frame", counted_cell_frame)
     coeffs = linear_field((0.1, 0.2), (0.7, 0.5), ((1.0, 0.0), (0.0, 1.0)))
     seen = []
     for steps in (50, 200):

@@ -18,7 +18,8 @@ import pytest
 
 from wedgebm.cli import run_cli
 from wedgebm.drift import CoefficientField, TimeGrid, euler_reflected
-from wedgebm.geometry import PolarPoint, WedgeSpec
+from wedgebm.geometry import CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec
+from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
 
 T1 = ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "1"]
@@ -185,6 +186,11 @@ DIGESTS = {
 EULER_STATE_DEPENDENT_DIGEST = (
     "614df598a51eb7144426420e925d7adcb16d7978f84a7cf0c07f748ced42f739")
 
+# a correlated setup's reflected Euler run, in the setup's own coordinates
+# with diffusion setup.sigma: each cell's standard frame decorrelates
+EULER_CORRELATED_DIGEST = (
+    "7c5a105e5efe8016acb0bb8ef953f462ac8300e9ce622b48ff132eee95f4f6a6")
+
 
 # the frozen diffusion changes with the state, so every Euler cell has its
 # own frame and its own sub-wedge opening
@@ -213,6 +219,20 @@ def euler_state_dependent_digest():
     return h.hexdigest()
 
 
+def euler_correlated_digest():
+    """sha256 of the repr of every PathSample field, fault flag and
+    input-frame endpoint of five correlated reflected Euler paths."""
+    setup = CorrelatedSetup(sigma1=1.2, sigma2=0.8, rho=0.4, slope=2.0,
+                            region_case=RegionCase.AND_POS, x0=(1.0, 0.5))
+    config = EstimatorConfig(mode=Mode.EULER_REFLECTED,
+                             func=TestFunction.RADIUS_SQ, horizon=1.0,
+                             n_samples=5, seed=7, setup=setup, steps=40,
+                             mu=(0.5, 0.3), kappa=(0.2, 0.1), epsilon=0.03)
+    rows = map_paths(config, lambda _i, sample, faulted, xy:
+                     (vars(sample), faulted, xy))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
 def digest(argv, out_path):
     seed = [] if argv[0] == "density" else SEED
     code = run_cli(argv + seed + ["--out", str(out_path)])
@@ -233,6 +253,10 @@ def test_euler_state_dependent_diffusion_matches_golden_digest():
     assert euler_state_dependent_digest() == EULER_STATE_DEPENDENT_DIGEST
 
 
+def test_euler_correlated_setup_matches_golden_digest():
+    assert euler_correlated_digest() == EULER_CORRELATED_DIGEST
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -242,3 +266,4 @@ if __name__ == "__main__":
         for name in sorted(CASES):
             sys.stdout.write(f'    "{name}":\n        "{digest(CASES[name], out)}",\n')
     print(f'EULER_STATE_DEPENDENT_DIGEST = "{euler_state_dependent_digest()}"')
+    print(f'EULER_CORRELATED_DIGEST = "{euler_correlated_digest()}"')

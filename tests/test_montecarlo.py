@@ -163,14 +163,18 @@ def test_correlated_identity_setup_matches_plain_wedge():
 
 
 def test_correlated_setup_euler_runs():
-    setup = CorrelatedSetup(sigma1=1.0, sigma2=1.0, rho=0.0, slope=math.tan(0.9),
+    # with mu = kappa = 0 every Euler cell runs the exact sampler, so the
+    # correlated Euler run must reproduce the exact survival probability
+    setup = CorrelatedSetup(sigma1=1.0, sigma2=1.0, rho=0.8, slope=math.tan(0.9),
                             region_case=RegionCase.AND_POS,
                             x0=START.cartesian())
-    r = estimate(EstimatorConfig(
-        mode=Mode.EULER_STOPPED, func=TestFunction.RADIUS_SQ, horizon=1.0,
-        n_samples=150, seed=11, steps=4, setup=setup))
-    assert math.isfinite(r.estimate)
-    assert r.n_faults == 0
+    common = dict(func=TestFunction.INDICATOR_SURVIVAL, horizon=1.0,
+                  n_samples=2000, seed=11, setup=setup)
+    exact = estimate(EstimatorConfig(mode=Mode.STOPPED, **common))
+    euler = estimate(EstimatorConfig(mode=Mode.EULER_STOPPED, steps=2, **common))
+    assert euler.n_faults == 0
+    assert abs(euler.estimate - exact.estimate) <= \
+        exact.half_width_95 + euler.half_width_95
 
 
 # ---------------------------------------------------------------------------
