@@ -6,9 +6,8 @@ from .corner import corner_triggered, sample_corner
 from .densities import (ExitLawParams, Kind, killed_density_images,
                         killed_density_series, reflected_density_images,
                         reflected_density_series)
-from .drift import (CoefficientField, DriftSpec, TimeGrid, euler_reflected,
-                    euler_stopped, girsanov_log_weight, girsanov_weight,
-                    linear_field, reflected_with_drift, stopped_with_drift)
+from .drift import (CoefficientField, TimeGrid, euler_reflected, euler_stopped,
+                    girsanov_log_weight, linear_field)
 from .geometry import (CorrelatedSetup, DecorrelatedProblem, PolarPoint,
                        RegionCase, Side, WedgeSpec, decorrelate,
                        fold_into_wedge, image_angles, require_pi_over_m)

@@ -24,7 +24,7 @@ from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
 ESTIMATE_HEADER = ("mode,func,alpha,start_r,start_theta,T,eps,fold_cap,steps,"
                    "n,seed,estimate,half_width,n_faults,mean_folds,"
                    "mean_weight,ess")
-SAMPLE_HEADER = "index,x,y,elapsed,hit_boundary,folds,weight"
+SAMPLE_HEADER = "index,x,y,elapsed,hit_boundary,folds,weight,fault"
 WORKERS_HELP = ("worker threads; the output does not depend on this. The "
                 "threads share the GIL, so more than one does not speed a run "
                 "up")
@@ -107,9 +107,12 @@ def _horizon(text):
 
 def _float_list(text):
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty number list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +176,7 @@ def _inject_config(argv):
 # shared flag groups and problem resolution
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, sampling=True):
+def _add_common(sub, sampling=True, drift=False):
     sub.add_argument("--alpha", type=float, default=None,
                      help="wedge opening in radians (lower ray at angle 0)")
     sub.add_argument("--start", type=_pair, default=None, metavar="R,THETA",
@@ -192,8 +195,9 @@ def _add_common(sub, sampling=True):
                          help="corner threshold (0 disables the shortcut)")
         sub.add_argument("--fold-cap", type=int, default=None,
                          help="abort a path after this many folds")
-    sub.add_argument("--drift", type=_pair, default=None, metavar="BX,BY",
-                     help="constant drift, handled by reweighting")
+    if drift:
+        sub.add_argument("--drift", type=_pair, default=None, metavar="BX,BY",
+                         help="constant drift, handled by reweighting")
 
 
 def _add_correlated(sub):
@@ -206,15 +210,10 @@ def _add_correlated(sub):
                      choices=[case.value for case in RegionCase])
 
 
-def _refuse_drift(args, reason):
-    if args.drift is not None and args.drift != (0.0, 0.0):
-        raise UsageError(f"{reason}; --drift is not supported here")
-
-
 def _resolve_problem(args):
     """The geometry and start point every command reads from its flags:
     {'setup': CorrelatedSetup} or {'wedge', 'start', 'drift'}."""
-    drift = args.drift if args.drift is not None else (0.0, 0.0)
+    drift = getattr(args, "drift", None) or (0.0, 0.0)
     corr = [getattr(args, name, None)
             for name in ("sigma1", "sigma2", "rho", "slope", "region")]
     if any(v is not None for v in corr):
@@ -275,7 +274,6 @@ def _pick(args, eff, name, default):
 # ---------------------------------------------------------------------------
 
 def cmd_density(args):
-    _refuse_drift(args, "the transition densities are driftless")
     geo = _resolve_problem(args)
     wedge, start = geo["wedge"], geo["start"]
     t = args.T if args.T is not None else 1.0
@@ -312,28 +310,24 @@ def cmd_density(args):
     return 0
 
 
-def _sample_common(args, reflected):
-    config = _build_config(args, {}, "reflected" if reflected else "stopped",
-                           "constant_1", n_default=10)
+def _sample_common(args, mode):
+    config = _build_config(args, {}, mode, "constant_1", n_default=10)
 
     def row(index, sample, fault, xy):
-        fields = [index, xy[0], xy[1], sample.elapsed, int(sample.hit_boundary),
-                  sample.folds, sample.weight]
-        if reflected:
-            fields.append(int(fault))
-        return _row(*fields)
+        return _row(index, xy[0], xy[1], sample.elapsed,
+                    int(sample.hit_boundary), sample.folds, sample.weight,
+                    int(fault))
 
-    header = SAMPLE_HEADER + ",fault" if reflected else SAMPLE_HEADER
-    _emit([header] + map_paths(config, row), args.out)
+    _emit([SAMPLE_HEADER] + map_paths(config, row), args.out)
     return 0
 
 
 def cmd_sample_stopped(args):
-    return _sample_common(args, reflected=False)
+    return _sample_common(args, "stopped")
 
 
 def cmd_sample_reflected(args):
-    return _sample_common(args, reflected=True)
+    return _sample_common(args, "reflected")
 
 
 def _build_config(merged, eff, mode_default, func_default, n_default=10000,
@@ -395,7 +389,6 @@ def cmd_ito(args):
     steps = _pick(merged, eff, "steps", None)
     if steps is None:
         raise UsageError("--steps is required for the Euler runner")
-    _refuse_drift(merged, "the Euler runner takes drift through --mu/--kappa")
     extra = {
         "steps": steps,
         "mu": tuple(_pick(merged, eff, "mu", (0.0, 0.0))),
@@ -405,7 +398,6 @@ def cmd_ito(args):
 
 
 def cmd_folds(args):
-    _refuse_drift(args, "fold diagnostics run the driftless sampler")
     config = _build_config(args, {}, "reflected", "constant_1", n_default=1000)
     if args.eps_sweep is not None:
         lines = ["eps,mean_folds,n"]
@@ -448,19 +440,19 @@ def build_parser():
 
     p = subs.add_parser("sample-stopped",
                         help="draw stopped-path endpoints (CSV per path)")
-    _add_common(p)
+    _add_common(p, drift=True)
     _add_correlated(p)
     p.set_defaults(handler=cmd_sample_stopped)
 
     p = subs.add_parser("sample-reflected",
                         help="draw reflected-path endpoints (CSV per path)")
-    _add_common(p)
+    _add_common(p, drift=True)
     _add_correlated(p)
     p.set_defaults(handler=cmd_sample_reflected)
 
     p = subs.add_parser("estimate",
                         help="Monte Carlo estimate of E[f(endpoint)]")
-    _add_common(p)
+    _add_common(p, drift=True)
     _add_correlated(p)
     p.add_argument("--mode", choices=["stopped", "reflected"], default=None)
     p.add_argument("--func", default=None,

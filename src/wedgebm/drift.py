@@ -1,13 +1,15 @@
 """Drifted sampling: Girsanov reweighting and wedge-aware Euler schemes.
 
-Constant drift is handled exactly: run the driftless sampler, then weight
-each path by the change-of-measure factor
+Constant drift b is handled exactly: the driftless sampler runs and the path
+is weighted by the change-of-measure factor
 
     exp( b . (W_end - W_start) - |b|^2 elapsed / 2 )
 
 evaluated on the driving Brownian motion. Using the displacement rather than
 the raw endpoint makes the weight a mean-one martingale regardless of where
-the path starts; with a start at the origin the two agree.
+the path starts. `girsanov_log_weight` is that factor's one definition:
+`montecarlo.simulate` weights every exact path with it (zero drift gives
+weight 1 exactly), and each Euler cell below adds its own.
 
 State-dependent coefficients go through a frozen-coefficient Euler scheme:
 on each grid cell the drift and diffusion are frozen at the left endpoint,
@@ -29,63 +31,17 @@ from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathSample,
                        algorithm_reflected, algorithm_stopped)
 
 
-@dataclass(frozen=True)
-class DriftSpec:
-    b: tuple
-
-    def __post_init__(self):
-        if len(self.b) != 2 or not all(math.isfinite(v) for v in self.b):
-            raise ValueError(f"drift must be a finite 2-vector, got {self.b}")
-
-    @property
-    def is_zero(self):
-        return self.b[0] == 0.0 and self.b[1] == 0.0
-
-
-def girsanov_log_weight(drift, driving_endpoint, elapsed, start=(0.0, 0.0)):
-    """Log of the drift reweighting factor for one path.
-
-    driving_endpoint is the terminal value of the driving Brownian motion;
-    start is where that motion began (the factor only depends on the
-    displacement between the two).
+def girsanov_log_weight(b, driving_endpoint, elapsed, start):
+    """Log of the reweighting factor of constant drift b, a 2-tuple, for one
+    path: b . (W_end - W_start) - |b|^2 elapsed / 2, where driving_endpoint
+    and start are the end and start of the driving Brownian motion.
     """
     if elapsed < 0:
         raise ValueError(f"elapsed must be nonnegative, got {elapsed}")
-    bx, by = drift.b
+    bx, by = b
     dx = driving_endpoint[0] - start[0]
     dy = driving_endpoint[1] - start[1]
     return bx * dx + by * dy - 0.5 * (bx * bx + by * by) * elapsed
-
-
-def girsanov_weight(drift, driving_endpoint, elapsed, start=(0.0, 0.0)):
-    return math.exp(girsanov_log_weight(drift, driving_endpoint, elapsed, start))
-
-
-def stopped_with_drift(start, drift, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
-    """Stopped sampler under constant drift, via exact reweighting.
-
-    With drift.b = (0, 0) this reproduces the driftless sampler draw for
-    draw, with weight exactly 1.
-    """
-    start = wedge.place(start)  # the driving motion starts where the path does
-    sample = algorithm_stopped(start, T, wedge, rng, iteration_cap=iteration_cap)
-    sample.weight = girsanov_weight(drift, sample.driving_endpoint, sample.elapsed,
-                                    start.cartesian())
-    return sample
-
-
-def reflected_with_drift(start, drift, T, wedge, rng, epsilon=DEFAULT_EPSILON,
-                         fold_cap=DEFAULT_FOLD_CAP):
-    """Reflected sampler under constant drift: the driftless path, which
-    carries its driving endpoint like every reflected path (see
-    algorithm_reflected), reweighted by that endpoint.
-    """
-    start = wedge.place(start)
-    sample = algorithm_reflected(start, T, wedge, rng, epsilon=epsilon,
-                                 fold_cap=fold_cap)
-    sample.weight = girsanov_weight(drift, sample.driving_endpoint, T,
-                                    start.cartesian())
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +139,9 @@ def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
         fwd, bwd, cell_wedge = frame
         # round-off can put a point on a ray a hair off it in the cell frame
         cell_start = cell_wedge.place(PolarPoint.from_cartesian(*mat_vec(fwd, pos)))
-        b_cell = DriftSpec(mat_vec(fwd, b_k))
+        b_cell = mat_vec(fwd, b_k)  # mu (x - kappa) can overflow mid-path
+        if not (math.isfinite(b_cell[0]) and math.isfinite(b_cell[1])):
+            raise ValueError(f"drift must be a finite 2-vector, got {b_cell}")
         if reflected:
             sub = algorithm_reflected(cell_start, dt, cell_wedge, rng,
                                       epsilon=epsilon, fold_cap=fold_cap)

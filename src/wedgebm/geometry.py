@@ -80,9 +80,6 @@ class WedgeSpec:
     def opening(self):
         return self.alpha_plus - self.alpha_minus
 
-    def contains_angle(self, theta):
-        return self.alpha_minus - ANGLE_TOL <= theta <= self.alpha_plus + ANGLE_TOL
-
     def place(self, point):
         """The point unchanged if it is the apex or inside by more than
         ANGLE_TOL; at the same radius exactly on the nearer ray if its angle,
@@ -230,8 +227,11 @@ class CorrelatedSetup:
         positive = self.region_case in (RegionCase.AND_POS, RegionCase.OR_POS)
         if positive != (self.slope > 0):
             raise ValueError(f"slope sign does not match {self.region_case}")
-        if not self.region_contains(self.x0):
-            raise ValueError(f"start {self.x0} outside region {self.region_case}")
+        try:  # the one ray rule: a start a hair outside is on the ray
+            self.wedge.place(PolarPoint.from_cartesian(*self.x0))
+        except ValueError as exc:
+            raise ValueError(f"start {self.x0} outside region "
+                             f"{self.region_case}: {exc}")
 
     @property
     def sigma(self):
@@ -247,18 +247,6 @@ class CorrelatedSetup:
         turn = {RegionCase.AND_POS: 0.0, RegionCase.AND_NEG: math.pi,
                 RegionCase.OR_POS: math.pi, RegionCase.OR_NEG: TWO_PI}
         return WedgeSpec(0.0, math.atan(self.slope) + turn[self.region_case])
-
-    def region_contains(self, point):
-        x, y = point
-        a = self.slope
-        case = self.region_case
-        if case is RegionCase.AND_POS:
-            return y >= 0 and y <= a * x
-        if case is RegionCase.AND_NEG:
-            return y >= 0 and y >= a * x
-        if case is RegionCase.OR_POS:
-            return y >= 0 or y >= a * x
-        return y >= 0 or y <= a * x
 
 
 @dataclass(frozen=True)

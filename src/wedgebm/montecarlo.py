@@ -14,8 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .drift import (DriftSpec, TimeGrid, euler_reflected, euler_stopped,
-                    linear_field, reflected_with_drift, stopped_with_drift)
+from .drift import (TimeGrid, euler_reflected, euler_stopped,
+                    girsanov_log_weight, linear_field)
 from .geometry import PolarPoint, WedgeSpec, decorrelate, mat_vec
 from .rng import RngStream
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded,
@@ -135,34 +135,31 @@ def simulate(config, resolved, rng):
     """One path of `config` drawn from `rng`: returns (PathSample, faulted).
 
     resolved holds the per-run constants built by `map_paths`: (wedge,
-    start, DriftSpec, Euler coefficient field, Euler time grid), in standard
-    coordinates but for an Euler run's, which are in the input frame. A path
-    that exceeds the fold cap returns its partial state with faulted=True.
+    start, its cartesian x0, drift, Euler coefficient field, Euler time
+    grid), in standard coordinates but for an Euler run's, which are in the
+    input frame. An exact path is weighted by the Girsanov factor of the
+    constant drift, which is 1 exactly for zero drift; an Euler path carries
+    the factors of its cells. A path that exceeds the fold cap returns its
+    partial state with faulted=True.
     """
-    wedge, start, drift, coeffs, grid = resolved
+    wedge, start, x0, drift, coeffs, grid = resolved
     T, cap, eps = config.horizon, config.fold_cap, config.epsilon
     mode = config.mode
     try:
+        if mode is Mode.EULER_STOPPED:
+            return euler_stopped(coeffs, start, grid, wedge, rng, fold_cap=cap), False
+        if mode is Mode.EULER_REFLECTED:
+            return euler_reflected(coeffs, start, grid, wedge, rng, epsilon=eps,
+                                   fold_cap=cap), False
         if mode is Mode.STOPPED:
-            if drift.is_zero:
-                sample = algorithm_stopped(start, T, wedge, rng, iteration_cap=cap)
-            else:
-                sample = stopped_with_drift(start, drift, T, wedge, rng,
-                                            iteration_cap=cap)
-        elif mode is Mode.REFLECTED:
-            if drift.is_zero:
-                sample = algorithm_reflected(start, T, wedge, rng, epsilon=eps,
-                                             fold_cap=cap)
-            else:
-                sample = reflected_with_drift(start, drift, T, wedge, rng,
-                                              epsilon=eps, fold_cap=cap)
-        elif mode is Mode.EULER_STOPPED:
-            sample = euler_stopped(coeffs, start, grid, wedge, rng, fold_cap=cap)
+            sample = algorithm_stopped(start, T, wedge, rng, iteration_cap=cap)
         else:
-            sample = euler_reflected(coeffs, start, grid, wedge, rng, epsilon=eps,
-                                     fold_cap=cap)
+            sample = algorithm_reflected(start, T, wedge, rng, epsilon=eps,
+                                         fold_cap=cap)
     except FoldCapExceeded as fault:
         return fault.partial, True
+    sample.weight = math.exp(girsanov_log_weight(drift, sample.driving_endpoint,
+                                                 sample.elapsed, x0))
     return sample, False
 
 
@@ -184,7 +181,11 @@ def map_paths(config, fn):
             start = PolarPoint.from_cartesian(*setup.x0)
         coeffs = linear_field(config.mu, config.kappa, sigma)
         grid = TimeGrid.uniform(config.horizon, config.steps)
-    resolved = (wedge, start, DriftSpec(tuple(drift)), coeffs, grid)
+    drift = tuple(drift)
+    if len(drift) != 2 or not all(math.isfinite(v) for v in drift):
+        raise ValueError(f"drift must be a finite 2-vector, got {drift}")
+    start = wedge.place(start)  # the driving motion starts where the path does
+    resolved = (wedge, start, start.cartesian(), drift, coeffs, grid)
     root = RngStream(config.seed)
 
     def one(index):

@@ -2,8 +2,9 @@
 
 None of these runs in the package: the exit law's densities, the survival
 probability by quadrature, the 1D half-line factors, the one-shot reflected
-endpoint for openings pi/m and the order-zero corner kernel that
-`corner.sample_corner` draws from are oracles only.
+endpoint for openings pi/m, the order-zero corner kernel that
+`corner.sample_corner` draws from and the tolerant angle test are oracles
+only.
 """
 
 import math
@@ -11,8 +12,13 @@ import math
 from scipy import integrate, special
 
 from wedgebm.densities import Kind, _signed_sum, killed_density_images
-from wedgebm.geometry import TWO_PI, PolarPoint, WedgeSpec
+from wedgebm.geometry import ANGLE_TOL, TWO_PI, PolarPoint, WedgeSpec
 from wedgebm.samplers import _sector_fold
+
+
+def contains_angle(wedge, theta):
+    """Whether angle theta lies in the wedge, up to ANGLE_TOL past a ray."""
+    return wedge.alpha_minus - ANGLE_TOL <= theta <= wedge.alpha_plus + ANGLE_TOL
 
 
 def exit_joint_density(params, r, t):

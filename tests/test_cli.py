@@ -75,13 +75,25 @@ def test_sample_stopped_schema(tmp_path):
     assert code == 0
     header, rows = parse_csv(data)
     assert header == ["index", "x", "y", "elapsed", "hit_boundary", "folds",
-                      "weight"]
+                      "weight", "fault"]
     assert len(rows) == 25
     assert [r["index"] for r in rows] == [str(i) for i in range(25)]
     for r in rows:
         assert r["hit_boundary"] in ("0", "1")
         assert r["weight"] == "1"
         assert 0.0 < float(r["elapsed"]) <= 1.0
+
+
+def test_sample_stopped_marks_pass_cap_faults(tmp_path):
+    # a faulted path prints its partial state: elapsed short of T and off
+    # both rays, which only the fault column tells from an endpoint
+    code, data = run_to_file(tmp_path, "s.csv", [
+        "sample-stopped"] + T1 + ["--n", "50", "--fold-cap", "1", "--seed", "7"])
+    assert code == 0
+    faulted = [r for r in parse_csv(data)[1] if r["fault"] == "1"]
+    assert len(faulted) == 16
+    for r in faulted:
+        assert float(r["elapsed"]) < 1.0 and r["hit_boundary"] == "0"
 
 
 def test_sample_reflected_schema_has_fault_column(tmp_path):
@@ -316,6 +328,23 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--grid", "2"],
+    ["folds", "--n", "10"],
+    ["ito", "--n", "10", "--steps", "5"]])
+def test_commands_that_weight_no_path_take_no_drift_flag(argv, capsys):
+    # only estimate and sample-* register --drift; a zero drift elsewhere is
+    # an unknown flag like any other
+    assert run_cli(argv + T1 + ["--drift", "0,0"]) == 2
+    assert "unrecognized arguments: --drift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", [",", ""])
+def test_empty_eps_sweep_is_a_usage_error(sweep, capsys):
+    assert run_cli(["folds"] + T1 + ["--n", "10", "--eps-sweep", sweep]) == 2
+    assert "empty number list" in capsys.readouterr().err
+
+
 # a start 1e-13 off a ray of the 0.9 wedge, from either side, and the same
 # start exactly on that ray
 NEAR_RAY = {
@@ -342,17 +371,31 @@ def test_start_within_angle_tol_of_a_ray_is_snapped_onto_it(tmp_path, command,
             assert (r["elapsed"], r["hit_boundary"]) == ("0", "1")
 
 
-def test_correlated_start_on_the_boundary_line_stops_at_once(tmp_path):
+# a correlated region bounded by y = 2 x, for a start given as --x
+SLANTED = ["--sigma2", "0.8", "--rho", "0.4", "--slope", "2.0", "--region",
+           "and_pos"]
+
+BOUNDARY_STARTS = {
     # decorrelation maps this start 2.2e-16 inside the mapped ray
-    corr = ["--sigma1", "0.7560092608038578", "--sigma2", "0.36107135996785794",
-            "--rho", "-0.8505992572365259", "--slope", "-3.7410169050855",
-            "--region", "and_neg", "--x=-4.547975539878555,17.01405337860103"]
-    code, data = run_to_file(tmp_path, "corr.csv", ["sample-stopped", "--T", "1",
-                                                    "--n", "3"] + corr)
-    assert code == 0
-    for r in parse_csv(data)[1]:
-        assert (r["x"], r["y"], r["elapsed"], r["hit_boundary"]) == \
-            ("-4.54797553988", "17.0140533786", "0", "1")
+    "mapped-inside": (["--sigma1", "0.7560092608038578", "--sigma2",
+                       "0.36107135996785794", "--rho", "-0.8505992572365259",
+                       "--slope", "-3.7410169050855", "--region", "and_neg",
+                       "--x=-4.547975539878555,17.01405337860103"],
+                      ("-4.54797553988", "17.0140533786")),
+    # 1e-13 below the x-axis: WedgeSpec.place puts it on the lower ray
+    "hair-outside": (["--sigma1", "1.2", "--x", "1.0,-1e-13"] + SLANTED,
+                     ("1", "0")),
+}
+
+
+def test_correlated_start_on_the_boundary_line_stops_at_once(tmp_path):
+    for corr, xy in BOUNDARY_STARTS.values():
+        code, data = run_to_file(tmp_path, "corr.csv", [
+            "sample-stopped", "--T", "1", "--n", "3"] + corr)
+        assert code == 0
+        for r in parse_csv(data)[1]:
+            assert (r["x"], r["y"], r["elapsed"], r["hit_boundary"]) == \
+                xy + ("0", "1")
 
 
 @pytest.mark.parametrize("angle", ["0", "0.5", "2", "3"])
@@ -363,7 +406,8 @@ def test_stopped_apex_start_prints_the_apex_unsigned(tmp_path, angle):
         "sample-stopped", "--alpha", "3", "--start", "0," + angle, "--T", "1",
         "--n", "1"])
     assert code == 0
-    assert data == b"index,x,y,elapsed,hit_boundary,folds,weight\n0,0,0,0,1,0,1\n"
+    assert data == (b"index,x,y,elapsed,hit_boundary,folds,weight,fault\n"
+                    b"0,0,0,0,1,0,1,0\n")
 
 
 @pytest.mark.parametrize("command", ["estimate", "density"])
@@ -386,6 +430,23 @@ def test_start_radius_too_large_for_exit_law_is_a_clean_error(radius):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "too large for the exit-law exponents" in proc.stderr
+
+
+NON_FINITE_DRIFTS = {
+    "plain": ["estimate"] + T1 + ["--n", "5", "--drift", "inf,0"],
+    # finite as given, it overflows through the decorrelating map
+    "decorrelated": ["estimate", "--n", "5", "--drift", "1e306,0", "--sigma1",
+                     "1e-3", "--x", "1.0,0.5"] + SLANTED,
+    # mu (x - kappa) overflows in the first Euler cell
+    "euler-cell": ["ito"] + T1 + ["--n", "5", "--steps", "5", "--mu", "1e300,0",
+                                  "--kappa", "1e300,0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_DRIFTS))
+def test_non_finite_drift_is_a_clean_error(case, capsys):
+    assert run_cli(NON_FINITE_DRIFTS[case]) == 2
+    assert "drift must be a finite 2-vector" in capsys.readouterr().err
 
 
 def test_ito_fold_cap_applies_to_each_euler_stopped_cell(tmp_path, capsys):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from wedgebm import drift as drift_module
-from wedgebm.drift import (CoefficientField, DriftSpec, TimeGrid,
-                           euler_reflected, euler_stopped, girsanov_log_weight,
-                           girsanov_weight, linear_field, reflected_with_drift,
-                           stopped_with_drift)
+from wedgebm.drift import (CoefficientField, TimeGrid, euler_reflected,
+                           euler_stopped, girsanov_log_weight, linear_field)
 from wedgebm.geometry import PolarPoint, WedgeSpec, standard_frame
+from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
 from wedgebm.samplers import _pass_plan
 
@@ -17,32 +16,36 @@ START = PolarPoint(1.5, 0.3)
 QUARTER = WedgeSpec(0.0, math.pi / 2)
 
 
+def drifted_paths(mode, start, drift, T, wedge, seed, n, **kwargs):
+    """The samples of n exact paths under constant drift, path i drawn from
+    RngStream(seed).derive(i) and weighted by its Girsanov factor."""
+    config = EstimatorConfig(mode=mode, func=TestFunction.CONSTANT_1,
+                             horizon=T, n_samples=n, seed=seed, wedge=wedge,
+                             start=start, drift=drift, **kwargs)
+    rows = map_paths(config, lambda _i, sample, faulted, _xy: (sample, faulted))
+    assert not any(faulted for _sample, faulted in rows)
+    return [sample for sample, _faulted in rows]
+
+
 def test_girsanov_log_weight_by_hand():
-    drift = DriftSpec((0.3, -0.2))
-    got = girsanov_log_weight(drift, (1.4, 1.7), 0.5, start=(1.0, 2.0))
+    got = girsanov_log_weight((0.3, -0.2), (1.4, 1.7), 0.5, (1.0, 2.0))
     want = 0.3 * 0.4 + (-0.2) * (-0.3) - 0.5 * (0.09 + 0.04) * 0.5
     assert got == pytest.approx(want, rel=1e-15)
-    assert girsanov_weight(drift, (1.4, 1.7), 0.5, start=(1.0, 2.0)) == \
-        pytest.approx(math.exp(want), rel=1e-15)
 
 
 def test_zero_drift_weight_is_one():
-    drift = DriftSpec((0.0, 0.0))
-    assert drift.is_zero
-    assert girsanov_weight(drift, (5.0, -3.0), 2.0) == 1.0
+    assert math.exp(girsanov_log_weight((0.0, 0.0), (5.0, -3.0), 2.0,
+                                        (1.0, 2.0))) == 1.0
+    for mode in (Mode.STOPPED, Mode.REFLECTED):
+        samples = drifted_paths(mode, START, (0.0, 0.0), 1.0, W09, 90, 50)
+        assert all(s.weight == 1.0 for s in samples)
 
 
 def test_drifted_mass_is_one():
     # f = 1: the reweighted estimate must average to 1 for both samplers
-    drift = DriftSpec((0.3, -0.2))
-    for sampler in (
-        lambda rng: stopped_with_drift(START, drift, 1.0, W09, rng),
-        lambda rng: reflected_with_drift(START, drift, 1.0, W09, rng),
-    ):
-        ws = []
-        root = RngStream(90)
-        for i in range(3000):
-            ws.append(sampler(root.derive(i)).weight)
+    for mode in (Mode.STOPPED, Mode.REFLECTED):
+        ws = [s.weight for s in
+              drifted_paths(mode, START, (0.3, -0.2), 1.0, W09, 90, 3000)]
         mean = np.mean(ws)
         se = np.std(ws, ddof=1) / math.sqrt(len(ws))
         assert abs(mean - 1.0) <= 3.5 * se
@@ -53,12 +56,9 @@ def test_drifted_free_motion_recovers_gaussian_mean():
     # weighted estimate must reproduce the drifted free endpoint mean
     wide = WedgeSpec(0.0, 6.2)
     start = PolarPoint(2.0, 3.1)
-    drift = DriftSpec((0.4, -0.3))
     T = 0.05
-    root = RngStream(91)
     vx, vy = [], []
-    for i in range(3000):
-        s = stopped_with_drift(start, drift, T, wide, root.derive(i))
+    for s in drifted_paths(Mode.STOPPED, start, (0.4, -0.3), T, wide, 91, 3000):
         assert not s.hit_boundary
         x, y = s.cartesian_endpoint()
         vx.append(x * s.weight)
@@ -103,12 +103,9 @@ def brute_quarter_reflected(x0, b, T, dt, n, seed):
 
 def test_drifted_stopped_against_brute_force():
     start = PolarPoint(1.0, 0.6)
-    drift = DriftSpec((0.3, -0.2))
-    root = RngStream(92)
-    vals = []
-    for i in range(4000):
-        s = stopped_with_drift(start, drift, 1.0, QUARTER, root.derive(i))
-        vals.append(s.cartesian_endpoint()[0] * s.weight)
+    vals = [s.cartesian_endpoint()[0] * s.weight for s in
+            drifted_paths(Mode.STOPPED, start, (0.3, -0.2), 1.0, QUARTER, 92,
+                          4000)]
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     brute = brute_quarter_stopped(start.cartesian(), (0.3, -0.2), 1.0,
@@ -121,12 +118,9 @@ def test_drifted_stopped_against_brute_force():
 
 def test_drifted_reflected_against_brute_force():
     start = PolarPoint(1.0, 0.6)
-    drift = DriftSpec((0.3, -0.2))
-    root = RngStream(93)
-    vals = []
-    for i in range(4000):
-        s = reflected_with_drift(start, drift, 1.0, QUARTER, root.derive(i))
-        vals.append(s.endpoint.r ** 2 * s.weight)
+    vals = [s.endpoint.r ** 2 * s.weight for s in
+            drifted_paths(Mode.REFLECTED, start, (0.3, -0.2), 1.0, QUARTER, 93,
+                          4000)]
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     brute = brute_quarter_reflected(start.cartesian(), (0.3, -0.2), 1.0,
@@ -142,13 +136,9 @@ def test_reflected_corner_weight_is_mean_one():
     # A driving endpoint that ignores where the path sits gives
     # E[weight] = I_0(|b| r) e^{-b.x} = 0.78 here.
     start = PolarPoint(0.1, 0.45)
-    drift = DriftSpec((3.0, 0.0))
-    wedge = WedgeSpec(0.0, 0.9)
-    root = RngStream(94)
     ws = []
-    for i in range(4000):
-        s = reflected_with_drift(start, drift, 0.05, wedge, root.derive(i),
-                                 epsilon=0.5)
+    for s in drifted_paths(Mode.REFLECTED, start, (3.0, 0.0), 0.05, W09, 94,
+                           4000, epsilon=0.5):
         assert s.approx_used and s.folds == 1
         ws.append(s.weight)
     mean = np.mean(ws)
