@@ -6,14 +6,14 @@ from .corner import corner_triggered, sample_corner
 from .densities import (ExitLawParams, Kind, killed_density_images,
                         killed_density_series, reflected_density_images,
                         reflected_density_series)
-from .drift import (CoefficientField, TimeGrid, euler_reflected, euler_stopped,
+from .drift import (CoefficientField, euler_reflected, euler_stopped,
                     girsanov_log_weight, linear_field)
-from .geometry import (CorrelatedSetup, DecorrelatedProblem, PolarPoint,
-                       RegionCase, Side, WedgeSpec, decorrelate,
-                       fold_into_wedge, image_angles, require_pi_over_m)
+from .geometry import (CorrelatedSetup, PolarPoint, RegionCase, Side,
+                       WedgeSpec, fold_into_wedge, image_angles,
+                       require_pi_over_m)
 from .montecarlo import (EstimatorConfig, FaultFractionExceeded, FoldingStats,
                          McReport, Mode, TestFunction, eps_sweep, estimate,
-                         folding_stats)
+                         folding_stats, run_frame)
 from .rng import RngStream
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded,
                        PathSample, algorithm_reflected, algorithm_stopped,

@@ -13,12 +13,13 @@ import argparse
 import math
 import sys
 
+from .bessel import SeriesCapExceeded
 from .densities import (killed_density_images, killed_density_series,
                         reflected_density_images, reflected_density_series)
 from .geometry import CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec
 from .montecarlo import (EstimatorConfig, FaultFractionExceeded, Mode,
                          TestFunction, eps_sweep, estimate, folding_stats,
-                         map_paths)
+                         map_paths, run_frame)
 from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
 
 ESTIMATE_HEADER = ("mode,func,alpha,start_r,start_theta,T,eps,fold_cap,steps,"
@@ -348,17 +349,14 @@ def _build_config(merged, eff, mode_default, func_default, n_default=10000,
         "fold_cap": _pick(merged, eff, "fold_cap", DEFAULT_FOLD_CAP),
         "workers": 1 if workers is None else workers,
     }
-    if "setup" in geo:
-        kwargs["setup"] = geo["setup"]
-    else:
-        kwargs.update(geo)
+    kwargs.update(geo)
     if extra:
         kwargs.update(extra)
     return EstimatorConfig(**kwargs)
 
 
 def _estimate_lines(config, report):
-    wedge, start, _drift, _prob = config.resolve()
+    wedge, start = run_frame(config)[:2]
     return [ESTIMATE_HEADER,
             _row(config.mode.value, config.func.value, wedge.opening,
                  start.r, start.theta, config.horizon, config.epsilon,
@@ -509,7 +507,7 @@ def run_cli(argv):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SeriesCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FaultFractionExceeded as exc:

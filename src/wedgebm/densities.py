@@ -57,37 +57,51 @@ def _signed_sum(terms):
 # image sums, openings pi/m, densities w.r.t. cartesian dy
 # ---------------------------------------------------------------------------
 
-def _image_terms(m, x, y, t, signed):
+def image_sums(r, theta, r0, images, horizon):
+    """The 2m-image sums at (r, theta) of a start at radius r0 whose image
+    angles, in k order, are `images`: (log scale, signed, total), where
+    exp(log scale) times signed (total) is the alternating (plain) sum over k
+    of exp(-|point - image k|^2 / (2 horizon)). signed is clamped at 0.
+    """
+    # the squared image distances are (r - r0)^2 + 4 r r0 sin^2(half the
+    # angle) and only their gaps count: the half-angle form keeps a gap
+    # r^2 + r0^2 - 2 r r0 cos cancels (1e-9 off a ray at radius 1e10)
+    cross = 4.0 * r * r0
+    two_h = 2.0 * horizon
+    sin_sq = [math.sin(0.5 * (theta - ang)) ** 2 for ang in images]
+    base = min(sin_sq)
+    signed = 0.0
+    total = 0.0
+    for k in range(0, len(images), 2):
+        even = math.exp((base - sin_sq[k]) * cross / two_h)
+        odd = math.exp((base - sin_sq[k + 1]) * cross / two_h)
+        signed += even - odd
+        total += even + odd
+    if signed < 0.0:
+        signed = 0.0
+    return -((r - r0) ** 2 + base * cross) / two_h, signed, total
+
+
+def _images_density(m, x, y, t, killed):
+    if m < 1:
+        raise ValueError(f"m must be a positive integer, got {m}")
+    if t <= 0:
+        raise ValueError(f"t must be positive, got {t}")
     wedge = WedgeSpec(0.0, math.pi / m)
     x, y = wedge.place(x), wedge.place(y)
-    rx, ry = x.r, y.r
-    norm = 1.0 / (TWO_PI * t)
-    terms = []
-    for k, ang in enumerate(image_angles(y.theta, wedge, m)):
-        d2 = rx * rx + ry * ry - 2.0 * rx * ry * math.cos(x.theta - ang)
-        val = norm * math.exp(-d2 / (2.0 * t))
-        if signed and k % 2 == 1:
-            val = -val
-        terms.append(val)
-    return terms
+    log_scale, signed, total = image_sums(x.r, x.theta, y.r,
+                                          image_angles(y.theta, wedge, m), t)
+    return math.exp(log_scale) / (TWO_PI * t) * (signed if killed else total)
 
 
 def reflected_density_images(m, x, y, t):
     """Transition density (w.r.t. dy) of the reflected motion in <0, pi/m>."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return math.fsum(_image_terms(m, x, y, t, signed=False))
+    return _images_density(m, x, y, t, killed=False)
 
 
 def killed_density_images(m, x, y, t):
     """Transition density (w.r.t. dy) of the motion killed on the rays."""
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return _signed_sum(_image_terms(m, x, y, t, signed=True))
+    return _images_density(m, x, y, t, killed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ the path starts. `girsanov_log_weight` is that factor's one definition:
 `montecarlo.simulate` weights every exact path with it (zero drift gives
 weight 1 exactly), and each Euler cell below adds its own.
 
-State-dependent coefficients go through a frozen-coefficient Euler scheme:
-on each grid cell the drift and diffusion are frozen at the left endpoint,
+State-dependent coefficients go through a frozen-coefficient Euler scheme
+on the uniform grid of `steps` cells over [0, horizon]: on each cell the
+drift and diffusion are frozen at the left endpoint,
 the cell is mapped to standard-Brownian wedge coordinates by
 `geometry.standard_frame` of the frozen diffusion matrix (its inverse, plus
 a rotation bringing the lower ray image to angle zero), and the exact
@@ -72,64 +73,49 @@ def linear_field(mu, kappa, sigma):
     return CoefficientField(drift=b, diffusion=s)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    times: tuple
-
-    def __post_init__(self):
-        ts = self.times
-        if len(ts) < 2 or ts[0] != 0.0:
-            raise ValueError("grid must start at 0 and contain at least two times")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("grid times must be strictly increasing")
-
-    @property
-    def horizon(self):
-        return self.times[-1]
-
-    @classmethod
-    def uniform(cls, T, steps):
-        if steps < 1 or T <= 0:
-            raise ValueError("need steps >= 1 and T > 0")
-        times = [T * k / steps for k in range(steps)]
-        times.append(T)  # exact right endpoint
-        return cls(times=tuple(times))
-
-
-def euler_stopped(coeffs, start, grid, wedge, rng, fold_cap=DEFAULT_FOLD_CAP):
+def euler_stopped(coeffs, start, horizon, steps, wedge, rng,
+                  fold_cap=DEFAULT_FOLD_CAP):
     """Frozen-coefficient Euler scheme for the stopped diffusion.
 
-    start is a PolarPoint in the wedge. Returns the exact within-cell hit
-    state of the first cell that reports a boundary hit; the weight collects
-    the per-cell drift reweighting factors in log space. fold_cap bounds the
-    recursion passes of each cell.
+    start is a PolarPoint in the wedge; cell k of the `steps` cells starts at
+    horizon * k / steps and the last ends at horizon. Returns the exact
+    within-cell hit state of the first cell that reports a boundary hit; the
+    weight collects the per-cell drift reweighting factors in log space.
+    fold_cap bounds the recursion passes of each cell.
     """
-    return _euler(coeffs, start, grid, wedge, rng, False, None, fold_cap)
+    return _euler(coeffs, start, horizon, steps, wedge, rng, False, None,
+                  fold_cap)
 
 
-def euler_reflected(coeffs, start, grid, wedge, rng, epsilon=DEFAULT_EPSILON,
-                    fold_cap=DEFAULT_FOLD_CAP):
+def euler_reflected(coeffs, start, horizon, steps, wedge, rng,
+                    epsilon=DEFAULT_EPSILON, fold_cap=DEFAULT_FOLD_CAP):
     """Frozen-coefficient Euler scheme for the reflected diffusion.
 
     Reflection is normal in each cell's decorrelated frame (exact for
     rotation-like diffusion matrices; see the module docstring). epsilon and
     fold_cap apply to each cell's exact sub-path.
     """
-    return _euler(coeffs, start, grid, wedge, rng, True, epsilon, fold_cap)
+    return _euler(coeffs, start, horizon, steps, wedge, rng, True, epsilon,
+                  fold_cap)
 
 
-def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
+def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
+           fold_cap):
     """The Euler loop of both schemes; `reflected` picks the exact sampler
     each cell runs."""
+    if not (steps >= 1 and 0.0 < horizon < math.inf):
+        raise ValueError(f"need steps >= 1 and 0 < horizon < inf, got "
+                         f"steps={steps}, horizon={horizon}")
     pos = wedge.place(start).cartesian()
     log_w = 0.0
     folds = 0
     approx = False
-    times = grid.times
     frame_sigma = frame = None
-    for k in range(len(times) - 1):
-        t_k = times[k]
-        dt = times[k + 1] - t_k
+    t_next = 0.0
+    for k in range(steps):
+        t_k = t_next
+        t_next = horizon * (k + 1) / steps if k + 1 < steps else horizon
+        dt = t_next - t_k
         b_k = coeffs.drift(pos, t_k)
         (a, b), (c, d) = s_k = coeffs.diffusion(pos, t_k)
         # the frame depends on sigma alone: keep it while sigma is unchanged
@@ -160,5 +146,5 @@ def _euler(coeffs, start, grid, wedge, rng, reflected, epsilon, fold_cap):
                               folds=folds, weight=math.exp(log_w),
                               approx_used=approx)
     return PathSample(endpoint=PolarPoint.from_cartesian(*pos),
-                      elapsed=grid.horizon, hit_boundary=False, folds=folds,
+                      elapsed=horizon, hit_boundary=False, folds=folds,
                       weight=math.exp(log_w), approx_used=approx)

@@ -4,8 +4,9 @@ A wedge <alpha_minus, alpha_plus> is the set of points whose polar angle lies
 between the two ray angles. All samplers and densities work in "standard"
 coordinates where the driving noise is a standard planar Brownian motion.
 `standard_frame` is the one map there from noise sigma W in a wedge: each
-Euler cell uses it, and `decorrelate` applies it to a correlated problem
-(marginal scales sigma1, sigma2, correlation rho, boundary line y = a x).
+Euler cell uses it, and `montecarlo.run_frame` applies it to a correlated
+setup (marginal scales sigma1, sigma2, correlation rho, boundary line
+y = a x) in an exact mode.
 """
 
 import math
@@ -218,10 +219,14 @@ class CorrelatedSetup:
     drift: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (self.sigma1 > 0 and self.sigma2 > 0):
-            raise ValueError("sigma1 and sigma2 must be positive")
+        for name in ("sigma1", "sigma2"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must be in (-1, 1), got {self.rho}")
+        if math.isnan(self.slope):
+            raise ValueError("slope must be a number, got nan")
         if self.slope == 0.0:
             raise ValueError("slope 0 reduces to a one-dimensional problem; not supported")
         positive = self.region_case in (RegionCase.AND_POS, RegionCase.OR_POS)
@@ -247,29 +252,3 @@ class CorrelatedSetup:
         turn = {RegionCase.AND_POS: 0.0, RegionCase.AND_NEG: math.pi,
                 RegionCase.OR_POS: math.pi, RegionCase.OR_NEG: TWO_PI}
         return WedgeSpec(0.0, math.atan(self.slope) + turn[self.region_case])
-
-
-@dataclass(frozen=True)
-class DecorrelatedProblem:
-    wedge: WedgeSpec
-    start: PolarPoint
-    forward_map: tuple  # 2x2, rows as tuples; applies to user coordinates
-    backward_map: tuple  # its inverse; applies to standard coordinates
-    drift: tuple = (0.0, 0.0)
-
-
-def decorrelate(setup):
-    """Map a correlated setup to a standard-Brownian wedge problem: the
-    standard frame of (setup.sigma, setup.wedge), the start placed in its
-    wedge, and the drift through its forward map.
-
-    sigma^{-1} keeps the x-axis, so the frame needs no rotation: the forward
-    map is sigma^{-1}. scripts/oracles/decorrelation_reference.py derives and
-    checks the closed forms of the opening: atan of the mapped slope
-    a' = a s1 sqrt(1-rho^2)/(s2 - a s1 rho), plus pi where a' < 0, plus pi
-    for a union, and pi/2 (3 pi/2) where s2 = a s1 rho.
-    """
-    fwd, bwd, wedge = standard_frame(setup.sigma, setup.wedge)
-    start = wedge.place(PolarPoint.from_cartesian(*mat_vec(fwd, setup.x0)))
-    return DecorrelatedProblem(wedge=wedge, start=start, forward_map=fwd,
-                               backward_map=bwd, drift=mat_vec(fwd, setup.drift))

@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .drift import (TimeGrid, euler_reflected, euler_stopped,
-                    girsanov_log_weight, linear_field)
-from .geometry import PolarPoint, WedgeSpec, decorrelate, mat_vec
+from .drift import (euler_reflected, euler_stopped, girsanov_log_weight,
+                    linear_field)
+from .geometry import PolarPoint, WedgeSpec, mat_vec, standard_frame
 from .rng import RngStream
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded,
                        algorithm_reflected, algorithm_stopped)
@@ -77,7 +77,7 @@ class EstimatorConfig:
     seed: int
     wedge: WedgeSpec = None
     start: PolarPoint = None
-    setup: object = None  # CorrelatedSetup; decorrelated on resolve()
+    setup: object = None  # CorrelatedSetup; framed by run_frame
     drift: tuple = (0.0, 0.0)
     epsilon: float = DEFAULT_EPSILON
     fold_cap: int = DEFAULT_FOLD_CAP
@@ -108,14 +108,28 @@ class EstimatorConfig:
                 raise ValueError("Euler modes take drift through mu and kappa; "
                                  "a constant drift would be ignored")
 
-    def resolve(self):
-        """Returns (wedge, start, drift, problem) where problem is the
-        DecorrelatedProblem carrying the frame maps (None if the input was
-        already in standard coordinates)."""
-        if self.setup is None:
-            return self.wedge, self.start, self.drift, None
-        prob = decorrelate(self.setup)
-        return prob.wedge, prob.start, prob.drift, prob
+
+def run_frame(config):
+    """The coordinates the paths of `config` run in: (wedge, start, drift,
+    sigma, backward), where sigma is the noise factor and backward maps an
+    endpoint back to the input frame (None when they coincide).
+
+    A correlated setup in an exact mode runs in the standard frame of
+    (setup.sigma, setup.wedge). sigma^{-1} keeps the x-axis, so that frame
+    needs no rotation; scripts/oracles/decorrelation_reference.py derives and
+    checks the closed forms of its opening. An Euler run stays in the
+    setup's frame with noise setup.sigma, and each cell's own standard frame
+    decorrelates it.
+    """
+    setup = config.setup
+    if setup is None:
+        return config.wedge, config.start, config.drift, IDENTITY, None
+    if config.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
+        return (setup.wedge, PolarPoint.from_cartesian(*setup.x0),
+                setup.drift, setup.sigma, None)
+    fwd, bwd, wedge = standard_frame(setup.sigma, setup.wedge)
+    start = wedge.place(PolarPoint.from_cartesian(*mat_vec(fwd, setup.x0)))
+    return wedge, start, mat_vec(fwd, setup.drift), IDENTITY, bwd
 
 
 @dataclass(frozen=True)
@@ -135,22 +149,22 @@ def simulate(config, resolved, rng):
     """One path of `config` drawn from `rng`: returns (PathSample, faulted).
 
     resolved holds the per-run constants built by `map_paths`: (wedge,
-    start, its cartesian x0, drift, Euler coefficient field, Euler time
-    grid), in standard coordinates but for an Euler run's, which are in the
-    input frame. An exact path is weighted by the Girsanov factor of the
-    constant drift, which is 1 exactly for zero drift; an Euler path carries
-    the factors of its cells. A path that exceeds the fold cap returns its
-    partial state with faulted=True.
+    start, its cartesian x0, drift, Euler coefficient field), in the
+    coordinates `run_frame` picks. An exact path is weighted by the Girsanov
+    factor of the constant drift, which is 1 exactly for zero drift; an
+    Euler path carries the factors of its cells. A path that exceeds the
+    fold cap returns its partial state with faulted=True.
     """
-    wedge, start, x0, drift, coeffs, grid = resolved
+    wedge, start, x0, drift, coeffs = resolved
     T, cap, eps = config.horizon, config.fold_cap, config.epsilon
-    mode = config.mode
+    mode, steps = config.mode, config.steps
     try:
         if mode is Mode.EULER_STOPPED:
-            return euler_stopped(coeffs, start, grid, wedge, rng, fold_cap=cap), False
+            return euler_stopped(coeffs, start, T, steps, wedge, rng,
+                                 fold_cap=cap), False
         if mode is Mode.EULER_REFLECTED:
-            return euler_reflected(coeffs, start, grid, wedge, rng, epsilon=eps,
-                                   fold_cap=cap), False
+            return euler_reflected(coeffs, start, T, steps, wedge, rng,
+                                   epsilon=eps, fold_cap=cap), False
         if mode is Mode.STOPPED:
             sample = algorithm_stopped(start, T, wedge, rng, iteration_cap=cap)
         else:
@@ -170,29 +184,22 @@ def map_paths(config, fn):
     from sub-stream i of the seed, whichever worker thread runs it, so the
     list does not depend on config.workers.
     """
-    wedge, start, drift, problem = config.resolve()
-    coeffs = grid = None
+    wedge, start, drift, sigma, backward = run_frame(config)
+    coeffs = None
     if config.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
-        # Euler paths run in the input frame, where each cell's standard
-        # frame decorrelates the noise sigma W
-        sigma, setup = IDENTITY, config.setup
-        if setup is not None:
-            sigma, wedge, problem = setup.sigma, setup.wedge, None
-            start = PolarPoint.from_cartesian(*setup.x0)
         coeffs = linear_field(config.mu, config.kappa, sigma)
-        grid = TimeGrid.uniform(config.horizon, config.steps)
     drift = tuple(drift)
     if len(drift) != 2 or not all(math.isfinite(v) for v in drift):
         raise ValueError(f"drift must be a finite 2-vector, got {drift}")
     start = wedge.place(start)  # the driving motion starts where the path does
-    resolved = (wedge, start, start.cartesian(), drift, coeffs, grid)
+    resolved = (wedge, start, start.cartesian(), drift, coeffs)
     root = RngStream(config.seed)
 
     def one(index):
         sample, faulted = simulate(config, resolved, root.derive(index))
         xy = sample.cartesian_endpoint()
-        if problem is not None:
-            xy = mat_vec(problem.backward_map, xy)
+        if backward is not None:
+            xy = mat_vec(backward, xy)
         return fn(index, sample, faulted, xy)
 
     indices = range(config.n_samples)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .corner import corner_triggered, sample_corner
-from .densities import ExitLawParams
+from .densities import ExitLawParams, image_sums
 from .geometry import (TWO_PI, PolarPoint, Side, WedgeSpec, fold_into_wedge,
                        image_angles, require_interior)
 
@@ -182,26 +182,11 @@ def sample_survivor(start, wedge, horizon, rng, _m=None):
         raise ValueError(f"horizon must be positive, got {horizon}")
     images = image_angles(start.theta, wedge, m)
     x0, y0 = start.cartesian()
-    two_h = 2.0 * horizon
     sd = math.sqrt(horizon)
     for _ in range(_AR_CAP):
         r, rel = _sector_fold(x0 + sd * rng.normal(), y0 + sd * rng.normal(), wedge, m)
         theta = wedge.alpha_minus + rel
-        # the squared image distances are (r - r0)^2 + 4 r r0 sin^2(half the
-        # angle) and only their gaps count: the half-angle form keeps a gap
-        # r^2 + r0^2 - 2 r r0 cos cancels (1e-9 off a ray at radius 1e10)
-        cross = 4.0 * r * start.r
-        sin_sq = [math.sin(0.5 * (theta - ang)) ** 2 for ang in images]
-        base = min(sin_sq)
-        signed = 0.0
-        total = 0.0
-        for k in range(0, 2 * m, 2):
-            even = math.exp((base - sin_sq[k]) * cross / two_h)
-            odd = math.exp((base - sin_sq[k + 1]) * cross / two_h)
-            signed += even - odd
-            total += even + odd
-        if signed < 0.0:
-            signed = 0.0
+        _, signed, total = image_sums(r, theta, start.r, images, horizon)
         if rng.uniform() * total <= signed:
             return PolarPoint(r, theta)
     raise RuntimeError("survivor acceptance-rejection failed to terminate")

@@ -398,6 +398,32 @@ def test_correlated_start_on_the_boundary_line_stops_at_once(tmp_path):
                 xy + ("0", "1")
 
 
+BAD_SETUPS = {
+    # a NaN slope passed the sign check of the _NEG cases and was reported
+    # as a start outside the region
+    "slope": ["--sigma1", "1", "--sigma2", "1", "--rho", "0", "--slope", "nan",
+              "--region", "and_neg", "--x", "1,1"],
+    # an infinite scale was reported as a bad wedge of the standard frame
+    "sigma1": ["--sigma1", "inf", "--x", "1.0,0.5"] + SLANTED,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SETUPS))
+def test_bad_correlated_input_is_named_in_the_error(name, capsys):
+    assert run_cli(["sample-stopped", "--n", "1"] + BAD_SETUPS[name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be")
+    assert "outside region" not in err and "alpha_minus" not in err
+
+
+def test_vertical_boundary_line_still_runs(tmp_path):
+    code, data = run_to_file(tmp_path, "vertical.csv", [
+        "sample-stopped", "--n", "2", "--sigma1", "1", "--sigma2", "1",
+        "--rho", "0", "--slope", "inf", "--region", "and_pos", "--x", "0.1,1"])
+    assert code == 0
+    assert len(parse_csv(data)[1]) == 2
+
+
 @pytest.mark.parametrize("angle", ["0", "0.5", "2", "3"])
 def test_stopped_apex_start_prints_the_apex_unsigned(tmp_path, angle):
     # the apex belongs to both rays; its angle must not give x or y a sign
@@ -430,6 +456,19 @@ def test_start_radius_too_large_for_exit_law_is_a_clean_error(radius):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "too large for the exit-law exponents" in proc.stderr
+
+
+def test_density_series_cap_is_a_clean_error():
+    # at t = 1e-12 the Bessel series finds no certified cutoff below its cap
+    src = str(pathlib.Path(wedgebm.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "wedgebm.cli", "density", "--alpha", "0.9",
+         "--start", "1.5,0.3", "--t", "1e-12", "--grid", "2"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: no certified cutoff")
 
 
 NON_FINITE_DRIFTS = {

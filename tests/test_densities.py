@@ -149,6 +149,15 @@ def test_images_symmetric_in_endpoints():
         reflected_density_images(3, b, a, t), rel=1e-13)
 
 
+@pytest.mark.parametrize("density", [killed_density_images,
+                                     reflected_density_images])
+def test_images_keep_the_distance_at_large_radius(density):
+    # r^2 + r0^2 - 2 r r0 cos cancelled to d^2 = 0 here; only the image of
+    # the target itself is close, at distance 0.5
+    value = density(4, PolarPoint(1e8, 0.3), PolarPoint(1e8 + 0.5, 0.3), 1.0)
+    assert value == pytest.approx(math.exp(-0.125) / TWO_PI, rel=1e-12)
+
+
 # frozen from scripts/oracles/one_dim_reference.py (reflection principle)
 @pytest.mark.parametrize("kind,x0,w,t,want", [
     (Kind.KILLED, 1.0, 0.7, 0.9, 0.31558140738478757),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wedgebm import drift as drift_module
-from wedgebm.drift import (CoefficientField, TimeGrid, euler_reflected,
-                           euler_stopped, girsanov_log_weight, linear_field)
+from wedgebm.drift import (CoefficientField, euler_reflected, euler_stopped,
+                           girsanov_log_weight, linear_field)
 from wedgebm.geometry import PolarPoint, WedgeSpec, standard_frame
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
@@ -151,15 +151,16 @@ def test_reflected_corner_weight_is_mean_one():
 # ---------------------------------------------------------------------------
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(times=(0.0,))
-    with pytest.raises(ValueError):
-        TimeGrid(times=(0.1, 0.5))
-    with pytest.raises(ValueError):
-        TimeGrid(times=(0.0, 0.5, 0.5))
-    g = TimeGrid.uniform(1.0, 4)
-    assert g.horizon == 1.0
-    assert len(g.times) == 5
+    # the grid is (horizon, steps): at least one cell and a finite horizon,
+    # and the last cell ends exactly at the horizon
+    field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
+    for scheme in (euler_stopped, euler_reflected):
+        for horizon, steps in ((1.0, 0), (math.inf, 4), (0.0, 4),
+                               (math.nan, 4)):
+            with pytest.raises(ValueError):
+                scheme(field, START, horizon, steps, W09, RngStream(1))
+    sample = euler_reflected(field, START, 0.3, 7, W09, RngStream(1))
+    assert sample.elapsed == 0.3
 
 
 def test_linear_field_values():
@@ -203,11 +204,10 @@ def test_euler_driftless_is_exact_any_step_count():
     # with b = 0 and sigma = I every cell runs the exact sampler on the
     # remaining wedge, so even a 3-cell grid reproduces the closed forms
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-    grid = TimeGrid.uniform(1.0, 3)
     root = RngStream(94)
     stopped_diffs = []
     for i in range(3000):
-        s = euler_stopped(field, START, grid, W09, root.derive(i))
+        s = euler_stopped(field, START, 1.0, 3, W09, root.derive(i))
         assert s.weight == 1.0
         stopped_diffs.append(s.endpoint.r ** 2 - 2.0 * s.elapsed)
     mean = np.mean(stopped_diffs)
@@ -217,7 +217,7 @@ def test_euler_driftless_is_exact_any_step_count():
     refl = []
     root = RngStream(95)
     for i in range(3000):
-        s = euler_reflected(field, START, grid, W09, root.derive(i))
+        s = euler_reflected(field, START, 1.0, 3, W09, root.derive(i))
         assert s.elapsed == 1.0
         refl.append(s.endpoint.r ** 2)
     mean = np.mean(refl)
@@ -229,11 +229,10 @@ def test_euler_scaled_diffusion_reflected():
     # sigma = c I is a deterministic time change: E[|X_T|^2] = r0^2 + 2 c^2 T
     c = 0.7
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((c, 0.0), (0.0, c)))
-    grid = TimeGrid.uniform(1.0, 4)
     root = RngStream(96)
     vals = []
     for i in range(3000):
-        s = euler_reflected(field, START, grid, W09, root.derive(i))
+        s = euler_reflected(field, START, 1.0, 4, W09, root.derive(i))
         vals.append(s.endpoint.r ** 2)
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
@@ -245,11 +244,10 @@ def test_euler_general_sigma_preserves_martingale_mean():
     # E[X_{tau ^ T}] = x0 for any constant sigma; exercises the cell frames
     sigma = ((1.2, 0.4), (0.0, 0.8))
     field = linear_field((0.0, 0.0), (0.0, 0.0), sigma)
-    grid = TimeGrid.uniform(1.0, 3)
     root = RngStream(97)
     xs, ys = [], []
     for i in range(4000):
-        s = euler_stopped(field, START, grid, W09, root.derive(i))
+        s = euler_stopped(field, START, 1.0, 3, W09, root.derive(i))
         x, y = s.cartesian_endpoint()
         xs.append(x)
         ys.append(y)
@@ -264,12 +262,11 @@ def test_euler_ou_against_brute_force():
     mu = (0.1, 0.2)
     kappa = (0.7, 0.5)
     field = linear_field(mu, kappa, ((1.0, 0.0), (0.0, 1.0)))
-    grid = TimeGrid.uniform(1.0, 50)
     start = PolarPoint(1.0, 0.6)
     root = RngStream(98)
     vals = []
     for i in range(3000):
-        s = euler_stopped(field, start, grid, QUARTER, root.derive(i))
+        s = euler_stopped(field, start, 1.0, 50, QUARTER, root.derive(i))
         vals.append((s.endpoint.r ** 2) * s.weight)
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
@@ -314,8 +311,8 @@ def test_constant_sigma_euler_work_per_path_does_not_grow_with_steps(monkeypatch
     for steps in (50, 200):
         _pass_plan.cache_clear()
         counts.update(pi_over_m=0, cell_frame=0)
-        euler_reflected(coeffs, START, TimeGrid.uniform(1.0, steps), W09,
-                        RngStream(2), epsilon=0.01)
+        euler_reflected(coeffs, START, 1.0, steps, W09, RngStream(2),
+                        epsilon=0.01)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["cell_frame"] == 1
@@ -326,10 +323,9 @@ def test_euler_accepts_an_array_valued_diffusion():
     # the frame cache compares sigma entry by entry, so a numpy diffusion
     # runs, with the same draws and result as the equal tuple one
     sig = ((1.1, 0.2), (-0.1, 0.9))
-    grid = TimeGrid.uniform(1.0, 30)
     as_tuple = linear_field((0.1, 0.2), (0.7, 0.5), sig)
     as_array = CoefficientField(drift=as_tuple.drift,
                                 diffusion=lambda _x, _t: np.array(sig))
     for scheme in (euler_stopped, euler_reflected):
-        assert scheme(as_array, START, grid, W09, RngStream(6)) == \
-            scheme(as_tuple, START, grid, W09, RngStream(6))
+        assert scheme(as_array, START, 1.0, 30, W09, RngStream(6)) == \
+            scheme(as_tuple, START, 1.0, 30, W09, RngStream(6))

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedgebm.geometry import (CorrelatedSetup, PolarPoint, RegionCase,
-                              WedgeSpec, decorrelate, fold_into_wedge,
-                              image_angles, mat_vec, require_pi_over_m)
+                              WedgeSpec, fold_into_wedge, image_angles,
+                              mat_vec, require_pi_over_m, standard_frame)
+from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, run_frame
 
 from laws import contains_angle
 
@@ -139,51 +140,52 @@ def test_fold_is_mirror():
 # check with 0 mismatches per configuration)
 # ---------------------------------------------------------------------------
 
+def setup_frame(setup):
+    """(forward, backward, wedge) of the standard frame of a setup."""
+    return standard_frame(setup.sigma, setup.wedge)
+
+
 def test_decorrelate_and_pos_reference():
     setup = CorrelatedSetup(sigma1=2.0, sigma2=1.0, rho=0.3, slope=0.7,
                             region_case=RegionCase.AND_POS, x0=(1.0, 0.2))
-    prob = decorrelate(setup)
-    assert prob.wedge.opening == pytest.approx(1.16108383097, abs=1e-9)
+    assert setup_frame(setup)[2].opening == pytest.approx(1.16108383097, abs=1e-9)
 
 
 def test_decorrelate_negative_denominator():
     # s2 - a s1 rho < 0 flips the mapped ray into the second quadrant
     setup = CorrelatedSetup(sigma1=1.0, sigma2=0.5, rho=0.8, slope=2.0,
                             region_case=RegionCase.AND_POS, x0=(1.0, 0.1))
-    prob = decorrelate(setup)
-    assert prob.wedge.opening == pytest.approx(2.3127435948, abs=1e-9)
+    assert setup_frame(setup)[2].opening == pytest.approx(2.3127435948, abs=1e-9)
 
 
 def test_decorrelate_degenerate_vertical_ray():
     # s2 = a s1 rho maps the slanted boundary to the vertical axis
     setup = CorrelatedSetup(sigma1=1.0, sigma2=1.0, rho=0.5, slope=2.0,
                             region_case=RegionCase.AND_POS, x0=(1.0, 0.1))
-    prob = decorrelate(setup)
-    assert prob.wedge.opening == pytest.approx(math.pi / 2, abs=1e-12)
+    assert setup_frame(setup)[2].opening == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_decorrelate_union_case_adds_pi():
     common = dict(sigma1=1.3, sigma2=0.9, rho=-0.2, slope=1.1, x0=(1.0, 0.5))
-    inter = decorrelate(CorrelatedSetup(region_case=RegionCase.AND_POS,
+    inter = setup_frame(CorrelatedSetup(region_case=RegionCase.AND_POS,
                                         x0=(1.0, 0.5), sigma1=1.3, sigma2=0.9,
-                                        rho=-0.2, slope=1.1))
-    union = decorrelate(CorrelatedSetup(region_case=RegionCase.OR_POS,
-                                        **common))
-    assert union.wedge.opening == pytest.approx(
-        inter.wedge.opening + math.pi, abs=1e-12)
+                                        rho=-0.2, slope=1.1))[2]
+    union = setup_frame(CorrelatedSetup(region_case=RegionCase.OR_POS,
+                                        **common))[2]
+    assert union.opening == pytest.approx(inter.opening + math.pi, abs=1e-12)
 
 
 def test_decorrelate_forward_map_sends_region_to_wedge():
     setup = CorrelatedSetup(sigma1=2.0, sigma2=1.0, rho=0.3, slope=0.7,
                             region_case=RegionCase.AND_POS, x0=(1.0, 0.2))
-    prob = decorrelate(setup)
+    fwd, bwd, wedge = setup_frame(setup)
     # boundary rays of the region map onto the wedge rays
-    u, v = mat_vec(prob.forward_map, (1.0, 0.0))
+    u, v = mat_vec(fwd, (1.0, 0.0))
     assert abs(v) < 1e-12
-    u, v = mat_vec(prob.forward_map, (1.0, 0.7))
-    assert math.atan2(v, u) == pytest.approx(prob.wedge.alpha_plus, abs=1e-12)
+    u, v = mat_vec(fwd, (1.0, 0.7))
+    assert math.atan2(v, u) == pytest.approx(wedge.alpha_plus, abs=1e-12)
     # round trip
-    x, y = mat_vec(prob.backward_map, mat_vec(prob.forward_map, (0.3, 0.1)))
+    x, y = mat_vec(bwd, mat_vec(fwd, (0.3, 0.1)))
     assert (x, y) == pytest.approx((0.3, 0.1), abs=1e-14)
 
 
@@ -193,17 +195,19 @@ def test_decorrelate_places_a_start_on_the_boundary_line_on_the_ray():
                             rho=-0.8505992572365259, slope=-3.7410169050855,
                             region_case=RegionCase.AND_NEG,
                             x0=(-4.547975539878555, 17.01405337860103))
-    prob = decorrelate(setup)
-    assert prob.start.theta == prob.wedge.alpha_plus
+    config = EstimatorConfig(mode=Mode.STOPPED, func=TestFunction.CONSTANT_1,
+                             horizon=1.0, n_samples=1, seed=0, setup=setup)
+    wedge, start = run_frame(config)[:2]
+    assert start.theta == wedge.alpha_plus
 
 
 def test_decorrelate_map_is_covariance_inverse():
     setup = CorrelatedSetup(sigma1=2.0, sigma2=1.0, rho=0.3, slope=0.7,
                             region_case=RegionCase.AND_POS, x0=(1.0, 0.2))
-    prob = decorrelate(setup)
-    # forward_map is the inverse of the covariance factor
+    fwd = setup_frame(setup)[0]
+    # the forward map is the inverse of the covariance factor
     for col in ((1.0, 0.0), (0.0, 1.0)):
-        back = mat_vec(prob.forward_map, mat_vec(setup.sigma, col))
+        back = mat_vec(fwd, mat_vec(setup.sigma, col))
         assert back == pytest.approx(col, abs=1e-13)
 
 

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from wedgebm.cli import run_cli
-from wedgebm.drift import CoefficientField, TimeGrid, euler_reflected
+from wedgebm.drift import CoefficientField, euler_reflected
 from wedgebm.geometry import CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
@@ -211,12 +211,11 @@ def _state_dependent_field():
 def euler_state_dependent_digest():
     """sha256 of the repr of every PathSample field of five Euler paths."""
     coeffs = _state_dependent_field()
-    grid = TimeGrid.uniform(1.0, 40)
     wedge = WedgeSpec(0.0, 0.9)
     root = RngStream(7)
     h = hashlib.sha256()
     for i in range(5):
-        sample = euler_reflected(coeffs, PolarPoint(1.5, 0.3), grid, wedge,
+        sample = euler_reflected(coeffs, PolarPoint(1.5, 0.3), 1.0, 40, wedge,
                                  root.derive(i), epsilon=0.03)
         h.update(repr(vars(sample)).encode())
     return h.hexdigest()

@@ -4,10 +4,11 @@ import math
 import pytest
 
 from wedgebm.geometry import (CorrelatedSetup, PolarPoint, RegionCase,
-                              WedgeSpec)
-from wedgebm.montecarlo import (EstimatorConfig, FaultFractionExceeded, Mode,
-                                TestFunction, apply_test_function, eps_sweep,
-                                estimate, folding_stats)
+                              WedgeSpec, mat_vec, standard_frame)
+from wedgebm.montecarlo import (IDENTITY, EstimatorConfig,
+                                FaultFractionExceeded, Mode, TestFunction,
+                                apply_test_function, eps_sweep, estimate,
+                                folding_stats, run_frame)
 from wedgebm.rng import RngStream
 from wedgebm.samplers import PathSample
 
@@ -175,6 +176,29 @@ def test_correlated_setup_euler_runs():
     assert euler.n_faults == 0
     assert abs(euler.estimate - exact.estimate) <= \
         exact.half_width_95 + euler.half_width_95
+
+
+def test_run_frame_picks_the_coordinates_of_each_kind_of_run():
+    # plain: the input as given
+    plain = table1_config(drift=(0.5, -0.2))
+    assert run_frame(plain) == (W09, START, (0.5, -0.2), IDENTITY, None)
+    # correlated, exact: the standard frame of the setup, start and drift
+    # mapped forward, endpoints mapped back
+    setup = CorrelatedSetup(sigma1=2.0, sigma2=1.0, rho=0.3, slope=0.7,
+                            region_case=RegionCase.AND_POS, x0=(1.0, 0.2),
+                            drift=(0.4, 0.1))
+    fwd, bwd, cell = standard_frame(setup.sigma, setup.wedge)
+    common = dict(func=TestFunction.RADIUS_SQ, horizon=1.0, n_samples=1,
+                  seed=0)
+    exact = run_frame(EstimatorConfig(mode=Mode.REFLECTED, setup=setup, **common))
+    assert exact == (cell, PolarPoint.from_cartesian(*mat_vec(fwd, setup.x0)),
+                     mat_vec(fwd, setup.drift), IDENTITY, bwd)
+    # correlated, Euler: the setup's own frame and noise; each cell frames it
+    setup = dataclasses.replace(setup, drift=(0.0, 0.0))
+    euler = run_frame(EstimatorConfig(mode=Mode.EULER_STOPPED, steps=3,
+                                      setup=setup, **common))
+    assert euler == (setup.wedge, PolarPoint.from_cartesian(1.0, 0.2),
+                     (0.0, 0.0), setup.sigma, None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from scipy.stats import chi2, kstest, ks_2samp, norm
 
 from wedgebm.densities import ExitLawParams, killed_density_images
 from wedgebm import samplers
-from wedgebm.drift import TimeGrid, euler_reflected, euler_stopped, linear_field
+from wedgebm.drift import euler_reflected, euler_stopped, linear_field
 from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
                               image_angles)
 from wedgebm.rng import RngStream
@@ -429,12 +429,12 @@ def test_starts_on_and_near_a_ray(alpha, log_r, upper, outside, d, seed):
     ray = alpha if upper else 0.0
     start = PolarPoint(10.0 ** log_r, ray + d if upper == outside else ray - d)
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-    grid = TimeGrid.uniform(1.0, 2)
     runs = {
         "stopped": lambda rng: algorithm_stopped(start, 1.0, wedge, rng),
         "reflected": lambda rng: algorithm_reflected(start, 1.0, wedge, rng),
-        "euler_stopped": lambda rng: euler_stopped(field, start, grid, wedge, rng),
-        "euler_reflected": lambda rng: euler_reflected(field, start, grid, wedge, rng),
+        "euler_stopped": lambda rng: euler_stopped(field, start, 1.0, 2, wedge, rng),
+        "euler_reflected": lambda rng: euler_reflected(field, start, 1.0, 2, wedge,
+                                                       rng),
     }
     for name, run in runs.items():
         if outside and d > ANGLE_TOL:
