@@ -1,0 +1,119 @@
+"""Per-layer timings of wedgebm, in microseconds per call.
+
+Run from the root of a source checkout:
+
+    PYTHONPATH=src python3 scripts/bench_layers.py [--out BENCH_16.json]
+
+Every layer runs on fixed inputs drawn from fixed seeds, so each repeat does
+the same work. A layer's figure is the median over repeats of its mean time
+per call. The geometry is the Table 1 and Table 3 one: opening 0.9 (passes
+in its pi/4 sub-wedge), start (1.5, 0.3); the Euler rows use the `ito
+--table3-*` parameters and their cell length dt = 1/5000.
+
+The JSON record holds the figures, the seed, the repeat count, the number of
+cores this process may run on and the Python, numpy and scipy versions.
+"""
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+import scipy
+
+from wedgebm.densities import killed_density_series
+from wedgebm.drift import euler_reflected, euler_stopped, linear_field
+from wedgebm.geometry import PolarPoint, WedgeSpec
+from wedgebm.rng import RngStream
+from wedgebm.samplers import _exit_draw, _pass_plan, _survivor_trial
+
+SEED = 16
+WEDGE = WedgeSpec(0.0, 0.9)
+START = PolarPoint(1.5, 0.3)
+STEPS = 5000
+DT = 1.0 / STEPS
+FIELD = linear_field((0.1, 0.2), (0.7, 0.5), ((1.0, 0.0), (0.0, 1.0)))
+
+
+def _per_call_us(run, calls, repeats):
+    """Median over repeats of the mean microseconds per call of run(i)."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for i in range(calls):
+            run(i)
+        times.append((time.perf_counter() - t0) / calls * 1e6)
+    return statistics.median(times)
+
+
+def layers(repeats):
+    theta_cap, m, sub, mid_images = _pass_plan(WEDGE.opening)
+    rel = PolarPoint(START.r, theta_cap / 2.0)  # a reflected pass's start
+    root = RngStream(SEED)
+    out = {}
+    out["rng.derive_us"] = _per_call_us(root.derive, 2000, repeats)
+
+    def draws(fn, calls):
+        def run(_i, rng=RngStream(SEED)):
+            fn(rng)
+        return _per_call_us(run, calls, repeats)
+
+    for name, t in (("dt", DT), ("t1", 1.0)):
+        out[f"samplers.survivor_trial_{name}_us"] = draws(
+            lambda rng, t=t: _survivor_trial(rel, sub, m, mid_images, t, rng), 5000)
+    for name, t in (("dt", DT), ("tinf", math.inf)):
+        out[f"samplers.exit_draw_{name}_us"] = draws(
+            lambda rng, t=t: _exit_draw(rel, t, sub, m, rng), 5000)
+
+    def cells(scheme, **kw):
+        """us per cell over two Euler paths; a stopped one ends at its hit."""
+        def run():
+            t0 = time.perf_counter()
+            ran = 0
+            for i in range(2):
+                sample = scheme(FIELD, START, 1.0, STEPS, WEDGE,
+                                RngStream(SEED).derive(i), **kw)
+                ran += (math.ceil(sample.elapsed * STEPS) if sample.hit_boundary
+                        else STEPS)
+            return (time.perf_counter() - t0) / ran * 1e6
+        return statistics.median(run() for _ in range(repeats))
+
+    out["drift.reflected_cell_us"] = cells(euler_reflected, epsilon=0.01)
+    out["drift.stopped_cell_us"] = cells(euler_stopped)
+
+    targets = [PolarPoint(0.5 + 0.25 * i, 0.9 * (j + 0.5) / 6)
+               for i in range(8) for j in range(6)]
+    out["densities.series_t1_us"] = _per_call_us(
+        lambda i: killed_density_series(WEDGE, targets[i % len(targets)], START, 1.0),
+        480, repeats)
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--out", default="BENCH_16.json")
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args(argv)
+    record = {
+        "seed": SEED,
+        "repeats": args.repeats,
+        "cores": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "layers_us": layers(args.repeats),
+    }
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    json.dump(record["layers_us"], sys.stdout, indent=2)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

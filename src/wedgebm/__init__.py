@@ -16,8 +16,6 @@ from .montecarlo import (EstimatorConfig, FaultFractionExceeded, FoldingStats,
                          folding_stats, run_frame)
 from .rng import RngStream
 from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded,
-                       PathSample, algorithm_reflected, algorithm_stopped,
-                       sample_exit_radius, sample_exit_side, sample_exit_time,
-                       sample_survivor)
+                       PathSample, algorithm_reflected, algorithm_stopped)
 
 __version__ = "0.1.0"

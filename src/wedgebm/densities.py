@@ -8,7 +8,7 @@ separate in their conventions:
   so a series value divided by the target radius is an image-sum value.
 
 Next to them sit the parameters of the stopped process's joint exit law on
-one ray, which the exit-time sampler draws from.
+one ray, whose image sum sets the acceptance of the conditional exit draw.
 """
 
 import math
@@ -65,21 +65,23 @@ def image_sums(r, theta, r0, images, horizon):
     """
     # the squared image distances are (r - r0)^2 + 4 r r0 sin^2(half the
     # angle) and only their gaps count: the half-angle form keeps a gap
-    # r^2 + r0^2 - 2 r r0 cos cancels (1e-9 off a ray at radius 1e10)
-    cross = 4.0 * r * r0
+    # r^2 + r0^2 - 2 r r0 cos cancels (1e-9 off a ray at radius 1e10). Each
+    # gap is multiplied into 4 r, then into r0: 4 r r0 alone overflows past
+    # radius ~1e154, and a zero gap times inf is nan
+    r4 = 4.0 * r
     two_h = 2.0 * horizon
     sin_sq = [math.sin(0.5 * (theta - ang)) ** 2 for ang in images]
     base = min(sin_sq)
     signed = 0.0
     total = 0.0
     for k in range(0, len(images), 2):
-        even = math.exp((base - sin_sq[k]) * cross / two_h)
-        odd = math.exp((base - sin_sq[k + 1]) * cross / two_h)
+        even = math.exp((base - sin_sq[k]) * r4 * r0 / two_h)
+        odd = math.exp((base - sin_sq[k + 1]) * r4 * r0 / two_h)
         signed += even - odd
         total += even + odd
     if signed < 0.0:
         signed = 0.0
-    return -((r - r0) ** 2 + base * cross) / two_h, signed, total
+    return -((r - r0) ** 2 + base * r4 * r0) / two_h, signed, total
 
 
 def _images_density(m, x, y, t, killed):
@@ -158,13 +160,10 @@ class ExitLawParams:
 
     @classmethod
     def for_side(cls, wedge, start, side, _m=None):
-        """The law on `side` for a start strictly inside the pi/m wedge. A
-        pass gives the m of its sub-wedge as _m and skips both checks: its
-        exit-side draw has just checked the start."""
-        m = _m
-        if m is None:
-            m = require_pi_over_m(wedge)
-            require_interior(start, wedge)
+        """The law on `side` for a start strictly inside the pi/m wedge; a
+        pass gives the m of its sub-wedge as _m."""
+        m = require_pi_over_m(wedge) if _m is None else _m
+        require_interior(start, wedge)
         th0 = start.theta
         if side is Side.PLUS:
             gam = tuple(wedge.alpha_plus + TWO_PI * k / m - th0 for k in range(m))
@@ -172,10 +171,9 @@ class ExitLawParams:
             gam = tuple(-wedge.alpha_minus - TWO_PI * k / m + th0 for k in range(m))
         return cls(start=start, gammas=gam)
 
-    def c_values(self, r, scale_exp=0):
-        """c_k(r), or with scale_exp = k those at every radius times 2^-k."""
-        r0 = math.ldexp(self.start.r, -scale_exp)
-        r = math.ldexp(r, -scale_exp)
+    def c_values(self, r):
+        """c_k(r) for k = 0 .. m - 1."""
+        r0 = self.start.r
         out = []
         for g in self.gammas:
             d = r - r0 * math.cos(g)

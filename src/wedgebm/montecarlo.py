@@ -213,7 +213,8 @@ def estimate(config):
     """Run the configured Monte Carlo estimate and return an McReport.
 
     Faulted paths (recursion cap) are excluded from the estimate and
-    counted; more than 10% of them aborts the run.
+    counted; more than 10% of them aborts the run. An estimate or half-width
+    that overflows is a ValueError.
     """
     t0 = time.perf_counter()
     func = config.func
@@ -240,6 +241,9 @@ def estimate(config):
         half = 1.96 * math.sqrt(var / m)
     else:
         half = math.inf
+    if not math.isfinite(mean) or (m > 1 and not math.isfinite(half)):
+        raise ValueError(f"the estimate of {func.value} overflows: its values "
+                         f"at these endpoints are out of floating-point range")
     weights = [r[2] for r in good]
     wsum = math.fsum(weights)
     wsq = math.fsum(w * w for w in weights)

@@ -1,13 +1,12 @@
 """Exact samplers for Brownian motion stopped or reflected in a wedge.
 
-The building blocks follow the exit-law decomposition: which ray is hit,
-the exit radius (closed-form inverse CDF), the exit time given the radius
-(acceptance-rejection with an inverse-exponential proposal per mixture
-component), and the endpoint conditioned on not exiting (acceptance-rejection
-against the free Gaussian endpoint folded into the wedge, the reflection
-principle's reflected endpoint). `algorithm_stopped` composes these
-recursively over sub-wedges of opening pi/m; `algorithm_reflected` adds the
-folding step and the corner termination.
+Both recursions run passes in sub-wedges of opening pi/m, and every pass is
+survivor-first: with time t' left it makes one survivor trial, which keeps
+its proposal with probability exactly P(tau > t') and then ends the pass
+with the killed law (_survivor_trial). Only a refused trial draws the exit
+conditioned on tau <= t' (_exit_draw); with t' = inf a pass skips the
+trial. `algorithm_reflected` adds the folding step and the corner
+termination.
 
 Both recursions accept an arbitrary wedge <alpha_minus, alpha_plus> and work
 internally in the rotated frame where the lower ray is the positive x-axis;
@@ -17,18 +16,17 @@ boundary hits carry the exact ray angle, never a rounded float.
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .corner import corner_triggered, sample_corner
 from .densities import ExitLawParams, image_sums
 from .geometry import (TWO_PI, PolarPoint, Side, WedgeSpec, fold_into_wedge,
-                       image_angles, require_interior)
+                       image_angles)
 
 DEFAULT_EPSILON = 0.03
 DEFAULT_FOLD_CAP = 10 ** 6
 
-# safety cap for the inner acceptance-rejection loops; the acceptance
-# probabilities are bounded away from 0, so this never triggers in practice
-_AR_CAP = 10 ** 7
+_INV_CDF = NormalDist().inv_cdf
 
 # radii below this are treated as sitting at the apex. In the exact reflected
 # mode the log-radius random-walks and can underflow past where the exit-law
@@ -71,125 +69,23 @@ class FoldCapExceeded(RuntimeError):
         self.partial = partial
 
 
-def sample_exit_side(start, wedge, rng):
-    """Which ray the motion started at `start` exits through."""
-    require_interior(start, wedge)
-    p_plus = (start.theta - wedge.alpha_minus) / wedge.opening
-    return Side.PLUS if rng.uniform() < p_plus else Side.MINUS
+def _survivor_trial(start, wedge, m, images, horizon, rng):
+    """One survivor proposal from `start` in the pi/m wedge, whose image
+    angles are `images`: the endpoint, or None if refused.
 
-
-def sample_exit_radius(start, wedge, side, u):
-    """Exit radius on the given side by the closed-form inverse CDF.
-
-    Valid for any opening, not just pi/m. u must be strictly inside (0, 1);
-    the endpoints would produce the degenerate radii 0 and inf.
+    The proposal is the free Gaussian endpoint folded into the wedge by the
+    2m-sector tiling, whose density is the 2m-image sum (the reflected
+    kernel), kept with the ratio of the signed sum (the killed kernel) to
+    it: with probability exactly P(tau > horizon), and then killed-law.
     """
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must be strictly inside (0, 1), got {u}")
-    require_interior(start, wedge)
-    alpha = wedge.opening
-    s = math.pi * (start.theta - wedge.alpha_minus) / alpha
-    if side is Side.MINUS:
-        base = math.cos(s) - math.sin(s) / math.tan((math.pi - s) * (u - 1.0))
-    else:
-        base = -math.cos(s) - math.sin(s) / math.tan(s * (u - 1.0))
-    return start.r * base ** (alpha / math.pi)
-
-
-def _draw_exit_radius(start, wedge, side, rng):
-    while True:
-        u = rng.uniform()
-        if 0.0 < u < 1.0:
-            return sample_exit_radius(start, wedge, side, u)
-
-
-def sample_exit_time(params, r, rng):
-    """Exit time given the exit side and radius, by acceptance-rejection.
-
-    The conditional density in t is proportional to a signed mixture of
-    t^-2 e^{-c_k/2t} terms. The envelope keeps only the nonnegative
-    coefficients; each such component, normalized, is sampled exactly as
-    t = c_k / (2E) with E unit exponential.
-
-    It draws at every radius times 2^-k, the start radius in [0.5, 1), and
-    scales the time by 4^k: exact, yet c_k ~ (r0 d)^2 of a start at radius
-    1e-150 a hair d off a ray does not underflow.
-    """
-    sines = [math.sin(g) for g in params.gammas]
-    k = math.frexp(params.start.r)[1]
-    cs = params.c_values(r, k)
-    if math.inf in cs or math.frexp(max(cs))[1] + 2 * k > 1024:  # 4^k c_k overflows
-        raise ValueError(
-            f"start radius {params.start.r:g} (exit radius {r:g}) is too large "
-            f"for the exit-law exponents, which overflow")
-    weights = []
-    for s, c in zip(sines, cs):
-        if s > 0.0:
-            if c == 0.0:
-                raise ValueError("query radius coincides with an image of the start")
-            weights.append(s / c)
-        else:
-            weights.append(0.0)
-    total_w = math.fsum(weights)
-    if total_w <= 0.0:
-        raise AssertionError("no nonnegative mixture component; start not interior?")
-    c_min = min(cs)
-    for _ in range(_AR_CAP):
-        pick = rng.uniform() * total_w
-        acc = 0.0
-        comp = len(weights) - 1
-        for i, w in enumerate(weights):
-            acc += w
-            if pick <= acc:
-                comp = i
-                break
-        e = rng.exponential()
-        while e == 0.0:
-            e = rng.exponential()
-        t = cs[comp] / (2.0 * e)
-        # stabilized signed/positive sums at the proposed t
-        two_t = 2.0 * t
-        m_exp = c_min / two_t
-        num = 0.0
-        den = 0.0
-        for s, c in zip(sines, cs):
-            term = math.exp(-c / two_t + m_exp)
-            num += s * term
-            if s > 0.0:
-                den += s * term
-        if num > den * (1.0 + 1e-12) or num < -1e-12 * den:
-            raise RuntimeError(
-                f"exit-time acceptance ratio {num/den} outside [0, 1]")
-        if rng.uniform() * den <= num:
-            return math.ldexp(t, 2 * k) if math.frexp(t)[1] + 2 * k <= 1024 else math.inf
-    raise RuntimeError("exit-time acceptance-rejection failed to terminate")
-
-
-def sample_survivor(start, wedge, horizon, rng, _m=None):
-    """Endpoint at `horizon` conditioned on never leaving the pi/m wedge.
-
-    Proposes the free Gaussian endpoint folded into the wedge by the
-    2m-sector tiling, whose density is the unsigned 2m-image sum (the
-    reflected kernel), and accepts with the ratio of the signed image sum
-    (the killed kernel) to it. The ratio is at most 1, so the acceptance
-    rate is exactly P(tau > horizon). The recursions pass the m of their
-    sub-wedge as _m.
-    """
-    m = wedge.pi_over_m() if _m is None else _m
-    if m is None:
-        raise ValueError("survivor sampling needs a pi/m wedge")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    images = image_angles(start.theta, wedge, m)
     x0, y0 = start.cartesian()
     sd = math.sqrt(horizon)
-    for _ in range(_AR_CAP):
-        r, rel = _sector_fold(x0 + sd * rng.normal(), y0 + sd * rng.normal(), wedge, m)
-        theta = wedge.alpha_minus + rel
-        _, signed, total = image_sums(r, theta, start.r, images, horizon)
-        if rng.uniform() * total <= signed:
-            return PolarPoint(r, theta)
-    raise RuntimeError("survivor acceptance-rejection failed to terminate")
+    r, rel = _sector_fold(x0 + sd * rng.normal(), y0 + sd * rng.normal(), wedge, m)
+    theta = wedge.alpha_minus + rel
+    _, signed, total = image_sums(r, theta, start.r, images, horizon)
+    if rng.uniform() * total <= signed:
+        return PolarPoint(r, theta)
+    return None
 
 
 def _sector_fold(x, y, wedge, m):
@@ -227,21 +123,113 @@ def _sub_opening(alpha):
 
 @functools.lru_cache(maxsize=16)
 def _pass_plan(alpha):
-    """(theta_cap, m, sub-wedge <0, theta_cap>) of every pass in a wedge of
-    opening alpha. Cached per opening: a run, and every Euler cell of a
-    constant diffusion, reuses one plan. The small fixed size bounds the
-    cache when a state-dependent diffusion gives each cell its own opening.
+    """(theta_cap, m, sub-wedge <0, theta_cap>, image angles of its
+    bisector) of every pass in a wedge of opening alpha. Cached per opening:
+    a run, and every Euler cell of a constant diffusion, reuses one plan.
+    The small fixed size bounds the cache when a state-dependent diffusion
+    gives each cell its own opening.
     """
     theta_cap, m = _sub_opening(alpha)
-    return theta_cap, m, WedgeSpec(0.0, theta_cap)
+    sub = WedgeSpec(0.0, theta_cap)
+    return theta_cap, m, sub, image_angles(theta_cap / 2.0, sub, m)
 
 
-def _exit_draw(rel, sub, m_sub, rng):
-    """(side, radius, time) of one pass's exit from the pi/m sub-wedge."""
-    side = sample_exit_side(rel, sub, rng)
-    r = _draw_exit_radius(rel, sub, side, rng)
-    params = ExitLawParams.for_side(sub, rel, side, _m=m_sub)
-    return side, r, sample_exit_time(params, r, rng)
+def _log_erfc(x):
+    """log erfc(x) for x >= 0, also past x ~ 26.5, where erfc underflows:
+    there by six terms of the asymptotic series of erfc(x) x sqrt(pi) e^{x^2},
+    whose seventh is below 2e-17."""
+    if x < 26.0:
+        return math.log(math.erfc(x))
+    term = total = 1.0
+    for n in range(1, 7):
+        term *= -(2 * n - 1) * 0.5 / (x * x)
+        total += term
+    return math.log(total / (x * math.sqrt(math.pi))) - x * x
+
+
+def _abs_normal_beyond(a, log_erfc_a, rng):
+    """|Z| for a standard normal Z conditioned on |Z| >= a, given
+    log erfc(a / sqrt 2): by inversion of the tail below a = 4, by
+    Marsaglia's tail method (two exponentials a proposal) above it."""
+    if a < 4.0:
+        tail = 0.5 * math.exp(log_erfc_a)  # P(Z >= a)
+        while True:
+            u = rng.uniform()
+            if u > 0.0:
+                return -_INV_CDF(u * tail)
+    while True:
+        x = rng.exponential() / a
+        if 2.0 * rng.exponential() > x * x:
+            return a + x
+
+
+@functools.lru_cache(maxsize=64)
+def _exit_ratio_plan(sub, m, theta0, side):
+    """[(sin g_k / sin g_0, (c_k - c_0) / 2) for k >= 1] of the exit law on
+    `side` of the pi/m sub-wedge from angle theta0 at unit radius. As
+    c_k - c_0 = 2 r r0 (cos g_0 - cos g_k), a hit at radius r and time tau
+    from radius r0 is kept with probability 1 + sum_k w_k e^{-r r0 h_k / tau},
+    the wedge's exit density over its k = 0 term, the half-plane's. Cached:
+    a reflected pass starts on the bisector, and stopped passes repeat.
+    """
+    params = ExitLawParams.for_side(sub, PolarPoint(1.0, theta0), side, _m=m)
+    cs = params.c_values(1.0)
+    sin0 = math.sin(params.gammas[0])
+    return tuple((math.sin(g) / sin0, 0.5 * (c - cs[0]))
+                 for g, c in zip(params.gammas[1:], cs[1:]))
+
+
+def _exit_draw(rel, horizon, sub, m, rng):
+    """(side, radius, time) of the exit of a path at `rel` from the pi/m
+    sub-wedge, conditioned on time <= horizon (inf allowed).
+
+    Proposals are the exits of the half-planes bounded by the two ray
+    lines. Line i, at distance d_i, is picked with weight P_i(tau <= horizon)
+    = erfc(d_i / sqrt(2 horizon)), in log space as it underflows on a short
+    cell; its exit time is d_i^2 / Z^2 with |Z| >= d_i / sqrt(horizon), and
+    its hit point sqrt(tau) N from the start's foot along the line. A hit
+    past the apex is refused, any other kept by _exit_ratio_plan, at most 1
+    as the wedge lies in the half-plane. For m = 1 the wedge is the
+    half-plane of the one line, and every proposal is kept.
+
+    It draws at every radius times 2^-k, the start radius in [0.5, 1): the
+    exit time ~(r0 d)^2 from radius 1e-150 a hair d off a ray does not
+    underflow.
+    """
+    k = math.frexp(rel.r)[1]
+    r0 = math.ldexp(rel.r, -k)
+    sd = math.ldexp(math.sqrt(horizon), -k)
+    lines = []
+    for side, angle in ((Side.MINUS, rel.theta), (Side.PLUS, sub.opening - rel.theta)):
+        d = r0 * math.sin(angle)
+        a = d / sd
+        lines.append((side, d, r0 * math.cos(angle), a, _log_erfc(a / math.sqrt(2.0))))
+        if m == 1:
+            break
+    # w_minus / (w_minus + w_plus), a logistic of the gap of the log weights
+    gap = lines[-1][4] - lines[0][4]
+    p_minus = 1.0 / (1.0 + math.exp(gap)) if gap < 700.0 else 0.0
+    while True:
+        side, d, foot, a, log_w = (lines[0] if m == 1 or rng.uniform() < p_minus
+                                   else lines[1])
+        root = d / _abs_normal_beyond(a, log_w, rng)  # sqrt of the exit time
+        r = foot + root * rng.normal()
+        if m == 1:
+            side, r = (Side.MINUS, r) if r > 0.0 else (Side.PLUS, -r)
+            break
+        if r <= 0.0:
+            continue
+        x = r * r0 / (root * root)
+        kept = 1.0
+        for w, h in _exit_ratio_plan(sub, m, rel.theta, side):
+            kept += w * math.exp(-x * h)
+        if rng.uniform() <= kept:
+            break
+    try:
+        return side, math.ldexp(r, k), math.ldexp(root * root, 2 * k)
+    except OverflowError:
+        raise ValueError(f"start radius {rel.r:g} is too large for the exit "
+                         f"law: its exit radius or time overflows") from None
 
 
 def _stopped_sample(end, elapsed, hit_boundary, folds):
@@ -267,16 +255,19 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
     if r_n == 0.0 or th <= 0.0 or th >= alpha:
         ray = wedge.alpha_minus if r_n == 0.0 or th <= alpha - th else wedge.alpha_plus
         return _stopped_sample(PolarPoint(r_n, ray), 0.0, True, 0)
-    theta_cap, m_sub, sub = _pass_plan(alpha)
+    theta_cap, m_sub, sub, _ = _pass_plan(alpha)
     t_n = 0.0
     for n in range(1, iteration_cap + 1):
         beta_lo = min(max(th - theta_cap / 2.0, 0.0), alpha - theta_cap)
         rel = PolarPoint(r_n, th - beta_lo)
-        side, r_new, tau = _exit_draw(rel, sub, m_sub, rng)
-        if t_n + tau >= T:
-            surv = sample_survivor(rel, sub, T - t_n, rng, _m=m_sub)
-            end = PolarPoint(surv.r, wedge.alpha_minus + beta_lo + surv.theta)
-            return _stopped_sample(end, T, False, n)
+        t_rem = T - t_n
+        if t_rem < math.inf:
+            surv = _survivor_trial(rel, sub, m_sub,
+                                   image_angles(rel.theta, sub, m_sub), t_rem, rng)
+            if surv is not None:
+                end = PolarPoint(surv.r, wedge.alpha_minus + beta_lo + surv.theta)
+                return _stopped_sample(end, T, False, n)
+        side, r_new, tau = _exit_draw(rel, t_rem, sub, m_sub, rng)
         t_n += tau
         if side is Side.MINUS and beta_lo == 0.0:
             end = PolarPoint(r_new, wedge.alpha_minus)
@@ -288,8 +279,11 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
         else:
             th = beta_lo if side is Side.MINUS else beta_lo + theta_cap
             r_n = r_new
-            continue
-        return _stopped_sample(end, t_n, True, n)
+            if t_n < T:
+                continue
+            # an exit that took all the time left ends on an inner ray
+            return _stopped_sample(PolarPoint(r_n, wedge.alpha_minus + th), T, False, n)
+        return _stopped_sample(end, min(t_n, T), True, n)
     partial = PathSample(endpoint=PolarPoint(r_n, wedge.alpha_minus + th),
                          elapsed=t_n, hit_boundary=False, folds=iteration_cap)
     raise FoldCapExceeded(
@@ -322,7 +316,7 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
     th = start.theta - wedge.alpha_minus
     r_n = start.r
     base = wedge.alpha_minus
-    theta_cap, m_sub, sub = _pass_plan(alpha)
+    theta_cap, m_sub, sub, mid_images = _pass_plan(alpha)
     outer = WedgeSpec(0.0, alpha) if base > 0.0 else wedge
     wx, wy = (0.0, 0.0)  # accumulated driving displacement, internal frame
     t_n = 0.0
@@ -340,22 +334,24 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
             r_n, th = r_end, th_end
             approx = not at_apex
             break
+        # every pass starts on the bisector of its sub-wedge
         beta_lo = th - theta_cap / 2.0
         rel = PolarPoint(r_n, theta_cap / 2.0)
-        side, r_new, tau = _exit_draw(rel, sub, m_sub, rng)
-        survived = t_n + tau >= T
-        if survived:
-            surv = sample_survivor(rel, sub, t_rem, rng, _m=m_sub)
+        surv = _survivor_trial(rel, sub, m_sub, mid_images, t_rem, rng)
+        if surv is not None:
             r_new, pre_fold = surv.r, beta_lo + surv.theta
         else:
+            side, r_new, tau = _exit_draw(rel, t_rem, sub, m_sub, rng)
             pre_fold = beta_lo if side is Side.MINUS else beta_lo + theta_cap
+            t_n += tau
         wx += r_new * math.cos(pre_fold) - r_n * math.cos(th)
         wy += r_new * math.sin(pre_fold) - r_n * math.sin(th)
         th = fold_into_wedge(pre_fold, outer)
         r_n = r_new
-        if survived:
+        # a kept survivor ends the path; so does an exit that took all the
+        # time that was left
+        if surv is not None or t_n >= T:
             break
-        t_n += tau
     else:
         partial = PathSample(endpoint=PolarPoint(r_n, base + th), elapsed=t_n,
                              hit_boundary=False, folds=fold_cap)

@@ -91,7 +91,7 @@ def test_sample_stopped_marks_pass_cap_faults(tmp_path):
         "sample-stopped"] + T1 + ["--n", "50", "--fold-cap", "1", "--seed", "7"])
     assert code == 0
     faulted = [r for r in parse_csv(data)[1] if r["fault"] == "1"]
-    assert len(faulted) == 16
+    assert len(faulted) == 17  # of this stream; 16 before survivor-first passes
     for r in faulted:
         assert float(r["elapsed"]) < 1.0 and r["hit_boundary"] == "0"
 
@@ -445,8 +445,10 @@ def test_start_beyond_angle_tol_of_a_ray_is_a_usage_error(command, capsys):
 
 @pytest.mark.parametrize("radius", ["1e160", "1e200"])
 def test_start_radius_too_large_for_exit_law_is_a_clean_error(radius):
-    # the exit-law exponents overflow past radius ~1e154; that used to escape
-    # as an AssertionError traceback from samplers.sample_exit_time
+    # past radius ~1e154 the default test function |x|^2 overflows, and so
+    # does an exit time drawn from that radius. The exit-time sampler's
+    # overflow once escaped as an AssertionError traceback; a pass now keeps
+    # its survivor first, and the estimate names the overflow
     src = str(pathlib.Path(wedgebm.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "wedgebm.cli", "estimate", "--alpha", "0.9",
@@ -455,7 +457,17 @@ def test_start_radius_too_large_for_exit_law_is_a_clean_error(radius):
         env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "too large for the exit-law exponents" in proc.stderr
+    assert "overflows" in proc.stderr
+
+
+def test_density_at_a_radius_past_the_overflow_of_4_r_r0(tmp_path):
+    # an image-sum grid at radius 1e160 printed nan and exited 0
+    code, data = run_to_file(tmp_path, "far.csv", [
+        "density", "--alpha", "1.0471975511965976", "--start", "1e160,0.3",
+        "--grid", "1", "--rmax", "2e160"])
+    assert code == 0
+    _, rows = parse_csv(data)
+    assert [row["value"] for row in rows] == ["0"]
 
 
 def test_density_series_cap_is_a_clean_error():

@@ -17,7 +17,7 @@ from wedgebm.densities import (ExitLawParams, Kind, killed_density_images,
 from wedgebm.geometry import PolarPoint, Side, WedgeSpec
 
 from laws import (corner_kernel, exit_joint_density, exit_radius_marginal,
-                  one_dim_factor, survival_probability)
+                  exit_time_density, one_dim_factor, survival_probability)
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,6 +156,17 @@ def test_images_keep_the_distance_at_large_radius(density):
     # the target itself is close, at distance 0.5
     value = density(4, PolarPoint(1e8, 0.3), PolarPoint(1e8 + 0.5, 0.3), 1.0)
     assert value == pytest.approx(math.exp(-0.125) / TWO_PI, rel=1e-12)
+
+
+@pytest.mark.parametrize("density", [killed_density_images,
+                                     reflected_density_images])
+def test_images_past_the_overflow_of_4_r_r0(density):
+    # 4 r r0 is inf at radius 1e160: the zero angle gap of the start's own
+    # image used to meet it as 0 * inf = nan
+    point = PolarPoint(1e160, 0.3)
+    assert density(3, point, point, 1.0) == pytest.approx(1.0 / TWO_PI, rel=1e-12)
+    far = density(3, PolarPoint(1e160, 0.5), point, 1.0)
+    assert far == 0.0
 
 
 # frozen from scripts/oracles/one_dim_reference.py (reflection principle)
@@ -327,15 +338,37 @@ def test_joint_time_integral_recovers_marginal():
         assert val == pytest.approx(exit_radius_marginal(params, r), rel=1e-8)
 
 
+@pytest.mark.parametrize("horizon", [0.3, math.inf])
+def test_time_and_radius_marginals_agree_by_a_horizon(horizon):
+    # the two oracles of the conditional exit draw: P(side, tau <= t') from
+    # the time density and from the radius marginal, and with t' = inf the
+    # closed-form side ratio
+    wedge = WedgeSpec(0.0, math.pi / 3)
+    start = PolarPoint(1.4, 0.25)
+    for side, ratio in ((Side.MINUS, 1.0 - 0.25 / wedge.opening),
+                        (Side.PLUS, 0.25 / wedge.opening)):
+        params = ExitLawParams.for_side(wedge, start, side)
+        by_time, _ = integrate.quad(lambda t: exit_time_density(params, t),
+                                    0.0, horizon, limit=200)
+        by_radius, _ = integrate.quad(
+            lambda r: exit_radius_marginal(params, r, horizon), 0.0, math.inf,
+            limit=200)
+        assert by_time == pytest.approx(by_radius, rel=1e-8)
+        if horizon == math.inf:
+            assert by_time == pytest.approx(ratio, rel=1e-8)
+
+
 def test_exit_law_requires_interior_start():
     wedge = WedgeSpec(0.0, math.pi / 3)
     with pytest.raises(ValueError):
         ExitLawParams.for_side(wedge, PolarPoint(1.0, 0.0), Side.MINUS)
     with pytest.raises(ValueError):
         ExitLawParams.for_side(wedge, PolarPoint(0.0, 0.1), Side.MINUS)
-    # strictly interior is all it asks, like sample_exit_side
+    # strictly interior is all it asks, also of a pass that gives its m
     near_ray = PolarPoint(1.0, 1e-13)
     assert ExitLawParams.for_side(wedge, near_ray, Side.MINUS).start == near_ray
+    with pytest.raises(ValueError):
+        ExitLawParams.for_side(wedge, PolarPoint(1.0, math.pi / 3), Side.PLUS, _m=3)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,11 @@ SEED = ["--seed", "7"]  # for every command but density, which draws nothing
 # those endings became one free Gaussian step. The four sample-stopped cases
 # were recorded again when sample-stopped gained the fault column of
 # sample-reflected; with that column stripped, each CSV is byte for byte the
-# one before.
+# one before. Every case that runs a recursion pass (all but the density
+# cases and the six apex, apex-floor and corner cases, which end in one
+# corner draw before any pass) was recorded again when the passes became
+# survivor-first, with the conditional half-plane exit draw: a pass now
+# draws one survivor proposal before any exit, and the exit draws differ.
 DIGESTS = {
     "density_images_killed":
         "20e1fc928f8ccfb52c36b01f3cae8d7d5ce0a753378acb5631447eaa07c2ac95",
@@ -127,33 +131,33 @@ DIGESTS = {
     "density_series_reflected":
         "9cdc8073545c9f6ad5cae3ff248add55eee55c814c5e9435e47be56cc289f5d7",
     "estimate_correlated":
-        "0e98a13d34763953f263ccf9aa2a8bd98f9eb131d2587e0bc93ab50340d313a5",
+        "fd39424472d3c5757feb544703f3eb09a7171d24f28fb8737b9429b58f72f4c1",
     "estimate_drift_reflected":
-        "5c6aad395c181c859dadf174642bf2273f8d99fdcdaa8c9a8408c5c0f7ae7aca",
+        "2196b7bb712c1c0f93e9fda057cbfddf0cc2f610b9258357c65542ca9b93cbb5",
     "estimate_table1_coord1":
-        "1cede1c528130b855f732eea3fa64a69abd21fed6ec85f837683e067d2590d03",
+        "07894abba7cb6a7022faabb236454b26f2853d970bc23d20dd81e2cc59d00c0e",
     "estimate_table1_exit":
-        "b84ac3b1ba9acca4384dd1e79970e266a76e906d7e7be9f2736176e4f7a347db",
+        "d33f108341ef9c93b5ee7554f8709906369fa0d4092ebad90a7804efbf0991b4",
     "estimate_table1_reflected":
-        "b6052146ae04127a4960ba928bccc8c5c1dd5e30846a765f9957554ba5cb3620",
+        "9cbecd4fcb6564eb7cea24f40c2414bd11bef97cce1e92ac95dde3d499440b7e",
     "estimate_table1_stopped":
-        "ba6af5326d4e39c9e9671f82b7e0bbb46e18b21186226cde88c43b39489f03bf",
+        "8cb6416d3eaca5abf0476818b417793ce7c9e61811a1fde2761436d6f1d669af",
     "estimate_table1_tau":
-        "f93ef2e7241a521283cbc69206868686817a6603116455a4d6bbfa16ed51adb9",
+        "1cedd4dbbe4b19290e534e3e6b037e97fc3dc98c707e6f83d0ee8f0d9fa34b5f",
     "estimate_table2_reflected":
-        "5b1da3180075376198d29a876b50d7c4b73e1145552d1ec09dee912e659eab9d",
+        "3cafb132cdd548cfaa47519096a87ebdf71f0f0b82745a73312c4c3c9c73b097",
     "estimate_table2_stopped":
-        "3f65a823a52b0a6b89f06795918668248647dedf0e1e1f289ff7099879c0ecba",
+        "98455dcab2e9450b74c1796a9a0108362f73ca4d9ba878d0a01ab957616e937a",
     "folds_eps_sweep":
-        "a886ea11eef1765ab96f72229f8f7881dc41f0aaf065cb57882bf7a5e37c4a53",
+        "980f4435bb82d453204c7d8ebfb33ff70d32ecd985c68486e091df52b25cd2ae",
     "folds_histogram":
-        "fe8f46334930ae6843b4dd2edb2fa72d587614bd96baf6daddedabff9a86c7ef",
+        "c3cf115ee12d40296d3eab031e8146e9c84fd69bad2ca142b5d7922392e4e21f",
     "ito_table3_reflected":
-        "ef83e9bcca0429ce9871545a4c9e4a1b407545986ff0bc5a8b1aa720cf9918ab",
+        "d87555bac987939d68141512c3256d24b2e3e967460317364f7e860f24b76418",
     "ito_table3_stopped":
-        "b6e88c2dc7b3ba674a975b5636d726d77b97016010ad159c633233fae2f7679e",
+        "bb2af14d832c0041497854dfe5d607d903d42ea193c2808347a6a5afc64780d2",
     "sample_reflected":
-        "450886abbfb26f58decc43d39931327da3c537cebb03161bbe0e40b45795236c",
+        "3d006abeea6bf1f82dc61ae4274d6214fc3f039c0780f0d2ff8ab27a9e5b1eb2",
     "sample_reflected_apex_floor":
         "ed6d55e906987b661f2f0772ce0a4b9cc5a785ccb0d454e3fd138b532f118977",
     "sample_reflected_apex_floor_drift":
@@ -167,32 +171,34 @@ DIGESTS = {
     "sample_reflected_corner_drift":
         "34126c094d4e0bd7ec356dff0313cf62a3b438a7bf1f1e8b9c8598f0b5fb17aa",
     "sample_reflected_correlated":
-        "761a6b1afc162064103fe2bce91cf5777aa83e618a2019b4ec547701671a3e93",
+        "4fd7e1af454412604c860720a8bf75420c7d4637109660463f8d26b2f965e032",
     "sample_reflected_drift":
-        "9d6f55186167e5d1e797f31d75e6b216ba62d246b6e6c568e2aa9e6f4d613283",
+        "808c5ea144b441a329f83319ec7ccd31559a375c0bc5577c2b2a6d8920a53646",
     "sample_reflected_faults":
-        "8efe59bce9a3ef1bfd0f216fd7289bfea9419e0e5b0abb3b8c1ef820ad0b6c17",
+        "32420d1232313f75c83b3501a805adb0ff0b826fc89246cbd9565aacc54f3585",
     "sample_reflected_pi_over_3":
-        "ac9eb6850ae08283cb82bbfa828da404f8ad2883d7c64ce94b160fe6ff878259",
+        "8a8291d7782f14a09bbfad1cd5d16d89226b9344b5e5681dfe4466d2dc98538e",
     "sample_stopped":
-        "f9161f876dd9952ff166f35c2e8a932decb2bac585f28ba6ba16b4f56496bc52",
+        "05add527c7cb4c068e0477a4a1be23af0212ac49b4b3714a846c146f48b1cb9a",
     "sample_stopped_alpha_4":
-        "fcb2c5619df12455ef41ed149afc13e919500b4fc4cf82fad74f33e69b51a943",
+        "98d619595072e73e913a201f71fd8d65147394487cefc825e6300f460d45ca03",
     "sample_stopped_correlated":
-        "e1fb87adc80d3ee5397a377cc168a945f565c961821838b5dee5d9e2eeec7dc9",
+        "26f4d384ad18094cf54c6d389ae3190b66826b39069b3cc0e7cceae32fdd8fa4",
     "sample_stopped_drift":
-        "2520fda3a331ead36cd120516c48e7b1a06e99418a4a2d113fc4061d72a749b3",
+        "5ac282a153d0c92c2cdc8861db3e64a84d710ea9c7978ad154fc3f44eadd9ddd",
 }
 
 # recorded again when the survivor proposal became the folded free Gaussian
-# endpoint; every Euler cell ends in a survivor draw
+# endpoint, and when the passes became survivor-first; every Euler cell ends
+# in a survivor draw
 EULER_STATE_DEPENDENT_DIGEST = (
-    "614df598a51eb7144426420e925d7adcb16d7978f84a7cf0c07f748ced42f739")
+    "2a0c83cf93d34fdd7f0259234ca851e98264483816b5477cbc24191a43f6e2f3")
 
 # a correlated setup's reflected Euler run, in the setup's own coordinates
-# with diffusion setup.sigma: each cell's standard frame decorrelates
+# with diffusion setup.sigma: each cell's standard frame decorrelates.
+# Recorded again when the passes became survivor-first
 EULER_CORRELATED_DIGEST = (
-    "7c5a105e5efe8016acb0bb8ef953f462ac8300e9ce622b48ff132eee95f4f6a6")
+    "8274d4451af0e15be4305677c1aa7c864474898e97ce8028c8d33bc78bfd5fa4")
 
 
 # the frozen diffusion changes with the state, so every Euler cell has its

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.stats import chi2, kstest, ks_2samp, norm
+from scipy.stats import chi2, kstest, kstwo, ks_2samp, norm
 
 from wedgebm.densities import ExitLawParams, killed_density_images
 from wedgebm import samplers
@@ -14,14 +15,14 @@ from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
                               image_angles)
 from wedgebm.rng import RngStream
 from wedgebm.samplers import (FoldCapExceeded, algorithm_reflected,
-                              algorithm_stopped, sample_exit_radius,
-                              sample_exit_side, sample_exit_time,
-                              sample_survivor, _pass_plan, _sector_fold,
-                              _sub_opening)
+                              algorithm_stopped, _exit_draw, _pass_plan,
+                              _sector_fold, _sub_opening, _survivor_trial)
 
-from laws import (contains_angle, direct_pi_over_m_reflected,
-                  exit_joint_density, exit_radius_marginal,
-                  survival_probability)
+from laws import (contains_angle, cumulative_integral,
+                  direct_pi_over_m_reflected, exit_joint_density,
+                  exit_radius_cdf, exit_radius_marginal, exit_radius_quantile,
+                  exit_side_plus_probability, exit_time_density,
+                  sample_survivor, survival_probability)
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -31,21 +32,45 @@ START = PolarPoint(1.5, 0.3)
 E_TAU_09 = 0.603983776203428
 
 
+# ---------------------------------------------------------------------------
+# the conditional exit draw, against the closed-form exit law
+# ---------------------------------------------------------------------------
+
+def _ks_p(cdf_at_sorted):
+    """Kolmogorov-Smirnov p value of a sample, from its CDF at the sorted
+    sample points."""
+    f = np.asarray(cdf_at_sorted)
+    n = len(f)
+    d = max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+    return kstwo.sf(d, n)
+
+
+def _side_masses(sub, start, horizon):
+    """P(side, tau <= horizon) of each side: the closed-form ratio at
+    horizon inf, the time density integrated otherwise."""
+    p_plus = exit_side_plus_probability(start, sub)
+    if horizon == math.inf:
+        return {Side.MINUS: 1.0 - p_plus, Side.PLUS: p_plus}
+    return {side: integrate.quad(
+        lambda t, p=ExitLawParams.for_side(sub, start, side): exit_time_density(p, t),
+        0.0, horizon, limit=200, epsabs=1e-13)[0] for side in Side}
+
+
 def test_exit_side_frequency():
     wedge = WedgeSpec(0.0, math.pi / 3)
     start = PolarPoint(1.0, 0.25)
     rng = RngStream(5)
     n = 20000
-    hits = sum(sample_exit_side(start, wedge, rng) is Side.PLUS
+    hits = sum(_exit_draw(start, math.inf, wedge, 3, rng)[0] is Side.PLUS
                for _ in range(n))
-    p = 0.25 / wedge.opening
+    p = exit_side_plus_probability(start, wedge)
     sd = math.sqrt(p * (1 - p) / n)
     assert abs(hits / n - p) <= 3 * sd
 
 
 def test_exit_side_requires_interior():
     with pytest.raises(ValueError):
-        sample_exit_side(PolarPoint(1.0, 0.0), W09, RngStream(0))
+        exit_side_plus_probability(PolarPoint(1.0, 0.0), W09)
 
 
 def test_exit_radius_matches_integrated_marginal():
@@ -59,30 +84,32 @@ def test_exit_radius_matches_integrated_marginal():
         for r in (0.5, 1.0, 1.9):
             u, _ = integrate.quad(lambda s: exit_radius_marginal(params, s),
                                   0.0, r, limit=200)
-            got = sample_exit_radius(start, wedge, side, u / mass)
+            got = exit_radius_quantile(start, wedge, side, u / mass)
             assert got == pytest.approx(r, rel=1e-9)
 
 
 def test_exit_radius_rejects_endpoint_uniforms():
     with pytest.raises(ValueError):
-        sample_exit_radius(START, W09, Side.MINUS, 0.0)
+        exit_radius_quantile(START, W09, Side.MINUS, 0.0)
     with pytest.raises(ValueError):
-        sample_exit_radius(START, W09, Side.MINUS, 1.0)
+        exit_radius_quantile(START, W09, Side.MINUS, 1.0)
 
 
 @given(st.floats(1e-6, 1.0 - 1e-6), st.floats(0.1, 0.95))
 @settings(deadline=None, max_examples=200)
 def test_exit_radius_positive_any_opening(u, frac):
+    # and the closed-form CDF inverts the inverse CDF
     wedge = WedgeSpec(0.0, 2.2)
     start = PolarPoint(1.0, 2.2 * frac)
     for side in (Side.MINUS, Side.PLUS):
-        r = sample_exit_radius(start, wedge, side, u)
+        r = exit_radius_quantile(start, wedge, side, u)
         assert r > 0.0 and math.isfinite(r)
+        assert exit_radius_cdf(start, wedge, side, r) == pytest.approx(u, abs=1e-9)
 
 
 def test_exit_radius_monotone_in_u():
     us = [0.05, 0.2, 0.5, 0.8, 0.95]
-    vals = [sample_exit_radius(START, W09, Side.MINUS, u) for u in us]
+    vals = [exit_radius_quantile(START, W09, Side.MINUS, u) for u in us]
     assert vals == sorted(vals)
 
 
@@ -92,73 +119,133 @@ def test_half_plane_radius_is_half_cauchy():
     wedge = WedgeSpec(0.0, math.pi)
     start = PolarPoint(1.0, math.pi / 2)
     rng = RngStream(21)
-    draws = []
-    for _ in range(2000):
-        side = sample_exit_side(start, wedge, rng)
-        u = rng.uniform()
-        while not 0.0 < u < 1.0:
-            u = rng.uniform()
-        draws.append(sample_exit_radius(start, wedge, side, u))
+    draws = [_exit_draw(start, math.inf, wedge, 1, rng)[1] for _ in range(2000)]
     stat, p = kstest(draws, lambda x: 2.0 / math.pi * np.arctan(x))
     assert stat < 0.04
     assert p > 1e-3
 
 
 def test_exit_time_conditional_distribution():
-    # fixed side and radius: AR draws vs the quadrature CDF of the
-    # conditional time density
+    # the exit time on each side against the quadrature CDF of its density,
+    # with no horizon and given an exit by t' = 1
     wedge = WedgeSpec(0.0, math.pi / 3)
     start = PolarPoint(1.4, 0.25)
-    params = ExitLawParams.for_side(wedge, start, Side.MINUS)
-    r = 1.1
-    norm_const = exit_radius_marginal(params, r)
-    rng = RngStream(33)
-    draws = [sample_exit_time(params, r, rng) for _ in range(400)]
-
-    def cdf(ts):
-        out = []
-        for t in np.atleast_1d(ts):
-            v, _ = integrate.quad(lambda s: exit_joint_density(params, r, s),
-                                  0.0, t, limit=200)
-            out.append(v / norm_const)
-        return np.array(out)
-
-    stat, p = kstest(draws, cdf)
-    assert p > 1e-3
+    for horizon, seed in ((math.inf, 33), (1.0, 34)):
+        rng = RngStream(seed)
+        draws = [_exit_draw(start, horizon, wedge, 3, rng) for _ in range(1500)]
+        masses = _side_masses(wedge, start, horizon)
+        for side in Side:
+            params = ExitLawParams.for_side(wedge, start, side)
+            times = np.sort([t for s, _, t in draws if s is side])
+            cdf = cumulative_integral(lambda t: exit_time_density(params, t),
+                                      times) / masses[side]
+            assert _ks_p(cdf) > 1e-3
 
 
 def test_exit_time_draw_is_scale_free_to_the_bit():
-    # 2e-12 off a ray, exiting at 1 + 2^-40 start radii: at start radius
-    # 2^-500 the exponents ~(r0 d)^2 used to underflow to 0
+    # 2e-12 off a ray: at start radius 1e-150 the exit time ~(r0 d)^2 would
+    # underflow to 0; the draw runs at the start radius times 2^-k
     wedge = WedgeSpec(0.0, math.pi / 3)
-    times = []
-    for r0 in (1.0, 2.0 ** -500):
-        params = ExitLawParams.for_side(wedge, PolarPoint(r0, 2e-12), Side.MINUS)
-        times.append(sample_exit_time(params, r0 * (1.0 + 2.0 ** -40),
-                                      RngStream(3)))
-    assert times[0] > 0.0
-    assert times[1] == math.ldexp(times[0], -1000)
+    for r0 in (2.0 ** -500, 1e-150):
+        unit = math.ldexp(r0, -math.frexp(r0)[1])
+        k = math.frexp(r0)[1] - math.frexp(unit)[1]
+        for horizon in (math.inf, 0.05):
+            draws = [_exit_draw(PolarPoint(r, 2e-12), h, wedge, 3, RngStream(3))
+                     for r, h in ((unit, horizon), (r0, math.ldexp(horizon, 2 * k)))]
+            (side, r_unit, t_unit), (side_r0, r_r0, t_r0) = draws
+            assert t_unit > 0.0
+            assert side_r0 is side
+            assert r_r0 == math.ldexp(r_unit, k)
+            assert t_r0 == math.ldexp(t_unit, 2 * k)
 
 
 def test_half_plane_exit_time_tail():
-    # height 1 above the ray: P(tau <= 1) = 2 (1 - Phi(1))
+    # height 1 above the ray: P(tau <= 1) = 2 (1 - Phi(1)), and given an
+    # exit by t' = 4 it is that over P(tau <= 4) = 2 (1 - Phi(1/2))
     wedge = WedgeSpec(0.0, math.pi)
     start = PolarPoint(1.0, math.pi / 2)
-    rng = RngStream(8)
-    n = 4000
-    hits = 0
-    for _ in range(n):
-        side = sample_exit_side(start, wedge, rng)
-        params = ExitLawParams.for_side(wedge, start, side)
-        u = rng.uniform()
-        while not 0.0 < u < 1.0:
-            u = rng.uniform()
-        r = sample_exit_radius(start, wedge, side, u)
-        t = sample_exit_time(params, r, rng)
-        hits += t <= 1.0
-    p = 2.0 * (1.0 - norm.cdf(1.0))
-    sd = math.sqrt(p * (1 - p) / n)
-    assert abs(hits / n - p) <= 3 * sd
+    for horizon, p, seed in ((math.inf, 2.0 * norm.sf(1.0), 8),
+                             (4.0, norm.sf(1.0) / norm.sf(0.5), 9)):
+        rng = RngStream(seed)
+        n = 4000
+        hits = sum(_exit_draw(start, horizon, wedge, 1, rng)[2] <= 1.0
+                   for _ in range(n))
+        sd = math.sqrt(p * (1 - p) / n)
+        assert abs(hits / n - p) <= 3 * sd
+
+
+# (m, start angle over the opening): every m the published openings and a
+# wide wedge use, and a start 0.02 of the opening off a ray. At radius 3 and
+# t' = 0.05 most lines are 4 or more standard deviations off, where the
+# exit time comes from the tail method; at t' = 1 and inf from inversion.
+EXIT_CASES = {"m1": (1, 0.3), "m2": (2, 0.35), "m3": (3, 0.4),
+              "m4": (4, 0.5), "m6": (6, 0.6), "m3_near_ray": (3, 0.02)}
+EXIT_R0 = 3.0
+
+
+@pytest.mark.parametrize("horizon", [0.05, 1.0, math.inf],
+                         ids=["t0.05", "t1", "tinf"])
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_conditional_exit_draw_matches_exit_law(case, horizon):
+    # side frequency, and on each side the radius and the time, of exits
+    # conditioned on tau <= t', against the closed-form law
+    m, frac = EXIT_CASES[case]
+    sub = WedgeSpec(0.0, math.pi / m)
+    start = PolarPoint(EXIT_R0, frac * sub.opening)
+    rng = RngStream(1600 + 10 * m + int(100 * frac))
+    n = 3000
+    draws = [_exit_draw(start, horizon, sub, m, rng) for _ in range(n)]
+    assert all(0.0 < r < math.inf and 0.0 <= t <= horizon for _, r, t in draws)
+    masses = _side_masses(sub, start, horizon)
+    p = masses[Side.PLUS] / (masses[Side.MINUS] + masses[Side.PLUS])
+    plus = sum(s is Side.PLUS for s, _, _ in draws)
+    assert abs(plus - n * p) <= 4.0 * math.sqrt(n * p * (1 - p)) + 1.0
+    for side in Side:
+        picked = [(r, t) for s, r, t in draws if s is side]
+        if len(picked) < 50:
+            continue  # a side the start almost never leaves by
+        params = ExitLawParams.for_side(sub, start, side)
+        radii = np.sort([r for r, _ in picked])
+        if horizon == math.inf:
+            cdf = exit_radius_cdf(start, sub, side, radii)  # given the side
+        else:
+            cdf = cumulative_integral(
+                lambda r: exit_radius_marginal(params, r, horizon),
+                radii) / masses[side]
+        assert _ks_p(cdf) > 1e-3
+        times = np.sort([t for _, t in picked])
+        cdf = cumulative_integral(lambda t: exit_time_density(params, t),
+                                  times) / masses[side]
+        assert _ks_p(cdf) > 1e-3
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_exit_acceptance_ratio_is_at_most_one(m):
+    # the kept probability depends on x = r r0 / tau alone: it lies in
+    # [0, 1] over the whole range, and it is the exit-law image sum over
+    # its k = 0 term, the half-plane's exit density. Both hold up to
+    # rounding: the terms w_k = sin g_k / sin g_0 cancel, and a start 1e-12
+    # off a ray has sin g_0 ~ 1e-12 against errors ~1e-16 in sin g_k. There
+    # a proposal is kept or refused wrongly with probability ~1e-3, and only
+    # at exit times ~r r0, which it reaches with probability ~1e-12
+    sub = WedgeSpec(0.0, math.pi / m)
+    xs = np.concatenate(([0.0], np.geomspace(1e-6, 1e8, 400)))
+    for frac in (ANGLE_TOL, 0.02, 0.3, 0.5, 0.98, 1.0 - ANGLE_TOL):
+        theta0 = frac * sub.opening
+        for side in Side:
+            plan = samplers._exit_ratio_plan(sub, m, theta0, side)
+            g0 = theta0 if side is Side.MINUS else sub.opening - theta0
+            tol = 1e-15 * (sum(abs(w) for w, _ in plan) + 1.0 / math.sin(g0))
+            kept = 1.0 + sum(w * np.exp(-xs * h) for w, h in plan)
+            assert np.all(kept <= 1.0 + tol) and np.all(kept >= -tol)
+            params = ExitLawParams.for_side(sub, PolarPoint(1.3, theta0), side)
+            for r, t in ((0.4, 0.2), (1.3, 1.0), (2.5, 3.0)):
+                c0 = params.c_values(r)[0]
+                half_plane = (1.3 * math.sin(params.gammas[0])
+                              / (TWO_PI * t * t) * math.exp(-c0 / (2.0 * t)))
+                want = exit_joint_density(params, r, t) / half_plane
+                got = 1.0 + sum(w * math.exp(-r * 1.3 / t * h) for w, h in plan)
+                assert got == pytest.approx(want, rel=1e-9, abs=10 * tol)
 
 
 def test_survivor_endpoint_statistics():
@@ -309,20 +396,26 @@ def test_sub_opening_exact_reuse():
 @given(st.floats(0.05, 2.0 * math.pi))
 @settings(deadline=None, max_examples=300)
 def test_pass_plan_m_is_the_sub_wedge_m(alpha):
-    # the recursions hand this m to for_side and sample_survivor, which
+    # the recursions hand this m to for_side and the survivor trial, which
     # would otherwise compute it from the sub-wedge
-    theta, m, sub = _pass_plan(alpha)
+    theta, m, sub, mid_images = _pass_plan(alpha)
     assert (theta, m) == _sub_opening(alpha)
     assert sub == WedgeSpec(0.0, theta)
     assert sub.pi_over_m() == m
+    assert mid_images == image_angles(theta / 2.0, sub, m)
 
 
 def test_survivor_and_exit_law_same_with_and_without_known_m():
+    # a pass hands its survivor trials the plan's m and image angles; the
+    # oracle loop looks both up from the wedge
     wedge = WedgeSpec(0.0, math.pi / 4)
     start = PolarPoint(1.2, 0.5)
     plain, known = RngStream(11), RngStream(11)
+    images = image_angles(start.theta, wedge, 4)
+    trials = (_survivor_trial(start, wedge, 4, images, 0.8, known)
+              for _ in range(10 ** 4))
     assert [sample_survivor(start, wedge, 0.8, plain) for _ in range(50)] == \
-        [sample_survivor(start, wedge, 0.8, known, _m=4) for _ in range(50)]
+        list(itertools.islice(filter(None, trials), 50))
     for side in Side:
         assert ExitLawParams.for_side(wedge, start, side, _m=4) == \
             ExitLawParams.for_side(wedge, start, side)
