@@ -2,13 +2,14 @@
 
 Run from the root of a source checkout:
 
-    PYTHONPATH=src python3 scripts/bench_layers.py [--out BENCH_16.json]
+    PYTHONPATH=src python3 scripts/bench_layers.py [--out BENCH_17.json]
 
 Every layer runs on fixed inputs drawn from fixed seeds, so each repeat does
 the same work. A layer's figure is the median over repeats of its mean time
 per call. The geometry is the Table 1 and Table 3 one: opening 0.9 (passes
 in its pi/4 sub-wedge), start (1.5, 0.3); the Euler rows use the `ito
---table3-*` parameters and their cell length dt = 1/5000.
+--table3-*` parameters and their cell length dt = 1/5000. The corner draw
+runs from radius 0.05 with time 1 left, as in a first-pass corner ending.
 
 The JSON record holds the figures, the seed, the repeat count, the number of
 cores this process may run on and the Python, numpy and scipy versions.
@@ -26,6 +27,7 @@ import time
 import numpy as np
 import scipy
 
+from wedgebm.corner import sample_corner
 from wedgebm.densities import killed_density_series
 from wedgebm.drift import euler_reflected, euler_stopped, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
@@ -69,6 +71,8 @@ def layers(repeats):
     for name, t in (("dt", DT), ("tinf", math.inf)):
         out[f"samplers.exit_draw_{name}_us"] = draws(
             lambda rng, t=t: _exit_draw(rel, t, sub, m, rng), 5000)
+    out["corner.sample_us"] = draws(
+        lambda rng: sample_corner(0.05, 1.0, WEDGE.opening, rng), 5000)
 
     def cells(scheme, **kw):
         """us per cell over two Euler paths; a stopped one ends at its hit."""
@@ -96,7 +100,7 @@ def layers(repeats):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_16.json")
+    parser.add_argument("--out", default="BENCH_17.json")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     record = {

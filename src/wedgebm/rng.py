@@ -23,6 +23,11 @@ class RngStream:
     def uniform(self):
         return self._gen.random()
 
+    def uniforms(self, k):
+        """An array of k uniforms on [0, 1): the doubles that k successive
+        uniform() calls would return."""
+        return self._gen.random(k)
+
     def normal(self):
         return self._gen.standard_normal()
 

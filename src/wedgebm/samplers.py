@@ -6,7 +6,9 @@ its proposal with probability exactly P(tau > t') and then ends the pass
 with the killed law (_survivor_trial). Only a refused trial draws the exit
 conditioned on tau <= t' (_exit_draw); with t' = inf a pass skips the
 trial. `algorithm_reflected` adds the folding step and the corner
-termination.
+termination. `_plain_cells` is the first pass's survivor trial over a block
+of Euler cells in numpy: it tells which cells that trial would end at
+their free endpoint, so that only the others run a recursion.
 
 Both recursions accept an arbitrary wedge <alpha_minus, alpha_plus> and work
 internally in the rotated frame where the lower ray is the positive x-axis;
@@ -18,10 +20,12 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
+import numpy as np
+
 from .corner import corner_triggered, sample_corner
 from .densities import ExitLawParams, image_sums
-from .geometry import (TWO_PI, PolarPoint, Side, WedgeSpec, fold_into_wedge,
-                       image_angles)
+from .geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
+                       fold_into_wedge, image_angles)
 
 DEFAULT_EPSILON = 0.03
 DEFAULT_FOLD_CAP = 10 ** 6
@@ -102,6 +106,65 @@ def _sector_fold(x, y, wedge, m):
     j = min(int(phi / alpha), 2 * m - 1)
     th = phi - j * alpha if j % 2 == 0 else (j + 1) * alpha - phi
     return math.hypot(x, y), min(max(th, 0.0), alpha)
+
+
+def _plain_cells(xs, ys, dt, u, alpha, reflected, epsilon):
+    """Which cells of a block end at their free endpoint after one pass.
+
+    Cell j runs in the standard wedge <0, alpha> from (xs[j], ys[j]) for
+    time dt[j]; (xs[j + 1], ys[j + 1]) is its free Gaussian endpoint and
+    u[j], in (0, 1), its survivor uniform. Returns the arrays (plain, base).
+    base[j] is the angle at which the sub-wedge of the cell's first pass
+    starts: that pass runs in the cell frame turned by -base[j]. plain[j]
+    says that the recursion, given this endpoint and uniform for its first
+    survivor trial, keeps the endpoint with no fold: the start is strictly
+    inside and above APEX_RADIUS_FLOOR, the reflected corner does not
+    trigger, the endpoint lies in the pass's sub-wedge (its sector fold is
+    the identity) and, reflected, in <0, alpha>, and u times the 2m-image
+    total is at most the signed sum. The sums are those of `image_sums`,
+    each image's angle gap taken from the start's angle in the sub-wedge.
+    Every entry depends on its own cell's inputs alone. Call it with
+    floating-point overflow ignored: an entry that overflows (a radius
+    past ~1e150, an endpoint far outside the sub-wedge) is not plain.
+    """
+    theta_cap, odd2, shift = _image_gap_plan(alpha)
+    x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
+    r0 = np.hypot(x0, y0)
+    th = np.arctan2(y0, x0) % TWO_PI
+    # the turn from the start to the endpoint, in (-pi, pi]
+    turn = np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
+    base = th - theta_cap / 2.0
+    if not reflected:
+        base = np.minimum(np.maximum(base, 0.0), alpha - theta_cap)
+    rel = th - base  # the start's angle in its sub-wedge
+    # the start inside by more than ANGLE_TOL, the endpoint in the sub-wedge
+    plain = ((np.abs(th - alpha / 2.0) < alpha / 2.0 - ANGLE_TOL)
+             & (np.abs(rel + turn - theta_cap / 2.0) < theta_cap / 2.0)
+             & (r0 > APEX_RADIUS_FLOOR))
+    if reflected:
+        plain &= ((np.abs(th + turn - alpha / 2.0) <= alpha / 2.0)
+                  & (r0 * r0 / dt >= epsilon))
+    # image k's term relative to the start's own (k = 0), which is the
+    # nearest image to an endpoint in the sub-wedge: exp(-(sin^2 of half
+    # its gap) 2 r r0 / dt), the sin^2 of image 0 taken off
+    sin_sq = np.sin(0.5 * (turn + odd2 * rel - shift)) ** 2
+    terms = np.exp((sin_sq[0] - sin_sq) * (2.0 * np.hypot(x1, y1) * r0 / dt))
+    # the sums of the even and of the odd images, each in k order
+    even, odd = np.add.accumulate(terms.reshape(-1, 2, len(r0)), axis=0)[-1]
+    return plain & (u * (even + odd) <= even - odd), base
+
+
+@functools.lru_cache(maxsize=16)
+def _image_gap_plan(alpha):
+    """(theta_cap, 2 odd_k, shift_k) of the pass plan of opening alpha, as
+    columns over the 2m images: image k of a start at angle rel in the
+    sub-wedge lies at rel + k theta_cap (k even) or (k + 1) theta_cap - rel
+    (k odd), so an endpoint at rel + turn is turn + 2 odd_k rel - shift_k
+    from it, with shift_k = (k + odd_k) theta_cap."""
+    theta_cap, m, _, _ = _pass_plan(alpha)
+    k = np.arange(2 * m)[:, None]
+    odd = k % 2
+    return theta_cap, 2.0 * odd, (k + odd) * theta_cap
 
 
 def _sub_opening(alpha):

@@ -6,7 +6,9 @@ Endpoints are binned on an (r, theta) grid. Each cell's probability is a
 one cell for "hit by T", whose probability is 1 minus the killed mass. A
 chi-square test at a fixed seed compares the counts with these
 probabilities. The densities do not depend on the random stream, so this
-checks any sampler change in law, where the golden digests pin bytes.
+checks any sampler change in law, where the golden digests pin bytes. The
+driftless Euler schemes, whose cells chain the recursions, are checked the
+same way.
 
 Path counts and the p threshold were fixed before the first run.
 """
@@ -18,6 +20,7 @@ import pytest
 from scipy.stats import chi2
 
 from wedgebm.densities import killed_density_series, reflected_density_series
+from wedgebm.drift import euler_reflected, euler_stopped, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
 from wedgebm.rng import RngStream
 from wedgebm.samplers import algorithm_reflected, algorithm_stopped
@@ -74,28 +77,20 @@ def _chi_square_p(counts, probs, n):
     return chi2.sf(stat, len(obs) - 1)
 
 
-@pytest.mark.parametrize("recursion", ["stopped", "reflected"])
-@pytest.mark.parametrize("name", sorted(GEOMETRIES))
-def test_endpoint_law_matches_series_density(name, recursion):
-    alpha, (r0, th0), t = GEOMETRIES[name]
-    wedge, start = WedgeSpec(0.0, alpha), PolarPoint(r0, th0)
-    r_edges, th_edges = _edges(alpha, r0, t)
-    stopped = recursion == "stopped"
+def _p_value(samples, stopped, wedge, start, t):
+    """Chi-square p of the endpoints of `samples` against the series density
+    of `wedge`, with a "hit by t" cell for the stopped recursion."""
+    alpha = wedge.opening
+    r_edges, th_edges = _edges(alpha, start.r, t)
     density = killed_density_series if stopped else reflected_density_series
     probs = _cell_probabilities(density, wedge, start, t, r_edges, th_edges)
     if stopped:
         assert 0.0 < probs.sum() < 1.0
     else:
         assert probs.sum() == pytest.approx(1.0, abs=1e-6)
-    root = RngStream(SEEDS[name])
     counts = np.zeros_like(probs)
     hits = 0
-    for i in range(N_PATHS):
-        if stopped:
-            sample = algorithm_stopped(start, t, wedge, root.derive(i))
-        else:
-            sample = algorithm_reflected(start, t, wedge, root.derive(i),
-                                         epsilon=EPSILON)
+    for sample in samples:
         if sample.hit_boundary:
             hits += 1
             continue
@@ -110,4 +105,45 @@ def test_endpoint_law_matches_series_density(name, recursion):
     if stopped:
         counts = np.append(counts, hits)
         probs = np.append(probs, 1.0 - probs.sum())
-    assert _chi_square_p(counts, probs, N_PATHS) > P_MIN
+    return _chi_square_p(counts, probs, len(samples))
+
+
+@pytest.mark.parametrize("recursion", ["stopped", "reflected"])
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_endpoint_law_matches_series_density(name, recursion):
+    alpha, (r0, th0), t = GEOMETRIES[name]
+    wedge, start = WedgeSpec(0.0, alpha), PolarPoint(r0, th0)
+    root = RngStream(SEEDS[name])
+    if recursion == "stopped":
+        samples = [algorithm_stopped(start, t, wedge, root.derive(i))
+                   for i in range(N_PATHS)]
+    else:
+        samples = [algorithm_reflected(start, t, wedge, root.derive(i),
+                                       epsilon=EPSILON)
+                   for i in range(N_PATHS)]
+    assert _p_value(samples, recursion == "stopped", wedge, start, t) > P_MIN
+
+
+# A driftless Euler path with identity diffusion is the recursion chained
+# over its cells, so its endpoint has the same law. EULER_STEPS cells make
+# the blocks long and leave room for the cells that fall back to the
+# recursion (a fold, a refused trial, a corner or a hit).
+EULER_STEPS = 150
+EULER_SEEDS = {"stopped": 1701, "reflected": 1702}
+EULER_EPSILON = 0.01
+
+
+@pytest.mark.parametrize("recursion", ["stopped", "reflected"])
+def test_driftless_euler_endpoint_law_matches_series_density(recursion):
+    alpha, (r0, th0), t = GEOMETRIES["alpha_0.9"]
+    wedge, start = WedgeSpec(0.0, alpha), PolarPoint(r0, th0)
+    field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
+    root = RngStream(EULER_SEEDS[recursion])
+    if recursion == "stopped":
+        samples = [euler_stopped(field, start, t, EULER_STEPS, wedge,
+                                 root.derive(i)) for i in range(N_PATHS)]
+    else:
+        samples = [euler_reflected(field, start, t, EULER_STEPS, wedge,
+                                   root.derive(i), epsilon=EULER_EPSILON)
+                   for i in range(N_PATHS)]
+    assert _p_value(samples, recursion == "stopped", wedge, start, t) > P_MIN

@@ -9,7 +9,10 @@ from wedgebm.drift import (CoefficientField, euler_reflected, euler_stopped,
 from wedgebm.geometry import PolarPoint, WedgeSpec, standard_frame
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
-from wedgebm.samplers import _pass_plan
+from wedgebm.samplers import (_pass_plan, _plain_cells, algorithm_reflected,
+                              algorithm_stopped)
+
+from test_golden import _state_dependent_field
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -329,3 +332,105 @@ def test_euler_accepts_an_array_valued_diffusion():
     for scheme in (euler_stopped, euler_reflected):
         assert scheme(as_array, START, 1.0, 30, W09, RngStream(6)) == \
             scheme(as_tuple, START, 1.0, 30, W09, RngStream(6))
+
+
+# ---------------------------------------------------------------------------
+# blocked Euler cells
+# ---------------------------------------------------------------------------
+
+def test_uniforms_are_successive_uniform_draws():
+    # a block of Euler cells draws its triples in one call
+    a, b = RngStream(8).derive(3), RngStream(8).derive(3)
+    for k in (1, 7, 300):
+        assert a.uniforms(k).tolist() == [b.uniform() for _ in range(k)]
+
+
+@pytest.mark.parametrize("alpha", [0.9, math.pi / 3, 4.0, 0.2])
+@pytest.mark.parametrize("reflected", [True, False])
+def test_a_plain_cell_ends_where_its_replayed_recursion_does(alpha, reflected):
+    # a cell the block kernel calls plain must be one the exact recursion,
+    # run on the same triple, ends at the free endpoint after one kept
+    # survivor trial; the starts, some on a ray, and the cell lengths are
+    # spread so that both kinds of cell occur
+    wedge = WedgeSpec(0.0, alpha)
+    gen = np.random.default_rng(17)
+    n = 300
+    r = gen.uniform(0.01, 2.0, n)
+    th = gen.uniform(0.0, alpha, n)
+    th[:10] = 0.0
+    dt = 10.0 ** gen.uniform(-4.0, -0.5, n)
+    draws = drift_module._CellDraws(RngStream(7), n)
+    triples = draws.block(0, n)
+    kinds = set()
+    for j in range(n):
+        x0, y0 = r[j] * math.cos(th[j]), r[j] * math.sin(th[j])
+        x1 = x0 + math.sqrt(dt[j]) * triples[j, 0]
+        y1 = y0 + math.sqrt(dt[j]) * triples[j, 1]
+        plain, base = _plain_cells(
+            np.array([x0, x1]), np.array([y0, y1]), dt[j:j + 1],
+            triples[j:j + 1, 2], alpha, reflected, 0.01)
+        draws.replay(j, base[0])
+        start = wedge.place(PolarPoint.from_cartesian(x0, y0))
+        if reflected:
+            sample = algorithm_reflected(start, dt[j], wedge, draws,
+                                         epsilon=0.01)
+        else:
+            sample = algorithm_stopped(start, dt[j], wedge, draws)
+        kinds.add(bool(plain[0]))
+        if plain[0]:
+            assert sample.folds == 1
+            assert not (sample.hit_boundary or sample.approx_used)
+            assert sample.cartesian_endpoint() == pytest.approx((x1, y1),
+                                                                abs=1e-12)
+    assert kinds == {True, False}
+
+
+SIG = ((1.1, 0.2), (-0.1, 0.9))
+FIELDS = {
+    "tuple": linear_field((0.1, 0.2), (0.7, 0.5), SIG),
+    "array": CoefficientField(drift=linear_field((0.1, 0.2), (0.7, 0.5), SIG).drift,
+                              diffusion=lambda _x, _t: np.array(SIG)),
+    "state_dependent": _state_dependent_field(),  # the golden one
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_euler_paths_do_not_depend_on_the_block_length(name, monkeypatch):
+    fallbacks = []
+
+    def counted(sampler):
+        def run(*args, **kwargs):
+            fallbacks.append(1)
+            return sampler(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(drift_module, "algorithm_reflected",
+                        counted(algorithm_reflected))
+    monkeypatch.setattr(drift_module, "algorithm_stopped",
+                        counted(algorithm_stopped))
+    runs = []
+    for block in (1, 7, drift_module._BLOCK):
+        monkeypatch.setattr(drift_module, "_BLOCK", block)
+        root = RngStream(12)
+        runs.append([scheme(FIELDS[name], START, 1.0, 150, W09, root.derive(i),
+                            **kwargs)
+                     for i in range(4)
+                     for scheme, kwargs in ((euler_reflected, {"epsilon": 0.01}),
+                                            (euler_stopped, {}))])
+    assert runs[0] == runs[1] == runs[2]
+    assert fallbacks
+
+
+def test_euler_faults_do_not_depend_on_the_block_length(monkeypatch):
+    config = EstimatorConfig(mode=Mode.EULER_STOPPED,
+                             func=TestFunction.RADIUS_SQ, horizon=1.0,
+                             n_samples=30, seed=3, wedge=W09, start=START,
+                             steps=20, fold_cap=1, mu=(0.1, 0.2),
+                             kappa=(0.7, 0.5))
+    runs = []
+    for block in (1, 7, drift_module._BLOCK):
+        monkeypatch.setattr(drift_module, "_BLOCK", block)
+        runs.append(map_paths(config, lambda _i, sample, faulted, xy:
+                              (vars(sample), faulted, xy)))
+    assert runs[0] == runs[1] == runs[2]
+    assert any(faulted for _sample, faulted, _xy in runs[0])

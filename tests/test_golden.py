@@ -121,6 +121,9 @@ SEED = ["--seed", "7"]  # for every command but density, which draws nothing
 # corner draw before any pass) was recorded again when the passes became
 # survivor-first, with the conditional half-plane exit draw: a pass now
 # draws one survivor proposal before any exit, and the exit draws differ.
+# The two ito cases were recorded again when the Euler cells became blocked:
+# each cell draws its own triple of uniforms from the path's stream, and a
+# cell that falls back to the recursion draws the rest from a side stream.
 DIGESTS = {
     "density_images_killed":
         "20e1fc928f8ccfb52c36b01f3cae8d7d5ce0a753378acb5631447eaa07c2ac95",
@@ -153,9 +156,9 @@ DIGESTS = {
     "folds_histogram":
         "c3cf115ee12d40296d3eab031e8146e9c84fd69bad2ca142b5d7922392e4e21f",
     "ito_table3_reflected":
-        "d87555bac987939d68141512c3256d24b2e3e967460317364f7e860f24b76418",
+        "4e684ba39cb7f5f9c57664434d257e27cd3d8a5493b1267529a4d270d4bd325c",
     "ito_table3_stopped":
-        "bb2af14d832c0041497854dfe5d607d903d42ea193c2808347a6a5afc64780d2",
+        "d50580905ebfb21d1aea0434c0bcc924d31f453215d90ff3cc92309760e8be5b",
     "sample_reflected":
         "3d006abeea6bf1f82dc61ae4274d6214fc3f039c0780f0d2ff8ab27a9e5b1eb2",
     "sample_reflected_apex_floor":
@@ -189,16 +192,17 @@ DIGESTS = {
 }
 
 # recorded again when the survivor proposal became the folded free Gaussian
-# endpoint, and when the passes became survivor-first; every Euler cell ends
-# in a survivor draw
+# endpoint, when the passes became survivor-first (every Euler cell ends in a
+# survivor draw), and when the Euler cells became blocked
 EULER_STATE_DEPENDENT_DIGEST = (
-    "2a0c83cf93d34fdd7f0259234ca851e98264483816b5477cbc24191a43f6e2f3")
+    "ca8001a4111b86e279b0db40d06bc3966e6caac50bd6ce2befee0ddc8aced6b6")
 
 # a correlated setup's reflected Euler run, in the setup's own coordinates
 # with diffusion setup.sigma: each cell's standard frame decorrelates.
-# Recorded again when the passes became survivor-first
+# Recorded again when the passes became survivor-first, and when the Euler
+# cells became blocked
 EULER_CORRELATED_DIGEST = (
-    "8274d4451af0e15be4305677c1aa7c864474898e97ce8028c8d33bc78bfd5fa4")
+    "b88485bcc0b8a0e14f036d19a51abfd84d167b4789ef78d3edb4643206b452d3")
 
 
 # the frozen diffusion changes with the state, so every Euler cell has its
