@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    PYTHONPATH=src python3 scripts/bench_layers.py [--out BENCH_17.json]
+    PYTHONPATH=src python3 scripts/bench_layers.py [--out BENCH_18.json]
 
 Every layer runs on fixed inputs drawn from fixed seeds, so each repeat does
 the same work. A layer's figure is the median over repeats of its mean time
@@ -10,6 +10,13 @@ per call. The geometry is the Table 1 and Table 3 one: opening 0.9 (passes
 in its pi/4 sub-wedge), start (1.5, 0.3); the Euler rows use the `ito
 --table3-*` parameters and their cell length dt = 1/5000. The corner draw
 runs from radius 0.05 with time 1 left, as in a first-pass corner ending.
+
+The lane layers time what the exact modes run: the Philox streams of 1000
+lanes (ns per double) and one batch of 1000 paths of each Table 1 recursion
+(us per path, the batch's time over its paths): stopped at T = 1, reflected
+at eps 0.03, and the exact-mode fold row (eps 0, fold cap 150). For each
+batch they also count the rounds of the conditional exit draw per pass that
+draws one.
 
 The JSON record holds the figures, the seed, the repeat count, the number of
 cores this process may run on and the Python, numpy and scipy versions.
@@ -27,11 +34,12 @@ import time
 import numpy as np
 import scipy
 
+from wedgebm import lanes
 from wedgebm.corner import sample_corner
 from wedgebm.densities import killed_density_series
 from wedgebm.drift import euler_reflected, euler_stopped, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
-from wedgebm.rng import RngStream
+from wedgebm.rng import LaneDraws, RngStream, philox_uniforms, stream_key
 from wedgebm.samplers import _exit_draw, _pass_plan, _survivor_trial
 
 SEED = 16
@@ -40,6 +48,15 @@ START = PolarPoint(1.5, 0.3)
 STEPS = 5000
 DT = 1.0 / STEPS
 FIELD = linear_field((0.1, 0.2), (0.7, 0.5), ((1.0, 0.0), (0.0, 1.0)))
+LANES = 1000
+LANE_BATCHES = {
+    "stopped": lambda: lanes.stopped_paths(START, 1.0, WEDGE, SEED,
+                                           range(LANES), 10 ** 6),
+    "reflected": lambda: lanes.reflected_paths(START, 1.0, WEDGE, SEED,
+                                               range(LANES), 0.03, 10 ** 6),
+    "exact_folds": lambda: lanes.reflected_paths(START, 1.0, WEDGE, SEED,
+                                                 range(LANES), 0.0, 150),
+}
 
 
 def _per_call_us(run, calls, repeats):
@@ -51,6 +68,46 @@ def _per_call_us(run, calls, repeats):
             run(i)
         times.append((time.perf_counter() - t0) / calls * 1e6)
     return statistics.median(times)
+
+
+def exit_rounds_per_pass(batch):
+    """Exit-draw rounds per exit draw (one per pass that draws one) of a
+    lane batch, counted by wrapping the draw and the lane streams."""
+    counts = {"draws": 0, "rounds": 0, "inside": False}
+    draw, take = lanes._exit_draw, LaneDraws.take
+
+    def counted_draw(*args):
+        counts["draws"] += 1
+        counts["inside"] = True
+        try:
+            return draw(*args)
+        finally:
+            counts["inside"] = False
+
+    def counted_take(self, lane_ids, j):
+        counts["rounds"] += counts["inside"]
+        return take(self, lane_ids, j)
+
+    lanes._exit_draw, LaneDraws.take = counted_draw, counted_take
+    try:
+        list(batch())
+    finally:
+        lanes._exit_draw, LaneDraws.take = draw, take
+    return counts["rounds"] / counts["draws"]
+
+
+def lane_layers(repeats):
+    out = {}
+    key, index = stream_key(SEED), np.arange(LANES, dtype=np.uint64)
+    block = np.zeros(LANES, dtype=np.int64)
+    out["lanes.philox_ns_per_double"] = 1e3 * _per_call_us(
+        lambda _i: philox_uniforms(key, index, block, 16), 20,
+        repeats) / (LANES * 64)
+    for name, batch in LANE_BATCHES.items():
+        out[f"lanes.{name}_path_us"] = _per_call_us(
+            lambda _i: list(batch()), 1, repeats) / LANES
+        out[f"lanes.{name}_exit_rounds_per_pass"] = exit_rounds_per_pass(batch)
+    return out
 
 
 def layers(repeats):
@@ -87,6 +144,7 @@ def layers(repeats):
             return (time.perf_counter() - t0) / ran * 1e6
         return statistics.median(run() for _ in range(repeats))
 
+    out.update(lane_layers(repeats))
     out["drift.reflected_cell_us"] = cells(euler_reflected, epsilon=0.01)
     out["drift.stopped_cell_us"] = cells(euler_stopped)
 
@@ -100,7 +158,7 @@ def layers(repeats):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_17.json")
+    parser.add_argument("--out", default="BENCH_18.json")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     record = {

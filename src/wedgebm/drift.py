@@ -8,7 +8,7 @@ is weighted by the change-of-measure factor
 evaluated on the driving Brownian motion. Using the displacement rather than
 the raw endpoint makes the weight a mean-one martingale regardless of where
 the path starts. `girsanov_log_weight` is that factor's one definition:
-`montecarlo.simulate` weights every exact path with it (zero drift gives
+`montecarlo.map_paths` weights every exact path with it (zero drift gives
 weight 1 exactly), and each Euler cell below adds its own.
 
 State-dependent coefficients go through a frozen-coefficient Euler scheme

@@ -1,10 +1,14 @@
 """Monte Carlo harness: configuration, the path engine, estimation, fold
 diagnostics.
 
-`simulate` draws one path of a configuration and `map_paths` runs it for
-every path index. Every path owns the sub-stream derived from its index, so
-results are byte-reproducible for a fixed (config, seed) no matter how many
-worker threads execute the paths; the reduction always runs in index order.
+`map_paths` runs every path index of a configuration. The exact modes run
+as numpy lanes (`lanes.stopped_paths`, `lanes.reflected_paths`), LANE_BATCH
+paths a batch, each lane drawing from its path's Philox stream; the Euler
+modes run one path at a time (`simulate`), path i drawing from sub-stream i
+of the seed. A worker thread runs one batch, or one Euler path, at a time.
+Either way results are byte-reproducible for a fixed (config, seed) however
+the paths are batched and however many workers run them; the reduction
+always runs in index order.
 """
 
 import math
@@ -13,15 +17,20 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 
 from .drift import (euler_reflected, euler_stopped, girsanov_log_weight,
                     linear_field)
 from .geometry import PolarPoint, WedgeSpec, mat_vec, standard_frame
+from .lanes import reflected_paths, stopped_paths
 from .rng import RngStream
-from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded,
-                       algorithm_reflected, algorithm_stopped)
+from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+
+# paths one batch of lanes runs; the results do not depend on it, and a
+# run's memory is bounded by it, not by the number of paths
+LANE_BATCH = 1024
 
 
 class Mode(Enum):
@@ -145,68 +154,72 @@ class McReport:
     seed: int
 
 
-def simulate(config, resolved, rng):
-    """One path of `config` drawn from `rng`: returns (PathSample, faulted).
-
-    resolved holds the per-run constants built by `map_paths`: (wedge,
-    start, its cartesian x0, drift, Euler coefficient field), in the
-    coordinates `run_frame` picks. An exact path is weighted by the Girsanov
-    factor of the constant drift, which is 1 exactly for zero drift; an
-    Euler path carries the factors of its cells. A path that exceeds the
-    fold cap returns its partial state with faulted=True.
-    """
-    wedge, start, x0, drift, coeffs = resolved
-    T, cap, eps = config.horizon, config.fold_cap, config.epsilon
-    mode, steps = config.mode, config.steps
+def simulate(config, wedge, start, coeffs, rng):
+    """One Euler path of `config` from `start` in `wedge`, drawn from `rng`:
+    returns (PathSample, faulted). The sample carries the Girsanov factors
+    of its cells. A path whose cell exceeds the fold cap returns the cell's
+    partial state with faulted=True."""
+    T, cap, steps = config.horizon, config.fold_cap, config.steps
     try:
-        if mode is Mode.EULER_STOPPED:
+        if config.mode is Mode.EULER_STOPPED:
             return euler_stopped(coeffs, start, T, steps, wedge, rng,
                                  fold_cap=cap), False
-        if mode is Mode.EULER_REFLECTED:
-            return euler_reflected(coeffs, start, T, steps, wedge, rng,
-                                   epsilon=eps, fold_cap=cap), False
-        if mode is Mode.STOPPED:
-            sample = algorithm_stopped(start, T, wedge, rng, iteration_cap=cap)
-        else:
-            sample = algorithm_reflected(start, T, wedge, rng, epsilon=eps,
-                                         fold_cap=cap)
+        return euler_reflected(coeffs, start, T, steps, wedge, rng,
+                               epsilon=config.epsilon, fold_cap=cap), False
     except FoldCapExceeded as fault:
         return fault.partial, True
-    sample.weight = math.exp(girsanov_log_weight(drift, sample.driving_endpoint,
-                                                 sample.elapsed, x0))
-    return sample, False
 
 
 def map_paths(config, fn):
     """[fn(index, sample, faulted, xy) for every path index of `config`].
 
-    xy is the sample's endpoint mapped back to the input frame. Path i draws
-    from sub-stream i of the seed, whichever worker thread runs it, so the
-    list does not depend on config.workers.
+    xy is the sample's endpoint mapped back to the input frame. An exact
+    path is weighted by the Girsanov factor of the constant drift, which is
+    1 exactly for zero drift. Path i's draws depend on the seed and i alone,
+    so the list depends neither on LANE_BATCH nor on config.workers.
     """
     wedge, start, drift, sigma, backward = run_frame(config)
-    coeffs = None
-    if config.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
-        coeffs = linear_field(config.mu, config.kappa, sigma)
     drift = tuple(drift)
     if len(drift) != 2 or not all(math.isfinite(v) for v in drift):
         raise ValueError(f"drift must be a finite 2-vector, got {drift}")
     start = wedge.place(start)  # the driving motion starts where the path does
-    resolved = (wedge, start, start.cartesian(), drift, coeffs)
-    root = RngStream(config.seed)
+    x0 = start.cartesian()
+    n, seed = config.n_samples, config.seed
+    exact = config.mode in (Mode.STOPPED, Mode.REFLECTED)
+    if exact:
+        jobs = [range(lo, min(lo + LANE_BATCH, n))
+                for lo in range(0, n, LANE_BATCH)]
+        if config.mode is Mode.STOPPED:
+            def run(indices):
+                return stopped_paths(start, config.horizon, wedge, seed,
+                                     indices, config.fold_cap)
+        else:
+            def run(indices):
+                return reflected_paths(start, config.horizon, wedge, seed,
+                                       indices, config.epsilon, config.fold_cap)
+    else:
+        coeffs = linear_field(config.mu, config.kappa, sigma)
+        root = RngStream(seed)
+        jobs = range(n)
 
-    def one(index):
-        sample, faulted = simulate(config, resolved, root.derive(index))
+        def run(index):
+            return [simulate(config, wedge, start, coeffs, root.derive(index))]
+
+    if config.workers <= 1:
+        parts = map(run, jobs)
+    else:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            parts = list(pool.map(run, jobs))
+    out = []
+    for index, (sample, faulted) in enumerate(chain.from_iterable(parts)):
+        if exact and not faulted:
+            sample.weight = math.exp(girsanov_log_weight(
+                drift, sample.driving_endpoint, sample.elapsed, x0))
         xy = sample.cartesian_endpoint()
         if backward is not None:
             xy = mat_vec(backward, xy)
-        return fn(index, sample, faulted, xy)
-
-    indices = range(config.n_samples)
-    if config.workers <= 1:
-        return [one(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(one, indices))
+        out.append(fn(index, sample, faulted, xy))
+    return out
 
 
 def estimate(config):

@@ -121,13 +121,13 @@ def _plain_cells(xs, ys, dt, u, alpha, reflected, epsilon):
     inside and above APEX_RADIUS_FLOOR, the reflected corner does not
     trigger, the endpoint lies in the pass's sub-wedge (its sector fold is
     the identity) and, reflected, in <0, alpha>, and u times the 2m-image
-    total is at most the signed sum. The sums are those of `image_sums`,
-    each image's angle gap taken from the start's angle in the sub-wedge.
-    Every entry depends on its own cell's inputs alone. Call it with
-    floating-point overflow ignored: an entry that overflows (a radius
-    past ~1e150, an endpoint far outside the sub-wedge) is not plain.
+    total is at most the signed sum. The sums are those of `image_sums`
+    (`_image_sum_arrays`), each image's angle gap taken from the start's
+    angle in the sub-wedge. Every entry depends on its own cell's inputs
+    alone. Call it with floating-point overflow ignored: an entry whose
+    turn overflows (both points past radius ~1e154) is not plain.
     """
-    theta_cap, odd2, shift = _image_gap_plan(alpha)
+    theta_cap, _, _, _ = _pass_plan(alpha)
     x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
     r0 = np.hypot(x0, y0)
     th = np.arctan2(y0, x0) % TWO_PI
@@ -144,14 +144,28 @@ def _plain_cells(xs, ys, dt, u, alpha, reflected, epsilon):
     if reflected:
         plain &= ((np.abs(th + turn - alpha / 2.0) <= alpha / 2.0)
                   & (r0 * r0 / dt >= epsilon))
-    # image k's term relative to the start's own (k = 0), which is the
-    # nearest image to an endpoint in the sub-wedge: exp(-(sin^2 of half
-    # its gap) 2 r r0 / dt), the sin^2 of image 0 taken off
+    signed, total = _image_sum_arrays(turn, rel, np.hypot(x1, y1), r0, dt,
+                                      alpha)
+    return plain & (u * total <= signed), base
+
+
+def _image_sum_arrays(turn, rel, r, r0, horizon, alpha):
+    """`image_sums`'s (signed, total) over arrays, signed not clamped: the
+    2m-image sums of opening alpha's pass plan at radius r and angle
+    rel + turn in the sub-wedge, for starts at radius r0 and angle rel and
+    time horizon. The 2m x len(r) terms are one block, which the caller
+    bounds."""
+    _, odd2, shift = _image_gap_plan(alpha)
     sin_sq = np.sin(0.5 * (turn + odd2 * rel - shift)) ** 2
-    terms = np.exp((sin_sq[0] - sin_sq) * (2.0 * np.hypot(x1, y1) * r0 / dt))
+    # each term relative to the nearest image's, its gap multiplied into
+    # 4 r, then into r0, as in image_sums; far out, an exponent is -inf
+    with np.errstate(over="ignore"):
+        terms = np.exp((sin_sq.min(axis=0) - sin_sq) * (4.0 * r) * r0
+                       / (2.0 * horizon))
     # the sums of the even and of the odd images, each in k order
-    even, odd = np.add.accumulate(terms.reshape(-1, 2, len(r0)), axis=0)[-1]
-    return plain & (u * (even + odd) <= even - odd), base
+    even, odd = np.add.accumulate(terms.reshape(-1, 2, terms.shape[1]),
+                                  axis=0)[-1]
+    return even - odd, even + odd
 
 
 @functools.lru_cache(maxsize=16)

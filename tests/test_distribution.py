@@ -6,9 +6,10 @@ Endpoints are binned on an (r, theta) grid. Each cell's probability is a
 one cell for "hit by T", whose probability is 1 minus the killed mass. A
 chi-square test at a fixed seed compares the counts with these
 probabilities. The densities do not depend on the random stream, so this
-checks any sampler change in law, where the golden digests pin bytes. The
-driftless Euler schemes, whose cells chain the recursions, are checked the
-same way.
+checks any sampler change in law, where the golden digests pin bytes. Each
+case runs both the scalar recursions and their numpy lanes (`lanes`),
+which the exact modes of `estimate` and `sample-*` run. The driftless Euler
+schemes, whose cells chain the recursions, are checked the same way.
 
 Path counts and the p threshold were fixed before the first run.
 """
@@ -22,8 +23,10 @@ from scipy.stats import chi2
 from wedgebm.densities import killed_density_series, reflected_density_series
 from wedgebm.drift import euler_reflected, euler_stopped, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
+from wedgebm.lanes import reflected_paths, stopped_paths
 from wedgebm.rng import RngStream
-from wedgebm.samplers import algorithm_reflected, algorithm_stopped
+from wedgebm.samplers import (DEFAULT_FOLD_CAP, algorithm_reflected,
+                              algorithm_stopped)
 
 N_PATHS = 4000
 P_MIN = 1e-3
@@ -121,6 +124,22 @@ def test_endpoint_law_matches_series_density(name, recursion):
         samples = [algorithm_reflected(start, t, wedge, root.derive(i),
                                        epsilon=EPSILON)
                    for i in range(N_PATHS)]
+    assert _p_value(samples, recursion == "stopped", wedge, start, t) > P_MIN
+
+
+@pytest.mark.parametrize("recursion", ["stopped", "reflected"])
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_lane_endpoint_law_matches_series_density(name, recursion):
+    alpha, (r0, th0), t = GEOMETRIES[name]
+    wedge, start = WedgeSpec(0.0, alpha), PolarPoint(r0, th0)
+    paths = range(N_PATHS)
+    if recursion == "stopped":
+        rows = stopped_paths(start, t, wedge, SEEDS[name], paths,
+                             DEFAULT_FOLD_CAP)
+    else:
+        rows = reflected_paths(start, t, wedge, SEEDS[name], paths, EPSILON,
+                               DEFAULT_FOLD_CAP)
+    samples = [sample for sample, _faulted in rows]
     assert _p_value(samples, recursion == "stopped", wedge, start, t) > P_MIN
 
 

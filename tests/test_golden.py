@@ -124,6 +124,11 @@ SEED = ["--seed", "7"]  # for every command but density, which draws nothing
 # The two ito cases were recorded again when the Euler cells became blocked:
 # each cell draws its own triple of uniforms from the path's stream, and a
 # cell that falls back to the recursion draws the rest from a side stream.
+# Every case of an exact mode, 26 in all (the nine estimate cases, the two
+# folds cases and the fifteen sample-stopped and sample-reflected cases: all
+# but the density and ito ones), was recorded again when the exact
+# recursions became numpy lanes, each path drawing from its own Philox-4x64
+# stream (README, CLI) in place of its PCG64 sub-stream.
 DIGESTS = {
     "density_images_killed":
         "20e1fc928f8ccfb52c36b01f3cae8d7d5ce0a753378acb5631447eaa07c2ac95",
@@ -134,61 +139,61 @@ DIGESTS = {
     "density_series_reflected":
         "9cdc8073545c9f6ad5cae3ff248add55eee55c814c5e9435e47be56cc289f5d7",
     "estimate_correlated":
-        "fd39424472d3c5757feb544703f3eb09a7171d24f28fb8737b9429b58f72f4c1",
+        "72f7b741f619f8b00b9dcc89732bccb54acefe36fc2bb3e9a8123e81e86d9981",
     "estimate_drift_reflected":
-        "2196b7bb712c1c0f93e9fda057cbfddf0cc2f610b9258357c65542ca9b93cbb5",
+        "7cd0382c03c208eb90fa9d61d0e9d8287fdd32d2a0961b18bb4daee176a7a094",
     "estimate_table1_coord1":
-        "07894abba7cb6a7022faabb236454b26f2853d970bc23d20dd81e2cc59d00c0e",
+        "158c1b3acc402196e49d57a49720a44cff89241c55a15d1c3f53c53e04622b9a",
     "estimate_table1_exit":
-        "d33f108341ef9c93b5ee7554f8709906369fa0d4092ebad90a7804efbf0991b4",
+        "5320b0139e2be5b5167c4782b3798d384d397005d668f35789d628c31719e1e4",
     "estimate_table1_reflected":
-        "9cbecd4fcb6564eb7cea24f40c2414bd11bef97cce1e92ac95dde3d499440b7e",
+        "8b994bbf40e29ef02758f244a237812db423f7e772bf9b83d9d16859d1809aa2",
     "estimate_table1_stopped":
-        "8cb6416d3eaca5abf0476818b417793ce7c9e61811a1fde2761436d6f1d669af",
+        "e611b5d5828990a37963a51c3e4796c7e5b190a87eaa64a1657b2e8e9364ae82",
     "estimate_table1_tau":
-        "1cedd4dbbe4b19290e534e3e6b037e97fc3dc98c707e6f83d0ee8f0d9fa34b5f",
+        "59bc78070e272c9c9de4af1493fa7f016a55babe05d058258b2deacf5d3bbad0",
     "estimate_table2_reflected":
-        "3cafb132cdd548cfaa47519096a87ebdf71f0f0b82745a73312c4c3c9c73b097",
+        "7a204d9c4eb112b9abfde8654e4463c7b19ecb1271dd7e8489690d7810c092d8",
     "estimate_table2_stopped":
-        "98455dcab2e9450b74c1796a9a0108362f73ca4d9ba878d0a01ab957616e937a",
+        "89f7622324f7ff2ba94f4ff5d56c2b398acb988ade7b0e9953ffdc6378b8aec3",
     "folds_eps_sweep":
-        "980f4435bb82d453204c7d8ebfb33ff70d32ecd985c68486e091df52b25cd2ae",
+        "a886ea11eef1765ab96f72229f8f7881dc41f0aaf065cb57882bf7a5e37c4a53",
     "folds_histogram":
-        "c3cf115ee12d40296d3eab031e8146e9c84fd69bad2ca142b5d7922392e4e21f",
+        "ab491acaa59455046ef5d3973d25d089e99a51a0bbc4f271ef87983ffb9ce06b",
     "ito_table3_reflected":
         "4e684ba39cb7f5f9c57664434d257e27cd3d8a5493b1267529a4d270d4bd325c",
     "ito_table3_stopped":
         "d50580905ebfb21d1aea0434c0bcc924d31f453215d90ff3cc92309760e8be5b",
     "sample_reflected":
-        "3d006abeea6bf1f82dc61ae4274d6214fc3f039c0780f0d2ff8ab27a9e5b1eb2",
+        "bf2c86038958bc78ed7a30900ecc836885d9008178c5ab32d78e8a7deed7d93e",
     "sample_reflected_apex_floor":
-        "ed6d55e906987b661f2f0772ce0a4b9cc5a785ccb0d454e3fd138b532f118977",
+        "5518d1f07dfa3c04b364f9b44b9ce196022106b7d56f288337f357ccd3b2b5cb",
     "sample_reflected_apex_floor_drift":
-        "d580df3cc5e3ab5d8626b72eaad15190990b6d66457d3e286d5aa2d400acb71b",
+        "67fb3f91eddc922f0856ed75e26f2ac4587a4ec46ab6e60fafe6be496080ee3f",
     "sample_reflected_apex_start":
-        "da593aa0905b365ddf8439264c43db772de92f11a15b3e2afde802cb03868fc7",
+        "51d96740c7e6ea9a0c9181c6436f3f888350abc59e99aeb2fb6e59b1a30a8ab2",
     "sample_reflected_apex_start_drift":
-        "78b7ad4f10345467832197d99203f23b6de475b518d14183f8d356002dddd5a4",
+        "8d5efc9feac6d4b896b223a1f6c80d089438ff34089ebb930b7d705241a7bb16",
     "sample_reflected_corner":
-        "c5defb0d18ebee77f43201e7cd46fce0f02cf14c743c168404942d6550a18050",
+        "3f01008a3a2a68613edb70c11e201c93e6e89b3194e4b0a8e1f90df3eefbe28e",
     "sample_reflected_corner_drift":
-        "34126c094d4e0bd7ec356dff0313cf62a3b438a7bf1f1e8b9c8598f0b5fb17aa",
+        "358776dd16d98663bbb1f5785d31609458fb64088db3d2197a52841ec7bba094",
     "sample_reflected_correlated":
-        "4fd7e1af454412604c860720a8bf75420c7d4637109660463f8d26b2f965e032",
+        "4f7f1756de39fd031a3ecde3971f9511644bf4abf27673c954ac4776cc118859",
     "sample_reflected_drift":
-        "808c5ea144b441a329f83319ec7ccd31559a375c0bc5577c2b2a6d8920a53646",
+        "8a6d4b18419d3e3b4be4021aa2273e1ea008aedb0f599e10471c91776075b9bf",
     "sample_reflected_faults":
-        "32420d1232313f75c83b3501a805adb0ff0b826fc89246cbd9565aacc54f3585",
+        "f0fad2944e55e976e8e2c62af6a5d26a7cc87eddfed68b75e0cb60f1823f2222",
     "sample_reflected_pi_over_3":
-        "8a8291d7782f14a09bbfad1cd5d16d89226b9344b5e5681dfe4466d2dc98538e",
+        "a976e210a6b0bf0daec29bd0e4c6f5b1852f8de51dfd576260c53087fee009cf",
     "sample_stopped":
-        "05add527c7cb4c068e0477a4a1be23af0212ac49b4b3714a846c146f48b1cb9a",
+        "27cea26e47f3753eb9ab1050ccb81fcbad10c7dc67797f835b031253bae7e313",
     "sample_stopped_alpha_4":
-        "98d619595072e73e913a201f71fd8d65147394487cefc825e6300f460d45ca03",
+        "abfb1d1dd2e0bd5ea0d9f80ec68831f22a497517f6b0d51d5757fff6d201c07e",
     "sample_stopped_correlated":
-        "26f4d384ad18094cf54c6d389ae3190b66826b39069b3cc0e7cceae32fdd8fa4",
+        "ed4bd5a47b656d7bf890ff155db17d2f9437989a7703d22644dc0c8d72da28e2",
     "sample_stopped_drift":
-        "5ac282a153d0c92c2cdc8861db3e64a84d710ea9c7978ad154fc3f44eadd9ddd",
+        "288fc67304448c25d76e12d13161febf829f5af3cbe3fd489780669ec779049f",
 }
 
 # recorded again when the survivor proposal became the folded free Gaussian
