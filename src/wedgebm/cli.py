@@ -215,8 +215,7 @@ def _add_correlated(sub):
 
 def _resolve_problem(args):
     """The geometry and start point every command reads from its flags:
-    {'setup': CorrelatedSetup} or {'wedge', 'start', 'drift'}."""
-    drift = getattr(args, "drift", None) or (0.0, 0.0)
+    {'setup': CorrelatedSetup} or {'wedge', 'start'}."""
     corr = [getattr(args, name, None)
             for name in ("sigma1", "sigma2", "rho", "slope", "region")]
     if any(v is not None for v in corr):
@@ -231,7 +230,7 @@ def _resolve_problem(args):
         setup = CorrelatedSetup(sigma1=corr[0], sigma2=corr[1], rho=corr[2],
                                 slope=corr[3],
                                 region_case=RegionCase(corr[4]),
-                                x0=tuple(args.x), drift=tuple(drift))
+                                x0=tuple(args.x))
         return {"setup": setup}
     if args.alpha is None:
         raise UsageError("--alpha is required (or give a correlated setup)")
@@ -247,29 +246,28 @@ def _resolve_problem(args):
         start = wedge.place(start)
     except ValueError as exc:
         raise UsageError(f"start {exc}")
-    return {"wedge": wedge, "start": start, "drift": tuple(drift)}
+    return {"wedge": wedge, "start": start}
 
 
-def _merge_preset(args, presets):
-    """Fill unset geometry/run fields from the (at most one) chosen preset."""
-    chosen = [name for name in presets if getattr(args, name, False)]
+def _fill_preset(args, presets):
+    """Fill the flags left unset from the (at most one) chosen preset. Its
+    wedge gives way to correlated input, and its start to --x."""
+    chosen = [name for name in presets if getattr(args, name)]
     if len(chosen) > 1:
         raise UsageError("pick at most one preset")
-    eff = dict(presets[chosen[0]]) if chosen else {}
-    merged = argparse.Namespace(**vars(args))
-    if merged.alpha is None and getattr(merged, "sigma1", None) is None \
-            and "alpha" in eff:
-        merged.alpha = eff["alpha"]
-    if merged.start is None and merged.x is None and "start" in eff:
-        merged.start = eff["start"]
-    return merged, eff
+    preset = dict(presets[chosen[0]]) if chosen else {}
+    if getattr(args, "sigma1", None) is not None:
+        preset.pop("alpha", None)
+    if args.x is not None:
+        preset.pop("start", None)
+    for name, value in preset.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
 
 
-def _pick(args, eff, name, default):
+def _pick(args, name, default):
     value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return eff.get(name, default)
+    return default if value is None else value
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +311,8 @@ def cmd_density(args):
     return 0
 
 
-def _sample_common(args, mode):
-    config = _build_config(args, {}, mode, "constant_1", n_default=10)
+def cmd_sample(args):
+    config = _build_config(args, args.mode, "constant_1", n_default=10)
 
     def row(index, sample, fault, xy):
         return _row(index, xy[0], xy[1], sample.elapsed,
@@ -325,36 +323,20 @@ def _sample_common(args, mode):
     return 0
 
 
-def cmd_sample_stopped(args):
-    return _sample_common(args, "stopped")
-
-
-def cmd_sample_reflected(args):
-    return _sample_common(args, "reflected")
-
-
-def _build_config(merged, eff, mode_default, func_default, n_default=10000,
-                  extra=None):
-    """The EstimatorConfig of every sampling command: flags first, then the
-    preset `eff`, then the defaults."""
-    geo = _resolve_problem(merged)
-    mode = Mode(_pick(merged, eff, "mode", mode_default))
-    func = TestFunction(_pick(merged, eff, "func", func_default))
-    workers = getattr(merged, "workers", None)
-    kwargs = {
-        "mode": mode,
-        "func": func,
-        "horizon": _pick(merged, eff, "T", 1.0),
-        "n_samples": _pick(merged, eff, "n", n_default),
-        "seed": merged.seed,
-        "epsilon": _pick(merged, eff, "eps", DEFAULT_EPSILON),
-        "fold_cap": _pick(merged, eff, "fold_cap", DEFAULT_FOLD_CAP),
-        "workers": 1 if workers is None else workers,
-    }
-    kwargs.update(geo)
-    if extra:
-        kwargs.update(extra)
-    return EstimatorConfig(**kwargs)
+def _build_config(args, mode_default, func_default, n_default=10000, **extra):
+    """The EstimatorConfig of every sampling command: the flags, any preset
+    already filled in, then the defaults."""
+    return EstimatorConfig(
+        mode=Mode(_pick(args, "mode", mode_default)),
+        func=TestFunction(_pick(args, "func", func_default)),
+        horizon=_pick(args, "T", 1.0),
+        n_samples=_pick(args, "n", n_default),
+        seed=args.seed,
+        drift=_pick(args, "drift", (0.0, 0.0)),
+        epsilon=_pick(args, "eps", DEFAULT_EPSILON),
+        fold_cap=_pick(args, "fold_cap", DEFAULT_FOLD_CAP),
+        workers=_pick(args, "workers", 1),
+        **_resolve_problem(args), **extra)
 
 
 def _estimate_lines(config, report):
@@ -367,12 +349,12 @@ def _estimate_lines(config, report):
                  report.mean_folds, report.mean_weight, report.ess)]
 
 
-def _estimate_and_report(merged, eff, mode_default, extra=None):
+def _estimate_and_report(args, mode_default, **extra):
     """The tail of `estimate` and `ito`: run, emit the row, and report the
     wall time and any faulted paths on stderr."""
-    config = _build_config(merged, eff, mode_default, "radius_sq", extra=extra)
+    config = _build_config(args, mode_default, "radius_sq", **extra)
     report = estimate(config)
-    _emit(_estimate_lines(config, report), merged.out)
+    _emit(_estimate_lines(config, report), args.out)
     print(f"wall time {report.wall_time_seconds:.2f} s", file=sys.stderr)
     if report.n_faults:
         print(f"warning: {report.n_faults} faulted paths excluded",
@@ -381,24 +363,21 @@ def _estimate_and_report(merged, eff, mode_default, extra=None):
 
 
 def cmd_estimate(args):
-    return _estimate_and_report(*_merge_preset(args, ESTIMATE_PRESETS), "stopped")
+    _fill_preset(args, ESTIMATE_PRESETS)
+    return _estimate_and_report(args, "stopped")
 
 
 def cmd_ito(args):
-    merged, eff = _merge_preset(args, ITO_PRESETS)
-    steps = _pick(merged, eff, "steps", None)
-    if steps is None:
+    _fill_preset(args, ITO_PRESETS)
+    if args.steps is None:
         raise UsageError("--steps is required for the Euler runner")
-    extra = {
-        "steps": steps,
-        "mu": tuple(_pick(merged, eff, "mu", (0.0, 0.0))),
-        "kappa": tuple(_pick(merged, eff, "kappa", (0.0, 0.0))),
-    }
-    return _estimate_and_report(merged, eff, "euler_stopped", extra)
+    return _estimate_and_report(args, "euler_stopped", steps=args.steps,
+                                mu=_pick(args, "mu", (0.0, 0.0)),
+                                kappa=_pick(args, "kappa", (0.0, 0.0)))
 
 
 def cmd_folds(args):
-    config = _build_config(args, {}, "reflected", "constant_1", n_default=1000)
+    config = _build_config(args, "reflected", "constant_1", n_default=1000)
     if args.eps_sweep is not None:
         lines = ["eps,mean_folds,n"]
         for eps, mean in eps_sweep(config, args.eps_sweep):
@@ -438,17 +417,12 @@ def build_parser():
                    help="radial extent (default |x0| + 4 sqrt(t))")
     p.set_defaults(handler=cmd_density)
 
-    p = subs.add_parser("sample-stopped",
-                        help="draw stopped-path endpoints (CSV per path)")
-    _add_common(p, drift=True)
-    _add_correlated(p)
-    p.set_defaults(handler=cmd_sample_stopped)
-
-    p = subs.add_parser("sample-reflected",
-                        help="draw reflected-path endpoints (CSV per path)")
-    _add_common(p, drift=True)
-    _add_correlated(p)
-    p.set_defaults(handler=cmd_sample_reflected)
+    for mode in ("stopped", "reflected"):
+        p = subs.add_parser("sample-" + mode,
+                            help=f"draw {mode}-path endpoints (CSV per path)")
+        _add_common(p, drift=True)
+        _add_correlated(p)
+        p.set_defaults(handler=cmd_sample, mode=mode)
 
     p = subs.add_parser("estimate",
                         help="Monte Carlo estimate of E[f(endpoint)]")

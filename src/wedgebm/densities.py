@@ -33,22 +33,11 @@ class Kind(Enum):
 
 
 def _signed_sum(terms):
-    """Sum with positive and negative terms paired in decreasing magnitude,
-    clamping tiny negative residue (pure cancellation noise) to zero."""
-    pos = sorted((t for t in terms if t > 0), reverse=True)
-    neg = sorted((t for t in terms if t < 0))  # most negative first
-    total = 0.0
-    scale = 0.0
-    for p, n in zip(pos, neg):
-        total += p + n
-        scale += p - n
-    for p in pos[len(neg):]:
-        total += p
-        scale += p
-    for n in neg[len(pos):]:
-        total += n
-        scale -= n
-    if total < 0 and -total <= CANCEL_CLAMP * max(1.0, scale):
+    """The exactly rounded sum of the terms, clamping tiny negative residue
+    (pure cancellation noise) to zero."""
+    total = math.fsum(terms)
+    if total < 0 and \
+            -total <= CANCEL_CLAMP * max(1.0, math.fsum(map(abs, terms))):
         return 0.0
     return total
 

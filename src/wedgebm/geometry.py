@@ -207,7 +207,8 @@ class CorrelatedSetup:
 
     The driving noise has marginal scales (sigma1, sigma2) and correlation
     rho; the domain is one of the four regions bounded by the x-axis and the
-    line y = slope * x; the process starts at x0 with constant drift b.
+    line y = slope * x; the process starts at x0. A constant drift is the
+    run's own (`montecarlo.EstimatorConfig.drift`), in these coordinates.
     """
 
     sigma1: float
@@ -216,7 +217,6 @@ class CorrelatedSetup:
     slope: float
     region_case: RegionCase
     x0: tuple
-    drift: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         for name in ("sigma1", "sigma2"):

@@ -4,8 +4,9 @@ diagnostics.
 `map_paths` runs every path index of a configuration. The exact modes run
 as numpy lanes (`lanes.stopped_paths`, `lanes.reflected_paths`), LANE_BATCH
 paths a batch, each lane drawing from its path's Philox stream; the Euler
-modes run one path at a time (`simulate`), path i drawing from sub-stream i
-of the seed. A worker thread runs one batch, or one Euler path, at a time.
+modes run one path at a time (`drift.euler_stopped`, `drift.euler_reflected`),
+path i drawing from sub-stream i of the seed. A worker thread runs one batch,
+or one Euler path, at a time.
 Either way results are byte-reproducible for a fixed (config, seed) however
 the paths are batched and however many workers run them; the reduction
 always runs in index order.
@@ -86,8 +87,8 @@ class EstimatorConfig:
     seed: int
     wedge: WedgeSpec = None
     start: PolarPoint = None
-    setup: object = None  # CorrelatedSetup; framed by run_frame
-    drift: tuple = (0.0, 0.0)
+    setup: object = None  # CorrelatedSetup, in place of wedge and start
+    drift: tuple = (0.0, 0.0)  # constant drift, in the input frame
     epsilon: float = DEFAULT_EPSILON
     fold_cap: int = DEFAULT_FOLD_CAP
     steps: int = 0
@@ -108,12 +109,16 @@ class EstimatorConfig:
             raise ValueError(f"fold_cap must be at least 1, got {self.fold_cap}")
         if self.setup is None and (self.wedge is None or self.start is None):
             raise ValueError("either a correlated setup or wedge+start is required")
+        if self.setup is not None and (self.wedge is not None
+                                       or self.start is not None):
+            raise ValueError("give a correlated setup or a wedge and a start, "
+                             "not both")
         if self.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
             if self.steps < 1:
                 raise ValueError("Euler modes need steps >= 1")
             if not math.isfinite(self.horizon):
                 raise ValueError("Euler modes need a finite horizon")
-            if any(self.drift) or (self.setup is not None and any(self.setup.drift)):
+            if any(self.drift):
                 raise ValueError("Euler modes take drift through mu and kappa; "
                                  "a constant drift would be ignored")
 
@@ -124,21 +129,22 @@ def run_frame(config):
     endpoint back to the input frame (None when they coincide).
 
     A correlated setup in an exact mode runs in the standard frame of
-    (setup.sigma, setup.wedge). sigma^{-1} keeps the x-axis, so that frame
-    needs no rotation; scripts/oracles/decorrelation_reference.py derives and
-    checks the closed forms of its opening. An Euler run stays in the
-    setup's frame with noise setup.sigma, and each cell's own standard frame
-    decorrelates it.
+    (setup.sigma, setup.wedge), with its start and config.drift mapped
+    forward. sigma^{-1} keeps the x-axis, so that frame needs no rotation;
+    scripts/oracles/decorrelation_reference.py derives and checks the closed
+    forms of its opening. An Euler run, which has no constant drift, stays in
+    the setup's frame with noise setup.sigma, and each cell's own standard
+    frame decorrelates it.
     """
     setup = config.setup
     if setup is None:
         return config.wedge, config.start, config.drift, IDENTITY, None
     if config.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
         return (setup.wedge, PolarPoint.from_cartesian(*setup.x0),
-                setup.drift, setup.sigma, None)
+                config.drift, setup.sigma, None)
     fwd, bwd, wedge = standard_frame(setup.sigma, setup.wedge)
     start = wedge.place(PolarPoint.from_cartesian(*mat_vec(fwd, setup.x0)))
-    return wedge, start, mat_vec(fwd, setup.drift), IDENTITY, bwd
+    return wedge, start, mat_vec(fwd, config.drift), IDENTITY, bwd
 
 
 @dataclass(frozen=True)
@@ -152,22 +158,6 @@ class McReport:
     ess: float
     wall_time_seconds: float
     seed: int
-
-
-def simulate(config, wedge, start, coeffs, rng):
-    """One Euler path of `config` from `start` in `wedge`, drawn from `rng`:
-    returns (PathSample, faulted). The sample carries the Girsanov factors
-    of its cells. A path whose cell exceeds the fold cap returns the cell's
-    partial state with faulted=True."""
-    T, cap, steps = config.horizon, config.fold_cap, config.steps
-    try:
-        if config.mode is Mode.EULER_STOPPED:
-            return euler_stopped(coeffs, start, T, steps, wedge, rng,
-                                 fold_cap=cap), False
-        return euler_reflected(coeffs, start, T, steps, wedge, rng,
-                               epsilon=config.epsilon, fold_cap=cap), False
-    except FoldCapExceeded as fault:
-        return fault.partial, True
 
 
 def map_paths(config, fn):
@@ -201,9 +191,23 @@ def map_paths(config, fn):
         coeffs = linear_field(config.mu, config.kappa, sigma)
         root = RngStream(seed)
         jobs = range(n)
+        T, steps, cap = config.horizon, config.steps, config.fold_cap
 
         def run(index):
-            return [simulate(config, wedge, start, coeffs, root.derive(index))]
+            # the sample carries the Girsanov factors of its cells; a cell
+            # past the fold cap ends the path with its partial state
+            rng = root.derive(index)
+            try:
+                if config.mode is Mode.EULER_STOPPED:
+                    sample = euler_stopped(coeffs, start, T, steps, wedge, rng,
+                                           fold_cap=cap)
+                else:
+                    sample = euler_reflected(coeffs, start, T, steps, wedge,
+                                             rng, epsilon=config.epsilon,
+                                             fold_cap=cap)
+            except FoldCapExceeded as fault:
+                return [(fault.partial, True)]
+            return [(sample, False)]
 
     if config.workers <= 1:
         parts = map(run, jobs)

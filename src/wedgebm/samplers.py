@@ -186,15 +186,14 @@ def _sub_opening(alpha):
 
     If alpha itself is pi/m (within the geometry tolerance), the sub-wedge
     reuses alpha exactly so that both sub-wedge rays coincide with the outer
-    rays; otherwise m = ceil(pi/alpha), with a one-step correction for the
-    case where pi/alpha rounded just above an integer.
+    rays; otherwise m = ceil(pi/alpha) (an alpha within rounding of some
+    pi/k is that pi/k within the tolerance, so the ceiling is never one
+    too large).
     """
     m_exact = WedgeSpec(0.0, alpha).pi_over_m() if alpha <= math.pi else None
     if m_exact is not None:
         return alpha, m_exact
     m = math.ceil(math.pi / alpha)
-    if m > 1 and math.pi / (m - 1) <= alpha:
-        m -= 1
     return math.pi / m, m
 
 

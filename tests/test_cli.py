@@ -329,6 +329,59 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+# argv -> a fragment of the one-line message; FILE is an existing config file
+USAGE_ERRORS = {
+    "x-one-number": (["estimate", "--alpha", "0.9", "--x", "1"],
+                     "expected two comma-separated numbers"),
+    "start-one-number": (["estimate", "--alpha", "0.9", "--start", "1.5"],
+                         "expected two comma-separated numbers"),
+    "T-not-a-number": (["estimate"] + T1[:4] + ["--T", "abc"], "bad time"),
+    "T-zero": (["estimate"] + T1[:4] + ["--T", "0"], "T must be positive"),
+    "eps-sweep-bad-entry": (["folds"] + T1 + ["--eps-sweep", "0.1,x"],
+                            "bad number list"),
+    "config-missing-file": (["estimate", "--config=/nonexistent.cfg"],
+                            "cannot read config file"),
+    "config-bare": (["estimate", "--config"], "--config needs a file path"),
+    "config-no-subcommand": (["--config", "FILE"], "requires a subcommand"),
+    "correlated-without-x": (["estimate", "--T", "1", "--sigma1", "1",
+                              "--sigma2", "1", "--rho", "0", "--slope", "1.26",
+                              "--region", "and_pos"], "takes the start as --x"),
+    "slope-zero": (["estimate", "--T", "1", "--sigma1", "1", "--sigma2", "1",
+                    "--rho", "0", "--slope", "0", "--region", "and_pos", "--x",
+                    "1,0.5"], "slope 0"),
+    "density-infinite-T": (["density"] + T1[:4] + ["--T", "inf"],
+                           "needs a finite T"),
+    "density-grid-zero": (["density"] + T1 + ["--grid", "0"],
+                          "--grid must be at least 1"),
+    "start-angle-nan": (["estimate", "--alpha", "0.9", "--start", "1.5,nan"],
+                        "angle must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_is_one_line_and_exit_2(case, tmp_path, capsys):
+    argv, fragment = USAGE_ERRORS[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 5\n")
+    argv = [str(cfg) if tok == "FILE" else tok for tok in argv]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    # argparse prints its usage lines first; the message is the one other line
+    message = [line for line in err.splitlines()
+               if not line.startswith(("usage:", " "))]
+    assert len(message) == 1
+    assert "error" in message[0] and fragment in message[0]
+
+
+def test_one_path_estimate_has_an_infinite_half_width(tmp_path):
+    code, data = run_to_file(tmp_path, "one.csv",
+                             ["estimate", "--table1-stopped", "--n", "1"])
+    assert code == 0
+    _, rows = parse_csv(data)
+    assert rows[0]["n"] == "1" and rows[0]["half_width"] == "inf"
+
+
 @pytest.mark.parametrize("argv", [
     ["density", "--grid", "2"],
     ["folds", "--n", "10"],

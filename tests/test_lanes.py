@@ -241,6 +241,26 @@ def test_exact_pi_over_3_opening_runs_one_pass_and_hits_the_rays_exactly():
     assert ks_p([s.endpoint.r for s in lanes], [s.endpoint.r for s in scalar]) > P_MIN
 
 
+@pytest.mark.parametrize("T", [1.0, math.inf])
+def test_stopped_exit_radius_underflowing_onto_the_apex(T):
+    # from radius 3e-150 about 1% of the first exits fall below
+    # APEX_RADIUS_FLOOR; the apex belongs to both rays and is reported on
+    # the lower one
+    start = PolarPoint(3e-150, 0.45)
+    lanes = [s for s, _f in lane_samples(True, start, T, W09, N_LAW, 1810)]
+    scalar = scalar_samples(True, start, T, W09, N_LAW, 1810)
+    fractions = []
+    for samples in (lanes, scalar):
+        apex = [s for s in samples if s.endpoint.r == 0.0]
+        assert apex
+        assert all(s.hit_boundary and s.endpoint.theta == W09.alpha_minus
+                   for s in apex)
+        fractions.append(len(apex) / N_LAW)
+    p = sum(fractions) / 2.0
+    assert abs(fractions[0] - fractions[1]) <= \
+        4.0 * math.sqrt(2.0 * p * (1.0 - p) / N_LAW)
+
+
 @pytest.mark.parametrize("recursion", ["stopped", "reflected"])
 def test_caps_fault_with_the_partial_state_of_the_scalar_recursion(recursion):
     stopped = recursion == "stopped"

@@ -131,6 +131,19 @@ def test_config_validation():
         table1_config(mode=Mode.EULER_REFLECTED, steps=10, horizon=math.inf)
 
 
+@pytest.mark.parametrize("geometry", [dict(wedge=W09), dict(start=START),
+                                      dict(wedge=W09, start=START)])
+def test_a_setup_with_a_wedge_or_a_start_is_refused(geometry):
+    # the setup used to win without a word
+    setup = CorrelatedSetup(sigma1=1.0, sigma2=1.0, rho=0.0,
+                            slope=math.tan(0.9), region_case=RegionCase.AND_POS,
+                            x0=START.cartesian())
+    with pytest.raises(ValueError, match="not both"):
+        EstimatorConfig(mode=Mode.STOPPED, func=TestFunction.RADIUS_SQ,
+                        horizon=1.0, n_samples=10, seed=0, setup=setup,
+                        **geometry)
+
+
 @pytest.mark.parametrize("mode", [Mode.EULER_STOPPED, Mode.EULER_REFLECTED])
 def test_euler_modes_refuse_a_constant_drift(mode):
     # the Euler schemes take drift from mu and kappa alone; a constant drift
@@ -139,10 +152,11 @@ def test_euler_modes_refuse_a_constant_drift(mode):
         table1_config(mode=mode, steps=20, drift=(5.0, -5.0))
     setup = CorrelatedSetup(sigma1=1.0, sigma2=1.0, rho=0.0,
                             slope=math.tan(0.9), region_case=RegionCase.AND_POS,
-                            x0=START.cartesian(), drift=(5.0, -5.0))
+                            x0=START.cartesian())
     with pytest.raises(ValueError, match="drift"):
         EstimatorConfig(mode=mode, func=TestFunction.RADIUS_SQ, horizon=1.0,
-                        n_samples=10, seed=0, steps=20, setup=setup)
+                        n_samples=10, seed=0, steps=20, setup=setup,
+                        drift=(5.0, -5.0))
 
 
 def test_correlated_identity_setup_matches_plain_wedge():
@@ -160,6 +174,25 @@ def test_correlated_identity_setup_matches_plain_wedge():
         mode=Mode.STOPPED, func=TestFunction.RADIUS_SQ, horizon=1.0,
         n_samples=300, seed=11, wedge=wedge,
         start=PolarPoint.from_cartesian(*START.cartesian())))
+    assert via_setup.estimate == pytest.approx(direct.estimate, rel=1e-12)
+
+
+def test_a_drift_given_with_a_setup_weights_the_paths():
+    # a drift given with a correlated setup was once dropped, leaving every
+    # weight 1; through the identity setup it must weight the paths as the
+    # plain-wedge run does
+    slope = math.tan(0.9)
+    setup = CorrelatedSetup(sigma1=1.0, sigma2=1.0, rho=0.0, slope=slope,
+                            region_case=RegionCase.AND_POS,
+                            x0=START.cartesian())
+    common = dict(mode=Mode.STOPPED, func=TestFunction.RADIUS_SQ, horizon=1.0,
+                  n_samples=300, seed=11, drift=(0.3, -0.2))
+    via_setup = estimate(EstimatorConfig(setup=setup, **common))
+    direct = estimate(EstimatorConfig(
+        wedge=WedgeSpec(0.0, math.atan(slope)),
+        start=PolarPoint.from_cartesian(*START.cartesian()), **common))
+    assert via_setup.mean_weight != 1.0
+    assert via_setup.mean_weight == pytest.approx(direct.mean_weight, rel=1e-12)
     assert via_setup.estimate == pytest.approx(direct.estimate, rel=1e-12)
 
 
@@ -182,19 +215,18 @@ def test_run_frame_picks_the_coordinates_of_each_kind_of_run():
     # plain: the input as given
     plain = table1_config(drift=(0.5, -0.2))
     assert run_frame(plain) == (W09, START, (0.5, -0.2), IDENTITY, None)
-    # correlated, exact: the standard frame of the setup, start and drift
-    # mapped forward, endpoints mapped back
+    # correlated, exact: the standard frame of the setup, start and the
+    # config's drift mapped forward, endpoints mapped back
     setup = CorrelatedSetup(sigma1=2.0, sigma2=1.0, rho=0.3, slope=0.7,
-                            region_case=RegionCase.AND_POS, x0=(1.0, 0.2),
-                            drift=(0.4, 0.1))
+                            region_case=RegionCase.AND_POS, x0=(1.0, 0.2))
     fwd, bwd, cell = standard_frame(setup.sigma, setup.wedge)
     common = dict(func=TestFunction.RADIUS_SQ, horizon=1.0, n_samples=1,
                   seed=0)
-    exact = run_frame(EstimatorConfig(mode=Mode.REFLECTED, setup=setup, **common))
+    exact = run_frame(EstimatorConfig(mode=Mode.REFLECTED, setup=setup,
+                                      drift=(0.4, 0.1), **common))
     assert exact == (cell, PolarPoint.from_cartesian(*mat_vec(fwd, setup.x0)),
-                     mat_vec(fwd, setup.drift), IDENTITY, bwd)
+                     mat_vec(fwd, (0.4, 0.1)), IDENTITY, bwd)
     # correlated, Euler: the setup's own frame and noise; each cell frames it
-    setup = dataclasses.replace(setup, drift=(0.0, 0.0))
     euler = run_frame(EstimatorConfig(mode=Mode.EULER_STOPPED, steps=3,
                                       setup=setup, **common))
     assert euler == (setup.wedge, PolarPoint.from_cartesian(1.0, 0.2),
