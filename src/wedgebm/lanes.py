@@ -3,28 +3,25 @@
 `stopped_paths` and `reflected_paths` run `samplers.algorithm_stopped` and
 `samplers.algorithm_reflected` for a batch of path indices of one seed,
 branch for branch: every pass runs once for all the lanes still going, as
-array operations, and the lanes that finish leave after it. A pass makes
-the survivor-first trial; a refused trial draws the conditional half-plane
-exit in rejection rounds over the lanes still pending, each lane with the
-ratio plan of its own start angle and exit side; the exit draw works at
-every radius times 2^-k, with the same overflow `ValueError`. Boundary and
-apex starts, APEX_RADIUS_FLOOR, the corner ending, the fold into the wedge,
-the pass caps with their partial state, and the driving endpoint that the
-Girsanov weight reads are those of the scalar recursions, which are the
-lanes' test oracle.
+array operations, and the lanes that finish leave after it. A refused
+survivor trial draws its exit in rejection rounds over the lanes still
+pending, each lane with the ratio plan of its own start angle and exit
+side, at its radius times 2^-k. Boundary and apex starts,
+APEX_RADIUS_FLOOR, the corner ending, the fold into the wedge, the pass
+caps with their partial state, the overflow `ValueError` and the driving
+endpoint are those of the scalar recursions.
 
-Lane j draws from the Philox stream of its path (`rng.LaneDraws`): a
-survivor trial takes 3 uniforms (two normals by `ndtri`, then the
-acceptance), an exit proposal 4 (the side, the tail |Z| >= a by one
-`-ndtri_exp(log u + log_ndtr(-a))`, a normal along the line, the
-acceptance) and a corner draw 3 (two normals, the angle). Each round of an
-exit draw makes _PROPOSALS proposals for each pending lane, all drawn
-whichever is kept first. When m = 1 the half-plane is the wedge: the exit
-draw is one round of one proposal of 2 uniforms (the tail and the normal),
-which is kept. Every lane's arithmetic reads its own values alone, so a
-path's result depends on its seed and index and not on the batch it runs
-in. Blocks over the 2m images hold at most _IMAGE_CAP values; more lanes
-run in chunks.
+Lane j draws from its path's Philox stream (`rng.LaneDraws`) what the
+scalar recursion draws from `RngStream(seed).derive(i)`, in its order: a
+survivor trial 3 uniforms (two normals by `ndtri`, the acceptance), an exit
+proposal 4 (the side, the tail Z >= a by `-ndtri_exp(log u +
+log_ndtr(-a))`, a normal along the line, the acceptance), made
+`samplers._PROPOSALS` a round and all drawn whichever is kept first, and a
+corner draw 3 (two normals, the angle). When m = 1 the half-plane is the
+wedge: one proposal of 2 uniforms (the tail, the normal), kept. So the
+scalar recursion reproduces lane i path for path, to the last bits of
+numpy's and the C library's elementary functions. A path does not depend
+on its batch, and blocks over the 2m images hold at most _IMAGE_CAP values.
 """
 
 import math
@@ -34,13 +31,11 @@ from scipy import special
 
 from .geometry import TWO_PI, PolarPoint
 from .rng import LaneDraws
-from .samplers import (APEX_RADIUS_FLOOR, PathSample, _absolute_driving,
-                       _image_sum_arrays, _pass_plan, _stopped_sample)
+from .samplers import (_PROPOSALS, APEX_RADIUS_FLOOR, PathSample,
+                       _absolute_driving, _image_sum_arrays, _pass_plan,
+                       _stopped_sample)
 
 _IMAGE_CAP = 1 << 15  # values in one block of image terms
-# exit proposals a pending lane makes in each round (m > 1): each is kept
-# with probability at least 1/2
-_PROPOSALS = 2
 
 
 def _chunks(n, width):
@@ -112,7 +107,7 @@ def _exit_draw(draws, lanes, r, rel, horizon, alpha):
             line = (u[:, 0] >= p_minus[pending]).astype(np.intp)
             u = u[:, 1:]
         g0, d, foot, log_w = lines[:, line, pending]
-        z = -special.ndtri_exp(np.log(u[:, 0]) + log_w)  # |Z| >= a
+        z = -special.ndtri_exp(np.log(u[:, 0]) + log_w)  # Z >= a
         rt = d / z  # the square root of the exit time
         x = foot + rt * special.ndtri(u[:, 1])
         if m == 1:

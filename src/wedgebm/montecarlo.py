@@ -99,6 +99,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for name, pair in (("mu", self.mu), ("kappa", self.kappa)):
+            if not all(map(math.isfinite, pair)):
+                raise ValueError(f"{name} must be finite, got {pair}")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if not self.epsilon >= 0:  # NaN included

@@ -1,48 +1,83 @@
-"""Deterministic random streams: per-path PCG64 sub-streams and per-lane
-Philox counter streams.
+"""Deterministic random streams, all of numpy's Philox-4x64-10 (Salmon et
+al. 2011, "Parallel random numbers: as easy as 1, 2, 3").
 
-`RngStream` is built on numpy's SeedSequence/PCG64. A stream is identified
-by (seed, key); `derive(i)` appends i to the key, which is numpy's documented
-spawning mechanism. The Euler modes draw path i from `RngStream(seed)
-.derive(i)`, one path at a time.
-
-The exact recursions run a batch of paths as numpy lanes (see `lanes`), and
-`LaneDraws` gives each lane its own counter-based stream with no generator
-built per path: the k-th uniform of path i is ((x_k >> 11) + 0.5) 2^-53,
-where x_k is the k-th `random_raw` output of numpy's Philox-4x64-10 keyed by
-(stream_key(seed), i), computed here for many lanes at once in numpy
-integers (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2,
-3"). Either way path i receives the same draws however paths are split
-into batches or spread over workers.
+Every stream of `seed` is keyed by (stream_key(seed), w), and
+`raw_to_uniforms` turns its raw words into uniforms. `RngStream` runs
+numpy's C Philox: the root at w = 0 from counter word 2 = 1, path i
+(`derive(i)`) at w = i from counter 0, and its side stream j at w = i from
+counter word 3 = j + 1; counter word 0 counts the blocks, so the ranges are
+disjoint short of 2^64 blocks. `normal()` is ndtri(u) and `exponential()`
+-log u, of one uniform u each. `LaneDraws` gives lane j of a batch the
+stream of path indices[j], computing the Philox blocks of many lanes at
+once in numpy integers. So path i draws the same in its lane, in the scalar
+recursions on `RngStream(seed).derive(i)`, and however paths are batched or
+spread over workers.
 """
 
+import functools
+import math
+
 import numpy as np
+from scipy.special import ndtri
+
+
+def raw_to_uniforms(raw):
+    """The uniforms in (0, 1) of an array of raw Philox words."""
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+@functools.lru_cache(maxsize=16)
+def stream_key(seed):
+    """The first Philox key word of every stream of `seed`."""
+    return np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
 
 
 class RngStream:
+    """Stream `key` of `seed`: the root (), path (i,) or its side stream (i, j)."""
+
     def __init__(self, seed, _key=()):
         self.seed = int(seed)
-        self.key = tuple(_key)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.key)
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        self.key = tuple(int(i) for i in _key)
+        if len(self.key) > 2 or not all(0 <= i < 2 ** 64 - 1 for i in self.key):
+            raise ValueError(f"stream key must be (), (path) or (path, side) "
+                             f"in [0, 2^64 - 1), got {self.key}")
+        # key word 1 and the counter, whose word c starts at bit 64 c
+        path, side = (self.key + (-1, -1))[:2]
+        word, counter = (0, 1 << 128) if path < 0 else (path, side + 1 << 192)
+        self._bits = np.random.Philox(key=np.array(
+            [stream_key(self.seed), word], dtype=np.uint64), counter=counter)
+        self._buf = []
+        self._at = 0
 
     def derive(self, index):
-        """Independent sub-stream number `index` of this stream."""
+        """Path `index` of the root, or side stream `index` of a path."""
         return RngStream(self.seed, self.key + (int(index),))
 
     def uniform(self):
-        return self._gen.random()
+        if self._at == len(self._buf):
+            self._buf = raw_to_uniforms(
+                self._bits.random_raw(LANE_BUFFER)).tolist()
+            self._at = 0
+        self._at += 1
+        return self._buf[self._at - 1]
+
+    # normal() and exponential() read the buffer by this name: a wrapper of
+    # uniform() (the benchmark's draw counter) counts one draw a call
+    _next = uniform
 
     def uniforms(self, k):
-        """An array of k uniforms on [0, 1): the doubles that k successive
-        uniform() calls would return."""
-        return self._gen.random(k)
+        """An array of k uniforms: the doubles that k successive uniform()
+        calls would return."""
+        held = self._buf[self._at:self._at + k]
+        self._at += len(held)
+        fresh = raw_to_uniforms(self._bits.random_raw(k - len(held)))
+        return np.concatenate((held, fresh)) if held else fresh
 
     def normal(self):
-        return self._gen.standard_normal()
+        return float(ndtri(self._next()))
 
     def exponential(self):
-        return self._gen.standard_exponential()
+        return -math.log(self._next())
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, key={self.key})"
@@ -57,15 +92,10 @@ _S32 = np.uint64(32)
 _M_LO, _M_HI = _M & _LO32, _M >> _S32
 _ROUNDS = 10
 
-# uniforms a lane holds between refills, a multiple of the 4 of a block
+# uniforms a lane or a stream holds between refills, whole blocks of 4
 LANE_BUFFER = 64
 # Philox blocks one call computes, which bounds its temporaries
 _REFILL_BLOCKS = 2048
-
-
-def stream_key(seed):
-    """The first Philox key word of every lane stream of `seed`."""
-    return np.random.SeedSequence(int(seed)).generate_state(1, np.uint64)[0]
 
 
 def philox_uniforms(key, index, block, blocks):
@@ -109,8 +139,7 @@ def philox_uniforms(key, index, block, blocks):
         even ^= keys
         odd = lo
     words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
-    return (((words >> np.uint64(11)).astype(np.float64) + 0.5)
-            * 2.0 ** -53).reshape(n, 4 * blocks)
+    return raw_to_uniforms(words).reshape(n, 4 * blocks)
 
 
 class LaneDraws:

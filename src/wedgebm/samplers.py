@@ -10,6 +10,10 @@ termination. `_plain_cells` is the first pass's survivor trial over a block
 of Euler cells in numpy: it tells which cells that trial would end at
 their free endpoint, so that only the others run a recursion.
 
+Given `RngStream(seed).derive(i)`, the recursions draw what `lanes` draws
+for path i, in its order, and reproduce that path: they are the lanes'
+path-exact reference, and the recursion of an Euler cell that is not plain.
+
 Both recursions accept an arbitrary wedge <alpha_minus, alpha_plus> and work
 internally in the rotated frame where the lower ray is the positive x-axis;
 boundary hits carry the exact ray angle, never a rounded float.
@@ -18,9 +22,9 @@ boundary hits carry the exact ray angle, never a rounded float.
 import functools
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
+from scipy.special import expit, log_ndtr, ndtri_exp
 
 from .corner import corner_triggered, sample_corner
 from .densities import ExitLawParams, image_sums
@@ -29,8 +33,9 @@ from .geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
 
 DEFAULT_EPSILON = 0.03
 DEFAULT_FOLD_CAP = 10 ** 6
-
-_INV_CDF = NormalDist().inv_cdf
+# exit proposals a pass makes in each round (m > 1), all drawn whichever is
+# kept first: each is kept with probability at least 1/2
+_PROPOSALS = 2
 
 # radii below this are treated as sitting at the apex. In the exact reflected
 # mode the log-radius random-walks and can underflow past where the exit-law
@@ -210,35 +215,6 @@ def _pass_plan(alpha):
     return theta_cap, m, sub, image_angles(theta_cap / 2.0, sub, m)
 
 
-def _log_erfc(x):
-    """log erfc(x) for x >= 0, also past x ~ 26.5, where erfc underflows:
-    there by six terms of the asymptotic series of erfc(x) x sqrt(pi) e^{x^2},
-    whose seventh is below 2e-17."""
-    if x < 26.0:
-        return math.log(math.erfc(x))
-    term = total = 1.0
-    for n in range(1, 7):
-        term *= -(2 * n - 1) * 0.5 / (x * x)
-        total += term
-    return math.log(total / (x * math.sqrt(math.pi))) - x * x
-
-
-def _abs_normal_beyond(a, log_erfc_a, rng):
-    """|Z| for a standard normal Z conditioned on |Z| >= a, given
-    log erfc(a / sqrt 2): by inversion of the tail below a = 4, by
-    Marsaglia's tail method (two exponentials a proposal) above it."""
-    if a < 4.0:
-        tail = 0.5 * math.exp(log_erfc_a)  # P(Z >= a)
-        while True:
-            u = rng.uniform()
-            if u > 0.0:
-                return -_INV_CDF(u * tail)
-    while True:
-        x = rng.exponential() / a
-        if 2.0 * rng.exponential() > x * x:
-            return a + x
-
-
 @functools.lru_cache(maxsize=64)
 def _exit_ratio_plan(sub, m, theta0, side):
     """[(sin g_k / sin g_0, (c_k - c_0) / 2) for k >= 1] of the exit law on
@@ -261,46 +237,43 @@ def _exit_draw(rel, horizon, sub, m, rng):
 
     Proposals are the exits of the half-planes bounded by the two ray
     lines. Line i, at distance d_i, is picked with weight P_i(tau <= horizon)
-    = erfc(d_i / sqrt(2 horizon)), in log space as it underflows on a short
-    cell; its exit time is d_i^2 / Z^2 with |Z| >= d_i / sqrt(horizon), and
-    its hit point sqrt(tau) N from the start's foot along the line. A hit
-    past the apex is refused, any other kept by _exit_ratio_plan, at most 1
-    as the wedge lies in the half-plane. For m = 1 the wedge is the
-    half-plane of the one line, and every proposal is kept.
-
-    It draws at every radius times 2^-k, the start radius in [0.5, 1): the
-    exit time ~(r0 d)^2 from radius 1e-150 a hair d off a ray does not
-    underflow.
+    = 2 Phi(-a_i), a_i = d_i / sqrt(horizon), in log space as it underflows
+    on a short cell; its exit time is d_i^2 / Z^2 for Z >= a_i, drawn as
+    -ndtri_exp(log Phi(-a_i) - E), and its hit point sqrt(tau) N from the
+    start's foot along the line. A hit past the apex is refused, any other
+    kept by _exit_ratio_plan; a round draws _PROPOSALS proposals and keeps
+    the first that passes, and for m = 1 (one half-plane) its one proposal.
+    The draws are those of `lanes._exit_draw`, in its order. It works at
+    radius times 2^-k, the start radius in [0.5, 1), so that the exit time
+    from radius 1e-150 a hair off a ray does not underflow.
     """
     k = math.frexp(rel.r)[1]
     r0 = math.ldexp(rel.r, -k)
     sd = math.ldexp(math.sqrt(horizon), -k)
-    lines = []
-    for side, angle in ((Side.MINUS, rel.theta), (Side.PLUS, sub.opening - rel.theta)):
+    lines = []  # for m = 1 the lower one only
+    for side, angle in ((Side.MINUS, rel.theta),
+                        (Side.PLUS, sub.opening - rel.theta))[:min(m, 2)]:
         d = r0 * math.sin(angle)
-        a = d / sd
-        lines.append((side, d, r0 * math.cos(angle), a, _log_erfc(a / math.sqrt(2.0))))
-        if m == 1:
-            break
-    # w_minus / (w_minus + w_plus), a logistic of the gap of the log weights
-    gap = lines[-1][4] - lines[0][4]
-    p_minus = 1.0 / (1.0 + math.exp(gap)) if gap < 700.0 else 0.0
-    while True:
-        side, d, foot, a, log_w = (lines[0] if m == 1 or rng.uniform() < p_minus
-                                   else lines[1])
-        root = d / _abs_normal_beyond(a, log_w, rng)  # sqrt of the exit time
+        lines.append((side, d, r0 * math.cos(angle), float(log_ndtr(-(d / sd)))))
+    if m == 1:
+        _, d, foot, log_w = lines[0]
+        root = d / -float(ndtri_exp(log_w - rng.exponential()))  # sqrt tau
         r = foot + root * rng.normal()
-        if m == 1:
-            side, r = (Side.MINUS, r) if r > 0.0 else (Side.PLUS, -r)
-            break
-        if r <= 0.0:
-            continue
-        x = r * r0 / (root * root)
-        kept = 1.0
-        for w, h in _exit_ratio_plan(sub, m, rel.theta, side):
-            kept += w * math.exp(-x * h)
-        if rng.uniform() <= kept:
-            break
+        side, r = Side.MINUS if r > 0.0 else Side.PLUS, abs(r)
+    else:
+        # w_minus / (w_minus + w_plus), a logistic of the gap of the log weights
+        p_minus = float(expit(lines[0][3] - lines[1][3]))
+        side = None
+        while side is None:
+            for _ in range(_PROPOSALS):
+                line, d, foot, log_w = lines[rng.uniform() >= p_minus]
+                q = d / -float(ndtri_exp(log_w - rng.exponential()))
+                x = foot + q * rng.normal()
+                u = rng.uniform()
+                if side is None and x > 0.0 and u <= 1.0 + sum(
+                        w * math.exp(-x * r0 / (q * q) * h)
+                        for w, h in _exit_ratio_plan(sub, m, rel.theta, line)):
+                    side, r, root = line, x, q
     try:
         return side, math.ldexp(r, k), math.ldexp(root * root, 2 * k)
     except OverflowError:

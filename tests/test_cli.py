@@ -355,6 +355,12 @@ USAGE_ERRORS = {
                           "--grid must be at least 1"),
     "start-angle-nan": (["estimate", "--alpha", "0.9", "--start", "1.5,nan"],
                         "angle must be finite"),
+    "seed-negative": (["estimate"] + T1 + ["--n", "5", "--seed", "-1"],
+                      "seed must be nonnegative"),
+    "mu-nan": (["ito", "--table3-stopped", "--steps", "5", "--n", "2",
+                "--mu", "nan,0"], "mu must be finite"),
+    "kappa-inf": (["ito", "--table3-stopped", "--steps", "5", "--n", "2",
+                   "--kappa", "0,inf"], "kappa must be finite"),
 }
 
 

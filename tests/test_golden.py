@@ -161,9 +161,9 @@ DIGESTS = {
     "folds_histogram":
         "ab491acaa59455046ef5d3973d25d089e99a51a0bbc4f271ef87983ffb9ce06b",
     "ito_table3_reflected":
-        "4e684ba39cb7f5f9c57664434d257e27cd3d8a5493b1267529a4d270d4bd325c",
+        "27912acd146425c7d9f12fd2d2bb44a58c3323dc89b9686cc444c6e2166703dc",
     "ito_table3_stopped":
-        "d50580905ebfb21d1aea0434c0bcc924d31f453215d90ff3cc92309760e8be5b",
+        "3be927d0c074a4d5e6609771c95ef733057688a63790de93d5381dbfb6f018a9",
     "sample_reflected":
         "bf2c86038958bc78ed7a30900ecc836885d9008178c5ab32d78e8a7deed7d93e",
     "sample_reflected_apex_floor":
@@ -198,16 +198,18 @@ DIGESTS = {
 
 # recorded again when the survivor proposal became the folded free Gaussian
 # endpoint, when the passes became survivor-first (every Euler cell ends in a
-# survivor draw), and when the Euler cells became blocked
+# survivor draw), and when the Euler cells became blocked. The Euler cases
+# (ito_table3_* and the two below) were recorded again when `RngStream`
+# became the lanes' Philox stream
 EULER_STATE_DEPENDENT_DIGEST = (
-    "ca8001a4111b86e279b0db40d06bc3966e6caac50bd6ce2befee0ddc8aced6b6")
+    "9a59b56c98d4f9e59b1b18869c7ccab2514ab42cee83f669c07525db889d5bc7")
 
 # a correlated setup's reflected Euler run, in the setup's own coordinates
 # with diffusion setup.sigma: each cell's standard frame decorrelates.
-# Recorded again when the passes became survivor-first, and when the Euler
-# cells became blocked
+# Recorded again when the passes became survivor-first, when the Euler
+# cells became blocked, and when `RngStream` became a Philox stream
 EULER_CORRELATED_DIGEST = (
-    "b88485bcc0b8a0e14f036d19a51abfd84d167b4789ef78d3edb4643206b452d3")
+    "993c84d3df8b27a0ce7c569730daba2fb93935c130aadb1eebb9bd85ca3e2d10")
 
 
 # the frozen diffusion changes with the state, so every Euler cell has its

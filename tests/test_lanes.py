@@ -1,13 +1,13 @@
 """The numpy lanes of the exact recursions (`wedgebm.lanes`) and their
-Philox streams (`wedgebm.rng.LaneDraws`).
+Philox streams (`wedgebm.rng`).
 
 The streams must be numpy's own Philox-4x64 outputs, whatever the order and
 the sizes of the requests. A run must not depend on how its paths are cut
-into batches or spread over workers. The edge cases of the scalar
-recursions, which are the lanes' oracle, must hold in the lanes too: on
-values where the recursion draws nothing, on laws (two-sample KS against
-the scalar recursion, or a closed form) where it does. Path counts, seeds
-and the p threshold were fixed before the first run.
+into batches or spread over workers. Lane path i must be the scalar
+recursion run on `RngStream(seed).derive(i)`, path for path: the same
+folds, hit, corner flag and fault, and the same floats to rounding. Where a
+law has a closed form, the lanes are checked against it too. Path counts,
+seeds and the p threshold were fixed before the first run.
 """
 
 import math
@@ -16,13 +16,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from wedgebm import montecarlo
 from wedgebm.cli import run_cli
 from wedgebm.geometry import PolarPoint, WedgeSpec
 from wedgebm.lanes import reflected_paths, stopped_paths
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
-from wedgebm.rng import LANE_BUFFER, LaneDraws, RngStream, stream_key
+from wedgebm.rng import (LANE_BUFFER, LaneDraws, RngStream, raw_to_uniforms,
+                         stream_key)
 from wedgebm.samplers import (APEX_RADIUS_FLOOR, DEFAULT_FOLD_CAP,
                               FoldCapExceeded, algorithm_reflected,
                               algorithm_stopped)
@@ -33,14 +35,6 @@ T1 = ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "1"]
 CAP = DEFAULT_FOLD_CAP
 N_LAW = 4000
 P_MIN = 1e-3
-
-
-def philox_uniforms(seed, index, count):
-    """The first `count` uniforms of path `index`'s lane stream, from
-    numpy's own Philox."""
-    key = np.array([stream_key(seed), index], dtype=np.uint64)
-    raw = np.random.Philox(key=key).random_raw(count)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +60,44 @@ def test_lane_draws_are_numpys_philox_under_uneven_consumption():
         for col, lane in enumerate(lanes):
             got[lane].extend(block[:, col].tolist())
     for lane, index in enumerate(indices):
-        assert got[lane] == philox_uniforms(seed, index, len(got[lane])).tolist()
+        assert got[lane] == \
+            RngStream(seed).derive(index).uniforms(len(got[lane])).tolist()
     assert all(len(g) > 1000 for g in got)
+
+
+def _philox(seed, index, counter):
+    """Uniforms of numpy's Philox keyed (stream_key(seed), index) from
+    `counter`, a Python int."""
+    key = np.array([stream_key(seed), index], dtype=np.uint64)
+    return raw_to_uniforms(
+        np.random.Philox(key=key, counter=counter).random_raw(100)).tolist()
+
+
+def test_streams_are_disjoint_philox_counter_ranges():
+    # the root draws at counter word 2 = 1, path i at counter 0 and its side
+    # stream j at counter word 3 = j + 1, each range from block 0 on
+    streams = {(): (0, 1 << 128), (0,): (0, 0), (5,): (5, 0),
+               (5, 0): (5, 1 << 192), (5, 2): (5, 3 << 192)}
+    draws = {}
+    for key, (index, counter) in streams.items():
+        stream = RngStream(11, key)
+        draws[key] = [stream.uniform() for _ in range(100)]
+        assert draws[key] == _philox(11, index, counter)
+    side = RngStream(11).derive(5).derive(0)
+    assert draws[(5, 0)] == [side.uniform() for _ in range(100)]
+    assert len({tuple(d) for d in draws.values()}) == len(streams)
+    with pytest.raises(ValueError, match="stream key"):
+        RngStream(11).derive(1).derive(2).derive(3)
+    with pytest.raises(ValueError, match="stream key"):
+        RngStream(11).derive(-1)
+
+
+def test_stream_draws_are_one_uniform_each_in_order():
+    stream, plain = RngStream(4).derive(2), RngStream(4).derive(2)
+    got = [stream.uniform(), stream.normal(), stream.exponential()]
+    got += stream.uniforms(40).tolist() + [stream.normal()]
+    u = plain.uniforms(44).tolist()
+    assert got == [u[0], ndtri(u[1]), -math.log(u[2])] + u[3:43] + [ndtri(u[43])]
 
 
 def test_a_python_list_key_is_another_stream():
@@ -135,15 +165,6 @@ def test_a_batch_holds_its_image_terms_in_bounded_blocks():
 # parity with the scalar recursions
 # ---------------------------------------------------------------------------
 
-def scalar_samples(stopped, start, T, wedge, n, seed, **kwargs):
-    root = RngStream(seed)
-    if stopped:
-        return [algorithm_stopped(start, T, wedge, root.derive(i), **kwargs)
-                for i in range(n)]
-    return [algorithm_reflected(start, T, wedge, root.derive(i), **kwargs)
-            for i in range(n)]
-
-
 def lane_samples(stopped, start, T, wedge, n, seed, epsilon=0.03, cap=CAP):
     if stopped:
         rows = stopped_paths(start, T, wedge, seed, range(n), cap)
@@ -152,9 +173,81 @@ def lane_samples(stopped, start, T, wedge, n, seed, epsilon=0.03, cap=CAP):
     return list(rows)
 
 
-def ks_p(a, b):
-    return stats.ks_2samp(np.asarray(a, dtype=float),
-                          np.asarray(b, dtype=float)).pvalue
+def scalar_sample(stopped, start, T, wedge, rng, epsilon, cap):
+    """(PathSample, faulted) of the scalar recursion, the partial state of
+    a cap fault included."""
+    try:
+        if stopped:
+            return algorithm_stopped(start, T, wedge, rng, iteration_cap=cap), False
+        return algorithm_reflected(start, T, wedge, rng, epsilon=epsilon,
+                                   fold_cap=cap), False
+    except FoldCapExceeded as exc:
+        return exc.partial, True
+
+
+def _close(a, b):
+    """a and b agree to 1e-12 relative, as numbers or as plane points."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return np.hypot.reduce(a - b) <= 1e-12 * max(np.hypot.reduce(a),
+                                                np.hypot.reduce(b))
+
+
+W058, W4, W02 = WedgeSpec(0.0, 0.58), WedgeSpec(0.0, 4.0), WedgeSpec(0.0, 0.2)
+PI_3 = WedgeSpec(0.0, math.pi / 3)
+# name -> (stopped, start, T, wedge, epsilon, cap, paths)
+PARITY = {
+    "table1_stopped": (True, START, 1.0, W09, None, CAP, 1500),
+    "table2_stopped": (True, PolarPoint(3.0, 0.4), 1.0, W058, None, CAP, 1500),
+    "table1_exit": (True, START, math.inf, W09, None, CAP, 1500),
+    "table1_reflected": (False, START, 1.0, W09, 0.03, CAP, 1500),
+    "table2_reflected": (False, PolarPoint(3.0, 0.4), 1.0, W058, 0.03, CAP,
+                         1500),
+    "opening_4": (True, PolarPoint(1.5, 2.0), 1.0, W4, None, CAP, 1500),
+    "opening_4_exit": (True, PolarPoint(1.5, 2.0), math.inf, W4, None, CAP,
+                       1500),
+    "exact_mode_cap_150": (False, START, 1.0, W09, 0.0, 150, 1500),
+    "stopped_cap_1": (True, START, 1.0, W09, None, 1, 500),
+    "reflected_cap_5": (False, START, 1.0, W09, 0.0, 5, 500),
+    "pi_over_3": (True, START, 1.0, PI_3, None, CAP, 500),
+    "apex_start": (False, PolarPoint(0.0, 0.0), 1.0, W09, 0.03, CAP, 300),
+    "apex_floor": (False, PolarPoint(1e-151, 0.3), 1.0, W09, 0.03, CAP, 300),
+    "apex_underflow": (True, PolarPoint(3e-150, 0.45), 1.0, W09, None, CAP,
+                       500),
+    "apex_underflow_exit": (True, PolarPoint(3e-150, 0.45), math.inf, W09,
+                            None, CAP, 500),
+    "corner_start": (False, PolarPoint(0.05, 0.3), 1.0, W09, 0.1, CAP, 300),
+    "near_upper_ray_reflected": (False, PolarPoint(1.5, 0.9 - 1e-13), 1.0, W09,
+                                 0.03, CAP, 500),
+    "near_lower_ray_stopped": (True, PolarPoint(1.5, 1e-9), 1.0, W09, None,
+                               CAP, 500),
+    "alpha_0.2_stopped": (True, PolarPoint(1.0, 0.1), 0.05, W02, None, CAP,
+                          500),
+    "alpha_0.2_reflected": (False, PolarPoint(1.0, 0.1), 0.05, W02, 0.03, CAP,
+                            500),
+    "alpha_4.0_reflected": (False, PolarPoint(1.5, 2.0), 1.0, W4, 0.03, CAP,
+                            500),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY))
+def test_lane_path_i_is_the_scalar_recursion_on_stream_i(name):
+    stopped, start, T, wedge, epsilon, cap, n = PARITY[name]
+    seed = 1900 + sorted(PARITY).index(name)
+    root = RngStream(seed)
+    rows = lane_samples(stopped, start, T, wedge, n, seed, epsilon, cap)
+    for i, (lane, faulted) in enumerate(rows):
+        ref, ref_faulted = scalar_sample(stopped, start, T, wedge,
+                                         root.derive(i), epsilon, cap)
+        assert (lane.folds, lane.hit_boundary, lane.approx_used, faulted) == \
+            (ref.folds, ref.hit_boundary, ref.approx_used, ref_faulted), i
+        values = [(lane.endpoint.r, ref.endpoint.r),
+                  (lane.endpoint.theta, ref.endpoint.theta),
+                  (lane.elapsed, ref.elapsed), (lane.weight, ref.weight)]
+        if faulted:
+            assert lane.driving_endpoint is ref.driving_endpoint is None
+        else:
+            values.append((lane.driving_endpoint, ref.driving_endpoint))
+        assert all(_close(a, b) for a, b in values), (i, values)
 
 
 def test_reflected_apex_start_is_one_corner_draw_with_no_folds():
@@ -180,18 +273,6 @@ def test_reflected_start_below_the_apex_floor_ends_on_its_first_pass():
     assert stats.kstest(radii, stats.rayleigh.cdf).pvalue > P_MIN
 
 
-def test_reflected_first_pass_corner_matches_the_scalar_recursion():
-    start = PolarPoint(0.05, 0.3)
-    lanes = [s for s, _f in lane_samples(False, start, 1.0, W09, N_LAW, 1803,
-                                         epsilon=0.1)]
-    assert all(s.folds == 1 and s.approx_used for s in lanes)
-    scalar = scalar_samples(False, start, 1.0, W09, N_LAW, 1803, epsilon=0.1)
-    for field in (lambda s: s.endpoint.r, lambda s: s.endpoint.theta,
-                  lambda s: s.driving_endpoint[0],
-                  lambda s: s.driving_endpoint[1]):
-        assert ks_p([field(s) for s in lanes], [field(s) for s in scalar]) > P_MIN
-
-
 @pytest.mark.parametrize("start", [PolarPoint(1.5, 0.0), PolarPoint(1.5, 0.9),
                                    PolarPoint(1.5, 0.9 + 1e-13),
                                    PolarPoint(1.5, -1e-13),
@@ -205,28 +286,6 @@ def test_stopped_start_on_a_ray_is_the_scalar_value(start):
         assert sample.hit_boundary and sample.elapsed == 0.0 and sample.folds == 0
 
 
-def test_start_a_hair_off_a_ray_reflected_matches_the_scalar_recursion():
-    start = PolarPoint(1.5, 0.9 - 1e-13)  # placed on the upper ray
-    lanes = [s for s, _f in lane_samples(False, start, 1.0, W09, N_LAW, 1804)]
-    scalar = scalar_samples(False, start, 1.0, W09, N_LAW, 1804, epsilon=0.03)
-    assert ks_p([s.endpoint.r for s in lanes], [s.endpoint.r for s in scalar]) > P_MIN
-    assert ks_p([s.endpoint.theta for s in lanes],
-                [s.endpoint.theta for s in scalar]) > P_MIN
-
-
-@pytest.mark.parametrize("T", [1.0, math.inf])
-def test_opening_above_pi_matches_the_scalar_recursion(T):
-    # m = 1: every pass runs in a half-plane, one exit line, no refusals
-    wedge, start = WedgeSpec(0.0, 4.0), PolarPoint(1.5, 2.0)
-    lanes = [s for s, _f in lane_samples(True, start, T, wedge, N_LAW, 1805)]
-    scalar = scalar_samples(True, start, T, wedge, N_LAW, 1805)
-    for field in (lambda s: math.log(s.endpoint.r), lambda s: s.endpoint.theta,
-                  lambda s: min(s.elapsed, 50.0), lambda s: s.folds):
-        assert ks_p([field(s) for s in lanes], [field(s) for s in scalar]) > P_MIN
-    hits = [s for s in lanes if s.hit_boundary]
-    assert hits and all(s.endpoint.theta in (0.0, 4.0) for s in hits)
-
-
 def test_exact_pi_over_3_opening_runs_one_pass_and_hits_the_rays_exactly():
     alpha = math.pi / 3
     wedge, start = WedgeSpec(0.0, alpha), PolarPoint(1.5, 0.3)
@@ -234,11 +293,6 @@ def test_exact_pi_over_3_opening_runs_one_pass_and_hits_the_rays_exactly():
     assert all(s.folds == 1 for s in lanes)
     hits = [s for s in lanes if s.hit_boundary]
     assert hits and all(s.endpoint.theta in (0.0, alpha) for s in hits)
-    scalar = scalar_samples(True, start, 1.0, wedge, N_LAW, 1806)
-    p_hit = np.mean([s.hit_boundary for s in scalar])
-    se = math.sqrt(2.0 * p_hit * (1.0 - p_hit) / N_LAW)
-    assert abs(len(hits) / N_LAW - p_hit) <= 4.0 * se
-    assert ks_p([s.endpoint.r for s in lanes], [s.endpoint.r for s in scalar]) > P_MIN
 
 
 @pytest.mark.parametrize("T", [1.0, math.inf])
@@ -248,46 +302,10 @@ def test_stopped_exit_radius_underflowing_onto_the_apex(T):
     # the lower one
     start = PolarPoint(3e-150, 0.45)
     lanes = [s for s, _f in lane_samples(True, start, T, W09, N_LAW, 1810)]
-    scalar = scalar_samples(True, start, T, W09, N_LAW, 1810)
-    fractions = []
-    for samples in (lanes, scalar):
-        apex = [s for s in samples if s.endpoint.r == 0.0]
-        assert apex
-        assert all(s.hit_boundary and s.endpoint.theta == W09.alpha_minus
-                   for s in apex)
-        fractions.append(len(apex) / N_LAW)
-    p = sum(fractions) / 2.0
-    assert abs(fractions[0] - fractions[1]) <= \
-        4.0 * math.sqrt(2.0 * p * (1.0 - p) / N_LAW)
-
-
-@pytest.mark.parametrize("recursion", ["stopped", "reflected"])
-def test_caps_fault_with_the_partial_state_of_the_scalar_recursion(recursion):
-    stopped = recursion == "stopped"
-    cap, eps = (1, 0.03) if stopped else (5, 0.0)
-    rows = lane_samples(stopped, START, 1.0, W09, N_LAW, 1807, epsilon=eps,
-                        cap=cap)
-    faults = [s for s, faulted in rows if faulted]
-    assert faults
-    for s in faults:
-        assert s.folds == cap and not s.hit_boundary and s.elapsed < 1.0
-        assert s.driving_endpoint is None and s.weight == 1.0
-    assert all(s.folds <= cap for s, faulted in rows if not faulted)
-    # the fault fraction is the scalar recursion's
-    n_scalar = 0
-    root = RngStream(1807)
-    for i in range(N_LAW):
-        try:
-            if stopped:
-                algorithm_stopped(START, 1.0, W09, root.derive(i),
-                                  iteration_cap=cap)
-            else:
-                algorithm_reflected(START, 1.0, W09, root.derive(i),
-                                    epsilon=eps, fold_cap=cap)
-        except FoldCapExceeded:
-            n_scalar += 1
-    p = n_scalar / N_LAW
-    assert abs(len(faults) / N_LAW - p) <= 4.0 * math.sqrt(2.0 * p * (1 - p) / N_LAW)
+    apex = [s for s in lanes if s.endpoint.r == 0.0]
+    assert apex
+    assert all(s.hit_boundary and s.endpoint.theta == W09.alpha_minus
+               for s in apex)
 
 
 def test_a_start_radius_past_the_exit_law_range_is_a_value_error():
@@ -308,12 +326,3 @@ def test_drift_mass_row_has_mean_weight_one(mode):
     weights = map_paths(config, lambda _i, sample, _f, _xy: sample.weight)
     se = np.std(weights, ddof=1) / math.sqrt(N_LAW)
     assert abs(np.mean(weights) - 1.0) <= 3.5 * se
-
-
-def test_reflected_driving_endpoint_matches_the_scalar_recursion():
-    lanes = [s for s, _f in lane_samples(False, START, 1.0, W09, N_LAW, 1809)]
-    scalar = scalar_samples(False, START, 1.0, W09, N_LAW, 1809, epsilon=0.03)
-    for axis in (0, 1):
-        assert ks_p([s.driving_endpoint[axis] for s in lanes],
-                    [s.driving_endpoint[axis] for s in scalar]) > P_MIN
-    assert ks_p([s.folds for s in lanes], [s.folds for s in scalar]) > P_MIN
