@@ -58,9 +58,6 @@ from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathSample,
                        _plain_cells, algorithm_reflected, algorithm_stopped)
 
 _BLOCK = 256  # cells a block draws and tries at once; paths do not depend on it
-# a uniform of 0 would give an infinite normal: it becomes half the spacing
-# of the uniform doubles, inside (0, 1)
-_U_FLOOR = 2.0 ** -54
 
 
 def girsanov_log_weight(b, driving_endpoint, elapsed, start):
@@ -258,8 +255,7 @@ class _CellDraws:
         held = self._triples[k - self._first:]
         if len(held) < n:
             short = min(max(n, _BLOCK), self._cells - k) - len(held)
-            fresh = np.maximum(self._rng.uniforms(3 * short),
-                               _U_FLOOR).reshape(short, 3)
+            fresh = self._rng.uniforms(3 * short).reshape(short, 3)
             fresh[:, :2] = ndtri(fresh[:, :2])
             self._triples, self._first = np.concatenate((held, fresh)), k
             held = self._triples

@@ -22,8 +22,9 @@ from scipy.special import ndtri
 
 
 def raw_to_uniforms(raw):
-    """The uniforms in (0, 1) of an array of raw Philox words."""
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    """The uniforms ((x >> 12) + 0.5) 2^-52 of an array of raw Philox words
+    x: exact, and strictly inside (0, 1), from 2^-53 to 1 - 2^-53."""
+    return (raw >> np.uint64(12)) * 2.0 ** -52 + 2.0 ** -53
 
 
 @functools.lru_cache(maxsize=16)

@@ -200,16 +200,20 @@ DIGESTS = {
 # endpoint, when the passes became survivor-first (every Euler cell ends in a
 # survivor draw), and when the Euler cells became blocked. The Euler cases
 # (ito_table3_* and the two below) were recorded again when `RngStream`
-# became the lanes' Philox stream
+# became the lanes' Philox stream. The two below, which hash the repr of
+# every float, were recorded again when a raw word x became the uniform
+# ((x >> 12) + 0.5) 2^-52 instead of ((x >> 11) + 0.5) 2^-53; that moves
+# each uniform by at most 2^-53, below the 12 digits of every CSV case
 EULER_STATE_DEPENDENT_DIGEST = (
-    "9a59b56c98d4f9e59b1b18869c7ccab2514ab42cee83f669c07525db889d5bc7")
+    "0878c9323584ce37b2df437a4f3ac2d92095e1d1554794536caf33e906cc8346")
 
 # a correlated setup's reflected Euler run, in the setup's own coordinates
 # with diffusion setup.sigma: each cell's standard frame decorrelates.
 # Recorded again when the passes became survivor-first, when the Euler
-# cells became blocked, and when `RngStream` became a Philox stream
+# cells became blocked, when `RngStream` became a Philox stream, and when
+# the uniforms became ((x >> 12) + 0.5) 2^-52
 EULER_CORRELATED_DIGEST = (
-    "993c84d3df8b27a0ce7c569730daba2fb93935c130aadb1eebb9bd85ca3e2d10")
+    "b6f0df9e81057330a06a1bbf676db7f8506f6ad9f6beccc2994be8467feea57d")
 
 
 # the frozen diffusion changes with the state, so every Euler cell has its

@@ -111,6 +111,11 @@ def test_a_python_list_key_is_another_stream():
 def test_lane_uniforms_lie_strictly_inside_the_unit_interval():
     u = LaneDraws(0, range(64)).take(np.arange(64), 16)
     assert (u > 0.0).all() and (u < 1.0).all()
+    # the extreme raw words: 2^64 - 1 would round to 1.0 at 53 bits, where
+    # ndtri is infinite
+    u = raw_to_uniforms(np.array([0, 2 ** 64 - 1], dtype=np.uint64))
+    assert u.tolist() == [2.0 ** -53, 1.0 - 2.0 ** -53]
+    assert np.isfinite(ndtri(u)).all() and np.isfinite(np.log(u)).all()
 
 
 # ---------------------------------------------------------------------------
