@@ -7,11 +7,12 @@ one cell for "hit by T", whose probability is 1 minus the killed mass. A
 chi-square test at a fixed seed compares the counts with these
 probabilities. The densities do not depend on the random stream, so this
 checks any sampler change in law, where the golden digests pin bytes. Each
-case runs the numpy lanes (`lanes`), which the exact modes of `estimate`
-and `sample-*` run; the scalar recursions, on `RngStream(seed).derive(i)`,
-draw the same paths (tests/test_lanes.py checks the four geometries here
-path for path). The driftless Euler schemes, whose cells chain the
-recursions, are checked the same way.
+case runs both the scalar recursions and their numpy lanes (`lanes`),
+which the exact modes of `estimate` and `sample-*` run. On
+`RngStream(seed).derive(i)` the scalar recursions draw the lanes' paths
+(tests/test_lanes.py checks that path for path), so the two tests of a
+case agree unless one of the two implementations drifts. The driftless
+Euler schemes, whose cells chain the recursions, are checked the same way.
 
 Path counts and the p threshold were fixed before the first run.
 """
@@ -27,7 +28,8 @@ from wedgebm.drift import euler_reflected, euler_stopped, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
 from wedgebm.lanes import reflected_paths, stopped_paths
 from wedgebm.rng import RngStream
-from wedgebm.samplers import DEFAULT_FOLD_CAP
+from wedgebm.samplers import (DEFAULT_FOLD_CAP, algorithm_reflected,
+                              algorithm_stopped)
 
 N_PATHS = 4000
 P_MIN = 1e-3
@@ -110,6 +112,22 @@ def _p_value(samples, stopped, wedge, start, t):
         counts = np.append(counts, hits)
         probs = np.append(probs, 1.0 - probs.sum())
     return _chi_square_p(counts, probs, len(samples))
+
+
+@pytest.mark.parametrize("recursion", ["stopped", "reflected"])
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+def test_endpoint_law_matches_series_density(name, recursion):
+    alpha, (r0, th0), t = GEOMETRIES[name]
+    wedge, start = WedgeSpec(0.0, alpha), PolarPoint(r0, th0)
+    root = RngStream(SEEDS[name])
+    if recursion == "stopped":
+        samples = [algorithm_stopped(start, t, wedge, root.derive(i))
+                   for i in range(N_PATHS)]
+    else:
+        samples = [algorithm_reflected(start, t, wedge, root.derive(i),
+                                       epsilon=EPSILON)
+                   for i in range(N_PATHS)]
+    assert _p_value(samples, recursion == "stopped", wedge, start, t) > P_MIN
 
 
 @pytest.mark.parametrize("recursion", ["stopped", "reflected"])
