@@ -16,11 +16,12 @@ import sys
 
 import pytest
 
-from wedgebm.cli import run_cli
+from wedgebm.cli import ESTIMATE_PRESETS, ITO_PRESETS, run_cli
 from wedgebm.drift import CoefficientField, euler_reflected
 from wedgebm.geometry import CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
+from wedgebm.samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
 
 T1 = ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "1"]
 CORR = ["--sigma1", "1.2", "--sigma2", "0.8", "--rho", "0.4",
@@ -215,6 +216,19 @@ EULER_STATE_DEPENDENT_DIGEST = (
 EULER_CORRELATED_DIGEST = (
     "b6f0df9e81057330a06a1bbf676db7f8506f6ad9f6beccc2994be8467feea57d")
 
+# the repr of every float of a few paths of each `ito --table3-*` preset at
+# its own 5000 steps, where most cells are plain cells of long runs
+EULER_TABLE3_DIGEST = (
+    "e12a5685b05971ddc193901dc3527259bda4c420fbb7cb0651270ffaa51f8397")
+
+# the repr of every float of small lane runs of the exact modes: the
+# Table 1 and Table 2 reflected rows, the exact fold row (eps 0, fold cap
+# 150, where some paths fault), the Table 1 exit row (T = inf) and the
+# Table 1 reflected row under constant drift, which pins the weight. The
+# CSV cases print 12 digits and cannot see a change of the last bits
+LANES_DIGEST = (
+    "55e72f00f967b17f2bf8acdaeb9cc04a6c75c4b376d7634ab81e3b548b03e1c9")
+
 
 # the frozen diffusion changes with the state, so every Euler cell has its
 # own frame and its own sub-wedge opening
@@ -256,6 +270,46 @@ def euler_correlated_digest():
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
+def preset_config(preset, n, **overrides):
+    """The EstimatorConfig of a CLI preset (a dict of its flags) at n paths
+    and seed 7, with any flag overridden."""
+    flags = dict(preset, **overrides)
+    return EstimatorConfig(
+        mode=Mode(flags["mode"]), func=TestFunction(flags["func"]),
+        horizon=flags["T"], n_samples=n, seed=7,
+        wedge=WedgeSpec(0.0, flags["alpha"]),
+        start=PolarPoint(*flags["start"]),
+        drift=flags.get("drift", (0.0, 0.0)),
+        epsilon=flags.get("eps", DEFAULT_EPSILON),
+        fold_cap=flags.get("fold_cap", DEFAULT_FOLD_CAP),
+        steps=flags.get("steps", 0), mu=flags.get("mu", (0.0, 0.0)),
+        kappa=flags.get("kappa", (0.0, 0.0)))
+
+
+def repr_digest(configs):
+    """sha256 of the repr of every PathSample field, fault flag and
+    input-frame endpoint of the paths of each config, through map_paths."""
+    rows = [map_paths(config, lambda _i, sample, faulted, xy:
+                      (vars(sample), faulted, xy)) for config in configs]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def euler_table3_digest():
+    return repr_digest([preset_config(ITO_PRESETS[name], 4)
+                        for name in ("table3_stopped", "table3_reflected")])
+
+
+def lanes_digest():
+    table1 = ESTIMATE_PRESETS["table1_reflected"]
+    return repr_digest([
+        preset_config(table1, 200),
+        preset_config(ESTIMATE_PRESETS["table2_reflected"], 200),
+        preset_config(table1, 300, eps=0.0, fold_cap=150),
+        preset_config(ESTIMATE_PRESETS["table1_exit"], 200),
+        preset_config(table1, 200, drift=(0.3, -0.2)),
+    ])
+
+
 def digest(argv, out_path):
     seed = [] if argv[0] == "density" else SEED
     code = run_cli(argv + seed + ["--out", str(out_path)])
@@ -280,6 +334,14 @@ def test_euler_correlated_setup_matches_golden_digest():
     assert euler_correlated_digest() == EULER_CORRELATED_DIGEST
 
 
+def test_euler_table3_presets_match_golden_digest():
+    assert euler_table3_digest() == EULER_TABLE3_DIGEST
+
+
+def test_lane_runs_match_golden_digest():
+    assert lanes_digest() == LANES_DIGEST
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -290,3 +352,5 @@ if __name__ == "__main__":
             sys.stdout.write(f'    "{name}":\n        "{digest(CASES[name], out)}",\n')
     print(f'EULER_STATE_DEPENDENT_DIGEST = "{euler_state_dependent_digest()}"')
     print(f'EULER_CORRELATED_DIGEST = "{euler_correlated_digest()}"')
+    print(f'EULER_TABLE3_DIGEST = "{euler_table3_digest()}"')
+    print(f'LANES_DIGEST = "{lanes_digest()}"')
