@@ -43,8 +43,17 @@ from the fallback's endpoint) and where the frozen diffusion changes. A
 change of diffusion builds a new frame, whose first cell runs the recursion
 too, before any block; so a diffusion that changes with the state, which
 changes the frame at every cell, runs every cell as a fallback through the
-same loop. The coefficient field is evaluated once per cell, at its start,
-in cell order.
+same loop.
+
+So a block's plain cells are one run from its first cell. The loop moves a
+cell at a time and calls the coefficient field once per cell, at its
+start, in cell order. A field with an array form of its drift
+(`CoefficientField.drifts`, which `linear_field` fills in) has the rest of
+a run of more than _MIN_RUN cells taken at once: the input-frame starts,
+the drift at each, its cell-frame form and each cell's Girsanov term are
+arrays, made by the loop's IEEE operations in the loop's order, and the
+terms are added to the log-weight one at a time, in cell order. So every
+sampled float is the one the loop gives.
 """
 
 import math
@@ -58,6 +67,9 @@ from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathSample,
                        _plain_cells, algorithm_reflected, algorithm_stopped)
 
 _BLOCK = 256  # cells a block draws and tries at once; paths do not depend on it
+# the fewest plain cells that `_run_log_weight` takes at once: its numpy
+# calls cost about as much as this many cells of the per-cell loop
+_MIN_RUN = 12
 
 
 def girsanov_log_weight(b, driving_endpoint, elapsed, start):
@@ -81,16 +93,24 @@ def girsanov_log_weight(b, driving_endpoint, elapsed, start):
 class CoefficientField:
     """Drift and diffusion fields b(x, t) -> R^2, sigma(x, t) -> 2x2.
 
-    An Euler scheme calls both once per cell, at the cell's start x (a
-    2-tuple in the input frame) and time t, in cell order. It compares each
-    sigma with the last entry by entry; a change builds a new cell frame,
-    ends the current block of cells and runs the cell by the recursion (see
-    the module docstring), so a sigma that changes with x or t runs every
-    cell that way.
+    An Euler scheme calls both at the start x (a 2-tuple in the input
+    frame) and time t of a cell, in cell order. It compares each sigma with
+    the last entry by entry; a change builds a new cell frame, ends the
+    current block of cells and runs the cell by the recursion (see the
+    module docstring), so a sigma that changes with x or t runs every cell
+    that way. Without `drifts` both are called once per cell.
+
+    `drifts`, optional, is the drift over arrays: given the (2, n) array of
+    n points, x over y, it returns the (2, n) array whose column i is, bit
+    for bit, drift at point i and any t. Only a field whose drift ignores t and whose sigma is constant
+    may give it (`linear_field` does): a scheme then calls drift and
+    diffusion once per run of plain cells, at the run's first cell, and
+    drifts once for the rest of the run.
     """
 
     drift: object
     diffusion: object
+    drifts: object = None
 
 
 def linear_field(mu, kappa, sigma):
@@ -103,10 +123,16 @@ def linear_field(mu, kappa, sigma):
     def b(x, _t):
         return (-mu[0] * (x[0] - kappa[0]), -mu[1] * (x[1] - kappa[1]))
 
+    neg_mu = -np.array(mu)[:, None]
+    kappa_col = np.array(kappa)[:, None]
+
+    def bs(xy):
+        return neg_mu * (xy - kappa_col)
+
     def s(_x, _t):
         return sig
 
-    return CoefficientField(drift=b, diffusion=s)
+    return CoefficientField(drift=b, diffusion=s, drifts=bs)
 
 
 def euler_stopped(coeffs, start, horizon, steps, wedge, rng,
@@ -148,11 +174,13 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
     folds = 0
     approx = False
     frame_sigma = None
-    for k in range(steps):
+    drift, diffusion, drifts = coeffs.drift, coeffs.diffusion, coeffs.drifts
+    k = 0
+    while k < steps:
         t_k = horizon * k / steps
         dt = (horizon * (k + 1) / steps if k + 1 < steps else horizon) - t_k
-        b_k = coeffs.drift(x, t_k)
-        (a, b), (c, d) = s_k = coeffs.diffusion(x, t_k)
+        b_k = drift(x, t_k)
+        (a, b), (c, d) = s_k = diffusion(x, t_k)
         # the frame depends on sigma alone: keep it while sigma is unchanged
         # (compared entry by entry, so any 2x2 sequence, arrays too, works)
         if (a, b, c, d) != frame_sigma:
@@ -164,19 +192,32 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
             # it: a sigma that changes with the state changes the frame at
             # every cell, where a block would hold one cell
             plain, base, j = (False,), (0.0,), 0
+            columns = None
         b_cell = mat_vec(fwd, b_k)  # mu (x - kappa) can overflow mid-path
         if not (math.isfinite(b_cell[0]) and math.isfinite(b_cell[1])):
-            raise ValueError(f"drift must be a finite 2-vector, got {b_cell}")
+            raise _drift_error(b_cell)
         if j == len(plain):
-            plain, base, ends = _block(draws, pos, k, min(_BLOCK, steps - k),
-                                       horizon, steps, cell_wedge.opening,
-                                       reflected, epsilon)
+            plain, base, ends, cells = _block(
+                draws, pos, k, min(_BLOCK, steps - k), horizon, steps,
+                cell_wedge.opening, reflected, epsilon)
             j = 0
         if plain[j]:
             end = ends[j + 1]
             log_w += girsanov_log_weight(b_cell, end, dt, pos)
             folds += 1
             j += 1
+            # a fallback ends its block, so the block's plain cells are one
+            # run from its first cell; take the rest of that run at once
+            run = _run_length(plain) - 1 if j == 1 and drifts else 0
+            if run >= _MIN_RUN:
+                if columns is None:  # the frame's, for _run_log_weight
+                    columns = np.array((bwd, fwd)).transpose(0, 2, 1)[..., None]
+                log_w = _run_log_weight(log_w, drifts, columns, cells, j,
+                                        j + run)
+                folds += run
+                k += run
+                j += run
+                end = ends[j]
         else:
             # round-off can put a point on a ray a hair off it
             cell_start = cell_wedge.place(PolarPoint.from_cartesian(*pos))
@@ -201,15 +242,54 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
             plain, j = (), 0  # the block's later cells start elsewhere
         pos = end
         x = mat_vec(bwd, pos)
+        k += 1
     return PathSample(endpoint=PolarPoint.from_cartesian(*x),
                       elapsed=horizon, hit_boundary=False, folds=folds,
                       weight=math.exp(log_w), approx_used=approx)
 
 
+def _drift_error(b_cell):
+    return ValueError(f"drift must be a finite 2-vector, got {b_cell}")
+
+
+def _run_length(plain):
+    """The number of plain cells at the start of a block."""
+    return plain.index(False) if False in plain else len(plain)
+
+
+def _run_log_weight(log_w, drifts, columns, cells, j, e):
+    """log_w plus the Girsanov terms of plain cells j .. e - 1 of a block,
+    added one at a time in cell order. `columns` holds the columns of the
+    frame's backward and forward matrices as (2, 1) arrays, and `cells` the
+    block's cell starts and ends, as a (2, n + 1) array, and its cell
+    lengths. Each term is the float of the loop in `_euler`, from the same
+    operations in the same order, and a drift that is not finite raises the
+    loop's error at the first such cell."""
+    ends, dt = cells
+    starts = ends[:, j:e]
+    (a, b), (c, d) = columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = drifts(a * starts[0] + b * starts[1])  # input frame
+        drift = c * drift[0] + d * drift[1]  # cell frame
+        moved = drift * (ends[:, j + 1:e + 1] - starts)
+        sq = drift * drift
+        terms = moved[0] + moved[1] - 0.5 * (sq[0] + sq[1]) * dt[j:e]
+    for term in terms.tolist():
+        log_w += term
+    # a drift that is not finite makes its term, and so the sum, not finite
+    if not math.isfinite(log_w):
+        bad = ~(np.isfinite(drift[0]) & np.isfinite(drift[1]))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _drift_error((float(drift[0, i]), float(drift[1, i])))
+    return log_w
+
+
 def _block(draws, pos, k, n, horizon, steps, alpha, reflected, epsilon):
     """Cells k .. k + n - 1 run in one frame from pos, the start of cell k,
     each to its free endpoint: (plain flags, first-pass bases, the n + 1
-    cell starts and ends as [x, y]), as lists; see samplers._plain_cells."""
+    cell starts and ends as [x, y]), as lists (see samplers._plain_cells),
+    and (those starts and ends as a (2, n + 1) array, the cell lengths)."""
     triples = draws.block(k, n)
     t = horizon * np.arange(k, k + n + 1) / steps
     if k + n == steps:
@@ -224,7 +304,7 @@ def _block(draws, pos, k, n, horizon, steps, alpha, reflected, epsilon):
         np.cumsum(ends, axis=0, out=ends)
         plain, base = _plain_cells(ends[:, 0], ends[:, 1], dt, triples[:, 2],
                                    alpha, reflected, epsilon)
-    return plain.tolist(), base.tolist(), ends.tolist()
+    return plain.tolist(), base.tolist(), ends.tolist(), (ends.T, dt)
 
 
 class _CellDraws:

@@ -9,8 +9,8 @@ from wedgebm.drift import (CoefficientField, euler_reflected, euler_stopped,
 from wedgebm.geometry import PolarPoint, WedgeSpec, standard_frame
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
-from wedgebm.samplers import (_pass_plan, _plain_cells, algorithm_reflected,
-                              algorithm_stopped)
+from wedgebm.samplers import (FoldCapExceeded, _pass_plan, _plain_cells,
+                              algorithm_reflected, algorithm_stopped)
 
 from test_golden import _state_dependent_field
 
@@ -434,3 +434,95 @@ def test_euler_faults_do_not_depend_on_the_block_length(monkeypatch):
                               (vars(sample), faulted, xy)))
     assert runs[0] == runs[1] == runs[2]
     assert any(faulted for _sample, faulted, _xy in runs[0])
+
+
+# ---------------------------------------------------------------------------
+# runs of plain cells as arrays
+# ---------------------------------------------------------------------------
+
+def per_cell(field):
+    """The field without its array drift, which the schemes call per cell."""
+    return CoefficientField(drift=field.drift, diffusion=field.diffusion)
+
+
+def counted_runs(monkeypatch):
+    """A list that grows by one at every run that `_run_log_weight` takes."""
+    runs = []
+    run_log_weight = drift_module._run_log_weight
+
+    def counted(*args):
+        runs.append(1)
+        return run_log_weight(*args)
+
+    monkeypatch.setattr(drift_module, "_run_log_weight", counted)
+    return runs
+
+
+def euler_or_fault(scheme, field, seed, steps, **kwargs):
+    """(sample, False), or (the partial sample, True) past the fold cap."""
+    try:
+        return scheme(field, START, 1.0, steps, W09, RngStream(seed).derive(0),
+                      **kwargs), False
+    except FoldCapExceeded as fault:
+        return fault.partial, True
+
+
+@pytest.mark.parametrize("sigma", [((1.0, 0.0), (0.0, 1.0)), SIG])
+@pytest.mark.parametrize("steps", [20, 500, 5000])
+def test_array_runs_give_the_per_cell_paths(steps, sigma, monkeypatch):
+    # every float of a linear field's path, run by the arrays, is the one of
+    # the per-cell loop on the same callables
+    field = linear_field((0.1, 0.2), (0.7, 0.5), sigma)
+    runs = counted_runs(monkeypatch)
+    for seed in range(3):
+        for scheme, kwargs in ((euler_reflected, {"epsilon": 0.01}),
+                               (euler_stopped, {})):
+            fast = scheme(field, START, 1.0, steps, W09,
+                          RngStream(seed).derive(1), **kwargs)
+            slow = scheme(per_cell(field), START, 1.0, steps, W09,
+                          RngStream(seed).derive(1), **kwargs)
+            assert fast == slow
+            assert repr(vars(fast)) == repr(vars(slow))
+    assert runs or steps == 20
+
+
+def test_array_runs_give_the_per_cell_faults(monkeypatch):
+    field = linear_field((0.1, 0.2), (0.7, 0.5), SIG)
+    runs = counted_runs(monkeypatch)
+    faults = 0
+    for seed in range(8):
+        for scheme in (euler_reflected, euler_stopped):
+            fast = euler_or_fault(scheme, field, seed, 100, fold_cap=1)
+            slow = euler_or_fault(scheme, per_cell(field), seed, 100,
+                                  fold_cap=1)
+            assert repr(vars(fast[0])) == repr(vars(slow[0]))
+            assert fast[1] == slow[1]
+            faults += fast[1]
+    assert runs and faults
+
+
+def test_array_runs_raise_the_per_cell_drift_error(monkeypatch):
+    # the drift overflows once x is more than 1.797 past kappa, here 0.097
+    # right of the start: a cell inside a run of plain cells, taken by the
+    # arrays, raises what the loop raises at that cell
+    raised = []
+    run_log_weight = drift_module._run_log_weight
+
+    def watched(*args):
+        try:
+            return run_log_weight(*args)
+        except ValueError:
+            raised.append(1)
+            raise
+
+    monkeypatch.setattr(drift_module, "_run_log_weight", watched)
+    x0 = START.cartesian()[0]
+    field = linear_field((1e308, 0.1), (x0 - 1.7, 0.5), ((1.0, 0.0), (0.0, 1.0)))
+    for scheme in (euler_reflected, euler_stopped):
+        messages = []
+        for coeffs in (field, per_cell(field)):
+            with pytest.raises(ValueError, match="drift must be a finite") as err:
+                scheme(coeffs, START, 1.0, 5000, W09, RngStream(3).derive(0))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+    assert raised
