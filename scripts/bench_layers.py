@@ -2,13 +2,17 @@
 
 Run from the root of a source checkout:
 
-    PYTHONPATH=src python3 scripts/bench_layers.py [--out BENCH_18.json]
+    PYTHONPATH=src python3 scripts/bench_layers.py [--out BENCH_<n>.json]
+
+The figures go to stdout; --out also writes the JSON record to that file.
 
 Every layer runs on fixed inputs drawn from fixed seeds, so each repeat does
 the same work. A layer's figure is the median over repeats of its mean time
 per call. The geometry is the Table 1 and Table 3 one: opening 0.9 (passes
 in its pi/4 sub-wedge), start (1.5, 0.3); the Euler rows use the `ito
---table3-*` parameters and their cell length dt = 1/5000. The corner draw
+--table3-*` parameters and their cell length dt = 1/5000 (`drift.*_cell_us`,
+two paths), and again on a 20-step grid (`drift.*_cell_us_20steps`, 250
+paths), where most runs of plain cells are short. The corner draw
 runs from radius 0.05 with time 1 left, as in a first-pass corner ending.
 
 The lane layers time what the exact modes run: the Philox streams of 1000
@@ -131,22 +135,25 @@ def layers(repeats):
     out["corner.sample_us"] = draws(
         lambda rng: sample_corner(0.05, 1.0, WEDGE.opening, rng), 5000)
 
-    def cells(scheme, **kw):
-        """us per cell over two Euler paths; a stopped one ends at its hit."""
+    def cells(scheme, steps, paths, **kw):
+        """us per cell over Euler paths; a stopped one ends at its hit."""
         def run():
             t0 = time.perf_counter()
             ran = 0
-            for i in range(2):
-                sample = scheme(FIELD, START, 1.0, STEPS, WEDGE,
+            for i in range(paths):
+                sample = scheme(FIELD, START, 1.0, steps, WEDGE,
                                 RngStream(SEED).derive(i), **kw)
-                ran += (math.ceil(sample.elapsed * STEPS) if sample.hit_boundary
-                        else STEPS)
+                ran += (math.ceil(sample.elapsed * steps) if sample.hit_boundary
+                        else steps)
             return (time.perf_counter() - t0) / ran * 1e6
         return statistics.median(run() for _ in range(repeats))
 
     out.update(lane_layers(repeats))
-    out["drift.reflected_cell_us"] = cells(euler_reflected, epsilon=0.01)
-    out["drift.stopped_cell_us"] = cells(euler_stopped)
+    for suffix, steps, paths in (("", STEPS, 2), ("_20steps", 20, 250)):
+        out[f"drift.reflected_cell_us{suffix}"] = cells(
+            euler_reflected, steps, paths, epsilon=0.01)
+        out[f"drift.stopped_cell_us{suffix}"] = cells(euler_stopped, steps,
+                                                      paths)
 
     targets = [PolarPoint(0.5 + 0.25 * i, 0.9 * (j + 0.5) / 6)
                for i in range(8) for j in range(6)]
@@ -158,7 +165,7 @@ def layers(repeats):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--out", default="BENCH_18.json")
+    parser.add_argument("--out", help="also write the JSON record here")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     record = {
@@ -170,9 +177,10 @@ def main(argv=None):
         "scipy": scipy.__version__,
         "layers_us": layers(args.repeats),
     }
-    with open(args.out, "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(record, fh, indent=2)
+            fh.write("\n")
     json.dump(record["layers_us"], sys.stdout, indent=2)
     sys.stdout.write("\n")
 

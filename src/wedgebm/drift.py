@@ -98,14 +98,15 @@ class CoefficientField:
     the last entry by entry; a change builds a new cell frame, ends the
     current block of cells and runs the cell by the recursion (see the
     module docstring), so a sigma that changes with x or t runs every cell
-    that way. Without `drifts` both are called once per cell.
+    that way.
 
     `drifts`, optional, is the drift over arrays: given the (2, n) array of
     n points, x over y, it returns the (2, n) array whose column i is, bit
-    for bit, drift at point i and any t. Only a field whose drift ignores t and whose sigma is constant
-    may give it (`linear_field` does): a scheme then calls drift and
-    diffusion once per run of plain cells, at the run's first cell, and
-    drifts once for the rest of the run.
+    for bit, drift at point i, at any t. Only a field whose drift ignores t
+    and whose sigma is constant may give it, as `linear_field` does. A
+    scheme then skips both calls for the cells of a long run of plain cells
+    after its first, and calls drifts once for them all. A field without
+    it is called once per cell.
     """
 
     drift: object
@@ -207,11 +208,11 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
             folds += 1
             j += 1
             # a fallback ends its block, so the block's plain cells are one
-            # run from its first cell; take the rest of that run at once
-            run = _run_length(plain) - 1 if j == 1 and drifts else 0
-            if run >= _MIN_RUN:
-                if columns is None:  # the frame's, for _run_log_weight
-                    columns = np.array((bwd, fwd)).transpose(0, 2, 1)[..., None]
+            # run from its first cell; take the rest of a long run at once
+            if (j == 1 and drifts
+                    and (run := _run_length(plain) - 1) >= _MIN_RUN):
+                if columns is None:
+                    columns = _columns(bwd, fwd)
                 log_w = _run_log_weight(log_w, drifts, columns, cells, j,
                                         j + run)
                 folds += run
@@ -255,6 +256,12 @@ def _drift_error(b_cell):
 def _run_length(plain):
     """The number of plain cells at the start of a block."""
     return plain.index(False) if False in plain else len(plain)
+
+
+def _columns(bwd, fwd):
+    """The columns of the frame's 2x2 matrices, as (2, 1) arrays, for
+    `_run_log_weight`."""
+    return np.array((bwd, fwd)).transpose(0, 2, 1)[..., None]
 
 
 def _run_log_weight(log_w, drifts, columns, cells, j, e):
