@@ -41,7 +41,7 @@ import scipy
 from wedgebm import lanes
 from wedgebm.corner import sample_corner
 from wedgebm.densities import killed_density_series
-from wedgebm.drift import euler_reflected, euler_stopped, linear_field
+from wedgebm.drift import euler_paths, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
 from wedgebm.rng import LaneDraws, RngStream, philox_uniforms, stream_key
 from wedgebm.samplers import _exit_draw, _pass_plan, _survivor_trial
@@ -135,25 +135,22 @@ def layers(repeats):
     out["corner.sample_us"] = draws(
         lambda rng: sample_corner(0.05, 1.0, WEDGE.opening, rng), 5000)
 
-    def cells(scheme, steps, paths, **kw):
+    def cells(reflected, steps, paths):
         """us per cell over Euler paths; a stopped one ends at its hit."""
         def run():
             t0 = time.perf_counter()
-            ran = 0
-            for i in range(paths):
-                sample = scheme(FIELD, START, 1.0, steps, WEDGE,
-                                RngStream(SEED).derive(i), **kw)
-                ran += (math.ceil(sample.elapsed * steps) if sample.hit_boundary
-                        else steps)
-            return (time.perf_counter() - t0) / ran * 1e6
+            rows = euler_paths(FIELD, START, 1.0, steps, WEDGE, SEED,
+                               range(paths), reflected, 0.01, 10 ** 6)
+            took = time.perf_counter() - t0
+            ran = sum(math.ceil(sample.elapsed * steps) if sample.hit_boundary
+                      else steps for sample, _faulted in rows)
+            return took / ran * 1e6
         return statistics.median(run() for _ in range(repeats))
 
     out.update(lane_layers(repeats))
     for suffix, steps, paths in (("", STEPS, 2), ("_20steps", 20, 250)):
-        out[f"drift.reflected_cell_us{suffix}"] = cells(
-            euler_reflected, steps, paths, epsilon=0.01)
-        out[f"drift.stopped_cell_us{suffix}"] = cells(euler_stopped, steps,
-                                                      paths)
+        out[f"drift.reflected_cell_us{suffix}"] = cells(True, steps, paths)
+        out[f"drift.stopped_cell_us{suffix}"] = cells(False, steps, paths)
 
     targets = [PolarPoint(0.5 + 0.25 * i, 0.9 * (j + 0.5) / 6)
                for i in range(8) for j in range(6)]

@@ -6,8 +6,7 @@ from .corner import corner_triggered, sample_corner
 from .densities import (ExitLawParams, Kind, killed_density_images,
                         killed_density_series, reflected_density_images,
                         reflected_density_series)
-from .drift import (CoefficientField, euler_reflected, euler_stopped,
-                    girsanov_log_weight, linear_field)
+from .drift import girsanov_log_weight, linear_field
 from .geometry import (CorrelatedSetup, PolarPoint, RegionCase, Side,
                        WedgeSpec, fold_into_wedge, image_angles,
                        require_pi_over_m)

@@ -27,10 +27,9 @@ ESTIMATE_HEADER = ("mode,func,alpha,start_r,start_theta,T,eps,fold_cap,steps,"
                    "n,seed,estimate,half_width,n_faults,mean_folds,"
                    "mean_weight,ess")
 SAMPLE_HEADER = "index,x,y,elapsed,hit_boundary,folds,weight,fault"
-WORKERS_HELP = ("worker threads, each running one batch of paths (one path "
-                "in the Euler modes) at a time; the output does not depend on "
-                "this. The threads share the GIL, so more than one does not "
-                "speed a run up")
+WORKERS_HELP = ("worker threads, each running one batch of paths at a "
+                "time; the output does not depend on this. The threads share "
+                "the GIL, so more than one does not speed a run up")
 
 TABLE1_GEOMETRY = {"alpha": 0.9, "start": (1.5, 0.3), "T": 1.0}
 TABLE2_GEOMETRY = {"alpha": 0.58, "start": (3.0, 0.4), "T": 1.0}
@@ -179,7 +178,7 @@ def _inject_config(argv):
 # shared flag groups and problem resolution
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, sampling=True, drift=False):
+def _add_common(sub, sampling=True, drift=False, eps=True):
     sub.add_argument("--alpha", type=float, default=None,
                      help="wedge opening in radians (lower ray at angle 0)")
     sub.add_argument("--start", type=_pair, default=None, metavar="R,THETA",
@@ -194,10 +193,12 @@ def _add_common(sub, sampling=True, drift=False):
         sub.add_argument("--n", type=int, default=None,
                          help="number of samples")
         sub.add_argument("--seed", type=int, default=0, help="master seed")
-        sub.add_argument("--eps", type=float, default=None,
-                         help="corner threshold (0 disables the shortcut)")
         sub.add_argument("--fold-cap", type=int, default=None,
                          help="abort a path after this many folds")
+    if sampling and eps:
+        sub.add_argument("--eps", type=float, default=None,
+                         help="corner threshold of the reflected modes "
+                              "(0 disables the shortcut)")
     if drift:
         sub.add_argument("--drift", type=_pair, default=None, metavar="BX,BY",
                          help="constant drift, handled by reweighting")
@@ -249,9 +250,11 @@ def _resolve_problem(args):
     return {"wedge": wedge, "start": start}
 
 
-def _fill_preset(args, presets):
+def _fill_preset(args, presets, mode_default):
     """Fill the flags left unset from the (at most one) chosen preset. Its
-    wedge gives way to correlated input, and its start to --x."""
+    wedge gives way to correlated input, and its start to --x. An --eps of
+    the user's own with a stopped mode, which would ignore it, is refused."""
+    eps_given = args.eps is not None
     chosen = [name for name in presets if getattr(args, name)]
     if len(chosen) > 1:
         raise UsageError("pick at most one preset")
@@ -263,6 +266,10 @@ def _fill_preset(args, presets):
     for name, value in preset.items():
         if getattr(args, name) is None:
             setattr(args, name, value)
+    mode = _pick(args, "mode", mode_default)
+    if eps_given and Mode(mode) in (Mode.STOPPED, Mode.EULER_STOPPED):
+        raise UsageError(f"--eps is the corner threshold of the reflected "
+                         f"modes; mode {mode} has none")
 
 
 def _pick(args, name, default):
@@ -363,12 +370,12 @@ def _estimate_and_report(args, mode_default, **extra):
 
 
 def cmd_estimate(args):
-    _fill_preset(args, ESTIMATE_PRESETS)
+    _fill_preset(args, ESTIMATE_PRESETS, "stopped")
     return _estimate_and_report(args, "stopped")
 
 
 def cmd_ito(args):
-    _fill_preset(args, ITO_PRESETS)
+    _fill_preset(args, ITO_PRESETS, "euler_stopped")
     if args.steps is None:
         raise UsageError("--steps is required for the Euler runner")
     return _estimate_and_report(args, "euler_stopped", steps=args.steps,
@@ -420,7 +427,7 @@ def build_parser():
     for mode in ("stopped", "reflected"):
         p = subs.add_parser("sample-" + mode,
                             help=f"draw {mode}-path endpoints (CSV per path)")
-        _add_common(p, drift=True)
+        _add_common(p, drift=True, eps=mode == "reflected")
         _add_correlated(p)
         p.set_defaults(handler=cmd_sample, mode=mode)
 

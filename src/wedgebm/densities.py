@@ -148,10 +148,9 @@ class ExitLawParams:
     gammas: tuple
 
     @classmethod
-    def for_side(cls, wedge, start, side, _m=None):
-        """The law on `side` for a start strictly inside the pi/m wedge; a
-        pass gives the m of its sub-wedge as _m."""
-        m = require_pi_over_m(wedge) if _m is None else _m
+    def for_side(cls, wedge, start, side):
+        """The law on `side` for a start strictly inside the pi/m wedge."""
+        m = require_pi_over_m(wedge)
         require_interior(start, wedge)
         th0 = start.theta
         if side is Side.PLUS:

@@ -46,14 +46,20 @@ changes the frame at every cell, runs every cell as a fallback through the
 same loop.
 
 So a block's plain cells are one run from its first cell. The loop moves a
-cell at a time and calls the coefficient field once per cell, at its
-start, in cell order. A field with an array form of its drift
-(`CoefficientField.drifts`, which `linear_field` fills in) has the rest of
-a run of more than _MIN_RUN cells taken at once: the input-frame starts,
-the drift at each, its cell-frame form and each cell's Girsanov term are
+cell at a time and calls the coefficient field, any object with callables
+drift(x, t) -> R^2 and diffusion(x, t) -> 2x2 (compared with the last one
+entry by entry, so arrays will do), once per cell, at its start x (input
+frame) and time t, in cell order. That loop is the reference, and it runs
+state-dependent fields. The field of `linear_field` has the rest of a run
+of more than _MIN_RUN cells taken at once: the input-frame starts, the
+drift at each, its cell-frame form and each cell's Girsanov term are
 arrays, made by the loop's IEEE operations in the loop's order, and the
 terms are added to the log-weight one at a time, in cell order. So every
 sampled float is the one the loop gives.
+
+`euler_paths` has the shape of `lanes.stopped_paths` and
+`lanes.reflected_paths`: a seed and path indices in, a (PathSample,
+faulted) pair per path out.
 """
 
 import math
@@ -63,8 +69,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .geometry import PolarPoint, mat_vec, standard_frame
-from .samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathSample,
-                       _plain_cells, algorithm_reflected, algorithm_stopped)
+from .rng import RngStream
+from .samplers import (FoldCapExceeded, PathSample, _plain_cells,
+                       algorithm_reflected, algorithm_stopped)
 
 _BLOCK = 256  # cells a block draws and tries at once; paths do not depend on it
 # the fewest plain cells that `_run_log_weight` takes at once: its numpy
@@ -89,82 +96,69 @@ def girsanov_log_weight(b, driving_endpoint, elapsed, start):
 # Euler schemes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientField:
-    """Drift and diffusion fields b(x, t) -> R^2, sigma(x, t) -> 2x2.
-
-    An Euler scheme calls both at the start x (a 2-tuple in the input
-    frame) and time t of a cell, in cell order. It compares each sigma with
-    the last entry by entry; a change builds a new cell frame, ends the
-    current block of cells and runs the cell by the recursion (see the
-    module docstring), so a sigma that changes with x or t runs every cell
-    that way.
-
-    `drifts`, optional, is the drift over arrays: given the (2, n) array of
-    n points, x over y, it returns the (2, n) array whose column i is, bit
-    for bit, drift at point i, at any t. Only a field whose drift ignores t
-    and whose sigma is constant may give it, as `linear_field` does. A
-    scheme then skips both calls for the cells of a long run of plain cells
-    after its first, and calls drifts once for them all. A field without
-    it is called once per cell.
-    """
-
-    drift: object
-    diffusion: object
-    drifts: object = None
-
-
 def linear_field(mu, kappa, sigma):
     """The mean-reverting family dY = -mu * (Y - kappa) dt + sigma dW
     (componentwise mu), with a constant diffusion matrix."""
-    mu = tuple(mu)
-    kappa = tuple(kappa)
-    sig = tuple(tuple(row) for row in sigma)
+    return _LinearField(tuple(mu), tuple(kappa),
+                        tuple(tuple(row) for row in sigma))
 
-    def b(x, _t):
+
+@dataclass(frozen=True)
+class _LinearField:
+    """The field of `linear_field`. Its drift, its diffusion and `drifts`,
+    the drift over the (2, n) array of n points, x over y, are made from
+    the same three values, so `drifts` gives, bit for bit, the drift at
+    each point, at any t."""
+
+    mu: tuple
+    kappa: tuple
+    sigma: tuple
+
+    def __post_init__(self):
+        # the (2, 1) columns of `drifts`, made once
+        object.__setattr__(self, "_neg_mu", -np.array(self.mu)[:, None])
+        object.__setattr__(self, "_kappa_col", np.array(self.kappa)[:, None])
+
+    def drift(self, x, _t):
+        mu, kappa = self.mu, self.kappa
         return (-mu[0] * (x[0] - kappa[0]), -mu[1] * (x[1] - kappa[1]))
 
-    neg_mu = -np.array(mu)[:, None]
-    kappa_col = np.array(kappa)[:, None]
+    def diffusion(self, _x, _t):
+        return self.sigma
 
-    def bs(xy):
-        return neg_mu * (xy - kappa_col)
-
-    def s(_x, _t):
-        return sig
-
-    return CoefficientField(drift=b, diffusion=s, drifts=bs)
+    def drifts(self, xy):
+        return self._neg_mu * (xy - self._kappa_col)
 
 
-def euler_stopped(coeffs, start, horizon, steps, wedge, rng,
-                  fold_cap=DEFAULT_FOLD_CAP):
-    """Frozen-coefficient Euler scheme for the stopped diffusion.
+def euler_paths(field, start, horizon, steps, wedge, seed, indices,
+                reflected, epsilon, fold_cap):
+    """Paths `indices` of `seed` of the Euler scheme, as a list of
+    (PathSample, faulted) pairs in index order; path i draws from
+    `RngStream(seed).derive(i)`.
 
-    start is a PolarPoint in the wedge; cell k of the `steps` cells starts at
-    horizon * k / steps and the last ends at horizon. Returns the exact
-    within-cell hit state of the first cell that reports a boundary hit; the
-    weight collects the per-cell drift reweighting factors in log space.
-    fold_cap bounds the recursion passes of each cell.
+    start is a PolarPoint in the wedge; cell k of the `steps` cells starts
+    at horizon * k / steps and the last ends at horizon. A stopped path ends
+    at the exact hit state of its first cell that hits the boundary; a
+    reflected one reflects in each cell's frame, with corner threshold
+    epsilon. The weight holds the cells' Girsanov factors. A cell past
+    fold_cap passes ends its path, faulted, with the partial state of that
+    cell's sub-path.
     """
-    return _euler(coeffs, start, horizon, steps, wedge, rng, False, None,
-                  fold_cap)
-
-
-def euler_reflected(coeffs, start, horizon, steps, wedge, rng,
-                    epsilon=DEFAULT_EPSILON, fold_cap=DEFAULT_FOLD_CAP):
-    """Frozen-coefficient Euler scheme for the reflected diffusion.
-
-    Reflection is normal in each cell's decorrelated frame (exact for
-    rotation-like diffusion matrices; see the module docstring). epsilon and
-    fold_cap apply to each cell's exact sub-path.
-    """
-    return _euler(coeffs, start, horizon, steps, wedge, rng, True, epsilon,
-                  fold_cap)
+    root = RngStream(seed)
+    out = []
+    for i in indices:
+        try:
+            out.append((_euler(field, start, horizon, steps, wedge,
+                               root.derive(i), reflected, epsilon, fold_cap),
+                        False))
+        except FoldCapExceeded as fault:
+            out.append((fault.partial, True))
+    return out
 
 
 def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
            fold_cap):
-    """The Euler loop of both schemes; `reflected` picks the recursion a
+    """One Euler path drawn from rng; `reflected` picks the recursion a
     fallback cell runs."""
     if not (steps >= 1 and 0.0 < horizon < math.inf):
         raise ValueError(f"need steps >= 1 and 0 < horizon < inf, got "
@@ -175,7 +169,8 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
     folds = 0
     approx = False
     frame_sigma = None
-    drift, diffusion, drifts = coeffs.drift, coeffs.diffusion, coeffs.drifts
+    drift, diffusion = coeffs.drift, coeffs.diffusion
+    drifts = coeffs.drifts if isinstance(coeffs, _LinearField) else None
     k = 0
     while k < steps:
         t_k = horizon * k / steps

@@ -1,15 +1,17 @@
 """Monte Carlo harness: configuration, the path engine, estimation, fold
 diagnostics.
 
-`map_paths` runs every path index of a configuration. The exact modes run
-as numpy lanes (`lanes.stopped_paths`, `lanes.reflected_paths`), LANE_BATCH
-paths a batch, each lane drawing from its path's Philox stream; the Euler
-modes run one path at a time (`drift.euler_stopped`, `drift.euler_reflected`),
-path i drawing from sub-stream i of the seed. A worker thread runs one batch,
-or one Euler path, at a time.
-Either way results are byte-reproducible for a fixed (config, seed) however
-the paths are batched and however many workers run them; the reduction
-always runs in index order.
+`map_paths` cuts the path indices of a configuration into batches of
+LANE_BATCH and hands each batch to the engine of its mode:
+`lanes.stopped_paths` and `lanes.reflected_paths` run the exact modes as
+numpy lanes, and `drift.euler_paths` runs the Euler modes one path after
+another. Each takes the seed and a batch's indices and returns a
+(PathSample, faulted) pair per path, path i drawing from its own stream of
+the seed; a path past its fold cap comes back faulted, with its partial
+state. A worker thread runs one batch at a time. So results are
+byte-reproducible for a fixed (config, seed) however the paths are batched
+and however many workers run them; the reduction always runs in index
+order.
 """
 
 import math
@@ -18,14 +20,13 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 from itertools import chain
 
-from .drift import (euler_reflected, euler_stopped, girsanov_log_weight,
-                    linear_field)
+from .drift import euler_paths, girsanov_log_weight, linear_field
 from .geometry import PolarPoint, WedgeSpec, mat_vec, standard_frame
 from .lanes import reflected_paths, stopped_paths
-from .rng import RngStream
-from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP, FoldCapExceeded
+from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
@@ -101,9 +102,6 @@ class EstimatorConfig:
             raise ValueError("n_samples must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for name, pair in (("mu", self.mu), ("kappa", self.kappa)):
-            if not all(map(math.isfinite, pair)):
-                raise ValueError(f"{name} must be finite, got {pair}")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if not self.epsilon >= 0:  # NaN included
@@ -126,6 +124,18 @@ class EstimatorConfig:
             if any(self.drift):
                 raise ValueError("Euler modes take drift through mu and kappa; "
                                  "a constant drift would be ignored")
+        elif self.steps or any(self.mu) or any(self.kappa):
+            raise ValueError("steps, mu and kappa belong to the Euler modes; "
+                             "an exact mode would ignore them")
+        for name in ("drift", "mu", "kappa"):
+            pair = tuple(getattr(self, name))
+            if len(pair) != 2 or not all(map(math.isfinite, pair)):
+                raise ValueError(f"{name} must be a finite 2-vector, got {pair}")
+        # a finite drift can overflow through the decorrelating map
+        drift = run_frame(self)[2]
+        if not all(map(math.isfinite, drift)):
+            raise ValueError(f"drift must be a finite 2-vector in the frame "
+                             f"the paths run in, got {drift}")
 
 
 def run_frame(config):
@@ -174,46 +184,25 @@ def map_paths(config, fn):
     so the list depends neither on LANE_BATCH nor on config.workers.
     """
     wedge, start, drift, sigma, backward = run_frame(config)
-    drift = tuple(drift)
-    if len(drift) != 2 or not all(math.isfinite(v) for v in drift):
-        raise ValueError(f"drift must be a finite 2-vector, got {drift}")
     start = wedge.place(start)  # the driving motion starts where the path does
     x0 = start.cartesian()
-    n, seed = config.n_samples, config.seed
-    exact = config.mode in (Mode.STOPPED, Mode.REFLECTED)
-    if exact:
-        jobs = [range(lo, min(lo + LANE_BATCH, n))
-                for lo in range(0, n, LANE_BATCH)]
-        if config.mode is Mode.STOPPED:
-            def run(indices):
-                return stopped_paths(start, config.horizon, wedge, seed,
-                                     indices, config.fold_cap)
-        else:
-            def run(indices):
-                return reflected_paths(start, config.horizon, wedge, seed,
-                                       indices, config.epsilon, config.fold_cap)
+    n, seed, T = config.n_samples, config.seed, config.horizon
+    if config.mode is Mode.STOPPED:
+        run = partial(stopped_paths, start, T, wedge, seed,
+                      iteration_cap=config.fold_cap)
+    elif config.mode is Mode.REFLECTED:
+        run = partial(reflected_paths, start, T, wedge, seed,
+                      epsilon=config.epsilon, fold_cap=config.fold_cap)
     else:
-        coeffs = linear_field(config.mu, config.kappa, sigma)
-        root = RngStream(seed)
-        jobs = range(n)
-        T, steps, cap = config.horizon, config.steps, config.fold_cap
-
-        def run(index):
-            # the sample carries the Girsanov factors of its cells; a cell
-            # past the fold cap ends the path with its partial state
-            rng = root.derive(index)
-            try:
-                if config.mode is Mode.EULER_STOPPED:
-                    sample = euler_stopped(coeffs, start, T, steps, wedge, rng,
-                                           fold_cap=cap)
-                else:
-                    sample = euler_reflected(coeffs, start, T, steps, wedge,
-                                             rng, epsilon=config.epsilon,
-                                             fold_cap=cap)
-            except FoldCapExceeded as fault:
-                return [(fault.partial, True)]
-            return [(sample, False)]
-
+        # the sample carries the Girsanov factors of its cells
+        run = partial(euler_paths,
+                      linear_field(config.mu, config.kappa, sigma), start, T,
+                      config.steps, wedge, seed,
+                      reflected=config.mode is Mode.EULER_REFLECTED,
+                      epsilon=config.epsilon, fold_cap=config.fold_cap)
+    exact = config.mode in (Mode.STOPPED, Mode.REFLECTED)
+    jobs = [range(lo, min(lo + LANE_BATCH, n))
+            for lo in range(0, n, LANE_BATCH)]
     if config.workers <= 1:
         parts = map(run, jobs)
     else:
@@ -235,8 +224,9 @@ def estimate(config):
     """Run the configured Monte Carlo estimate and return an McReport.
 
     Faulted paths (recursion cap) are excluded from the estimate and
-    counted; more than 10% of them aborts the run. An estimate or half-width
-    that overflows is a ValueError.
+    counted; more than 10% of them aborts the run. Kept paths whose weights
+    are all 0, and an estimate or half-width that overflows, are a
+    ValueError.
     """
     t0 = time.perf_counter()
     func = config.func
@@ -255,6 +245,12 @@ def estimate(config):
         raise FaultFractionExceeded(
             f"{n_faults} of {n} paths exceeded the recursion cap "
             f"(> 10%); raise fold_cap or epsilon", n_faults, n)
+    weights = [r[2] for r in good]
+    wsum = math.fsum(weights)
+    if wsum == 0:
+        raise ValueError(f"the weights of all {len(good)} kept paths are 0: "
+                         f"their Girsanov factors round to 0, so the estimate "
+                         f"would read 0 whatever the law")
     vals = [r[0] for r in good]
     m = len(vals)
     mean = math.fsum(vals) / m
@@ -266,8 +262,6 @@ def estimate(config):
     if not math.isfinite(mean) or (m > 1 and not math.isfinite(half)):
         raise ValueError(f"the estimate of {func.value} overflows: its values "
                          f"at these endpoints are out of floating-point range")
-    weights = [r[2] for r in good]
-    wsum = math.fsum(weights)
     wsq = math.fsum(w * w for w in weights)
     return McReport(
         estimate=mean,

@@ -216,7 +216,7 @@ def _pass_plan(alpha):
 
 
 @functools.lru_cache(maxsize=64)
-def _exit_ratio_plan(sub, m, theta0, side):
+def _exit_ratio_plan(sub, theta0, side):
     """[(sin g_k / sin g_0, (c_k - c_0) / 2) for k >= 1] of the exit law on
     `side` of the pi/m sub-wedge from angle theta0 at unit radius. As
     c_k - c_0 = 2 r r0 (cos g_0 - cos g_k), a hit at radius r and time tau
@@ -224,7 +224,7 @@ def _exit_ratio_plan(sub, m, theta0, side):
     the wedge's exit density over its k = 0 term, the half-plane's. Cached:
     a reflected pass starts on the bisector, and stopped passes repeat.
     """
-    params = ExitLawParams.for_side(sub, PolarPoint(1.0, theta0), side, _m=m)
+    params = ExitLawParams.for_side(sub, PolarPoint(1.0, theta0), side)
     cs = params.c_values(1.0)
     sin0 = math.sin(params.gammas[0])
     return tuple((math.sin(g) / sin0, 0.5 * (c - cs[0]))
@@ -272,7 +272,7 @@ def _exit_draw(rel, horizon, sub, m, rng):
                 u = rng.uniform()
                 if side is None and x > 0.0 and u <= 1.0 + sum(
                         w * math.exp(-x * r0 / (q * q) * h)
-                        for w, h in _exit_ratio_plan(sub, m, rel.theta, line)):
+                        for w, h in _exit_ratio_plan(sub, rel.theta, line)):
                     side, r, root = line, x, q
     try:
         return side, math.ldexp(r, k), math.ldexp(root * root, 2 * k)

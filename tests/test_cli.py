@@ -358,10 +358,39 @@ USAGE_ERRORS = {
     "seed-negative": (["estimate"] + T1 + ["--n", "5", "--seed", "-1"],
                       "seed must be nonnegative"),
     "mu-nan": (["ito", "--table3-stopped", "--steps", "5", "--n", "2",
-                "--mu", "nan,0"], "mu must be finite"),
+                "--mu", "nan,0"], "mu must be a finite 2-vector"),
     "kappa-inf": (["ito", "--table3-stopped", "--steps", "5", "--n", "2",
-                   "--kappa", "0,inf"], "kappa must be finite"),
+                   "--kappa", "0,inf"], "kappa must be a finite 2-vector"),
+    # an --eps that a stopped mode would ignore
+    "eps-sample-stopped": (["sample-stopped"] + T1 + ["--n", "3", "--eps",
+                                                      "0.5"],
+                           "unrecognized arguments: --eps"),
+    "eps-estimate-stopped": (["estimate"] + T1 + ["--n", "3", "--mode",
+                                                  "stopped", "--eps", "0.5"],
+                             "--eps is the corner threshold"),
+    "eps-ito-euler-stopped": (["ito"] + T1 + ["--n", "3", "--steps", "3",
+                                              "--mode", "euler_stopped",
+                                              "--eps", "5"],
+                              "--eps is the corner threshold"),
+    # |b|^2 of a finite drift overflows, so every Girsanov factor is 0
+    "weights-all-0": (["estimate"] + T1 + ["--n", "5", "--drift", "1e200,0"],
+                      "weights of all 5 kept paths are 0"),
+    "weights-all-0-euler": (["ito"] + T1 + ["--n", "2", "--steps", "3", "--mu",
+                                            "1e308,0", "--kappa", "0,0"],
+                            "weights of all 2 kept paths are 0"),
 }
+
+
+def test_a_preset_eps_lets_a_stopped_mode_override(tmp_path):
+    # the reflected presets fill in their eps; --mode stopped then runs, and
+    # the row echoes the preset's eps
+    for argv in (["estimate", "--table1-reflected", "--mode", "stopped",
+                  "--n", "5"],
+                 ["ito", "--table3-reflected", "--mode", "euler_stopped",
+                  "--n", "2", "--steps", "20"]):
+        code, data = run_to_file(tmp_path, "row.csv", argv)
+        assert code == 0
+        assert parse_csv(data)[1][0]["mode"] == argv[3]
 
 
 @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))

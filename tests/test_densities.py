@@ -364,11 +364,11 @@ def test_exit_law_requires_interior_start():
         ExitLawParams.for_side(wedge, PolarPoint(1.0, 0.0), Side.MINUS)
     with pytest.raises(ValueError):
         ExitLawParams.for_side(wedge, PolarPoint(0.0, 0.1), Side.MINUS)
-    # strictly interior is all it asks, also of a pass that gives its m
+    # strictly interior is all it asks, on either ray
     near_ray = PolarPoint(1.0, 1e-13)
     assert ExitLawParams.for_side(wedge, near_ray, Side.MINUS).start == near_ray
     with pytest.raises(ValueError):
-        ExitLawParams.for_side(wedge, PolarPoint(1.0, math.pi / 3), Side.PLUS, _m=3)
+        ExitLawParams.for_side(wedge, PolarPoint(1.0, math.pi / 3), Side.PLUS)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import pytest
 from scipy.stats import chi2
 
 from wedgebm.densities import killed_density_series, reflected_density_series
-from wedgebm.drift import euler_reflected, euler_stopped, linear_field
+from wedgebm.drift import euler_paths, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
 from wedgebm.lanes import reflected_paths, stopped_paths
 from wedgebm.rng import RngStream
@@ -160,12 +160,10 @@ def test_driftless_euler_endpoint_law_matches_series_density(recursion):
     alpha, (r0, th0), t = GEOMETRIES["alpha_0.9"]
     wedge, start = WedgeSpec(0.0, alpha), PolarPoint(r0, th0)
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-    root = RngStream(EULER_SEEDS[recursion])
-    if recursion == "stopped":
-        samples = [euler_stopped(field, start, t, EULER_STEPS, wedge,
-                                 root.derive(i)) for i in range(N_PATHS)]
-    else:
-        samples = [euler_reflected(field, start, t, EULER_STEPS, wedge,
-                                   root.derive(i), epsilon=EULER_EPSILON)
-                   for i in range(N_PATHS)]
+    rows = euler_paths(field, start, t, EULER_STEPS, wedge,
+                       EULER_SEEDS[recursion], range(N_PATHS),
+                       recursion == "reflected", EULER_EPSILON,
+                       DEFAULT_FOLD_CAP)
+    assert not any(faulted for _sample, faulted in rows)
+    samples = [sample for sample, _faulted in rows]
     assert _p_value(samples, recursion == "stopped", wedge, start, t) > P_MIN

@@ -1,16 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from wedgebm import drift as drift_module
-from wedgebm.drift import (CoefficientField, euler_reflected, euler_stopped,
-                           girsanov_log_weight, linear_field)
+from wedgebm.drift import _euler, euler_paths, girsanov_log_weight, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec, standard_frame
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
-from wedgebm.samplers import (FoldCapExceeded, _pass_plan, _plain_cells,
-                              algorithm_reflected, algorithm_stopped)
+from wedgebm.samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, _pass_plan,
+                              _plain_cells, algorithm_reflected,
+                              algorithm_stopped)
 
 from test_golden import _state_dependent_field
 
@@ -26,6 +27,15 @@ def drifted_paths(mode, start, drift, T, wedge, seed, n, **kwargs):
                              horizon=T, n_samples=n, seed=seed, wedge=wedge,
                              start=start, drift=drift, **kwargs)
     rows = map_paths(config, lambda _i, sample, faulted, _xy: (sample, faulted))
+    assert not any(faulted for _sample, faulted in rows)
+    return [sample for sample, _faulted in rows]
+
+
+def euler_samples(field, start, steps, wedge, seed, n, reflected):
+    """The samples of Euler paths 0 .. n - 1 of seed over [0, 1], none of
+    them faulted."""
+    rows = euler_paths(field, start, 1.0, steps, wedge, seed, range(n),
+                       reflected, DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
     assert not any(faulted for _sample, faulted in rows)
     return [sample for sample, _faulted in rows]
 
@@ -157,12 +167,14 @@ def test_time_grid_validation():
     # the grid is (horizon, steps): at least one cell and a finite horizon,
     # and the last cell ends exactly at the horizon
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-    for scheme in (euler_stopped, euler_reflected):
+    for reflected in (False, True):
         for horizon, steps in ((1.0, 0), (math.inf, 4), (0.0, 4),
                                (math.nan, 4)):
             with pytest.raises(ValueError):
-                scheme(field, START, horizon, steps, W09, RngStream(1))
-    sample = euler_reflected(field, START, 0.3, 7, W09, RngStream(1))
+                _euler(field, START, horizon, steps, W09, RngStream(1),
+                       reflected, DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
+    sample = _euler(field, START, 0.3, 7, W09, RngStream(1), True,
+                    DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
     assert sample.elapsed == 0.3
 
 
@@ -207,10 +219,8 @@ def test_euler_driftless_is_exact_any_step_count():
     # with b = 0 and sigma = I every cell runs the exact sampler on the
     # remaining wedge, so even a 3-cell grid reproduces the closed forms
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-    root = RngStream(94)
     stopped_diffs = []
-    for i in range(3000):
-        s = euler_stopped(field, START, 1.0, 3, W09, root.derive(i))
+    for s in euler_samples(field, START, 3, W09, 94, 3000, False):
         assert s.weight == 1.0
         stopped_diffs.append(s.endpoint.r ** 2 - 2.0 * s.elapsed)
     mean = np.mean(stopped_diffs)
@@ -218,9 +228,7 @@ def test_euler_driftless_is_exact_any_step_count():
     assert abs(mean - START.r ** 2) <= 3.5 * se
 
     refl = []
-    root = RngStream(95)
-    for i in range(3000):
-        s = euler_reflected(field, START, 1.0, 3, W09, root.derive(i))
+    for s in euler_samples(field, START, 3, W09, 95, 3000, True):
         assert s.elapsed == 1.0
         refl.append(s.endpoint.r ** 2)
     mean = np.mean(refl)
@@ -232,11 +240,8 @@ def test_euler_scaled_diffusion_reflected():
     # sigma = c I is a deterministic time change: E[|X_T|^2] = r0^2 + 2 c^2 T
     c = 0.7
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((c, 0.0), (0.0, c)))
-    root = RngStream(96)
-    vals = []
-    for i in range(3000):
-        s = euler_reflected(field, START, 1.0, 4, W09, root.derive(i))
-        vals.append(s.endpoint.r ** 2)
+    vals = [s.endpoint.r ** 2
+            for s in euler_samples(field, START, 4, W09, 96, 3000, True)]
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
     assert abs(mean - (START.r ** 2 + 2.0 * c * c)) <= 3.5 * se
@@ -247,10 +252,8 @@ def test_euler_general_sigma_preserves_martingale_mean():
     # E[X_{tau ^ T}] = x0 for any constant sigma; exercises the cell frames
     sigma = ((1.2, 0.4), (0.0, 0.8))
     field = linear_field((0.0, 0.0), (0.0, 0.0), sigma)
-    root = RngStream(97)
     xs, ys = [], []
-    for i in range(4000):
-        s = euler_stopped(field, START, 1.0, 3, W09, root.derive(i))
+    for s in euler_samples(field, START, 3, W09, 97, 4000, False):
         x, y = s.cartesian_endpoint()
         xs.append(x)
         ys.append(y)
@@ -266,11 +269,8 @@ def test_euler_ou_against_brute_force():
     kappa = (0.7, 0.5)
     field = linear_field(mu, kappa, ((1.0, 0.0), (0.0, 1.0)))
     start = PolarPoint(1.0, 0.6)
-    root = RngStream(98)
-    vals = []
-    for i in range(3000):
-        s = euler_stopped(field, start, 1.0, 50, QUARTER, root.derive(i))
-        vals.append((s.endpoint.r ** 2) * s.weight)
+    vals = [(s.endpoint.r ** 2) * s.weight
+            for s in euler_samples(field, start, 50, QUARTER, 98, 3000, False)]
     mean = np.mean(vals)
     se = np.std(vals, ddof=1) / math.sqrt(len(vals))
 
@@ -314,8 +314,8 @@ def test_constant_sigma_euler_work_per_path_does_not_grow_with_steps(monkeypatch
     for steps in (50, 200):
         _pass_plan.cache_clear()
         counts.update(pi_over_m=0, cell_frame=0)
-        euler_reflected(coeffs, START, 1.0, steps, W09, RngStream(2),
-                        epsilon=0.01)
+        _euler(coeffs, START, 1.0, steps, W09, RngStream(2), True, 0.01,
+               DEFAULT_FOLD_CAP)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["cell_frame"] == 1
@@ -327,11 +327,13 @@ def test_euler_accepts_an_array_valued_diffusion():
     # runs, with the same draws and result as the equal tuple one
     sig = ((1.1, 0.2), (-0.1, 0.9))
     as_tuple = linear_field((0.1, 0.2), (0.7, 0.5), sig)
-    as_array = CoefficientField(drift=as_tuple.drift,
-                                diffusion=lambda _x, _t: np.array(sig))
-    for scheme in (euler_stopped, euler_reflected):
-        assert scheme(as_array, START, 1.0, 30, W09, RngStream(6)) == \
-            scheme(as_tuple, START, 1.0, 30, W09, RngStream(6))
+    as_array = SimpleNamespace(drift=as_tuple.drift,
+                               diffusion=lambda _x, _t: np.array(sig))
+    for reflected in (False, True):
+        assert _euler(as_array, START, 1.0, 30, W09, RngStream(6), reflected,
+                      DEFAULT_EPSILON, DEFAULT_FOLD_CAP) == \
+            _euler(as_tuple, START, 1.0, 30, W09, RngStream(6), reflected,
+                   DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +388,11 @@ def test_a_plain_cell_ends_where_its_replayed_recursion_does(alpha, reflected):
 
 
 SIG = ((1.1, 0.2), (-0.1, 0.9))
+SCHEMES = ((True, 0.01), (False, DEFAULT_EPSILON))  # (reflected, epsilon)
 FIELDS = {
     "tuple": linear_field((0.1, 0.2), (0.7, 0.5), SIG),
-    "array": CoefficientField(drift=linear_field((0.1, 0.2), (0.7, 0.5), SIG).drift,
-                              diffusion=lambda _x, _t: np.array(SIG)),
+    "array": SimpleNamespace(drift=linear_field((0.1, 0.2), (0.7, 0.5), SIG).drift,
+                             diffusion=lambda _x, _t: np.array(SIG)),
     "state_dependent": _state_dependent_field(),  # the golden one
 }
 
@@ -411,12 +414,9 @@ def test_euler_paths_do_not_depend_on_the_block_length(name, monkeypatch):
     runs = []
     for block in (1, 7, drift_module._BLOCK):
         monkeypatch.setattr(drift_module, "_BLOCK", block)
-        root = RngStream(12)
-        runs.append([scheme(FIELDS[name], START, 1.0, 150, W09, root.derive(i),
-                            **kwargs)
-                     for i in range(4)
-                     for scheme, kwargs in ((euler_reflected, {"epsilon": 0.01}),
-                                            (euler_stopped, {}))])
+        runs.append([euler_paths(FIELDS[name], START, 1.0, 150, W09, 12,
+                                 range(4), reflected, epsilon, DEFAULT_FOLD_CAP)
+                     for reflected, epsilon in SCHEMES])
     assert runs[0] == runs[1] == runs[2]
     assert fallbacks
 
@@ -442,7 +442,7 @@ def test_euler_faults_do_not_depend_on_the_block_length(monkeypatch):
 
 def per_cell(field):
     """The field without its array drift, which the schemes call per cell."""
-    return CoefficientField(drift=field.drift, diffusion=field.diffusion)
+    return SimpleNamespace(drift=field.drift, diffusion=field.diffusion)
 
 
 def watched_runs(monkeypatch):
@@ -461,13 +461,12 @@ def watched_runs(monkeypatch):
     return runs
 
 
-def euler_or_fault(scheme, field, seed, steps, **kwargs):
-    """(sample, False), or (the partial sample, True) past the fold cap."""
-    try:
-        return scheme(field, START, 1.0, steps, W09, RngStream(seed).derive(0),
-                      **kwargs), False
-    except FoldCapExceeded as fault:
-        return fault.partial, True
+def euler_path(field, seed, index, steps, reflected, epsilon,
+               fold_cap=DEFAULT_FOLD_CAP):
+    """(sample, faulted) of Euler path `index` of seed over [0, 1]."""
+    [row] = euler_paths(field, START, 1.0, steps, W09, seed, [index],
+                        reflected, epsilon, fold_cap)
+    return row
 
 
 @pytest.mark.parametrize("sigma", [((1.0, 0.0), (0.0, 1.0)), SIG])
@@ -478,15 +477,26 @@ def test_array_runs_give_the_per_cell_paths(steps, sigma, monkeypatch):
     field = linear_field((0.1, 0.2), (0.7, 0.5), sigma)
     runs = watched_runs(monkeypatch)
     for seed in range(3):
-        for scheme, kwargs in ((euler_reflected, {"epsilon": 0.01}),
-                               (euler_stopped, {})):
-            fast = scheme(field, START, 1.0, steps, W09,
-                          RngStream(seed).derive(1), **kwargs)
-            slow = scheme(per_cell(field), START, 1.0, steps, W09,
-                          RngStream(seed).derive(1), **kwargs)
-            assert fast == slow
-            assert repr(vars(fast)) == repr(vars(slow))
+        for reflected, epsilon in SCHEMES:
+            fast = euler_path(field, seed, 1, steps, reflected, epsilon)
+            slow = euler_path(per_cell(field), seed, 1, steps, reflected,
+                              epsilon)
+            assert fast == slow == (fast[0], False)
+            assert repr(vars(fast[0])) == repr(vars(slow[0]))
     assert runs or steps == 20
+
+
+def test_only_the_linear_field_runs_as_arrays(monkeypatch):
+    # an array drift on any other field is never read, so it cannot disagree
+    # with the drift that the loop calls
+    field = linear_field((0.1, 0.2), (0.7, 0.5), SIG)
+    other = SimpleNamespace(drift=field.drift, diffusion=field.diffusion,
+                            drifts=lambda xy: 0.0 * xy)
+    runs = watched_runs(monkeypatch)
+    for reflected, epsilon in SCHEMES:
+        assert euler_path(other, 0, 1, 5000, reflected, epsilon) == \
+            euler_path(per_cell(field), 0, 1, 5000, reflected, epsilon)
+    assert not runs
 
 
 def test_array_runs_give_the_per_cell_faults(monkeypatch):
@@ -494,10 +504,11 @@ def test_array_runs_give_the_per_cell_faults(monkeypatch):
     runs = watched_runs(monkeypatch)
     faults = 0
     for seed in range(8):
-        for scheme in (euler_reflected, euler_stopped):
-            fast = euler_or_fault(scheme, field, seed, 100, fold_cap=1)
-            slow = euler_or_fault(scheme, per_cell(field), seed, 100,
-                                  fold_cap=1)
+        for reflected in (True, False):
+            fast = euler_path(field, seed, 0, 100, reflected, DEFAULT_EPSILON,
+                              fold_cap=1)
+            slow = euler_path(per_cell(field), seed, 0, 100, reflected,
+                              DEFAULT_EPSILON, fold_cap=1)
             assert repr(vars(fast[0])) == repr(vars(slow[0]))
             assert fast[1] == slow[1]
             faults += fast[1]
@@ -512,11 +523,11 @@ def test_array_runs_raise_the_per_cell_drift_error(monkeypatch):
     x0 = START.cartesian()[0]
     field = linear_field((1e308, 0.1), (x0 - 1.7, 0.5),
                          ((1.0, 0.0), (0.0, 1.0)))
-    for scheme in (euler_reflected, euler_stopped):
+    for reflected in (True, False):
         messages = []
         for coeffs in (field, per_cell(field)):
             with pytest.raises(ValueError, match="must be a finite") as err:
-                scheme(coeffs, START, 1.0, 5000, W09, RngStream(3).derive(0))
+                euler_path(coeffs, 3, 0, 5000, reflected, DEFAULT_EPSILON)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
     assert any(runs)

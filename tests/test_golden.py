@@ -13,14 +13,14 @@ To print the digests of the current code:
 import hashlib
 import math
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from wedgebm.cli import ESTIMATE_PRESETS, ITO_PRESETS, run_cli
-from wedgebm.drift import CoefficientField, euler_reflected
+from wedgebm.drift import euler_paths
 from wedgebm.geometry import CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
-from wedgebm.rng import RngStream
 from wedgebm.samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
 
 T1 = ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "1"]
@@ -240,18 +240,17 @@ def _state_dependent_field():
         return ((1.0 + 0.3 * math.tanh(x[0]), 0.2 * math.sin(x[1])),
                 (-0.1, 0.8 + 0.2 * math.cos(x[0])))
 
-    return CoefficientField(drift=b, diffusion=s)
+    return SimpleNamespace(drift=b, diffusion=s)
 
 
 def euler_state_dependent_digest():
     """sha256 of the repr of every PathSample field of five Euler paths."""
-    coeffs = _state_dependent_field()
-    wedge = WedgeSpec(0.0, 0.9)
-    root = RngStream(7)
+    rows = euler_paths(_state_dependent_field(), PolarPoint(1.5, 0.3), 1.0, 40,
+                       WedgeSpec(0.0, 0.9), 7, range(5), True, 0.03,
+                       DEFAULT_FOLD_CAP)
     h = hashlib.sha256()
-    for i in range(5):
-        sample = euler_reflected(coeffs, PolarPoint(1.5, 0.3), 1.0, 40, wedge,
-                                 root.derive(i), epsilon=0.03)
+    for sample, faulted in rows:
+        assert not faulted
         h.update(repr(vars(sample)).encode())
     return h.hexdigest()
 

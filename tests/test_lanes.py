@@ -131,6 +131,9 @@ BATCH_CASES = {
         "--n", "60", "--eps", "0", "--fold-cap", "5", "--seed", "5"],
     "sample_stopped_drift": ["sample-stopped"] + T1 + [
         "--n", "60", "--drift", "0.3,-0.2", "--seed", "5"],
+    # the Euler modes are cut into the same batches
+    "ito_table3_reflected": ["ito", "--table3-reflected", "--steps", "20",
+                             "--n", "12"],
 }
 
 
@@ -138,7 +141,7 @@ BATCH_CASES = {
 def test_output_does_not_depend_on_batch_size_or_workers(name, tmp_path,
                                                          monkeypatch):
     argv = BATCH_CASES[name]
-    worker_counts = ("1", "3") if argv[0] == "estimate" else (None,)
+    worker_counts = ("1", "3") if argv[0] in ("estimate", "ito") else (None,)
     outputs = set()
     for batch in (1, 7, montecarlo.LANE_BATCH):
         monkeypatch.setattr(montecarlo, "LANE_BATCH", batch)

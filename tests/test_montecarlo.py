@@ -159,6 +159,44 @@ def test_euler_modes_refuse_a_constant_drift(mode):
                         drift=(5.0, -5.0))
 
 
+SLANTED_SETUP = CorrelatedSetup(sigma1=1.2, sigma2=0.8, rho=0.4, slope=2.0,
+                                region_case=RegionCase.AND_POS, x0=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("overrides", [
+    # a third entry used to be dropped: the decorrelating map read two
+    dict(setup=SLANTED_SETUP, wedge=None, start=None, drift=(0.1, 0.2, 99.0)),
+    # one entry used to end in an IndexError inside the drift
+    dict(mode=Mode.EULER_STOPPED, steps=5, mu=(0.1,)),
+    dict(mode=Mode.EULER_STOPPED, steps=5, kappa=(0.1, 0.2, 0.3)),
+    dict(drift=(0.1, math.nan)),
+])
+def test_drift_mu_and_kappa_must_be_finite_2_vectors(overrides):
+    with pytest.raises(ValueError, match="must be a finite 2-vector"):
+        table1_config(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [dict(steps=7, mu=(5.0, 5.0)),
+                                       dict(steps=7), dict(mu=(5.0, 5.0)),
+                                       dict(kappa=(0.0, 1.0))])
+@pytest.mark.parametrize("mode", [Mode.STOPPED, Mode.REFLECTED])
+def test_exact_modes_refuse_euler_inputs(mode, overrides):
+    # an exact mode used to run and ignore them
+    with pytest.raises(ValueError, match="belong to the Euler modes"):
+        table1_config(mode=mode, **overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    # |b|^2 of a finite drift overflows, so every Girsanov factor is 0
+    dict(n_samples=5, drift=(1e200, 0.0)),
+    dict(n_samples=2, mode=Mode.EULER_STOPPED, steps=3, mu=(1e308, 0.0)),
+])
+def test_an_estimate_whose_weights_are_all_0_is_an_error(overrides):
+    # it used to report 0 +- 0, with mean weight and ess 0
+    with pytest.raises(ValueError, match="weights of all .* are 0"):
+        estimate(table1_config(**overrides))
+
+
 def test_correlated_identity_setup_matches_plain_wedge():
     # sigma = I, rho = 0: decorrelation is the identity, so the setup-based
     # run must agree exactly with the equivalent plain-wedge run

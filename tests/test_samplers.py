@@ -10,11 +10,12 @@ from scipy.stats import chi2, kstest, kstwo, ks_2samp, norm
 
 from wedgebm.densities import ExitLawParams, killed_density_images
 from wedgebm import samplers
-from wedgebm.drift import euler_reflected, euler_stopped, linear_field
+from wedgebm.drift import _euler, linear_field
 from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
                               image_angles)
 from wedgebm.rng import RngStream
-from wedgebm.samplers import (FoldCapExceeded, algorithm_reflected,
+from wedgebm.samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP,
+                              FoldCapExceeded, algorithm_reflected,
                               algorithm_stopped, _exit_draw, _pass_plan,
                               _sector_fold, _sub_opening, _survivor_trial)
 
@@ -233,7 +234,7 @@ def test_exit_acceptance_ratio_is_at_most_one(m):
     for frac in (ANGLE_TOL, 0.02, 0.3, 0.5, 0.98, 1.0 - ANGLE_TOL):
         theta0 = frac * sub.opening
         for side in Side:
-            plan = samplers._exit_ratio_plan(sub, m, theta0, side)
+            plan = samplers._exit_ratio_plan(sub, theta0, side)
             g0 = theta0 if side is Side.MINUS else sub.opening - theta0
             tol = 1e-15 * (sum(abs(w) for w, _ in plan) + 1.0 / math.sin(g0))
             kept = 1.0 + sum(w * np.exp(-xs * h) for w, h in plan)
@@ -407,7 +408,7 @@ def test_pass_plan_m_is_the_sub_wedge_m(alpha):
 
 def test_survivor_and_exit_law_same_with_and_without_known_m():
     # a pass hands its survivor trials the plan's m and image angles; the
-    # oracle loop looks both up from the wedge
+    # oracle loop looks both up from the wedge, as the exit law always does
     wedge = WedgeSpec(0.0, math.pi / 4)
     start = PolarPoint(1.2, 0.5)
     plain, known = RngStream(11), RngStream(11)
@@ -417,8 +418,7 @@ def test_survivor_and_exit_law_same_with_and_without_known_m():
     assert [sample_survivor(start, wedge, 0.8, plain) for _ in range(50)] == \
         list(itertools.islice(filter(None, trials), 50))
     for side in Side:
-        assert ExitLawParams.for_side(wedge, start, side, _m=4) == \
-            ExitLawParams.for_side(wedge, start, side)
+        assert len(ExitLawParams.for_side(wedge, start, side).gammas) == 4
 
 
 def test_reflected_paths_look_up_m_once_per_opening(monkeypatch):
@@ -525,9 +525,12 @@ def test_starts_on_and_near_a_ray(alpha, log_r, upper, outside, d, seed):
     runs = {
         "stopped": lambda rng: algorithm_stopped(start, 1.0, wedge, rng),
         "reflected": lambda rng: algorithm_reflected(start, 1.0, wedge, rng),
-        "euler_stopped": lambda rng: euler_stopped(field, start, 1.0, 2, wedge, rng),
-        "euler_reflected": lambda rng: euler_reflected(field, start, 1.0, 2, wedge,
-                                                       rng),
+        "euler_stopped": lambda rng: _euler(field, start, 1.0, 2, wedge, rng,
+                                            False, DEFAULT_EPSILON,
+                                            DEFAULT_FOLD_CAP),
+        "euler_reflected": lambda rng: _euler(field, start, 1.0, 2, wedge, rng,
+                                              True, DEFAULT_EPSILON,
+                                              DEFAULT_FOLD_CAP),
     }
     for name, run in runs.items():
         if outside and d > ANGLE_TOL:
