@@ -11,9 +11,11 @@ the same work. A layer's figure is the median over repeats of its mean time
 per call. The geometry is the Table 1 and Table 3 one: opening 0.9 (passes
 in its pi/4 sub-wedge), start (1.5, 0.3); the Euler rows use the `ito
 --table3-*` parameters and their cell length dt = 1/5000 (`drift.*_cell_us`,
-two paths), and again on a 20-step grid (`drift.*_cell_us_20steps`, 250
-paths), where most runs of plain cells are short. The corner draw
-runs from radius 0.05 with time 1 left, as in a first-pass corner ending.
+60 paths, the reflected and the stopped scheme taking turns path by path),
+and again on a 20-step grid (`drift.*_cell_us_20steps`, 250 paths, the
+schemes taking turns every 25 paths), where most runs of plain cells are
+short. The corner draw runs from radius 0.05 with time 1 left, as in a
+first-pass corner ending.
 
 The lane layers time what the exact modes run: the Philox streams of 1000
 lanes (ns per double) and one batch of 1000 paths of each Table 1 recursion
@@ -135,22 +137,31 @@ def layers(repeats):
     out["corner.sample_us"] = draws(
         lambda rng: sample_corner(0.05, 1.0, WEDGE.opening, rng), 5000)
 
-    def cells(reflected, steps, paths):
-        """us per cell over Euler paths; a stopped one ends at its hit."""
-        def run():
-            t0 = time.perf_counter()
-            rows = euler_paths(FIELD, START, 1.0, steps, WEDGE, SEED,
-                               range(paths), reflected, 0.01, 10 ** 6)
-            took = time.perf_counter() - t0
-            ran = sum(math.ceil(sample.elapsed * steps) if sample.hit_boundary
-                      else steps for sample, _faulted in rows)
-            return took / ran * 1e6
-        return statistics.median(run() for _ in range(repeats))
+    def cells(steps, paths, group):
+        """us per cell of each scheme over Euler paths 0 .. paths - 1, the
+        schemes taking turns every `group` paths, so that both see the same
+        machine; a stopped path ends at its hit."""
+        took, ran = {True: 0.0, False: 0.0}, {True: 0, False: 0}
+        for lo in range(0, paths, group):
+            for reflected in (True, False):
+                t0 = time.perf_counter()
+                rows = euler_paths(FIELD, START, 1.0, steps, WEDGE, SEED,
+                                   range(lo, lo + group), reflected, 0.01,
+                                   10 ** 6)
+                took[reflected] += time.perf_counter() - t0
+                ran[reflected] += sum(
+                    math.ceil(sample.elapsed * steps) if sample.hit_boundary
+                    else steps for sample, _faulted in rows)
+        return {reflected: took[reflected] / ran[reflected] * 1e6
+                for reflected in took}
 
     out.update(lane_layers(repeats))
-    for suffix, steps, paths in (("", STEPS, 2), ("_20steps", 20, 250)):
-        out[f"drift.reflected_cell_us{suffix}"] = cells(True, steps, paths)
-        out[f"drift.stopped_cell_us{suffix}"] = cells(False, steps, paths)
+    for suffix, steps, paths, group in (("", STEPS, 60, 1),
+                                        ("_20steps", 20, 250, 25)):
+        runs = [cells(steps, paths, group) for _ in range(repeats)]
+        for reflected, name in ((True, "reflected"), (False, "stopped")):
+            out[f"drift.{name}_cell_us{suffix}"] = statistics.median(
+                run[reflected] for run in runs)
 
     targets = [PolarPoint(0.5 + 0.25 * i, 0.9 * (j + 0.5) / 6)
                for i in range(8) for j in range(6)]

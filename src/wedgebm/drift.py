@@ -45,17 +45,25 @@ too, before any block; so a diffusion that changes with the state, which
 changes the frame at every cell, runs every cell as a fallback through the
 same loop.
 
-So a block's plain cells are one run from its first cell. The loop moves a
-cell at a time and calls the coefficient field, any object with callables
-drift(x, t) -> R^2 and diffusion(x, t) -> 2x2 (compared with the last one
-entry by entry, so arrays will do), once per cell, at its start x (input
-frame) and time t, in cell order. That loop is the reference, and it runs
-state-dependent fields. The field of `linear_field` has the rest of a run
-of more than _MIN_RUN cells taken at once: the input-frame starts, the
-drift at each, its cell-frame form and each cell's Girsanov term are
-arrays, made by the loop's IEEE operations in the loop's order, and the
-terms are added to the log-weight one at a time, in cell order. So every
-sampled float is the one the loop gives.
+So a block's plain cells are one run from its first cell, and the block
+asks `samplers._plain_cells` for that run's length and the first-pass base
+of the fallback that ends it, nothing about the cells after. It tests every
+cell's geometry (its start and endpoint placed for one pass with no fold
+or corner), but makes the survivor trial's image sums only for the cells
+before the first that fails it, and not for those whose sums a certified
+screen shows to be exactly 1 (`samplers._sure_survivors`), which at 5000
+steps is most of them.
+
+The loop moves a cell at a time and calls the coefficient field, any
+object with callables drift(x, t) -> R^2 and diffusion(x, t) -> 2x2
+(compared with the last one entry by entry, so arrays will do), once per
+cell, at its start x (input frame) and time t, in cell order. That loop
+is the reference, and it runs state-dependent fields. The field of
+`linear_field` has the rest of a run of more than _MIN_RUN cells taken at
+once: the input-frame starts, the drift at each, its cell-frame form and
+each cell's Girsanov term are arrays, made by the loop's IEEE operations
+in the loop's order, and the terms are added to the log-weight one at a
+time, in cell order. So every sampled float is the one the loop gives.
 
 `euler_paths` has the shape of `lanes.stopped_paths` and
 `lanes.reflected_paths`: a seed and path indices in, a (PathSample,
@@ -141,8 +149,9 @@ def euler_paths(field, start, horizon, steps, wedge, seed, indices,
     at the exact hit state of its first cell that hits the boundary; a
     reflected one reflects in each cell's frame, with corner threshold
     epsilon. The weight holds the cells' Girsanov factors. A cell past
-    fold_cap passes ends its path, faulted, with the partial state of that
-    cell's sub-path.
+    fold_cap passes ends its path, faulted, with the path's state where the
+    cell's recursion stopped: its clock and folds, the weight of the cells
+    before, and its point in the input frame.
     """
     root = RngStream(seed)
     out = []
@@ -187,43 +196,54 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
             # (so any turn of its normals will do), and blocks start after
             # it: a sigma that changes with the state changes the frame at
             # every cell, where a block would hold one cell
-            plain, base, j = (False,), (0.0,), 0
+            j, run, size, base = 0, 0, 1, 0.0
             columns = None
         b_cell = mat_vec(fwd, b_k)  # mu (x - kappa) can overflow mid-path
         if not (math.isfinite(b_cell[0]) and math.isfinite(b_cell[1])):
             raise _drift_error(b_cell)
-        if j == len(plain):
-            plain, base, ends, cells = _block(
-                draws, pos, k, min(_BLOCK, steps - k), horizon, steps,
-                cell_wedge.opening, reflected, epsilon)
+        if j == size:
+            size = min(_BLOCK, steps - k)
+            run, base, ends, cells = _block(draws, pos, k, size, horizon,
+                                            steps, cell_wedge.opening,
+                                            reflected, epsilon)
             j = 0
-        if plain[j]:
+        if j < run:
             end = ends[j + 1]
             log_w += girsanov_log_weight(b_cell, end, dt, pos)
             folds += 1
             j += 1
-            # a fallback ends its block, so the block's plain cells are one
-            # run from its first cell; take the rest of a long run at once
-            if (j == 1 and drifts
-                    and (run := _run_length(plain) - 1) >= _MIN_RUN):
+            # take the rest of a long run at once
+            if j == 1 and drifts and run - 1 >= _MIN_RUN:
                 if columns is None:
                     columns = _columns(bwd, fwd)
-                log_w = _run_log_weight(log_w, drifts, columns, cells, j,
-                                        j + run)
-                folds += run
-                k += run
-                j += run
+                log_w = _run_log_weight(log_w, drifts, columns, cells, j, run)
+                folds += run - 1
+                k += run - 1
+                j = run
                 end = ends[j]
         else:
             # round-off can put a point on a ray a hair off it
             cell_start = cell_wedge.place(PolarPoint.from_cartesian(*pos))
-            draws.replay(k, base[j])
-            if reflected:
-                sub = algorithm_reflected(cell_start, dt, cell_wedge, draws,
-                                          epsilon=epsilon, fold_cap=fold_cap)
-            else:
-                sub = algorithm_stopped(cell_start, dt, cell_wedge, draws,
-                                        iteration_cap=fold_cap)
+            draws.replay(k, base)
+            try:
+                if reflected:
+                    sub = algorithm_reflected(cell_start, dt, cell_wedge,
+                                              draws, epsilon=epsilon,
+                                              fold_cap=fold_cap)
+                else:
+                    sub = algorithm_stopped(cell_start, dt, cell_wedge, draws,
+                                            iteration_cap=fold_cap)
+            except FoldCapExceeded as fault:
+                # the path's state, not the cell's: the earlier cells'
+                # weight, and the cell's partial state on the path's clock
+                # and folds, in the input frame
+                cell = fault.partial
+                raise FoldCapExceeded(str(fault), PathSample(
+                    endpoint=PolarPoint.from_cartesian(
+                        *mat_vec(bwd, cell.cartesian_endpoint())),
+                    elapsed=t_k + cell.elapsed, hit_boundary=False,
+                    folds=folds + cell.folds, weight=math.exp(log_w),
+                    approx_used=approx)) from None
             # a reflected sub-path always runs the whole cell: elapsed == dt
             log_w += girsanov_log_weight(b_cell, sub.driving_endpoint,
                                          sub.elapsed, cell_start.cartesian())
@@ -235,7 +255,7 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
                     endpoint=PolarPoint.from_cartesian(*mat_vec(bwd, end)),
                     elapsed=t_k + sub.elapsed, hit_boundary=True, folds=folds,
                     weight=math.exp(log_w), approx_used=approx)
-            plain, j = (), 0  # the block's later cells start elsewhere
+            j = size = 0  # the block's later cells start elsewhere
         pos = end
         x = mat_vec(bwd, pos)
         k += 1
@@ -246,11 +266,6 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
 
 def _drift_error(b_cell):
     return ValueError(f"drift must be a finite 2-vector, got {b_cell}")
-
-
-def _run_length(plain):
-    """The number of plain cells at the start of a block."""
-    return plain.index(False) if False in plain else len(plain)
 
 
 def _columns(bwd, fwd):
@@ -289,9 +304,11 @@ def _run_log_weight(log_w, drifts, columns, cells, j, e):
 
 def _block(draws, pos, k, n, horizon, steps, alpha, reflected, epsilon):
     """Cells k .. k + n - 1 run in one frame from pos, the start of cell k,
-    each to its free endpoint: (plain flags, first-pass bases, the n + 1
-    cell starts and ends as [x, y]), as lists (see samplers._plain_cells),
-    and (those starts and ends as a (2, n + 1) array, the cell lengths)."""
+    each to its free endpoint: the number of plain cells that start the
+    block and the first-pass base of the cell after them (see
+    samplers._plain_cells), the starts and ends of those cells as a list
+    of [x, y], and (all n + 1 starts and ends as a (2, n + 1) array, the
+    cell lengths)."""
     triples = draws.block(k, n)
     t = horizon * np.arange(k, k + n + 1) / steps
     if k + n == steps:
@@ -304,9 +321,9 @@ def _block(draws, pos, k, n, horizon, steps, alpha, reflected, epsilon):
     np.multiply(np.sqrt(dt)[:, None], triples[:, :2], out=ends[1:])
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(ends, axis=0, out=ends)
-        plain, base = _plain_cells(ends[:, 0], ends[:, 1], dt, triples[:, 2],
-                                   alpha, reflected, epsilon)
-    return plain.tolist(), base.tolist(), ends.tolist(), (ends.T, dt)
+        run, base = _plain_cells(ends[:, 0], ends[:, 1], dt, triples[:, 2],
+                                 alpha, reflected, epsilon)
+    return run, base, ends[:run + 1].tolist(), (ends.T, dt)
 
 
 class _CellDraws:

@@ -7,8 +7,9 @@ with the killed law (_survivor_trial). Only a refused trial draws the exit
 conditioned on tau <= t' (_exit_draw); with t' = inf a pass skips the
 trial. `algorithm_reflected` adds the folding step and the corner
 termination. `_plain_cells` is the first pass's survivor trial over a block
-of Euler cells in numpy: it tells which cells that trial would end at
-their free endpoint, so that only the others run a recursion.
+of Euler cells in numpy: it tells how many cells from the block's start
+that trial would end at their free endpoint, so that the cell after them
+runs a recursion and the block ends there.
 
 Given `RngStream(seed).derive(i)`, the recursions draw what `lanes` draws
 for path i, in its order, and reproduce that path: they are the lanes'
@@ -114,23 +115,29 @@ def _sector_fold(x, y, wedge, m):
 
 
 def _plain_cells(xs, ys, dt, u, alpha, reflected, epsilon):
-    """Which cells of a block end at their free endpoint after one pass.
+    """The run of plain cells that starts a block: (run, base), where run
+    is the number of cells before the block's first cell that is not plain
+    and base is that cell's first-pass base angle (None if every cell is
+    plain).
 
     Cell j runs in the standard wedge <0, alpha> from (xs[j], ys[j]) for
     time dt[j]; (xs[j + 1], ys[j + 1]) is its free Gaussian endpoint and
-    u[j], in (0, 1), its survivor uniform. Returns the arrays (plain, base).
-    base[j] is the angle at which the sub-wedge of the cell's first pass
-    starts: that pass runs in the cell frame turned by -base[j]. plain[j]
-    says that the recursion, given this endpoint and uniform for its first
-    survivor trial, keeps the endpoint with no fold: the start is strictly
-    inside and above APEX_RADIUS_FLOOR, the reflected corner does not
-    trigger, the endpoint lies in the pass's sub-wedge (its sector fold is
-    the identity) and, reflected, in <0, alpha>, and u times the 2m-image
-    total is at most the signed sum. The sums are those of `image_sums`
-    (`_image_sum_arrays`), each image's angle gap taken from the start's
-    angle in the sub-wedge. Every entry depends on its own cell's inputs
-    alone. Call it with floating-point overflow ignored: an entry whose
-    turn overflows (both points past radius ~1e154) is not plain.
+    u[j], in (0, 1), its survivor uniform. A cell's base is the angle at
+    which the sub-wedge of its first pass starts: that pass runs in the
+    cell frame turned by -base. A cell is plain when the recursion, given
+    this endpoint and uniform for its first survivor trial, keeps the
+    endpoint with no fold: the start is strictly inside and above
+    APEX_RADIUS_FLOOR, the reflected corner does not trigger, the endpoint
+    lies in the pass's sub-wedge (its sector fold is the identity) and,
+    reflected, in <0, alpha> (these tests are the cell's geometry), and u
+    times the 2m-image total is at most the signed sum. The sums are those
+    of `image_sums` (`_image_sum_arrays`), each image's angle gap taken
+    from the start's angle in the sub-wedge; they are computed only for the
+    cells before the first that fails its geometry, and not for those that
+    `_sure_survivors` settles. Whether a cell is plain, and its base, depend
+    on its own inputs alone. Call it with floating-point overflow ignored:
+    a cell whose turn overflows (both points past radius ~1e154) is not
+    plain.
     """
     theta_cap, _, _, _ = _pass_plan(alpha)
     x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
@@ -143,15 +150,80 @@ def _plain_cells(xs, ys, dt, u, alpha, reflected, epsilon):
         base = np.minimum(np.maximum(base, 0.0), alpha - theta_cap)
     rel = th - base  # the start's angle in its sub-wedge
     # the start inside by more than ANGLE_TOL, the endpoint in the sub-wedge
-    plain = ((np.abs(th - alpha / 2.0) < alpha / 2.0 - ANGLE_TOL)
-             & (np.abs(rel + turn - theta_cap / 2.0) < theta_cap / 2.0)
-             & (r0 > APEX_RADIUS_FLOOR))
+    placed = ((np.abs(th - alpha / 2.0) < alpha / 2.0 - ANGLE_TOL)
+              & (np.abs(rel + turn - theta_cap / 2.0) < theta_cap / 2.0)
+              & (r0 > APEX_RADIUS_FLOOR))
     if reflected:
-        plain &= ((np.abs(th + turn - alpha / 2.0) <= alpha / 2.0)
-                  & (r0 * r0 / dt >= epsilon))
-    signed, total = _image_sum_arrays(turn, rel, np.hypot(x1, y1), r0, dt,
-                                      alpha)
-    return plain & (u * total <= signed), base
+        placed &= ((np.abs(th + turn - alpha / 2.0) <= alpha / 2.0)
+                   & (r0 * r0 / dt >= epsilon))
+    run = int(placed.argmin())  # the first cell placed wrong, if any
+    if placed[run]:
+        run = len(placed)
+    cells = (turn[:run], rel[:run], np.hypot(x1[:run], y1[:run]), r0[:run],
+             dt[:run], u[:run])
+    left = None  # the cells left after the screen, if it ran
+    if run >= _SURE_RUN:
+        left = np.flatnonzero(~_sure_survivors(*cells[:5], theta_cap))
+        cells = [a[left] for a in cells]
+    turn, rel, r, r0, dt, u = cells
+    if turn.size:
+        signed, total = _image_sum_arrays(turn, rel, r, r0, dt, alpha)
+        kept = u * total <= signed
+        first = int(kept.argmin())
+        if not kept[first]:
+            run = first if left is None else int(left[first])
+    return run, (float(base[run]) if run < len(base) else None)
+
+
+# the least exponent gap to the nearest other image, and the least sine
+# product, at which `_sure_survivors` settles a cell
+_SURE_GAP = 64.0
+_SURE_SINES = 2.0 ** -20
+# the shortest run of placed cells that `_plain_cells` screens: below it
+# the screen's numpy calls cost more than the sums that it saves
+_SURE_RUN = 32
+
+
+def _sure_survivors(turn, rel, r, r0, dt, theta_cap):
+    """Where the survivor sums of `_image_sum_arrays` for cells that pass
+    their geometry in `_plain_cells` round to signed == total == 1.0, so
+    that u * total <= signed for every u < 1: a certified screen, over
+    arrays, which may leave out cells that pass but never takes one in
+    that fails.
+
+    The start, at angle rel, and the endpoint, at rel + turn, lie in the
+    sub-wedge <0, theta_cap>, so the nearest image of the start is itself,
+    and an image d away in angle has a term exp(-(sin^2(d / 2) -
+    sin^2(turn / 2)) 2 r r0 / dt) next to its 1. The nearest other image is
+    a reflection in one of the sub-wedge's two ray lines, where sin^2(d/2)
+    - sin^2(turn/2) is sin rel sin(rel + turn) (the lower line) or
+    sin(theta_cap - rel) sin(theta_cap - rel - turn) (the upper); a
+    rotation image is one of those reflected again, in a line through the
+    apex with the endpoint on its near side, so it lies farther. So every
+    other image's exponent is at most -G, with
+
+        G = 2 r0 r min(sin rel sin(rel + turn),
+                       sin(theta_cap - rel) sin(theta_cap - rel - turn)) / dt.
+
+    The rounding: `_image_sum_arrays` takes each sin^2 to within ~1e-15,
+    so where both products are at least 2^-20 each computed gap is within
+    a relative 1e-8 of its true value and image 0's is the least. Its term
+    is then exp(0) = 1.0 exactly, provided that 4 r and r0 are finite and
+    dt is not 0 (the sums take its exponent as 0 times 4 r, times r0, over
+    2 dt, which is NaN otherwise); the screen asks for a finite
+    4 r r0 / (2 dt), which implies that. With G >= 64 every other term is
+    below e^-63 < 2^-90. The even sum starts at 1.0 and adds terms below
+    2^-53, half an ulp of 1, so it stays 1.0; the odd sum, of m terms, is
+    below m 2^-90, under 2^-54, half an ulp below 1, for any m < 2^36 (a
+    sub-wedge too narrow for that would not fit the sums in memory). So
+    signed = 1 - odd and total = 1 + odd both round to 1.0.
+    """
+    scale = 4.0 * r * r0 / (2.0 * dt)
+    lower = np.sin(rel) * np.sin(rel + turn)
+    upper = np.sin(theta_cap - rel) * np.sin(theta_cap - rel - turn)
+    sines = np.minimum(lower, upper)
+    return (sines >= _SURE_SINES) & (sines * scale >= _SURE_GAP) & (
+        scale < math.inf)
 
 
 def _image_sum_arrays(turn, rel, r, r0, horizon, alpha):

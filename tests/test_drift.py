@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from wedgebm import drift as drift_module
+from wedgebm import samplers
 from wedgebm.drift import _euler, euler_paths, girsanov_log_weight, linear_field
-from wedgebm.geometry import PolarPoint, WedgeSpec, standard_frame
+from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, WedgeSpec,
+                              standard_frame)
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
-from wedgebm.samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP, _pass_plan,
-                              _plain_cells, algorithm_reflected,
-                              algorithm_stopped)
+from wedgebm.samplers import (APEX_RADIUS_FLOOR, DEFAULT_EPSILON,
+                              DEFAULT_FOLD_CAP, _image_sum_arrays, _pass_plan,
+                              _plain_cells, _sure_survivors,
+                              algorithm_reflected, algorithm_stopped)
 
 from test_golden import _state_dependent_field
 
@@ -347,7 +350,40 @@ def test_uniforms_are_successive_uniform_draws():
         assert a.uniforms(k).tolist() == [b.uniform() for _ in range(k)]
 
 
-@pytest.mark.parametrize("alpha", [0.9, math.pi / 3, 4.0, 0.2])
+def per_cell_plain(xs, ys, dt, u, alpha, reflected, epsilon):
+    """The per-cell reference of `_plain_cells`: the arrays (plain, base)
+    of every cell of the block, each cell's sums computed."""
+    theta_cap, _, _, _ = _pass_plan(alpha)
+    x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
+    r0 = np.hypot(x0, y0)
+    th = np.arctan2(y0, x0) % TWO_PI
+    turn = np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
+    base = th - theta_cap / 2.0
+    if not reflected:
+        base = np.minimum(np.maximum(base, 0.0), alpha - theta_cap)
+    rel = th - base
+    plain = ((np.abs(th - alpha / 2.0) < alpha / 2.0 - ANGLE_TOL)
+             & (np.abs(rel + turn - theta_cap / 2.0) < theta_cap / 2.0)
+             & (r0 > APEX_RADIUS_FLOOR))
+    if reflected:
+        plain &= ((np.abs(th + turn - alpha / 2.0) <= alpha / 2.0)
+                  & (r0 * r0 / dt >= epsilon))
+    signed, total = _image_sum_arrays(turn, rel, np.hypot(x1, y1), r0, dt,
+                                      alpha)
+    return plain & (u * total <= signed), base
+
+
+def reference_run(xs, ys, dt, u, alpha, reflected, epsilon):
+    """`_plain_cells`'s (run, base) from the per-cell reference."""
+    plain, base = per_cell_plain(xs, ys, dt, u, alpha, reflected, epsilon)
+    run = int(np.argmin(plain)) if not plain.all() else len(plain)
+    return run, (float(base[run]) if run < len(plain) else None)
+
+
+OPENINGS = [0.9, math.pi / 3, 4.0, 0.2]
+
+
+@pytest.mark.parametrize("alpha", OPENINGS)
 @pytest.mark.parametrize("reflected", [True, False])
 def test_a_plain_cell_ends_where_its_replayed_recursion_does(alpha, reflected):
     # a cell the block kernel calls plain must be one the exact recursion,
@@ -368,23 +404,110 @@ def test_a_plain_cell_ends_where_its_replayed_recursion_does(alpha, reflected):
         x0, y0 = r[j] * math.cos(th[j]), r[j] * math.sin(th[j])
         x1 = x0 + math.sqrt(dt[j]) * triples[j, 0]
         y1 = y0 + math.sqrt(dt[j]) * triples[j, 1]
-        plain, base = _plain_cells(
-            np.array([x0, x1]), np.array([y0, y1]), dt[j:j + 1],
-            triples[j:j + 1, 2], alpha, reflected, 0.01)
-        draws.replay(j, base[0])
+        cell = (np.array([x0, x1]), np.array([y0, y1]), dt[j:j + 1],
+                triples[j:j + 1, 2], alpha, reflected, 0.01)
+        run, base = _plain_cells(*cell)
+        # a plain cell's base is not returned: take the reference's
+        [plain], [ref_base] = per_cell_plain(*cell)
+        assert run == plain
+        assert base == (None if plain else ref_base)
+        draws.replay(j, ref_base)
         start = wedge.place(PolarPoint.from_cartesian(x0, y0))
         if reflected:
             sample = algorithm_reflected(start, dt[j], wedge, draws,
                                          epsilon=0.01)
         else:
             sample = algorithm_stopped(start, dt[j], wedge, draws)
-        kinds.add(bool(plain[0]))
-        if plain[0]:
+        kinds.add(bool(plain))
+        if plain:
             assert sample.folds == 1
             assert not (sample.hit_boundary or sample.approx_used)
             assert sample.cartesian_endpoint() == pytest.approx((x1, y1),
                                                                 abs=1e-12)
     assert kinds == {True, False}
+
+
+def random_block(gen, alpha, n):
+    """(xs, ys, dt, u) of a block of n cells from a random start, each
+    endpoint its start plus sqrt(dt) times two normals, with up to two
+    points replaced by an apex, near-ray, on-ray, huge or NaN one."""
+    dt = 10.0 ** gen.uniform(-7.0, -2.0, n)
+    r, th = 10.0 ** gen.uniform(-2.0, 1.0), gen.uniform(0.0, alpha)
+    steps = np.sqrt(dt)[:, None] * gen.standard_normal((n, 2))
+    xy = np.cumsum(np.vstack(([r * math.cos(th), r * math.sin(th)], steps)),
+                   axis=0)
+    specials = [(0.0, 0.0), (1e-151, 0.5 * alpha), (1.0, 1e-9),
+                (1.0, alpha - 1e-9), (2.0, 0.0), (1e160, 0.5 * alpha),
+                (1e300, 0.3 * alpha), (math.nan, 0.5), (math.inf, 0.5)]
+    for i in gen.integers(n + 1, size=gen.integers(3)):
+        r, th = specials[gen.integers(len(specials))]
+        xy[i] = (r * math.cos(th), r * math.sin(th))
+    u = np.maximum(gen.uniform(size=n), 2.0 ** -54)
+    return xy[:, 0], xy[:, 1], dt, u
+
+
+@pytest.mark.parametrize("screened", [True, False])
+@pytest.mark.parametrize("alpha", OPENINGS)
+@pytest.mark.parametrize("reflected", [True, False])
+def test_plain_run_matches_the_per_cell_reference(alpha, reflected, screened,
+                                                  monkeypatch):
+    # the run length and the base of the cell that ends it are the per-cell
+    # reference's, on blocks of every length up to 256 with apex,
+    # near-ray, overflowing and NaN cells among them, with the screen on
+    # every run or only on long ones
+    if screened:
+        monkeypatch.setattr(samplers, "_SURE_RUN", 1)
+    gen = np.random.default_rng(23)
+    runs = []
+    for _ in range(300):
+        block = random_block(gen, alpha, int(gen.integers(1, 257)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _plain_cells(*block, alpha, reflected, 0.01)
+            want = reference_run(*block, alpha, reflected, 0.01)
+        assert repr(got) == repr(want)  # a NaN base too
+        runs.append((got[0], len(block[2])))
+    # empty, long and whole-block runs all occur
+    assert any(run == 0 for run, _n in runs)
+    assert any(100 <= run < n for run, n in runs)
+    assert any(run == n > 100 for run, n in runs)
+
+
+@pytest.mark.parametrize("alpha", OPENINGS)
+def test_the_survivor_screen_passes_only_sure_cells(alpha):
+    # every cell that `_sure_survivors` settles has survivor sums of exactly
+    # 1.0, so that u * total <= signed for every u < 1; 25000 cells per
+    # opening, from near-ray angles (1e-9) and radii up to 1e150 to cell
+    # lengths down to 1e-12, and some cells where the sums' scale overflows
+    # or has a zero cell length
+    theta_cap, _, _, _ = _pass_plan(alpha)
+    gen = np.random.default_rng(29)
+    n = 25000
+    rel = gen.uniform(0.0, theta_cap, n)
+    rel[::4] = theta_cap / 2.0  # a reflected pass starts on the bisector
+    end = gen.uniform(0.0, theta_cap, n)
+    for angles in (rel, end):
+        near = gen.uniform(size=n) < 0.1
+        angles[near] = gen.choice([1e-9, theta_cap - 1e-9], near.sum())
+    r0 = 10.0 ** gen.uniform(-3.0, 150.0, n)
+    close = gen.uniform(size=n) < 0.8  # an endpoint near its start
+    r = np.where(close, r0 * np.exp(gen.normal(0.0, 0.01, n)),
+                 10.0 ** gen.uniform(-3.0, 150.0, n))
+    r0[:1000] = r[:1000] = 10.0 ** gen.uniform(153.5, 154.5, 1000)
+    r[1000:1100] = 1e308  # 4 r overflows
+    dt = 10.0 ** gen.uniform(-12.0, 0.0, n)
+    dt[1100:1200] = 0.0
+    turn = end - rel
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sure = _sure_survivors(turn, rel, r, r0, dt, theta_cap)
+        signed, total = _image_sum_arrays(turn[sure], rel[sure], r[sure],
+                                          r0[sure], dt[sure], alpha)
+    assert (signed == 1.0).all() and (total == 1.0).all()
+    assert ((1.0 - 2.0 ** -53) * total <= signed).all()
+    # the screen settles most cells, and no near-ray one
+    assert 0.5 < sure.mean() < 1.0
+    near_ray = np.minimum(np.minimum(rel, theta_cap - rel),
+                          np.minimum(end, theta_cap - end)) < 1e-8
+    assert near_ray.any() and not sure[near_ray].any()
 
 
 SIG = ((1.1, 0.2), (-0.1, 0.9))
@@ -434,6 +557,32 @@ def test_euler_faults_do_not_depend_on_the_block_length(monkeypatch):
                               (vars(sample), faulted, xy)))
     assert runs[0] == runs[1] == runs[2]
     assert any(faulted for _sample, faulted, _xy in runs[0])
+
+
+def test_a_faulted_euler_path_reports_the_path_state():
+    # 6 of these 30 paths fault, each at the first cell whose recursion
+    # needs a second pass; with fold cap 1 every earlier cell made one, so
+    # a path that faults in cell k has k + 1 folds, its clock is in that
+    # cell, its endpoint is in the input wedge, and its weight is that of
+    # the path cut after k cells
+    field = linear_field((0.1, 0.2), (0.7, 0.5), ((1.2, 0.4), (0.0, 0.8)))
+    rows = euler_paths(field, START, 1.0, 20, W09, 3, range(30), False, 0.03,
+                       1)
+    faulted = [(i, sample) for i, (sample, fault) in enumerate(rows) if fault]
+    assert len(faulted) == 6
+    for i, sample in faulted:
+        k = sample.folds - 1
+        assert 0.05 * k <= sample.elapsed <= 0.05 * (k + 1)
+        assert not sample.hit_boundary
+        assert 0.0 <= sample.endpoint.theta <= 0.9
+        if k == 0:
+            assert sample.weight == 1.0
+        else:
+            [(cut, cut_fault)] = euler_paths(field, START, 0.05 * k, k, W09,
+                                             3, [i], False, 0.03, 1)
+            assert not cut_fault and cut.folds == k
+            assert sample.weight == pytest.approx(cut.weight, rel=1e-12)
+    assert any(sample.weight != 1.0 for _i, sample in faulted)
 
 
 # ---------------------------------------------------------------------------
