@@ -17,12 +17,14 @@ schemes taking turns every 25 paths), where most runs of plain cells are
 short. The corner draw runs from radius 0.05 with time 1 left, as in a
 first-pass corner ending.
 
-The lane layers time what the exact modes run: the Philox streams of 1000
-lanes (ns per double) and one batch of 1000 paths of each Table 1 recursion
-(us per path, the batch's time over its paths): stopped at T = 1, reflected
-at eps 0.03, and the exact-mode fold row (eps 0, fold cap 150). For each
-batch they also count the rounds of the conditional exit draw per pass that
-draws one.
+The lane layers time what the exact modes run: a refill of the Philox
+streams of 1000 lanes (ns per double) and of the 8 lanes of a batch's tail
+(us per refill), 16 blocks a lane, and one batch of 1000 paths of each
+Table 1 recursion (us per path, the batch's time over its paths): stopped
+at T = 1, reflected at eps 0.03, and the exact-mode fold row (eps 0, fold
+cap 150). For each batch they also count the requests of the conditional
+exit draw (a round, or up to 4 rounds drawn ahead for a few pending lanes)
+per pass that draws one.
 
 The JSON record holds the figures, the seed, the repeat count, the number of
 cores this process may run on and the Python, numpy and scipy versions.
@@ -45,7 +47,7 @@ from wedgebm.corner import sample_corner
 from wedgebm.densities import killed_density_series
 from wedgebm.drift import euler_paths, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
-from wedgebm.rng import LaneDraws, RngStream, philox_uniforms, stream_key
+from wedgebm.rng import LANE_BUFFER, LaneDraws, RngStream
 from wedgebm.samplers import _exit_draw, _pass_plan, _survivor_trial
 
 SEED = 16
@@ -77,7 +79,7 @@ def _per_call_us(run, calls, repeats):
 
 
 def exit_rounds_per_pass(batch):
-    """Exit-draw rounds per exit draw (one per pass that draws one) of a
+    """Exit-draw requests per exit draw (one per pass that draws one) of a
     lane batch, counted by wrapping the draw and the lane streams."""
     counts = {"draws": 0, "rounds": 0, "inside": False}
     draw, take = lanes._exit_draw, LaneDraws.take
@@ -102,13 +104,21 @@ def exit_rounds_per_pass(batch):
     return counts["rounds"] / counts["draws"]
 
 
+def refill_us(n, calls, repeats):
+    """us per refill of the LANE_BUFFER uniforms of n lanes."""
+    draws, ids = LaneDraws(SEED, range(n)), np.arange(n)
+
+    def refill(_i):
+        draws._end[:] = 0  # every buffer empty
+        draws.take(ids, 1)
+    return _per_call_us(refill, calls, repeats)
+
+
 def lane_layers(repeats):
     out = {}
-    key, index = stream_key(SEED), np.arange(LANES, dtype=np.uint64)
-    block = np.zeros(LANES, dtype=np.int64)
-    out["lanes.philox_ns_per_double"] = 1e3 * _per_call_us(
-        lambda _i: philox_uniforms(key, index, block, 16), 20,
-        repeats) / (LANES * 64)
+    out["lanes.philox_ns_per_double"] = 1e3 * refill_us(
+        LANES, 20, repeats) / (LANES * LANE_BUFFER)
+    out["lanes.tail_refill_us"] = refill_us(8, 2000, repeats)
     for name, batch in LANE_BATCHES.items():
         out[f"lanes.{name}_path_us"] = _per_call_us(
             lambda _i: list(batch()), 1, repeats) / LANES

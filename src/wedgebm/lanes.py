@@ -17,7 +17,13 @@ survivor trial 3 uniforms (two normals by `ndtri`, the acceptance), an exit
 proposal 4 (the side, the tail Z >= a by `-ndtri_exp(log u +
 log_ndtr(-a))`, a normal along the line, the acceptance), made
 `samplers._PROPOSALS` a round and all drawn whichever is kept first, and a
-corner draw 3 (two normals, the angle). When m = 1 the half-plane is the
+corner draw 3 (two normals, the angle). While at most _AHEAD_LANES lanes
+are pending, an exit draw requests up to LANE_BUFFER // 2 uniforms, 4
+rounds, at once and hands back to each lane the rounds after the one that
+kept its proposal, so a lane draws what it would round by round, in fewer
+rounds of numpy calls. A larger set draws a round at a time: most of its
+lanes keep a proposal in the first round, and rounds drawn ahead for them
+would be transformed for nothing. When m = 1 the half-plane is the
 wedge: one proposal of 2 uniforms (the tail, the normal), kept. So the
 scalar recursion reproduces lane i path for path, to the last bits of
 numpy's and the C library's elementary functions. A path does not depend
@@ -30,12 +36,14 @@ import numpy as np
 from scipy import special
 
 from .geometry import TWO_PI, PolarPoint
-from .rng import LaneDraws
+from .rng import LANE_BUFFER, LaneDraws
 from .samplers import (_PROPOSALS, APEX_RADIUS_FLOOR, PathSample,
                        _absolute_driving, _image_sum_arrays, _pass_plan,
                        _stopped_sample)
 
 _IMAGE_CAP = 1 << 15  # values in one block of image terms
+# pending lanes at most for which an exit draw draws rounds ahead
+_AHEAD_LANES = 64
 
 
 def _chunks(n, width):
@@ -93,14 +101,18 @@ def _exit_draw(draws, lanes, r, rel, horizon, alpha):
         p_minus = special.expit(lines[3, 0] - lines[3, 1])
         steps = (TWO_PI / m) * np.arange(1, m)[:, None, None]
     per = 2 if m == 1 else 4  # uniforms a proposal takes
+    count = 1 if m == 1 else _PROPOSALS  # m = 1 keeps every proposal
+    # rounds one request draws for a small pending set (m = 1 needs one)
+    ahead = 1 if m == 1 else LANE_BUFFER // 2 // (per * count)
     plus = np.zeros(len(r), dtype=bool)
     hit = np.empty(len(r))
     root = np.empty(len(r))
     pending = np.arange(len(r))
-    count = 1 if m == 1 else _PROPOSALS  # m = 1 keeps every proposal
     while pending.size:
-        # count proposals for each pending lane, row q proposal q
-        u = draws.take(lanes[pending], per * count).reshape(count, per, -1)
+        rounds = ahead if pending.size <= _AHEAD_LANES else 1
+        # rounds x count proposals for each pending lane, row q proposal q
+        u = draws.take(lanes[pending], per * count * rounds).reshape(
+            count * rounds, per, -1)
         if m == 1:
             line = np.zeros((count, pending.size), dtype=np.intp)
         else:
@@ -121,16 +133,21 @@ def _exit_draw(draws, lanes, r, rel, horizon, alpha):
             ratio = np.ones(x.shape)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 scaled = x * mant[pending] / (rt * rt)
-                for part in _chunks(pending.size, count * (m - 1)):
+                for part in _chunks(pending.size, len(x) * (m - 1)):
                     g = g0[:, part] + steps
                     terms = (np.sin(g) / np.sin(g0[:, part]) * np.exp(
                         -scaled[:, part] * (np.cos(g0[:, part]) - np.cos(g))))
                     ratio[:, part] += np.add.accumulate(terms, axis=0)[-1]
             keep &= u[:, 2] <= ratio
-        # each lane's first kept proposal
+        # each lane's first kept proposal; the rounds drawn after its round
+        # go back to its stream, as a round-by-round draw never makes them
         got = keep.any(axis=0)
-        at = (keep.argmax(axis=0)[got], np.flatnonzero(got))
+        first = keep.argmax(axis=0)[got]
+        at = (first, np.flatnonzero(got))
         done = pending[got]
+        if rounds > 1:
+            draws._rewind(lanes[done],
+                          per * count * (rounds - 1 - first // count))
         plus[done] = x[at] <= 0.0 if m == 1 else line[at] == 1
         hit[done] = np.abs(x[at])
         root[done] = rt[at]

@@ -8,10 +8,10 @@ numpy's C Philox: the root at w = 0 from counter word 2 = 1, path i
 counter word 3 = j + 1; counter word 0 counts the blocks, so the ranges are
 disjoint short of 2^64 blocks. `normal()` is ndtri(u) and `exponential()`
 -log u, of one uniform u each. `LaneDraws` gives lane j of a batch the
-stream of path indices[j], computing the Philox blocks of many lanes at
-once in numpy integers. So path i draws the same in its lane, in the scalar
-recursions on `RngStream(seed).derive(i)`, and however paths are batched or
-spread over workers.
+stream of path indices[j], refilling a lane's buffer from the same C
+Philox set to its key and block. So path i draws the same in its lane, in
+the scalar recursions on `RngStream(seed).derive(i)`, and however paths are
+batched or spread over workers.
 """
 
 import functools
@@ -21,10 +21,23 @@ import numpy as np
 from scipy.special import ndtri
 
 
+# the shift that keeps 52 bits of a raw word, and the bits of the double 1.0
+_SHIFT = np.uint64(12)
+_ONE = np.uint64(0x3FF0000000000000)
+
+
 def raw_to_uniforms(raw):
     """The uniforms ((x >> 12) + 0.5) 2^-52 of an array of raw Philox words
-    x: exact, and strictly inside (0, 1), from 2^-53 to 1 - 2^-53."""
-    return (raw >> np.uint64(12)) * 2.0 ** -52 + 2.0 ** -53
+    x: exact, and strictly inside (0, 1), from 2^-53 to 1 - 2^-53. They
+    are made in raw's memory, which they overwrite: x >> 12 under the
+    exponent bits of 1.0 is the double 1 + (x >> 12) 2^-52, and less
+    1 - 2^-53 it is exact (Sterbenz's lemma: it lies within a factor 2 of
+    1 - 2^-53)."""
+    raw >>= _SHIFT
+    raw |= _ONE
+    u = raw.view(np.float64)
+    u -= 1.0 - 2.0 ** -53
+    return u
 
 
 @functools.lru_cache(maxsize=16)
@@ -84,63 +97,8 @@ class RngStream:
         return f"RngStream(seed={self.seed}, key={self.key})"
 
 
-# Philox-4x64-10 (Random123): the multipliers of counter words 0 and 2 (and
-# their 32-bit halves) and the key increments, as columns
-_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_M_LO, _M_HI = _M & _LO32, _M >> _S32
-_ROUNDS = 10
-
 # uniforms a lane or a stream holds between refills, whole blocks of 4
 LANE_BUFFER = 64
-# Philox blocks one call computes, which bounds its temporaries
-_REFILL_BLOCKS = 2048
-
-
-def philox_uniforms(key, index, block, blocks):
-    """The uniforms of Philox blocks block .. block + blocks - 1 of the
-    streams keyed (key, index[j]): an array (len(index), 4 blocks), row j
-    holding draws 4 block[j] onwards of stream j.
-
-    numpy's Philox, from counter 0, raises the counter before each block,
-    so block b is the cipher of the counter (b + 1, 0, 0, 0). Counter words
-    0 and 2 are the rows of one array, multiplied 64 x 64 -> 128 bits in
-    32-bit halves, and words 1 and 3 the rows of another.
-    """
-    n = len(index)
-    even = np.zeros((2, n * blocks), dtype=np.uint64)  # counter words 0, 2
-    even[0] = (block.astype(np.uint64)[:, None] + np.uint64(1)
-               + np.arange(blocks, dtype=np.uint64)).ravel()
-    odd = np.zeros_like(even)  # counter words 1, 3
-    keys = np.empty_like(even)
-    keys[0] = key
-    keys[1] = np.repeat(index, blocks)
-    x_lo, x_hi, t, scratch, hi = (np.empty_like(even) for _ in range(5))
-    for r in range(_ROUNDS):
-        if r:
-            keys += _W
-        # hi = the high word of M x: with x = x_hi 2^32 + x_lo,
-        # t = M_hi x_lo + (M_lo x_lo >> 32), w = (t mod 2^32) + M_lo x_hi,
-        # hi = M_hi x_hi + (t >> 32) + (w >> 32), none of which overflows
-        np.bitwise_and(even, _LO32, out=x_lo)
-        np.right_shift(even, _S32, out=x_hi)
-        np.multiply(_M_LO, x_lo, out=t)
-        np.right_shift(t, _S32, out=t)
-        t += np.multiply(_M_HI, x_lo, out=x_lo)
-        np.multiply(_M_HI, x_hi, out=hi)
-        hi += np.right_shift(t, _S32, out=scratch)
-        np.bitwise_and(t, _LO32, out=t)
-        t += np.multiply(_M_LO, x_hi, out=x_hi)
-        hi += np.right_shift(t, _S32, out=t)
-        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
-        lo = np.multiply(_M, even, out=even)[::-1].copy()
-        np.bitwise_xor(hi[::-1], odd, out=even)
-        even ^= keys
-        odd = lo
-    words = np.stack((even[0], odd[0], even[1], odd[1]), axis=-1)
-    return raw_to_uniforms(words).reshape(n, 4 * blocks)
 
 
 class LaneDraws:
@@ -150,15 +108,25 @@ class LaneDraws:
     Each lane holds up to LANE_BUFFER of its uniforms. `take` serves a
     request for any subset of lanes. When one of them runs short it refills
     every lane of the request whose buffer is half empty, so that lanes
-    that draw at different rates refill together, in one Philox call per
-    _REFILL_BLOCKS blocks. A lane's k-th draw is the k-th uniform of its
-    stream whenever its buffer is filled.
+    that draw at different rates refill together. A refill points the
+    instance's own numpy Philox at each lane's key and block in turn (one
+    generator per instance, as batches may run on threads), so its cost
+    follows the lanes it refills. A lane's k-th draw is the k-th uniform of
+    its stream whenever its buffer is filled, and draws handed back by
+    `_rewind` are drawn again.
     """
 
     def __init__(self, seed, indices):
-        self._key = stream_key(seed)
-        self._index = np.asarray(indices, dtype=np.uint64)
+        key = int(stream_key(seed))
+        self._index = [int(i) for i in indices]
         n = len(self._index)
+        self._bits = np.random.Philox(key=np.array([key, 0], dtype=np.uint64))
+        # numpy raises the counter before each block, so a counter of b
+        # makes block b next, the cipher of (b + 1, 0, 0, 0)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": [key, 0]},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
         self._buf = np.empty((n, LANE_BUFFER))
         self._first = np.zeros(n, dtype=np.int64)  # the draw number of buf[:, 0]
         self._end = np.zeros(n, dtype=np.int64)  # one past the last one held
@@ -175,12 +143,20 @@ class LaneDraws:
             first = k[low] & ~3  # whole blocks
             self._first[refill] = first
             self._end[refill] = first + LANE_BUFFER
-            step = _REFILL_BLOCKS * 4 // LANE_BUFFER
-            for lo in range(0, refill.size, step):
-                part = slice(lo, lo + step)
-                self._buf[refill[part]] = philox_uniforms(
-                    self._key, self._index[refill[part]], first[part] >> 2,
-                    LANE_BUFFER // 4)
+            raw = np.empty((refill.size, LANE_BUFFER), dtype=np.uint64)
+            state, bits = self._state, self._bits
+            for row, lane, block in zip(raw, refill.tolist(),
+                                        (first >> 2).tolist()):
+                state["state"]["key"][1] = self._index[lane]
+                state["state"]["counter"][0] = block
+                bits.state = state
+                row[:] = bits.random_raw(LANE_BUFFER)
+            self._buf[refill] = raw_to_uniforms(raw)
         self._next[lanes] = k + j
         offset = k - self._first[lanes]
         return self._buf[lanes, offset + np.arange(j)[:, None]]
+
+    def _rewind(self, lanes, back):
+        """Hand back the last `back` draws (an array over `lanes`, each no
+        more than that lane's last `take` served) to be drawn again."""
+        self._next[lanes] -= back

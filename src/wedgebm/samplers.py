@@ -314,7 +314,8 @@ def _exit_draw(rel, horizon, sub, m, rng):
     -ndtri_exp(log Phi(-a_i) - E), and its hit point sqrt(tau) N from the
     start's foot along the line. A hit past the apex is refused, any other
     kept by _exit_ratio_plan; a round draws _PROPOSALS proposals and keeps
-    the first that passes, and for m = 1 (one half-plane) its one proposal.
+    the first that passes (the uniforms of those after it are drawn, not
+    transformed), and for m = 1 (one half-plane) its one proposal.
     The draws are those of `lanes._exit_draw`, in its order. It works at
     radius times 2^-k, the start radius in [0.5, 1), so that the exit time
     from radius 1e-150 a hair off a ray does not underflow.
@@ -337,15 +338,20 @@ def _exit_draw(rel, horizon, sub, m, rng):
         p_minus = float(expit(lines[0][3] - lines[1][3]))
         side = None
         while side is None:
-            for _ in range(_PROPOSALS):
+            for left in range(_PROPOSALS - 1, -1, -1):
                 line, d, foot, log_w = lines[rng.uniform() >= p_minus]
                 q = d / -float(ndtri_exp(log_w - rng.exponential()))
                 x = foot + q * rng.normal()
                 u = rng.uniform()
-                if side is None and x > 0.0 and u <= 1.0 + sum(
+                if x > 0.0 and u <= 1.0 + sum(
                         w * math.exp(-x * r0 / (q * q) * h)
                         for w, h in _exit_ratio_plan(sub, rel.theta, line)):
                     side, r, root = line, x, q
+                    # the rest of the round is drawn, to keep the stream
+                    # in step, but not transformed
+                    for _ in range(4 * left):
+                        rng.uniform()
+                    break
     try:
         return side, math.ldexp(r, k), math.ldexp(root * root, 2 * k)
     except OverflowError:

@@ -2,8 +2,10 @@
 Philox streams (`wedgebm.rng`).
 
 The streams must be numpy's own Philox-4x64 outputs, whatever the order and
-the sizes of the requests. A run must not depend on how its paths are cut
-into batches or spread over workers. Lane path i must be the scalar
+the sizes of the requests and the draws handed back, and those of the
+Philox-4x64-10 specification (a pure-Python oracle). A run must not depend
+on how its paths are cut into batches or spread over workers, nor an exit
+draw on how many rounds it draws at once. Lane path i must be the scalar
 recursion run on `RngStream(seed).derive(i)`, path for path: the same
 folds, hit, corner flag and fault, and the same floats to rounding. Where a
 law has a closed form, the lanes are checked against it too. Path counts,
@@ -15,19 +17,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.special import ndtri
 
 from wedgebm import montecarlo
 from wedgebm.cli import run_cli
-from wedgebm.geometry import PolarPoint, WedgeSpec
+from wedgebm.geometry import TWO_PI, PolarPoint, WedgeSpec
+from wedgebm.lanes import _exit_draw as lane_exit_draw
 from wedgebm.lanes import reflected_paths, stopped_paths
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import (LANE_BUFFER, LaneDraws, RngStream, raw_to_uniforms,
                          stream_key)
-from wedgebm.samplers import (APEX_RADIUS_FLOOR, DEFAULT_FOLD_CAP,
-                              FoldCapExceeded, algorithm_reflected,
-                              algorithm_stopped)
+from wedgebm.samplers import (_PROPOSALS, APEX_RADIUS_FLOOR,
+                              DEFAULT_FOLD_CAP, FoldCapExceeded, _pass_plan,
+                              algorithm_reflected, algorithm_stopped)
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -59,10 +62,97 @@ def test_lane_draws_are_numpys_philox_under_uneven_consumption():
         assert block.shape == (j, lanes.size)
         for col, lane in enumerate(lanes):
             got[lane].extend(block[:, col].tolist())
+        # some lanes hand back up to the whole request, as an exit draw
+        # does with the rounds it drew ahead
+        back = (gen.integers(0, j + 1, lanes.size)
+                * (gen.random(lanes.size) < 0.3))
+        draws._rewind(lanes, back)
+        for lane, b in zip(lanes, back.tolist()):
+            del got[lane][len(got[lane]) - b:]
     for lane, index in enumerate(indices):
         assert got[lane] == \
             RngStream(seed).derive(index).uniforms(len(got[lane])).tolist()
     assert all(len(g) > 1000 for g in got)
+
+
+# Philox-4x64-10 from its specification (Salmon et al. 2011; Random123's
+# multipliers and key increments) in Python integers: the oracle of the
+# streams, independent of numpy
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+MASK64 = 2 ** 64 - 1
+
+
+def philox_4x64_10(counter, key):
+    """The 4 words of the Philox-4x64-10 block of `counter` (4 words) under
+    `key` (2 words)."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0, k1 = (k0 + PHILOX_W[0]) & MASK64, (k1 + PHILOX_W[1]) & MASK64
+        p0, p2 = PHILOX_M[0] * c0, PHILOX_M[1] * c2
+        c0, c1, c2, c3 = ((p2 >> 64) ^ c1 ^ k0, p2 & MASK64,
+                          (p0 >> 64) ^ c3 ^ k1, p0 & MASK64)
+    return [c0, c1, c2, c3]
+
+
+def spec_uniforms(seed, index, block, blocks, words=(0, 0, 0)):
+    """The uniforms ((x >> 12) + 0.5) 2^-52 of blocks block .. block +
+    blocks - 1 of the stream keyed (stream_key(seed), index) whose counter
+    words 1 to 3 are `words`: numpy raises counter word 0 before each
+    block, so block b is the cipher of (b + 1, *words)."""
+    key = (int(stream_key(seed)), index)
+    return [((x >> 12) + 0.5) * 2.0 ** -52
+            for b in range(block, block + blocks)
+            for x in philox_4x64_10((b + 1, *words), key)]
+
+
+def test_philox_oracle_gives_the_random123_known_answers():
+    pi = ((0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0,
+           0x082EFA98EC4E6C89), (0x452821E638D01377, 0xBE5466CF34E90C6C))
+    answers = {
+        ((0, 0, 0, 0), (0, 0)): (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC,
+                                 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B),
+        ((MASK64,) * 4, (MASK64,) * 2): (
+            0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6,
+            0xA09CAEBF594F0BA0),
+        pi: (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5,
+             0x57BD43B5E52B7FE6),
+    }
+    for (counter, key), words in answers.items():
+        assert philox_4x64_10(counter, key) == list(words)
+
+
+def test_lane_streams_are_philox_4x64_10_by_its_spec():
+    seed = 7
+    indices = [0, 1, 2 ** 32 + 3, 2 ** 63 + 5, 2 ** 64 - 2]
+    draws = LaneDraws(seed, indices)
+    lanes = np.arange(len(indices))
+    got = draws.take(lanes, 8)
+    for lane, index in enumerate(indices):
+        assert got[:, lane].tolist() == spec_uniforms(seed, index, 0, 2)
+    # block counters past 2^32, each lane two draws into its block (no run
+    # draws that far, so the draw numbers are set)
+    far = [2 ** 32 + 1, 2 ** 40 + 3, 2 ** 33, 5 * 2 ** 32 + 7, 2 ** 60]
+    draws._next[:] = 4 * np.array(far) + 2
+    got = draws.take(lanes, 10)
+    for lane, (index, block) in enumerate(zip(indices, far)):
+        assert got[:, lane].tolist() == spec_uniforms(seed, index, block,
+                                                      3)[2:12]
+
+
+def test_rng_streams_are_philox_4x64_10_by_its_spec():
+    # the root at counter word 2 = 1, path i at counter 0 and its side
+    # stream j at counter word 3 = j + 1
+    for stream, index, words in (
+            (RngStream(7), 0, (0, 1, 0)),
+            (RngStream(7).derive(2 ** 64 - 2), 2 ** 64 - 2, (0, 0, 0)),
+            (RngStream(7).derive(2 ** 64 - 2).derive(4), 2 ** 64 - 2,
+             (0, 0, 5)),
+            (RngStream(7).derive(3).derive(0), 3, (0, 0, 1))):
+        got = [stream.uniform() for _ in range(LANE_BUFFER + 8)]
+        assert got == spec_uniforms(7, index, 0, LANE_BUFFER // 4 + 2, words)
 
 
 def _philox(seed, index, counter):
@@ -116,6 +206,81 @@ def test_lane_uniforms_lie_strictly_inside_the_unit_interval():
     u = raw_to_uniforms(np.array([0, 2 ** 64 - 1], dtype=np.uint64))
     assert u.tolist() == [2.0 ** -53, 1.0 - 2.0 ** -53]
     assert np.isfinite(ndtri(u)).all() and np.isfinite(np.log(u)).all()
+
+
+# ---------------------------------------------------------------------------
+# the exit draw's rounds
+# ---------------------------------------------------------------------------
+
+def exit_draw_round_by_round(draws, lane_ids, r, rel, horizon, alpha):
+    """`lanes._exit_draw` one round of `_PROPOSALS` proposals at a time for
+    every pending lane: the reference of the rounds it draws ahead."""
+    theta_cap, m, _, _ = _pass_plan(alpha)
+    mant, k = np.frexp(r)
+    sd = np.ldexp(np.sqrt(horizon), -k)
+    phi = np.stack((rel, theta_cap - rel)[:1 if m == 1 else 2])
+    dist = mant * np.sin(phi)
+    lines = np.stack((phi, dist, mant * np.cos(phi),
+                      special.log_ndtr(-(dist / sd))))
+    if m > 1:
+        p_minus = special.expit(lines[3, 0] - lines[3, 1])
+        steps = (TWO_PI / m) * np.arange(1, m)[:, None, None]
+    per, count = (2, 1) if m == 1 else (4, _PROPOSALS)
+    plus = np.zeros(len(r), dtype=bool)
+    hit, root = np.empty(len(r)), np.empty(len(r))
+    pending = np.arange(len(r))
+    while pending.size:
+        u = draws.take(lane_ids[pending], per * count).reshape(count, per, -1)
+        if m == 1:
+            line = np.zeros((count, pending.size), dtype=np.intp)
+        else:
+            line = (u[:, 0] >= p_minus[pending]).astype(np.intp)
+            u = u[:, 1:]
+        g0, d, foot, log_w = lines[:, line, pending]
+        rt = d / -special.ndtri_exp(np.log(u[:, 0]) + log_w)
+        x = foot + rt * special.ndtri(u[:, 1])
+        keep = np.ones(x.shape, dtype=bool)
+        if m > 1:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                scaled = x * mant[pending] / (rt * rt)
+                g = g0 + steps
+                terms = np.sin(g) / np.sin(g0) * np.exp(
+                    -scaled * (np.cos(g0) - np.cos(g)))
+                ratio = 1.0 + np.add.accumulate(terms, axis=0)[-1]
+            keep = (x > 0.0) & (u[:, 2] <= ratio)
+        got = keep.any(axis=0)
+        at = (keep.argmax(axis=0)[got], np.flatnonzero(got))
+        done = pending[got]
+        plus[done] = x[at] <= 0.0 if m == 1 else line[at] == 1
+        hit[done] = np.abs(x[at])
+        root[done] = rt[at]
+        pending = pending[~got]
+    return plus, np.ldexp(hit, k), np.ldexp(root * root, 2 * k)
+
+
+@pytest.mark.parametrize("alpha", [4.0, 0.9])  # m = 1 and m = 4
+@pytest.mark.parametrize("n", [1, 7, 300, 1024])
+def test_exit_rounds_drawn_ahead_are_the_round_by_round_draws(n, alpha):
+    # 1 and 7 pending lanes draw rounds ahead from the start, 300 and 1024
+    # once few are left
+    gen = np.random.default_rng(n)
+    theta_cap = _pass_plan(alpha)[0]
+    r = gen.uniform(0.2, 3.0, n)
+    rel = theta_cap * gen.uniform(0.02, 0.98, n)
+    horizon = np.choose(gen.integers(0, 3, n),
+                        (np.full(n, 1e-4), gen.uniform(0.05, 2.0, n),
+                         np.full(n, math.inf)))
+    ahead, plain = LaneDraws(5, range(n)), LaneDraws(5, range(n))
+    # the lanes start at uneven draw numbers, as after earlier passes
+    ahead._next[:] = plain._next[:] = gen.integers(0, 40, n)
+    lane_ids = np.arange(n)
+    for _ in range(3):  # one exit draw a pass
+        got = lane_exit_draw(ahead, lane_ids, r, rel, horizon, alpha)
+        want = exit_draw_round_by_round(plain, lane_ids, r, rel, horizon,
+                                        alpha)
+        assert repr([a.tolist() for a in got]) == \
+            repr([a.tolist() for a in want])
+        assert ahead._next.tolist() == plain._next.tolist()
 
 
 # ---------------------------------------------------------------------------
