@@ -109,7 +109,7 @@ def refill_us(n, calls, repeats):
     draws, ids = LaneDraws(SEED, range(n)), np.arange(n)
 
     def refill(_i):
-        draws._end[:] = 0  # every buffer empty
+        draws._first[:] = -LANE_BUFFER  # every buffer empty
         draws.take(ids, 1)
     return _per_call_us(refill, calls, repeats)
 

@@ -22,6 +22,10 @@ from .bessel import series_tail_cutoff
 from .geometry import (TWO_PI, PolarPoint, Side, WedgeSpec, image_angles,
                        require_interior, require_pi_over_m)
 
+# the largest m of a 2m-image sum, at the scale of bessel.MAX_ORDERS: a
+# narrower opening pi/m is refused, as its 2m image angles are a list
+MAX_M = 10 ** 6
+
 # Signed sums that cancel to something smaller than this (relative to the
 # total term magnitude) are clamped to zero; see _signed_sum.
 CANCEL_CLAMP = 1e-12
@@ -74,8 +78,9 @@ def image_sums(r, theta, r0, images, horizon):
 
 
 def _images_density(m, x, y, t, killed):
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"m must be an integer in [1, {MAX_M}] (an opening "
+                         f"pi/m of at least pi/{MAX_M}), got {m}")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     wedge = WedgeSpec(0.0, math.pi / m)

@@ -52,22 +52,26 @@ cell's geometry (its start and endpoint placed for one pass with no fold
 or corner), but makes the survivor trial's image sums only for the cells
 before the first that fails it, and not for those whose sums a certified
 screen shows to be exactly 1 (`samplers._sure_survivors`), which at 5000
-steps is most of them.
+steps is most of them; the sums hold at most `samplers._IMAGE_CAP` terms
+at once, whatever the opening.
 
 The loop moves a cell at a time and calls the coefficient field, any
 object with callables drift(x, t) -> R^2 and diffusion(x, t) -> 2x2
 (compared with the last one entry by entry, so arrays will do), once per
 cell, at its start x (input frame) and time t, in cell order. That loop
 is the reference, and it runs state-dependent fields. The field of
-`linear_field` has the rest of a run of more than _MIN_RUN cells taken at
-once: the input-frame starts, the drift at each, its cell-frame form and
-each cell's Girsanov term are arrays, made by the loop's IEEE operations
-in the loop's order, and the terms are added to the log-weight one at a
-time, in cell order. So every sampled float is the one the loop gives.
+`linear_field` has each run of more than _MIN_RUN cells taken whole, from
+its first cell: the input-frame starts, the drift at each, its cell-frame
+form and each cell's Girsanov term are arrays, made by the loop's IEEE
+operations in the loop's order, and the terms are added to the log-weight
+one at a time, in cell order. So every sampled float is the one the loop
+gives.
 
 `euler_paths` has the shape of `lanes.stopped_paths` and
 `lanes.reflected_paths`: a seed and path indices in, a (PathSample,
-faulted) pair per path out.
+faulted) pair per path out. Each path ends as one such pair, at the
+horizon, at a boundary hit or, faulted, in a cell whose recursion passes
+fold_cap.
 """
 
 import math
@@ -154,21 +158,14 @@ def euler_paths(field, start, horizon, steps, wedge, seed, indices,
     before, and its point in the input frame.
     """
     root = RngStream(seed)
-    out = []
-    for i in indices:
-        try:
-            out.append((_euler(field, start, horizon, steps, wedge,
-                               root.derive(i), reflected, epsilon, fold_cap),
-                        False))
-        except FoldCapExceeded as fault:
-            out.append((fault.partial, True))
-    return out
+    return [_euler(field, start, horizon, steps, wedge, root.derive(i),
+                   reflected, epsilon, fold_cap) for i in indices]
 
 
 def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
            fold_cap):
-    """One Euler path drawn from rng; `reflected` picks the recursion a
-    fallback cell runs."""
+    """One Euler path drawn from rng, as a (PathSample, faulted) pair;
+    `reflected` picks the recursion a fallback cell runs."""
     if not (steps >= 1 and 0.0 < horizon < math.inf):
         raise ValueError(f"need steps >= 1 and 0 < horizon < inf, got "
                          f"steps={steps}, horizon={horizon}")
@@ -180,6 +177,14 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
     frame_sigma = None
     drift, diffusion = coeffs.drift, coeffs.diffusion
     drifts = coeffs.drifts if isinstance(coeffs, _LinearField) else None
+
+    def ending(xy, elapsed, hit=False, faulted=False):
+        # the path's state as it ends at xy, input frame: its folds, the
+        # weight of its cells and whether any used the corner ending
+        return PathSample(endpoint=PolarPoint.from_cartesian(*xy),
+                          elapsed=elapsed, hit_boundary=hit, folds=folds,
+                          weight=math.exp(log_w), approx_used=approx), faulted
+
     k = 0
     while k < steps:
         t_k = horizon * k / steps
@@ -192,12 +197,14 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
             frame_sigma = (a, b, c, d)
             fwd, bwd, cell_wedge = standard_frame(s_k, wedge)
             pos = mat_vec(fwd, x)  # the cell's start, cell frame
+            # the columns of bwd and fwd, as (2, 1) arrays, for runs of cells
+            columns = (np.array((bwd, fwd)).transpose(0, 2, 1)[..., None]
+                       if drifts else None)
             # the frame's first cell runs the recursion, whatever its triple
             # (so any turn of its normals will do), and blocks start after
             # it: a sigma that changes with the state changes the frame at
             # every cell, where a block would hold one cell
             j, run, size, base = 0, 0, 1, 0.0
-            columns = None
         b_cell = mat_vec(fwd, b_k)  # mu (x - kappa) can overflow mid-path
         if not (math.isfinite(b_cell[0]) and math.isfinite(b_cell[1])):
             raise _drift_error(b_cell)
@@ -208,19 +215,17 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
                                             reflected, epsilon)
             j = 0
         if j < run:
-            end = ends[j + 1]
-            log_w += girsanov_log_weight(b_cell, end, dt, pos)
-            folds += 1
-            j += 1
-            # take the rest of a long run at once
-            if j == 1 and drifts and run - 1 >= _MIN_RUN:
-                if columns is None:
-                    columns = _columns(bwd, fwd)
-                log_w = _run_log_weight(log_w, drifts, columns, cells, j, run)
-                folds += run - 1
+            if j == 0 and drifts and run > _MIN_RUN:
+                # the whole run at once
+                log_w = _run_log_weight(log_w, drifts, columns, cells, run)
+                folds += run
                 k += run - 1
                 j = run
-                end = ends[j]
+            else:
+                log_w += girsanov_log_weight(b_cell, ends[j + 1], dt, pos)
+                folds += 1
+                j += 1
+            end = ends[j]
         else:
             # round-off can put a point on a ray a hair off it
             cell_start = cell_wedge.place(PolarPoint.from_cartesian(*pos))
@@ -238,12 +243,9 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
                 # weight, and the cell's partial state on the path's clock
                 # and folds, in the input frame
                 cell = fault.partial
-                raise FoldCapExceeded(str(fault), PathSample(
-                    endpoint=PolarPoint.from_cartesian(
-                        *mat_vec(bwd, cell.cartesian_endpoint())),
-                    elapsed=t_k + cell.elapsed, hit_boundary=False,
-                    folds=folds + cell.folds, weight=math.exp(log_w),
-                    approx_used=approx)) from None
+                folds += cell.folds
+                return ending(mat_vec(bwd, cell.cartesian_endpoint()),
+                              t_k + cell.elapsed, faulted=True)
             # a reflected sub-path always runs the whole cell: elapsed == dt
             log_w += girsanov_log_weight(b_cell, sub.driving_endpoint,
                                          sub.elapsed, cell_start.cartesian())
@@ -251,31 +253,20 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
             folds += sub.folds
             approx = approx or sub.approx_used
             if sub.hit_boundary:
-                return PathSample(
-                    endpoint=PolarPoint.from_cartesian(*mat_vec(bwd, end)),
-                    elapsed=t_k + sub.elapsed, hit_boundary=True, folds=folds,
-                    weight=math.exp(log_w), approx_used=approx)
+                return ending(mat_vec(bwd, end), t_k + sub.elapsed, hit=True)
             j = size = 0  # the block's later cells start elsewhere
         pos = end
         x = mat_vec(bwd, pos)
         k += 1
-    return PathSample(endpoint=PolarPoint.from_cartesian(*x),
-                      elapsed=horizon, hit_boundary=False, folds=folds,
-                      weight=math.exp(log_w), approx_used=approx)
+    return ending(x, horizon)
 
 
 def _drift_error(b_cell):
     return ValueError(f"drift must be a finite 2-vector, got {b_cell}")
 
 
-def _columns(bwd, fwd):
-    """The columns of the frame's 2x2 matrices, as (2, 1) arrays, for
-    `_run_log_weight`."""
-    return np.array((bwd, fwd)).transpose(0, 2, 1)[..., None]
-
-
-def _run_log_weight(log_w, drifts, columns, cells, j, e):
-    """log_w plus the Girsanov terms of plain cells j .. e - 1 of a block,
+def _run_log_weight(log_w, drifts, columns, cells, e):
+    """log_w plus the Girsanov terms of plain cells 0 .. e - 1 of a block,
     added one at a time in cell order. `columns` holds the columns of the
     frame's backward and forward matrices as (2, 1) arrays, and `cells` the
     block's cell starts and ends, as a (2, n + 1) array, and its cell
@@ -283,14 +274,14 @@ def _run_log_weight(log_w, drifts, columns, cells, j, e):
     operations in the same order, and a drift that is not finite raises the
     loop's error at the first such cell."""
     ends, dt = cells
-    starts = ends[:, j:e]
+    starts = ends[:, :e]
     (a, b), (c, d) = columns
     with np.errstate(over="ignore", invalid="ignore"):
         drift = drifts(a * starts[0] + b * starts[1])  # input frame
         drift = c * drift[0] + d * drift[1]  # cell frame
-        moved = drift * (ends[:, j + 1:e + 1] - starts)
+        moved = drift * (ends[:, 1:e + 1] - starts)
         sq = drift * drift
-        terms = moved[0] + moved[1] - 0.5 * (sq[0] + sq[1]) * dt[j:e]
+        terms = moved[0] + moved[1] - 0.5 * (sq[0] + sq[1]) * dt[:e]
     for term in terms.tolist():
         log_w += term
     # a drift that is not finite makes its term, and so the sum, not finite

@@ -27,7 +27,8 @@ would be transformed for nothing. When m = 1 the half-plane is the
 wedge: one proposal of 2 uniforms (the tail, the normal), kept. So the
 scalar recursion reproduces lane i path for path, to the last bits of
 numpy's and the C library's elementary functions. A path does not depend
-on its batch, and blocks over the 2m images hold at most _IMAGE_CAP values.
+on its batch, and its image sums (`samplers._image_sum_arrays`) and exit
+ratio terms are made in blocks of at most `samplers._IMAGE_CAP` values.
 """
 
 import math
@@ -38,21 +39,11 @@ from scipy import special
 from .geometry import TWO_PI, PolarPoint
 from .rng import LANE_BUFFER, LaneDraws
 from .samplers import (_PROPOSALS, APEX_RADIUS_FLOOR, PathSample,
-                       _absolute_driving, _image_sum_arrays, _pass_plan,
-                       _stopped_sample)
+                       _absolute_driving, _chunks, _image_sum_arrays,
+                       _pass_plan, _stopped_sample)
 
-_IMAGE_CAP = 1 << 15  # values in one block of image terms
 # pending lanes at most for which an exit draw draws rounds ahead
 _AHEAD_LANES = 64
-
-
-def _chunks(n, width):
-    """Slices of range(n) whose blocks of `width` rows stay within
-    _IMAGE_CAP values."""
-    step = max(1, _IMAGE_CAP // width)
-    if n <= step:
-        return [slice(None)]
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def _survivor(r0, rel, horizon, u, alpha):
@@ -72,12 +63,7 @@ def _survivor(r0, rel, horizon, u, alpha):
     np.clip(th, 0.0, theta_cap, out=th)
     r = np.hypot(x, y)
     # the image sums of samplers._survivor_trial
-    turn = th - rel
-    signed = np.empty(len(r))
-    total = np.empty(len(r))
-    for part in _chunks(len(r), 2 * m):
-        signed[part], total[part] = _image_sum_arrays(
-            turn[part], rel[part], r[part], r0[part], horizon[part], alpha)
+    signed, total = _image_sum_arrays(th - rel, rel, r, r0, horizon, alpha)
     return u[2] * total <= np.maximum(signed, 0.0), r, th
 
 

@@ -253,12 +253,13 @@ def estimate(config):
                          f"would read 0 whatever the law")
     vals = [r[0] for r in good]
     m = len(vals)
-    mean = math.fsum(vals) / m
-    if m > 1:
-        var = math.fsum((v - mean) ** 2 for v in vals) / (m - 1)
-        half = 1.96 * math.sqrt(var / m)
-    else:
-        half = math.inf
+    # float ** 2 and fsum raise OverflowError where other sums give inf
+    try:
+        mean = math.fsum(vals) / m
+        half = (1.96 * math.sqrt(math.fsum((v - mean) ** 2 for v in vals)
+                                 / (m - 1) / m) if m > 1 else math.inf)
+    except OverflowError:
+        mean = math.inf
     if not math.isfinite(mean) or (m > 1 and not math.isfinite(half)):
         raise ValueError(f"the estimate of {func.value} overflows: its values "
                          f"at these endpoints are out of floating-point range")

@@ -128,21 +128,21 @@ class LaneDraws:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
         self._buf = np.empty((n, LANE_BUFFER))
-        self._first = np.zeros(n, dtype=np.int64)  # the draw number of buf[:, 0]
-        self._end = np.zeros(n, dtype=np.int64)  # one past the last one held
+        # the draw number of buf[:, 0]: at -LANE_BUFFER, buf holds no draw
+        self._first = np.full(n, -LANE_BUFFER, dtype=np.int64)
         self._next = np.zeros(n, dtype=np.int64)  # the next draw's number
 
     def take(self, lanes, j):
         """The next j uniforms of each lane of the index array `lanes`, as an
         array (j, len(lanes)); j is at most LANE_BUFFER // 2."""
         k = self._next[lanes]
-        left = self._end[lanes] - k
-        if (left < j).any():
-            low = left < LANE_BUFFER // 2
+        offset = k - self._first[lanes]  # the next draw's place in buf
+        if (offset > LANE_BUFFER - j).any():
+            low = offset > LANE_BUFFER // 2
             refill = lanes[low]
             first = k[low] & ~3  # whole blocks
             self._first[refill] = first
-            self._end[refill] = first + LANE_BUFFER
+            offset[low] = k[low] - first
             raw = np.empty((refill.size, LANE_BUFFER), dtype=np.uint64)
             state, bits = self._state, self._bits
             for row, lane, block in zip(raw, refill.tolist(),
@@ -153,7 +153,6 @@ class LaneDraws:
                 row[:] = bits.random_raw(LANE_BUFFER)
             self._buf[refill] = raw_to_uniforms(raw)
         self._next[lanes] = k + j
-        offset = k - self._first[lanes]
         return self._buf[lanes, offset + np.arange(j)[:, None]]
 
     def _rewind(self, lanes, back):

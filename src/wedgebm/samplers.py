@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import expit, log_ndtr, ndtri_exp
 
 from .corner import corner_triggered, sample_corner
-from .densities import ExitLawParams, image_sums
+from .densities import MAX_M, ExitLawParams, image_sums
 from .geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
                        fold_into_wedge, image_angles)
 
@@ -37,6 +37,7 @@ DEFAULT_FOLD_CAP = 10 ** 6
 # exit proposals a pass makes in each round (m > 1), all drawn whichever is
 # kept first: each is kept with probability at least 1/2
 _PROPOSALS = 2
+_IMAGE_CAP = 1 << 15  # values in one block of image terms
 
 # radii below this are treated as sitting at the apex. In the exact reflected
 # mode the log-radius random-walks and can underflow past where the exit-law
@@ -214,8 +215,8 @@ def _sure_survivors(turn, rel, r, r0, dt, theta_cap):
     4 r r0 / (2 dt), which implies that. With G >= 64 every other term is
     below e^-63 < 2^-90. The even sum starts at 1.0 and adds terms below
     2^-53, half an ulp of 1, so it stays 1.0; the odd sum, of m terms, is
-    below m 2^-90, under 2^-54, half an ulp below 1, for any m < 2^36 (a
-    sub-wedge too narrow for that would not fit the sums in memory). So
+    below m 2^-90, under 2^-54, half an ulp below 1, for any m < 2^36
+    (`_sub_opening` refuses m past MAX_M = 10^6). So
     signed = 1 - odd and total = 1 + odd both round to 1.0.
     """
     scale = 4.0 * r * r0 / (2.0 * dt)
@@ -230,9 +231,14 @@ def _image_sum_arrays(turn, rel, r, r0, horizon, alpha):
     """`image_sums`'s (signed, total) over arrays, signed not clamped: the
     2m-image sums of opening alpha's pass plan at radius r and angle
     rel + turn in the sub-wedge, for starts at radius r0 and angle rel and
-    time horizon. The 2m x len(r) terms are one block, which the caller
-    bounds."""
+    time horizon. The 2m terms of each point are made a block of points at
+    a time, within _IMAGE_CAP values, and each point's sums do not depend
+    on its block."""
     _, odd2, shift = _image_gap_plan(alpha)
+    if len(r) > max(1, _IMAGE_CAP // len(shift)):  # more than one block
+        sums = [_image_sum_arrays(turn[p], rel[p], r[p], r0[p], horizon[p],
+                                  alpha) for p in _chunks(len(r), len(shift))]
+        return tuple(np.concatenate(c) for c in zip(*sums))
     sin_sq = np.sin(0.5 * (turn + odd2 * rel - shift)) ** 2
     # each term relative to the nearest image's, its gap multiplied into
     # 4 r, then into r0, as in image_sums; far out, an exponent is -inf
@@ -243,6 +249,13 @@ def _image_sum_arrays(turn, rel, r, r0, horizon, alpha):
     even, odd = np.add.accumulate(terms.reshape(-1, 2, terms.shape[1]),
                                   axis=0)[-1]
     return even - odd, even + odd
+
+
+def _chunks(n, width):
+    """Slices of range(n) whose blocks of `width` rows stay within
+    _IMAGE_CAP values."""
+    step = max(1, _IMAGE_CAP // width)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 @functools.lru_cache(maxsize=16)
@@ -265,13 +278,14 @@ def _sub_opening(alpha):
     reuses alpha exactly so that both sub-wedge rays coincide with the outer
     rays; otherwise m = ceil(pi/alpha) (an alpha within rounding of some
     pi/k is that pi/k within the tolerance, so the ceiling is never one
-    too large).
+    too large). An m past densities.MAX_M is a ValueError.
     """
     m_exact = WedgeSpec(0.0, alpha).pi_over_m() if alpha <= math.pi else None
-    if m_exact is not None:
-        return alpha, m_exact
-    m = math.ceil(math.pi / alpha)
-    return math.pi / m, m
+    m = m_exact or math.ceil(math.pi / alpha)
+    if m > MAX_M:
+        raise ValueError(f"opening {alpha:g} is too narrow: its passes need "
+                         f"m = {m} > {MAX_M} sub-wedges")
+    return (alpha if m_exact else math.pi / m), m
 
 
 @functools.lru_cache(maxsize=16)

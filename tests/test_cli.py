@@ -329,6 +329,9 @@ def test_exit_code_usage_errors(capsys):
     capsys.readouterr()
 
 
+NARROW = ["--alpha", repr(math.pi / 2e6), "--start", f"1,{math.pi / 4e6!r}",
+          "--T", "1"]
+
 # argv -> a fragment of the one-line message; FILE is an existing config file
 USAGE_ERRORS = {
     "x-one-number": (["estimate", "--alpha", "0.9", "--x", "1"],
@@ -378,6 +381,17 @@ USAGE_ERRORS = {
     "weights-all-0-euler": (["ito"] + T1 + ["--n", "2", "--steps", "3", "--mu",
                                             "1e308,0", "--kappa", "0,0"],
                             "weights of all 2 kept paths are 0"),
+    # the squared deviations of |x|^2 overflow, not its mean
+    "estimate-spread-overflows": (["estimate"] + T1[:4] + [
+        "--n", "3", "--T", "1e160", "--mode", "reflected"],
+        "the estimate of radius_sq overflows"),
+    # an opening pi/(2 10^6): its 2m image angles would be a 4e6-float list
+    "opening-too-narrow-estimate": (["estimate"] + NARROW + ["--n", "1"],
+                                    "is too narrow"),
+    "opening-too-narrow-ito": (["ito"] + NARROW + ["--n", "1", "--steps", "2"],
+                               "is too narrow"),
+    "opening-too-narrow-density": (["density"] + NARROW + ["--grid", "1"],
+                                   "m must be an integer in [1, 1000000]"),
 }
 
 

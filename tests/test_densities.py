@@ -169,6 +169,17 @@ def test_images_past_the_overflow_of_4_r_r0(density):
     assert far == 0.0
 
 
+@pytest.mark.parametrize("density", [killed_density_images,
+                                     reflected_density_images])
+def test_images_refuse_more_than_a_million_sectors(density):
+    # the 2m image angles are a list: m = 3.1e9 (opening 1e-9) ran out of
+    # memory. m = 10^6 is the largest accepted; m = 31416 still runs
+    point = PolarPoint(1.0, 0.5 * math.pi / 31416)
+    assert density(31416, point, point, 1.0) >= 0.0
+    with pytest.raises(ValueError, match=r"m must be an integer in \[1, "):
+        density(2 * 10 ** 6, point, point, 1.0)
+
+
 # frozen from scripts/oracles/one_dim_reference.py (reflection principle)
 @pytest.mark.parametrize("kind,x0,w,t,want", [
     (Kind.KILLED, 1.0, 0.7, 0.9, 0.31558140738478757),

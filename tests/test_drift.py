@@ -176,9 +176,9 @@ def test_time_grid_validation():
             with pytest.raises(ValueError):
                 _euler(field, START, horizon, steps, W09, RngStream(1),
                        reflected, DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
-    sample = _euler(field, START, 0.3, 7, W09, RngStream(1), True,
-                    DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
-    assert sample.elapsed == 0.3
+    sample, faulted = _euler(field, START, 0.3, 7, W09, RngStream(1), True,
+                             DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
+    assert sample.elapsed == 0.3 and not faulted
 
 
 def test_linear_field_values():

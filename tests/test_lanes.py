@@ -22,6 +22,7 @@ from scipy.special import ndtri
 
 from wedgebm import montecarlo
 from wedgebm.cli import run_cli
+from wedgebm.drift import euler_paths, linear_field
 from wedgebm.geometry import TWO_PI, PolarPoint, WedgeSpec
 from wedgebm.lanes import _exit_draw as lane_exit_draw
 from wedgebm.lanes import reflected_paths, stopped_paths
@@ -320,14 +321,20 @@ def test_output_does_not_depend_on_batch_size_or_workers(name, tmp_path,
 
 def test_a_batch_holds_its_image_terms_in_bounded_blocks():
     # opening 0.01 has m = 315: one block of the 2m image terms of 1024 lanes
-    # would be 5 MB an array (a batch peaked at 15.6 MB so); the blocks hold
-    # at most lanes._IMAGE_CAP values
+    # would be 5 MB an array (a batch peaked at 15.6 MB so). Opening 1e-3 has
+    # m = 3142, and its cells from (1000, 5e-4) lie too near the rays for
+    # the survivor screen: one block of the terms of an Euler block's 256
+    # cells would be 13 MB an array (two paths peaked at 37.2 MB so). The
+    # blocks hold at most samplers._IMAGE_CAP values
     wedge, start = WedgeSpec(0.0, 0.01), PolarPoint(1.0, 0.005)
+    field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
     tracemalloc.start()
     try:
         # the lanes run when called; only the samples are made as read
         stopped_paths(start, 1e-5, wedge, 1, range(1024), CAP)
         reflected_paths(start, 1e-5, wedge, 1, range(1024), 0.03, CAP)
+        euler_paths(field, PolarPoint(1000.0, 5e-4), 1e-5, 300,
+                    WedgeSpec(0.0, 1e-3), 1, range(2), True, 0.03, CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

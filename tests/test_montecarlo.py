@@ -197,6 +197,15 @@ def test_an_estimate_whose_weights_are_all_0_is_an_error(overrides):
         estimate(table1_config(**overrides))
 
 
+@pytest.mark.parametrize("horizon", [1e160, 1e300])
+def test_an_estimate_whose_spread_overflows_is_an_error(horizon):
+    # |x|^2 near T is finite, but its squared deviation from the mean is
+    # not: `** 2` raised OverflowError, past the estimate's own check
+    with pytest.raises(ValueError, match="estimate of radius_sq overflows"):
+        estimate(table1_config(mode=Mode.REFLECTED, horizon=horizon,
+                               n_samples=3, seed=0))
+
+
 def test_correlated_identity_setup_matches_plain_wedge():
     # sigma = I, rho = 0: decorrelation is the identity, so the setup-based
     # run must agree exactly with the equivalent plain-wedge run

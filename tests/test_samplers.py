@@ -16,8 +16,9 @@ from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
 from wedgebm.rng import RngStream
 from wedgebm.samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP,
                               FoldCapExceeded, algorithm_reflected,
-                              algorithm_stopped, _exit_draw, _pass_plan,
-                              _sector_fold, _sub_opening, _survivor_trial)
+                              algorithm_stopped, _chunks, _exit_draw,
+                              _image_sum_arrays, _pass_plan, _sector_fold,
+                              _sub_opening, _survivor_trial)
 
 from laws import (contains_angle, cumulative_integral,
                   direct_pi_over_m_reflected, exit_joint_density,
@@ -394,6 +395,39 @@ def test_sub_opening_exact_reuse():
         assert got_m == m
 
 
+def test_sub_opening_refuses_more_than_a_million_sub_wedges():
+    # the 2m image angles of a pass plan are a list: at opening 1e-9 it
+    # would hold 6.3e9 floats. Opening 1e-4 (m = 31416) still runs
+    assert _sub_opening(1e-4)[1] == 31416
+    assert _sub_opening(math.pi / 10 ** 6)[1] == 10 ** 6
+    for alpha in (math.pi / (2 * 10 ** 6), 3e-6):
+        with pytest.raises(ValueError, match="too narrow"):
+            _sub_opening(alpha)
+
+
+def test_image_sums_in_blocks_equal_their_one_point_calls():
+    # opening 0.01 has m = 315: the 2m terms of 200 points are cut into
+    # blocks, and each point's sums must not depend on its block
+    alpha = 0.01
+    theta_cap, m, _, _ = _pass_plan(alpha)
+    gen = np.random.default_rng(31)
+    n = 200
+    assert len(_chunks(n, 2 * m)) > 2
+    rel = gen.uniform(0.0, theta_cap, n)
+    turn = gen.uniform(0.0, theta_cap, n) - rel
+    r0 = 10.0 ** gen.uniform(-1.0, 1.0, n)
+    r = r0 * np.exp(gen.normal(0.0, 0.01, n))
+    dt = 10.0 ** gen.uniform(-6.0, 0.0, n)
+    cols = (turn, rel, r, r0, dt)
+    got = _image_sum_arrays(*cols, alpha)
+    one = [_image_sum_arrays(*(c[i:i + 1] for c in cols), alpha)
+           for i in range(n)]
+    assert repr([a.tolist() for a in got]) == repr(
+        [[float(sums[k][0]) for sums in one] for k in (0, 1)])
+    # not every sum is the trivial 1.0 of a point far from the rays
+    assert (got[1] > 1.0).sum() > n // 4
+
+
 @given(st.floats(0.05, 2.0 * math.pi))
 @settings(deadline=None, max_examples=300)
 def test_pass_plan_m_is_the_sub_wedge_m(alpha):
@@ -527,10 +561,10 @@ def test_starts_on_and_near_a_ray(alpha, log_r, upper, outside, d, seed):
         "reflected": lambda rng: algorithm_reflected(start, 1.0, wedge, rng),
         "euler_stopped": lambda rng: _euler(field, start, 1.0, 2, wedge, rng,
                                             False, DEFAULT_EPSILON,
-                                            DEFAULT_FOLD_CAP),
+                                            DEFAULT_FOLD_CAP)[0],
         "euler_reflected": lambda rng: _euler(field, start, 1.0, 2, wedge, rng,
                                               True, DEFAULT_EPSILON,
-                                              DEFAULT_FOLD_CAP),
+                                              DEFAULT_FOLD_CAP)[0],
     }
     for name, run in runs.items():
         if outside and d > ANGLE_TOL:
