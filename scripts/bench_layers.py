@@ -24,7 +24,13 @@ Table 1 recursion (us per path, the batch's time over its paths): stopped
 at T = 1, reflected at eps 0.03, and the exact-mode fold row (eps 0, fold
 cap 150). For each batch they also count the requests of the conditional
 exit draw (a round, or up to 4 rounds drawn ahead for a few pending lanes)
-per pass that draws one.
+per pass that draws one. A batch's tail runs pass after pass for a few
+lanes: `lanes.*_pass_us` time one 8-lane batch of the reflected and the
+exact-mode fold row (us per pass, the batch's time over its last lane's
+passes, 40 batches a repeat). And a path run as a batch of one lane
+(`lanes.one_lane_reflected_path_us`) is set beside the scalar recursion on
+its own stream (`samplers.scalar_reflected_path_us`, `derive` included),
+400 reflected paths at eps 0.03 from the Table 1 start.
 
 The JSON record holds the figures, the seed, the repeat count, the number of
 cores this process may run on and the Python, numpy and scipy versions.
@@ -48,7 +54,8 @@ from wedgebm.densities import killed_density_series
 from wedgebm.drift import euler_paths, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
 from wedgebm.rng import LANE_BUFFER, LaneDraws, RngStream
-from wedgebm.samplers import _exit_draw, _pass_plan, _survivor_trial
+from wedgebm.samplers import (_exit_draw, _pass_plan, _survivor_trial,
+                              algorithm_reflected)
 
 SEED = 16
 WEDGE = WedgeSpec(0.0, 0.9)
@@ -65,6 +72,9 @@ LANE_BATCHES = {
     "exact_folds": lambda: lanes.reflected_paths(START, 1.0, WEDGE, SEED,
                                                  range(LANES), 0.0, 150),
 }
+TAIL_LANES = 8
+TAIL_BATCHES = {"reflected": 0.03, "exact_folds": 0.0}
+ONE_LANE_PATHS = 400
 
 
 def _per_call_us(run, calls, repeats):
@@ -109,7 +119,7 @@ def refill_us(n, calls, repeats):
     draws, ids = LaneDraws(SEED, range(n)), np.arange(n)
 
     def refill(_i):
-        draws._first[:] = -LANE_BUFFER  # every buffer empty
+        draws._at[:] = LANE_BUFFER  # every buffer empty
         draws.take(ids, 1)
     return _per_call_us(refill, calls, repeats)
 
@@ -123,6 +133,21 @@ def lane_layers(repeats):
         out[f"lanes.{name}_path_us"] = _per_call_us(
             lambda _i: list(batch()), 1, repeats) / LANES
         out[f"lanes.{name}_exit_rounds_per_pass"] = exit_rounds_per_pass(batch)
+    for name, epsilon in TAIL_BATCHES.items():
+        def tail(_i, epsilon=epsilon):
+            return list(lanes.reflected_paths(START, 1.0, WEDGE, SEED,
+                                              range(TAIL_LANES), epsilon, 150))
+        passes = max(sample.folds for sample, _faulted in tail(0))
+        out[f"lanes.{name}_pass_us"] = _per_call_us(tail, 40, repeats) / passes
+    root = RngStream(SEED)
+    out["lanes.one_lane_reflected_path_us"] = _per_call_us(
+        lambda i: list(lanes.reflected_paths(START, 1.0, WEDGE, SEED, [i],
+                                             0.03, 10 ** 6)),
+        ONE_LANE_PATHS, repeats)
+    out["samplers.scalar_reflected_path_us"] = _per_call_us(
+        lambda i: algorithm_reflected(START, 1.0, WEDGE, root.derive(i),
+                                      epsilon=0.03, fold_cap=10 ** 6),
+        ONE_LANE_PATHS, repeats)
     return out
 
 

@@ -3,10 +3,14 @@
 `stopped_paths` and `reflected_paths` run `samplers.algorithm_stopped` and
 `samplers.algorithm_reflected` for a batch of path indices of one seed,
 branch for branch: every pass runs once for all the lanes still going, as
-array operations, and the lanes that finish leave after it. A refused
-survivor trial draws its exit in rejection rounds over the lanes still
-pending, each lane with the ratio plan of its own start angle and exit
-side, at its radius times 2^-k. Boundary and apex starts,
+array operations, and the lanes that finish leave after it. A pass holds
+only the live lanes' state, compressed as lanes end, and each lane's
+results are written once, when it ends (a capped lane's after the last
+pass), all under one floating-point scope a batch. A refused survivor
+trial draws its exit in rejection rounds over the lanes still pending, at
+its radius times 2^-k, from line tables and ratio coefficients made once
+a draw, or on a reflected pass, which starts on the bisector, once an
+opening. Boundary and apex starts,
 APEX_RADIUS_FLOOR, the corner ending, the fold into the wedge, the pass
 caps with their partial state, the overflow `ValueError` and the driving
 endpoint are those of the scalar recursions.
@@ -27,10 +31,12 @@ would be transformed for nothing. When m = 1 the half-plane is the
 wedge: one proposal of 2 uniforms (the tail, the normal), kept. So the
 scalar recursion reproduces lane i path for path, to the last bits of
 numpy's and the C library's elementary functions. A path does not depend
-on its batch, and its image sums (`samplers._image_sum_arrays`) and exit
-ratio terms are made in blocks of at most `samplers._IMAGE_CAP` values.
+on its batch, and its image sums (`samplers._image_sum_arrays`), exit ratio
+coefficients and terms are made in blocks of at most `samplers._IMAGE_CAP`
+values.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -38,7 +44,7 @@ from scipy import special
 
 from .geometry import TWO_PI, PolarPoint
 from .rng import LANE_BUFFER, LaneDraws
-from .samplers import (_PROPOSALS, APEX_RADIUS_FLOOR, PathSample,
+from .samplers import (_IMAGE_CAP, _PROPOSALS, APEX_RADIUS_FLOOR, PathSample,
                        _absolute_driving, _chunks, _image_sum_arrays,
                        _pass_plan, _stopped_sample)
 
@@ -60,51 +66,87 @@ def _survivor(r0, rel, horizon, u, alpha):
     phi = np.arctan2(y, x) % TWO_PI
     j = np.minimum(np.floor(phi / theta_cap), 2 * m - 1)
     th = np.where(j % 2 == 0, phi - j * theta_cap, (j + 1) * theta_cap - phi)
-    np.clip(th, 0.0, theta_cap, out=th)
+    # np.clip, less the cost of its Python wrapper
+    np.minimum(np.maximum(th, 0.0, out=th), theta_cap, out=th)
     r = np.hypot(x, y)
     # the image sums of samplers._survivor_trial
     signed, total = _image_sum_arrays(th - rel, rel, r, r0, horizon, alpha)
     return u[2] * total <= np.maximum(signed, 0.0), r, th
 
 
+def _ratio_table(phi, m):
+    """The coefficients sin g_k / sin g_0 and cos g_k - cos g_0, k = 1 ..
+    m - 1, of the wedge's exit density over the half-plane's
+    (samplers._exit_ratio_plan) from start angles g_0 = phi from a line,
+    with g_k = g_0 + 2 pi k / m: an array (2, m - 1) + phi.shape."""
+    g = phi + (TWO_PI / m) * np.arange(1, m).reshape((-1,) + (1,) * phi.ndim)
+    return np.array((np.sin(g) / np.sin(phi), np.cos(g) - np.cos(phi)))
+
+
+@functools.lru_cache(maxsize=16)
+def _bisector_plan(alpha):
+    """The sine and cosine of a start on the bisector of opening alpha's
+    sub-wedge from either line, and its `_ratio_table` (None when m = 1),
+    each with one line of one column: a reflected pass's exit tables."""
+    theta_cap, m, _, _ = _pass_plan(alpha)
+    phi = np.full((1, 1), theta_cap / 2.0)
+    return np.sin(phi), np.cos(phi), _ratio_table(phi, m) if m > 1 else None
+
+
 def _exit_draw(draws, lanes, r, rel, horizon, alpha):
     """The exits of `lanes` from radius r and angle rel in the pi/m
-    sub-wedge, conditioned on time <= horizon (arrays over the lanes):
+    sub-wedge, conditioned on time <= horizon (arrays over the lanes; rel
+    None where every lane starts on the bisector, as on a reflected pass):
     (plus side, radius, time), by `samplers._exit_draw`'s proposals, in
-    rounds over the lanes with no kept proposal yet."""
+    rounds over the lanes with no kept proposal yet. The lanes' line tables
+    and ratio coefficients are made once, and each round picks them by the
+    line it drew; on the bisector the two lines are alike, and the
+    coefficients are the opening's own."""
     theta_cap, m, _, _ = _pass_plan(alpha)
+    if rel is None:
+        sin_phi, cos_phi, ratio_table = _bisector_plan(alpha)
+    else:
+        if m > 1 and len(r) > max(1, _IMAGE_CAP // (2 * (m - 1))):
+            # a block of lanes at a time, within _IMAGE_CAP coefficients;
+            # a lane draws the same in any block
+            parts = [_exit_draw(draws, lanes[p], r[p], rel[p], horizon[p],
+                                alpha) for p in _chunks(len(r), 2 * (m - 1))]
+            return tuple(np.concatenate(c) for c in zip(*parts))
+        # per line, [0] that of the lower ray and [1] that of the upper
+        # (m = 1 has one), and per lane: the start's angle from the line
+        phi = np.array((rel, theta_cap - rel)[:1 if m == 1 else 2])
+        sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+        ratio_table = _ratio_table(phi, m) if m > 1 else None
+    two_lines = len(sin_phi) > 1  # the lines differ: off the bisector, m > 1
     mant, k = np.frexp(r)  # r = mant 2^k, mant in [0.5, 1)
     sd = np.ldexp(np.sqrt(horizon), -k)
-    # per line, [0] that of the lower ray and [1] that of the upper (m = 1
-    # has one line): the start's angle from the ray, its distance to the
-    # line, its foot along it and the log of the line's weight
-    # P(tau <= horizon)
-    phi = np.stack((rel, theta_cap - rel)[:1 if m == 1 else 2])
-    dist = mant * np.sin(phi)
-    lines = np.stack((phi, dist, mant * np.cos(phi),
-                      special.log_ndtr(-(dist / sd))))
-    if m > 1:
-        p_minus = special.expit(lines[3, 0] - lines[3, 1])
-        steps = (TWO_PI / m) * np.arange(1, m)[:, None, None]
+    # per line and lane: the start's distance to the line, its foot along
+    # it and the log of the line's weight P(tau <= horizon)
+    dist = mant * sin_phi
+    table = np.array((dist, mant * cos_phi, special.log_ndtr(-(dist / sd))))
+    # the lower line's share of the proposals (on the bisector a half)
+    p_minus = special.expit(table[2, 0] - table[2, 1]) if two_lines else 0.5
     per = 2 if m == 1 else 4  # uniforms a proposal takes
     count = 1 if m == 1 else _PROPOSALS  # m = 1 keeps every proposal
     # rounds one request draws for a small pending set (m = 1 needs one)
     ahead = 1 if m == 1 else LANE_BUFFER // 2 // (per * count)
-    plus = np.zeros(len(r), dtype=bool)
+    plus = np.empty(len(r), dtype=bool)
     hit = np.empty(len(r))
     root = np.empty(len(r))
+    # the places of the lanes with no kept proposal yet; their inputs
+    # (lanes, mant and the tables) are compressed as lanes keep one
     pending = np.arange(len(r))
     while pending.size:
         rounds = ahead if pending.size <= _AHEAD_LANES else 1
         # rounds x count proposals for each pending lane, row q proposal q
-        u = draws.take(lanes[pending], per * count * rounds).reshape(
+        u = draws.take(lanes, per * count * rounds).reshape(
             count * rounds, per, -1)
-        if m == 1:
-            line = np.zeros((count, pending.size), dtype=np.intp)
-        else:
-            line = (u[:, 0] >= p_minus[pending]).astype(np.intp)
+        if m > 1:
+            line = u[:, 0] >= p_minus  # the upper ray's line
             u = u[:, 1:]
-        g0, d, foot, log_w = lines[:, line, pending]
+        d, foot, log_w = (np.where(line, table[:, 1, None],
+                                   table[:, 0, None])
+                          if two_lines else table[:, 0])
         z = -special.ndtri_exp(np.log(u[:, 0]) + log_w)  # Z >= a
         rt = d / z  # the square root of the exit time
         x = foot + rt * special.ndtri(u[:, 1])
@@ -112,36 +154,44 @@ def _exit_draw(draws, lanes, r, rel, horizon, alpha):
             keep = np.ones(x.shape, dtype=bool)
         else:
             # past the apex is refused; the rest are kept with the wedge's
-            # exit density over the half-plane's (samplers._exit_ratio_plan),
-            # its sum over k = 1 .. m - 1 the same for either side. Its terms
-            # are at most 1 where x > 0; elsewhere they may overflow, unread
+            # exit density over the half-plane's, its sum over k = 1 .. m - 1
+            # the same for either side. Its terms are at most 1 where x > 0;
+            # elsewhere they may overflow, unread
             keep = x > 0.0
-            ratio = np.ones(x.shape)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                scaled = x * mant[pending] / (rt * rt)
-                for part in _chunks(pending.size, len(x) * (m - 1)):
-                    g = g0[:, part] + steps
-                    terms = (np.sin(g) / np.sin(g0[:, part]) * np.exp(
-                        -scaled[:, part] * (np.cos(g0[:, part]) - np.cos(g))))
-                    ratio[:, part] += np.add.accumulate(terms, axis=0)[-1]
+            ratio = np.empty(x.shape)
+            scaled = x * mant / (rt * rt)
+            for part in _chunks(pending.size, len(x) * (m - 1)):
+                coef, rise = (np.where(line[:, part],
+                                       ratio_table[:, :, 1, None, part],
+                                       ratio_table[:, :, 0, None, part])
+                              if two_lines else ratio_table)
+                terms = coef * np.exp(scaled[:, part] * rise)
+                np.add(1.0, np.add.accumulate(terms, axis=0)[-1],
+                       out=ratio[:, part])
             keep &= u[:, 2] <= ratio
         # each lane's first kept proposal; the rounds drawn after its round
         # go back to its stream, as a round-by-round draw never makes them
         got = keep.any(axis=0)
-        first = keep.argmax(axis=0)[got]
-        at = (first, np.flatnonzero(got))
-        done = pending[got]
+        cols = got.nonzero()[0]
+        first = keep.argmax(axis=0)[cols]
+        at = (first, cols)
         if rounds > 1:
-            draws._rewind(lanes[done],
+            draws._rewind(lanes[cols],
                           per * count * (rounds - 1 - first // count))
-        plus[done] = x[at] <= 0.0 if m == 1 else line[at] == 1
+        done = pending[cols]
+        plus[done] = x[at] <= 0.0 if m == 1 else line[at]
         hit[done] = np.abs(x[at])
         root[done] = rt[at]
-        pending = pending[~got]
-    with np.errstate(over="ignore"):
-        radius = np.ldexp(hit, k)
-        tau = np.ldexp(root * root, 2 * k)
-    bad = ~(np.isfinite(radius) & np.isfinite(tau))
+        if cols.size == pending.size:
+            break
+        left = ~got
+        pending, lanes, mant = pending[left], lanes[left], mant[left]
+        table = table[:, :, left]
+        if two_lines:
+            p_minus, ratio_table = p_minus[left], ratio_table[..., left]
+    radius = np.ldexp(hit, k)
+    tau = np.ldexp(root * root, 2 * k)
+    bad = ~np.isfinite(np.maximum(radius, tau))
     if bad.any():
         raise ValueError(f"start radius {r[bad][0]:g} is too large for the "
                          f"exit law: its exit radius or time overflows")
@@ -149,15 +199,31 @@ def _exit_draw(draws, lanes, r, rel, horizon, alpha):
 
 
 class _Batch:
-    """The per-lane results of one batch, filled as lanes finish."""
+    """The per-lane results of one batch: the state, folds and fault flag,
+    a stopped path's hit, and a reflected path's corner flag and driving
+    displacement (internal frame)."""
 
-    def __init__(self, n, r, th, cap):
-        self.r = np.full(n, float(r))
-        self.th = np.full(n, float(th))  # from the wedge's lower ray
-        self.t = np.zeros(n)
+    def __init__(self, n, cap):
+        self.r, self.th, self.t = np.empty(n), np.empty(n), np.empty(n)
         self.folds = np.full(n, cap)
-        self.hit = np.zeros(n, dtype=bool)
         self.faulted = np.ones(n, dtype=bool)
+        self.hit = np.zeros(n, dtype=bool)
+        self.approx = np.zeros(n, dtype=bool)
+        self.wx, self.wy = np.zeros(n), np.zeros(n)
+
+    def write(self, lanes, r, th, t, folds=None):
+        """The state of `lanes` (th from the wedge's lower ray), ended at
+        pass `folds`, or with folds None their partial state at the cap."""
+        self.r[lanes], self.th[lanes], self.t[lanes] = r, th, t
+        if folds is not None:
+            self.folds[lanes] = folds
+            self.faulted[lanes] = False
+
+
+# a batch's own floating-point flags: an exit ratio's terms past x <= 0,
+# r^2 / t' past any double (no corner) and the exit law's overflow, which
+# is checked, are all unread
+_BATCH_ERRORS = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
 def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
@@ -171,59 +237,58 @@ def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
     start = wedge.place(start)
     th0 = start.theta - wedge.alpha_minus
     n = len(indices)
-    out = _Batch(n, start.r, th0, iteration_cap)
-    end = np.full(n, math.nan)  # the endpoint's absolute angle
     if start.r == 0.0 or th0 <= 0.0 or th0 >= alpha:
         # tau = 0; the apex is reported on the lower ray
         ray = (wedge.alpha_minus if start.r == 0.0 or th0 <= alpha - th0
                else wedge.alpha_plus)
         return ((_stopped_sample(PolarPoint(start.r, ray), 0.0, True, 0),
                  False) for _ in range(n))
+    out = _Batch(n, iteration_cap)
+    end = np.full(n, math.nan)  # the endpoint's absolute angle
     theta_cap, _, _, _ = _pass_plan(alpha)
     draws = LaneDraws(seed, indices)
+    # the live lanes and their state, compressed as lanes end
     live = np.arange(n)
-    for p in range(1, iteration_cap + 1):
-        if not live.size:
-            break
-        r, th, t = out.r[live], out.th[live], out.t[live]
-        beta = np.clip(th - theta_cap / 2.0, 0.0, alpha - theta_cap)
-        rel = th - beta
-        t_rem = T - t
-        if T < math.inf:
-            kept, r_s, th_s = _survivor(r, rel, t_rem, draws.take(live, 3), alpha)
-            done = live[kept]
-            out.r[done] = r_s[kept]
-            end[done] = wedge.alpha_minus + beta[kept] + th_s[kept]
-            out.t[done] = T
-            out.folds[done] = p
-            out.faulted[done] = False
-            refused = ~kept
-            live, r, beta, rel, t, t_rem = (live[refused], r[refused],
-                                            beta[refused], rel[refused],
-                                            t[refused], t_rem[refused])
+    r, th, t = np.full(n, start.r), np.full(n, th0), np.zeros(n)
+    with np.errstate(**_BATCH_ERRORS):
+        for p in range(1, iteration_cap + 1):
             if not live.size:
                 break
-        plus, r_new, tau = _exit_draw(draws, live, r, rel, t_rem, alpha)
-        t = t + tau
-        on_minus = ~plus & (beta == 0.0)
-        on_plus = plus & (beta == alpha - theta_cap)
-        apex = ~(on_minus | on_plus) & (r_new <= APEX_RADIUS_FLOOR)
-        th = np.where(plus, beta + theta_cap, beta)
-        hit = on_minus | on_plus | apex
-        inner_end = ~hit & (t >= T)
-        out.r[live] = np.where(apex, 0.0, r_new)
-        out.th[live] = th
-        out.t[live] = np.where(hit, np.minimum(t, T), t)
-        out.hit[live] = hit
-        end[live] = np.where(on_plus, wedge.alpha_plus,
-                             np.where(hit, wedge.alpha_minus,
-                                      wedge.alpha_minus + th))
-        over = hit | inner_end
-        done = live[over]
-        out.t[live[inner_end]] = T
-        out.folds[done] = p
-        out.faulted[done] = False
-        live = live[~over]
+            beta = np.minimum(np.maximum(th - theta_cap / 2.0, 0.0),
+                              alpha - theta_cap)  # np.clip
+            rel = th - beta
+            t_rem = T - t
+            if T < math.inf:
+                kept, r_s, th_s = _survivor(r, rel, t_rem, draws.take(live, 3),
+                                            alpha)
+                if kept.any():
+                    done = live[kept]
+                    out.write(done, r_s[kept], th[kept], T, p)
+                    end[done] = wedge.alpha_minus + beta[kept] + th_s[kept]
+                    refused = ~kept
+                    live, r, th, beta, rel, t, t_rem = (
+                        a[refused] for a in (live, r, th, beta, rel, t, t_rem))
+                    if not live.size:
+                        break
+            plus, r, tau = _exit_draw(draws, live, r, rel, t_rem, alpha)
+            t = t + tau
+            on_minus = ~plus & (beta == 0.0)
+            on_plus = plus & (beta == alpha - theta_cap)
+            apex = ~(on_minus | on_plus) & (r <= APEX_RADIUS_FLOOR)
+            th = np.where(plus, beta + theta_cap, beta)
+            hit = on_minus | on_plus | apex
+            over = hit | (t >= T)
+            if over.any():
+                done = live[over]
+                out.write(done, np.where(apex, 0.0, r)[over], th[over],
+                          np.minimum(t[over], T), p)
+                out.hit[done] = hit[over]
+                end[done] = np.where(on_plus, wedge.alpha_plus,
+                                     np.where(hit, wedge.alpha_minus,
+                                              wedge.alpha_minus + th))[over]
+                going = ~over
+                live, r, th, t = (a[going] for a in (live, r, th, t))
+    out.write(live, r, th, t)
     return _stopped_samples(wedge, out, end)
 
 
@@ -252,79 +317,82 @@ def reflected_paths(start, T, wedge, seed, indices, epsilon, fold_cap):
     start = wedge.place(start)
     base = wedge.alpha_minus
     n = len(indices)
-    out = _Batch(n, start.r, start.theta - base, fold_cap)
-    approx = np.zeros(n, dtype=bool)
-    wx, wy = np.zeros(n), np.zeros(n)  # driving displacement, internal frame
+    out = _Batch(n, fold_cap)
     theta_cap, _, _, _ = _pass_plan(alpha)
     half = theta_cap / 2.0
     mid = np.full(n, half)  # every pass starts on its sub-wedge's bisector
     draws = LaneDraws(seed, indices)
+    # the live lanes and their state, compressed as lanes end
     live = np.arange(n)
-    # an apex start ends at once, in the corner draw of pass 0
-    for p in range(0 if start.r == 0.0 else 1, fold_cap + 1):
-        if not live.size:
-            break
-        r, th, t = out.r[live], out.th[live], out.t[live]
-        t_rem = T - t
-        at_apex = r <= APEX_RADIUS_FLOOR
-        with np.errstate(over="ignore"):  # r^2 / t' past any double: no corner
-            corner = (at_apex | (r * r / t_rem < epsilon) if epsilon > 0.0
-                      else at_apex)
-        if corner.any():
-            lanes = live[corner]
-            u = draws.take(lanes, 3)
-            # samplers.sample_corner: one free Gaussian step, in the frame
-            # of the current point's ray, and a uniform angle
-            sd = np.sqrt(t_rem[corner])
-            dx, dy = sd * special.ndtri(u[0]), sd * special.ndtri(u[1])
-            c, s = np.cos(th[corner]), np.sin(th[corner])
-            wx[lanes] += c * dx - s * dy
-            wy[lanes] += s * dx + c * dy
-            out.r[lanes] = np.hypot(r[corner] + dx, dy)
-            out.th[lanes] = alpha * u[2]
-            approx[lanes] = ~at_apex[corner]
-            out.folds[lanes] = p
-            out.faulted[lanes] = False
-            going = ~corner
-            live, r, th, t, t_rem = (live[going], r[going], th[going],
-                                     t[going], t_rem[going])
+    r, th, t = np.full(n, start.r), np.full(n, start.theta - base), np.zeros(n)
+    wx, wy = np.zeros(n), np.zeros(n)  # the driving displacement
+    with np.errstate(**_BATCH_ERRORS):
+        # an apex start ends at once, in the corner draw of pass 0
+        for p in range(0 if start.r == 0.0 else 1, fold_cap + 1):
             if not live.size:
                 break
-        kept, r_new, th_s = _survivor(r, mid[:live.size], t_rem,
-                                      draws.take(live, 3), alpha)
-        pre_fold = (th - half) + th_s
-        refused = ~kept
-        if refused.any():
-            plus, r_e, tau = _exit_draw(draws, live[refused], r[refused],
-                                        mid[:refused.sum()], t_rem[refused],
-                                        alpha)
-            beta = th[refused] - half
-            r_new[refused] = r_e
-            pre_fold[refused] = np.where(plus, beta + theta_cap, beta)
-            t[refused] += tau
-        wx[live] += r_new * np.cos(pre_fold) - r * np.cos(th)
-        wy[live] += r_new * np.sin(pre_fold) - r * np.sin(th)
-        # geometry.fold_into_wedge, into <0, alpha>
-        out.th[live] = np.where(pre_fold < 0.0, -pre_fold,
-                                np.where(pre_fold > alpha, 2.0 * alpha - pre_fold,
-                                         pre_fold))
-        out.r[live] = r_new
-        out.t[live] = t
-        # a kept survivor ends the path; so does an exit that took all the
-        # time that was left
-        over = kept | (t >= T)
-        done = live[over]
-        out.folds[done] = p
-        out.faulted[done] = False
-        live = live[~over]
-    return _reflected_samples(start, T, base, out, approx, wx, wy)
+            t_rem = T - t
+            at_apex = r <= APEX_RADIUS_FLOOR
+            corner = (at_apex | (r * r / t_rem < epsilon) if epsilon > 0.0
+                      else at_apex)
+            if corner.any():
+                lanes = live[corner]
+                u = draws.take(lanes, 3)
+                # samplers.sample_corner: one free Gaussian step, in the
+                # frame of the current point's ray, and a uniform angle
+                sd = np.sqrt(t_rem[corner])
+                dx, dy = sd * special.ndtri(u[0]), sd * special.ndtri(u[1])
+                c, s = np.cos(th[corner]), np.sin(th[corner])
+                out.wx[lanes] = wx[corner] + (c * dx - s * dy)
+                out.wy[lanes] = wy[corner] + (s * dx + c * dy)
+                out.approx[lanes] = ~at_apex[corner]
+                out.write(lanes, np.hypot(r[corner] + dx, dy), alpha * u[2],
+                          t[corner], p)
+                going = ~corner
+                live, r, th, t, t_rem, wx, wy = (
+                    a[going] for a in (live, r, th, t, t_rem, wx, wy))
+                if not live.size:
+                    break
+            kept, r_new, th_s = _survivor(r, mid[:live.size], t_rem,
+                                          draws.take(live, 3), alpha)
+            pre_fold = (th - half) + th_s
+            n_kept = np.count_nonzero(kept)
+            if n_kept < live.size:
+                # the refused lanes, as a view when that is all of them
+                out_of = ~kept if n_kept else slice(None)
+                plus, r_e, tau = _exit_draw(draws, live[out_of], r[out_of],
+                                            None, t_rem[out_of], alpha)
+                beta = th[out_of] - half
+                r_new[out_of] = r_e
+                pre_fold[out_of] = np.where(plus, beta + theta_cap, beta)
+                t[out_of] += tau
+            wx = wx + (r_new * np.cos(pre_fold) - r * np.cos(th))
+            wy = wy + (r_new * np.sin(pre_fold) - r * np.sin(th))
+            # geometry.fold_into_wedge, into <0, alpha>
+            th = np.where(pre_fold < 0.0, -pre_fold,
+                          np.where(pre_fold > alpha, 2.0 * alpha - pre_fold,
+                                   pre_fold))
+            r = r_new
+            # a kept survivor ends the path; so does an exit that took all
+            # the time that was left
+            over = kept | (t >= T)
+            if over.any():
+                done = live[over]
+                out.write(done, r[over], th[over], t[over], p)
+                out.wx[done], out.wy[done] = wx[over], wy[over]
+                going = ~over
+                live, r, th, t, wx, wy = (
+                    a[going] for a in (live, r, th, t, wx, wy))
+    out.write(live, r, th, t)
+    return _reflected_samples(start, T, base, out)
 
 
-def _reflected_samples(start, T, base, out, approx, wx, wy):
+def _reflected_samples(start, T, base, out):
     """The (PathSample, faulted) pairs of a reflected batch, made one at a
     time as they are read."""
     for r, th, t, folds, fault, corner, dx, dy in zip(*(c.tolist() for c in (
-            out.r, out.th, out.t, out.folds, out.faulted, approx, wx, wy))):
+            out.r, out.th, out.t, out.folds, out.faulted, out.approx, out.wx,
+            out.wy))):
         end = PolarPoint(r, base + th)
         if fault:
             yield PathSample(endpoint=end, elapsed=t, hit_boundary=False,

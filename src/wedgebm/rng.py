@@ -99,21 +99,25 @@ class RngStream:
 
 # uniforms a lane or a stream holds between refills, whole blocks of 4
 LANE_BUFFER = 64
+# the places of a take's draws after each lane's first, one row a draw
+_GRID = np.arange(LANE_BUFFER // 2)[:, None]
 
 
 class LaneDraws:
     """The lane streams of paths `indices` of `seed`, lane j drawing from
     path indices[j]'s stream.
 
-    Each lane holds up to LANE_BUFFER of its uniforms. `take` serves a
-    request for any subset of lanes. When one of them runs short it refills
-    every lane of the request whose buffer is half empty, so that lanes
+    Each lane holds up to LANE_BUFFER of its uniforms and the place of its
+    next draw there; `take` reads at each lane's place and moves it on, and
+    `_rewind` moves it back, so draws handed back are drawn again. `take`
+    serves up to LANE_BUFFER // 2 uniforms a lane for any subset of lanes.
+    When one of them runs short it refills every lane of the request whose
+    buffer is half empty, from the block of its next draw, so that lanes
     that draw at different rates refill together. A refill points the
     instance's own numpy Philox at each lane's key and block in turn (one
     generator per instance, as batches may run on threads), so its cost
     follows the lanes it refills. A lane's k-th draw is the k-th uniform of
-    its stream whenever its buffer is filled, and draws handed back by
-    `_rewind` are drawn again.
+    its stream.
     """
 
     def __init__(self, seed, indices):
@@ -128,34 +132,36 @@ class LaneDraws:
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
         self._buf = np.empty((n, LANE_BUFFER))
-        # the draw number of buf[:, 0]: at -LANE_BUFFER, buf holds no draw
-        self._first = np.full(n, -LANE_BUFFER, dtype=np.int64)
-        self._next = np.zeros(n, dtype=np.int64)  # the next draw's number
+        # buf[j] holds lane j's blocks _block[j] on, and _at[j] is the place
+        # of its next draw there: at LANE_BUFFER, buf holds no draw
+        self._block = np.full(n, -(LANE_BUFFER // 4), dtype=np.int64)
+        self._at = np.full(n, LANE_BUFFER, dtype=np.intp)
 
     def take(self, lanes, j):
         """The next j uniforms of each lane of the index array `lanes`, as an
         array (j, len(lanes)); j is at most LANE_BUFFER // 2."""
-        k = self._next[lanes]
-        offset = k - self._first[lanes]  # the next draw's place in buf
-        if (offset > LANE_BUFFER - j).any():
-            low = offset > LANE_BUFFER // 2
+        if not 0 <= j <= LANE_BUFFER // 2:
+            raise ValueError(f"a take serves 0 to {LANE_BUFFER // 2} "
+                             f"uniforms a lane, not {j}")
+        at = self._at[lanes]
+        if at.max(initial=0) > LANE_BUFFER - j:
+            low = at > LANE_BUFFER // 2
             refill = lanes[low]
-            first = k[low] & ~3  # whole blocks
-            self._first[refill] = first
-            offset[low] = k[low] - first
+            block = self._block[refill] + (at[low] >> 2)  # whole blocks
+            self._block[refill] = block
+            at[low] &= 3
             raw = np.empty((refill.size, LANE_BUFFER), dtype=np.uint64)
             state, bits = self._state, self._bits
-            for row, lane, block in zip(raw, refill.tolist(),
-                                        (first >> 2).tolist()):
+            for row, lane, b in zip(raw, refill.tolist(), block.tolist()):
                 state["state"]["key"][1] = self._index[lane]
-                state["state"]["counter"][0] = block
+                state["state"]["counter"][0] = b
                 bits.state = state
                 row[:] = bits.random_raw(LANE_BUFFER)
             self._buf[refill] = raw_to_uniforms(raw)
-        self._next[lanes] = k + j
-        return self._buf[lanes, offset + np.arange(j)[:, None]]
+        self._at[lanes] = at + j
+        return self._buf[lanes, at + _GRID[:j]]
 
     def _rewind(self, lanes, back):
         """Hand back the last `back` draws (an array over `lanes`, each no
         more than that lane's last `take` served) to be drawn again."""
-        self._next[lanes] -= back
+        self._at[lanes] -= back

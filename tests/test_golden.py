@@ -229,6 +229,13 @@ EULER_TABLE3_DIGEST = (
 LANES_DIGEST = (
     "55e72f00f967b17f2bf8acdaeb9cc04a6c75c4b376d7634ab81e3b548b03e1c9")
 
+# the repr of every float of the lane runs LANES_DIGEST leaves out: the
+# Table 1 and Table 2 stopped rows at T = 1, and stopped and reflected
+# batches at opening 4.0 (every pass in a half-plane, m = 1) and at pi/3
+# (the sub-wedge is the wedge itself)
+LANES_STOPPED_DIGEST = (
+    "d267acccc6dc3e589adba9433db70934f6d4c0436ab973a7307a553dde7d42e1")
+
 
 # the frozen diffusion changes with the state, so every Euler cell has its
 # own frame and its own sub-wedge opening
@@ -309,6 +316,19 @@ def lanes_digest():
     ])
 
 
+def lanes_stopped_digest():
+    stopped = ESTIMATE_PRESETS["table1_stopped"]
+    reflected = ESTIMATE_PRESETS["table1_reflected"]
+    return repr_digest([
+        preset_config(stopped, 200),
+        preset_config(ESTIMATE_PRESETS["table2_stopped"], 200),
+        preset_config(stopped, 200, alpha=4.0, start=(1.5, 2.0)),
+        preset_config(reflected, 200, alpha=4.0, start=(1.5, 2.0)),
+        preset_config(stopped, 200, alpha=math.pi / 3),
+        preset_config(reflected, 200, alpha=math.pi / 3),
+    ])
+
+
 def digest(argv, out_path):
     seed = [] if argv[0] == "density" else SEED
     code = run_cli(argv + seed + ["--out", str(out_path)])
@@ -341,6 +361,10 @@ def test_lane_runs_match_golden_digest():
     assert lanes_digest() == LANES_DIGEST
 
 
+def test_stopped_and_half_plane_lane_runs_match_golden_digest():
+    assert lanes_stopped_digest() == LANES_STOPPED_DIGEST
+
+
 if __name__ == "__main__":
     import pathlib
     import tempfile
@@ -353,3 +377,4 @@ if __name__ == "__main__":
     print(f'EULER_CORRELATED_DIGEST = "{euler_correlated_digest()}"')
     print(f'EULER_TABLE3_DIGEST = "{euler_table3_digest()}"')
     print(f'LANES_DIGEST = "{lanes_digest()}"')
+    print(f'LANES_STOPPED_DIGEST = "{lanes_stopped_digest()}"')

@@ -45,6 +45,18 @@ P_MIN = 1e-3
 # streams
 # ---------------------------------------------------------------------------
 
+def seek(draws, numbers):
+    """Set the lanes' next draw numbers, their buffers empty, as after as
+    many draws."""
+    draws._block[:] = (numbers >> 2) - LANE_BUFFER // 4
+    draws._at[:] = LANE_BUFFER + (numbers & 3)
+
+
+def drawn(draws):
+    """The lanes' next draw numbers."""
+    return (4 * draws._block + draws._at).tolist()
+
+
 def test_lane_draws_are_numpys_philox_under_uneven_consumption():
     seed, indices = 42, [0, 7, 1, 2 ** 40, 2 ** 63 + 5]
     draws = LaneDraws(seed, indices)
@@ -136,7 +148,7 @@ def test_lane_streams_are_philox_4x64_10_by_its_spec():
     # block counters past 2^32, each lane two draws into its block (no run
     # draws that far, so the draw numbers are set)
     far = [2 ** 32 + 1, 2 ** 40 + 3, 2 ** 33, 5 * 2 ** 32 + 7, 2 ** 60]
-    draws._next[:] = 4 * np.array(far) + 2
+    seek(draws, 4 * np.array(far) + 2)
     got = draws.take(lanes, 10)
     for lane, (index, block) in enumerate(zip(indices, far)):
         assert got[:, lane].tolist() == spec_uniforms(seed, index, block,
@@ -199,6 +211,24 @@ def test_a_python_list_key_is_another_stream():
     assert not np.array_equal(listed, keyed)
 
 
+@pytest.mark.parametrize("before", [10, 30])
+def test_a_take_of_more_than_half_a_buffer_is_refused(before):
+    # whatever a lane's place in its buffer, a request past LANE_BUFFER // 2
+    # is a ValueError that draws nothing
+    seed, indices = 3, [0, 5]
+    draws, lanes = LaneDraws(seed, indices), np.arange(2)
+    with pytest.raises(ValueError, match="uniforms a lane"):
+        draws.take(lanes, LANE_BUFFER // 2 + 8)
+    first = draws.take(lanes, before)
+    with pytest.raises(ValueError, match="uniforms a lane"):
+        draws.take(lanes, LANE_BUFFER // 2 + 8)
+    rest = draws.take(lanes, LANE_BUFFER // 2)
+    for lane, index in enumerate(indices):
+        assert first[:, lane].tolist() + rest[:, lane].tolist() == \
+            RngStream(seed).derive(index).uniforms(
+                before + LANE_BUFFER // 2).tolist()
+
+
 def test_lane_uniforms_lie_strictly_inside_the_unit_interval():
     u = LaneDraws(0, range(64)).take(np.arange(64), 16)
     assert (u > 0.0).all() and (u < 1.0).all()
@@ -259,29 +289,37 @@ def exit_draw_round_by_round(draws, lane_ids, r, rel, horizon, alpha):
     return plus, np.ldexp(hit, k), np.ldexp(root * root, 2 * k)
 
 
-@pytest.mark.parametrize("alpha", [4.0, 0.9])  # m = 1 and m = 4
+@pytest.mark.parametrize("alpha", [4.0, 0.9, math.pi / 2])  # m = 1, 4, 2
 @pytest.mark.parametrize("n", [1, 7, 300, 1024])
 def test_exit_rounds_drawn_ahead_are_the_round_by_round_draws(n, alpha):
     # 1 and 7 pending lanes draw rounds ahead from the start, 300 and 1024
-    # once few are left
+    # once few are left. The lanes start anywhere in the sub-wedge, and
+    # then all on its bisector (rel None), as on a reflected pass
     gen = np.random.default_rng(n)
     theta_cap = _pass_plan(alpha)[0]
     r = gen.uniform(0.2, 3.0, n)
-    rel = theta_cap * gen.uniform(0.02, 0.98, n)
+    anywhere = theta_cap * gen.uniform(0.02, 0.98, n)
     horizon = np.choose(gen.integers(0, 3, n),
                         (np.full(n, 1e-4), gen.uniform(0.05, 2.0, n),
                          np.full(n, math.inf)))
-    ahead, plain = LaneDraws(5, range(n)), LaneDraws(5, range(n))
     # the lanes start at uneven draw numbers, as after earlier passes
-    ahead._next[:] = plain._next[:] = gen.integers(0, 40, n)
+    numbers = gen.integers(0, 40, n)
     lane_ids = np.arange(n)
-    for _ in range(3):  # one exit draw a pass
-        got = lane_exit_draw(ahead, lane_ids, r, rel, horizon, alpha)
-        want = exit_draw_round_by_round(plain, lane_ids, r, rel, horizon,
-                                        alpha)
-        assert repr([a.tolist() for a in got]) == \
-            repr([a.tolist() for a in want])
-        assert ahead._next.tolist() == plain._next.tolist()
+    for rel, want_rel in ((anywhere, anywhere),
+                          (None, np.full(n, theta_cap / 2.0))):
+        ahead, plain = LaneDraws(5, range(n)), LaneDraws(5, range(n))
+        seek(ahead, numbers)
+        seek(plain, numbers)
+        for _ in range(3):  # one exit draw a pass
+            # a batch's floating-point scope: the ratio terms past the apex
+            # overflow, unread
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                got = lane_exit_draw(ahead, lane_ids, r, rel, horizon, alpha)
+            want = exit_draw_round_by_round(plain, lane_ids, r, want_rel,
+                                            horizon, alpha)
+            assert repr([a.tolist() for a in got]) == \
+                repr([a.tolist() for a in want])
+            assert drawn(ahead) == drawn(plain)
 
 
 # ---------------------------------------------------------------------------
