@@ -11,23 +11,23 @@ the path starts. `girsanov_log_weight` is that factor's one definition:
 `montecarlo.map_paths` weights every exact path with it (zero drift gives
 weight 1 exactly), and each Euler cell below adds its own.
 
-State-dependent coefficients go through a frozen-coefficient Euler scheme
-on the uniform grid of `steps` cells over [0, horizon]: on each cell the
-drift and diffusion are frozen at the left endpoint,
-the cell is mapped to standard-Brownian wedge coordinates by
-`geometry.standard_frame` of the frozen diffusion matrix (its inverse, plus
-a rotation bringing the lower ray image to angle zero), and the exact
-drifted sampler runs on the sub-interval. For the reflected variant the
-reflection is normal in the decorrelated frame of each cell, which
-coincides with normal reflection in the original frame whenever the frozen
-diffusion is a scalar multiple of a rotation (in particular for identity
-diffusion).
+Mean-reverting drift, the field of `linear_field`, goes through a
+frozen-coefficient Euler scheme on the uniform grid of `steps` cells over
+[0, horizon]: on each cell the drift is frozen at the left endpoint, and
+the exact drifted sampler runs on the sub-interval in standard-Brownian
+wedge coordinates. The field's diffusion sigma is constant, so one frame,
+`geometry.standard_frame` of sigma (its inverse, plus a rotation bringing
+the lower ray image to angle zero), serves every cell of every path of an
+`euler_paths` call. For the reflected variant the reflection is normal in
+that decorrelated frame, which coincides with normal reflection in the
+original frame whenever sigma is a scalar multiple of a rotation (in
+particular for identity diffusion).
 
 How cells run. Cell k owns one triple of variates, uniforms 3k to 3k + 2 of
 the path's stream: two normals (by the inverse normal CDF) and the uniform
 of its first survivor trial. A block takes the triples of the next cells
-at once and, with the frame frozen, puts each cell's free endpoint at its
-start plus sqrt(dt) times its normals. A cell is plain when the recursion
+at once and puts each cell's free endpoint at its start plus sqrt(dt)
+times its normals. A cell is plain when the recursion
 would end it there after one kept survivor trial with no fold
 (`samplers._plain_cells`); a plain cell just moves to its endpoint and adds
 its Girsanov factor. Every other cell, a fallback, runs `algorithm_stopped`
@@ -38,12 +38,10 @@ the path, derived the first time a fallback needs it. Either way a cell
 uses its own triple, independent of everything before it, so every cell is
 exact, and the path does not depend on how the cells are cut into blocks.
 
-A block ends after _BLOCK cells, at a fallback (the cells after it start
-from the fallback's endpoint) and where the frozen diffusion changes. A
-change of diffusion builds a new frame, whose first cell runs the recursion
-too, before any block; so a diffusion that changes with the state, which
-changes the frame at every cell, runs every cell as a fallback through the
-same loop.
+A block ends after _BLOCK cells and at a fallback (the cells after it start
+from the fallback's endpoint). The path's first cell runs the recursion
+before any block, its normals unturned: a convention of the stream, which
+the golden digests pin.
 
 So a block's plain cells are one run from its first cell, and the block
 asks `samplers._plain_cells` for that run's length and the first-pass base
@@ -55,17 +53,14 @@ screen shows to be exactly 1 (`samplers._sure_survivors`), which at 5000
 steps is most of them; the sums hold at most `samplers._IMAGE_CAP` terms
 at once, whatever the opening.
 
-The loop moves a cell at a time and calls the coefficient field, any
-object with callables drift(x, t) -> R^2 and diffusion(x, t) -> 2x2
-(compared with the last one entry by entry, so arrays will do), once per
-cell, at its start x (input frame) and time t, in cell order. That loop
-is the reference, and it runs state-dependent fields. The field of
-`linear_field` has each run of more than _MIN_RUN cells taken whole, from
-its first cell: the input-frame starts, the drift at each, its cell-frame
-form and each cell's Girsanov term are arrays, made by the loop's IEEE
-operations in the loop's order, and the terms are added to the log-weight
-one at a time, in cell order. So every sampled float is the one the loop
-gives.
+The loop moves a cell at a time and calls the field's drift once per cell,
+at its start x (input frame), in cell order. That loop is the reference.
+A run of more than _MIN_RUN plain cells is taken whole, from its first
+cell: the input-frame starts, the drift at each (the field's `drifts`),
+its cell-frame form and each cell's Girsanov term are arrays, made by the
+loop's IEEE operations in the loop's order, and the terms are added to the
+log-weight one at a time, in cell order. So every sampled float is the one
+the loop gives.
 
 `euler_paths` has the shape of `lanes.stopped_paths` and
 `lanes.reflected_paths`: a seed and path indices in, a (PathSample,
@@ -87,7 +82,7 @@ from .samplers import (FoldCapExceeded, PathSample, _plain_cells,
 
 _BLOCK = 256  # cells a block draws and tries at once; paths do not depend on it
 # the fewest plain cells that `_run_log_weight` takes at once: its numpy
-# calls cost about as much as this many cells of the per-cell loop
+# calls cost about as much as this many cells of the loop in `_euler`
 _MIN_RUN = 12
 
 
@@ -117,10 +112,10 @@ def linear_field(mu, kappa, sigma):
 
 @dataclass(frozen=True)
 class _LinearField:
-    """The field of `linear_field`. Its drift, its diffusion and `drifts`,
-    the drift over the (2, n) array of n points, x over y, are made from
-    the same three values, so `drifts` gives, bit for bit, the drift at
-    each point, at any t."""
+    """The field of `linear_field`: its constant diffusion `sigma`, its
+    drift at a point and `drifts`, the drift over the (2, n) array of n
+    points, x over y. Both drifts are made from the same mu and kappa, so
+    `drifts` gives, bit for bit, the drift at each point."""
 
     mu: tuple
     kappa: tuple
@@ -131,12 +126,9 @@ class _LinearField:
         object.__setattr__(self, "_neg_mu", -np.array(self.mu)[:, None])
         object.__setattr__(self, "_kappa_col", np.array(self.kappa)[:, None])
 
-    def drift(self, x, _t):
+    def drift(self, x):
         mu, kappa = self.mu, self.kappa
         return (-mu[0] * (x[0] - kappa[0]), -mu[1] * (x[1] - kappa[1]))
-
-    def diffusion(self, _x, _t):
-        return self.sigma
 
     def drifts(self, xy):
         return self._neg_mu * (xy - self._kappa_col)
@@ -144,39 +136,45 @@ class _LinearField:
 
 def euler_paths(field, start, horizon, steps, wedge, seed, indices,
                 reflected, epsilon, fold_cap):
-    """Paths `indices` of `seed` of the Euler scheme, as a list of
-    (PathSample, faulted) pairs in index order; path i draws from
-    `RngStream(seed).derive(i)`.
+    """Paths `indices` of `seed` of the Euler scheme of `field`, a
+    `linear_field`, as a list of (PathSample, faulted) pairs in index
+    order; path i draws from `RngStream(seed).derive(i)`.
 
     start is a PolarPoint in the wedge; cell k of the `steps` cells starts
     at horizon * k / steps and the last ends at horizon. A stopped path ends
     at the exact hit state of its first cell that hits the boundary; a
-    reflected one reflects in each cell's frame, with corner threshold
+    reflected one reflects in the frame of sigma, with corner threshold
     epsilon. The weight holds the cells' Girsanov factors. A cell past
     fold_cap passes ends its path, faulted, with the path's state where the
     cell's recursion stopped: its clock and folds, the weight of the cells
-    before, and its point in the input frame.
+    before, and its point in the input frame. A grid that is not
+    steps >= 1 and 0 < horizon < inf is a ValueError, before any path.
     """
-    root = RngStream(seed)
-    return [_euler(field, start, horizon, steps, wedge, root.derive(i),
-                   reflected, epsilon, fold_cap) for i in indices]
-
-
-def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
-           fold_cap):
-    """One Euler path drawn from rng, as a (PathSample, faulted) pair;
-    `reflected` picks the recursion a fallback cell runs."""
     if not (steps >= 1 and 0.0 < horizon < math.inf):
         raise ValueError(f"need steps >= 1 and 0 < horizon < inf, got "
                          f"steps={steps}, horizon={horizon}")
+    x = wedge.place(start).cartesian()
+    fwd, bwd, cell_wedge = standard_frame(field.sigma, wedge)
+    # the columns of bwd and fwd, as (2, 1) arrays, for runs of cells
+    columns = np.array((bwd, fwd)).transpose(0, 2, 1)[..., None]
+    frame = fwd, bwd, cell_wedge, columns
+    root = RngStream(seed)
+    return [_euler(field, frame, x, horizon, steps, root.derive(i), reflected,
+                   epsilon, fold_cap) for i in indices]
+
+
+def _euler(field, frame, x, horizon, steps, rng, reflected, epsilon,
+           fold_cap):
+    """One Euler path from x (input frame), drawn from rng, as a
+    (PathSample, faulted) pair. `frame` is (fwd, bwd, cell wedge, columns)
+    of `euler_paths`; `reflected` picks the recursion a fallback cell runs."""
+    fwd, bwd, cell_wedge, columns = frame
     draws = _CellDraws(rng, steps)
-    x = wedge.place(start).cartesian()  # the cell's start, input frame
+    pos = mat_vec(fwd, x)  # the cell's start, cell frame
     log_w = 0.0
     folds = 0
     approx = False
-    frame_sigma = None
-    drift, diffusion = coeffs.drift, coeffs.diffusion
-    drifts = coeffs.drifts if isinstance(coeffs, _LinearField) else None
+    drift = field.drift
 
     def ending(xy, elapsed, hit=False, faulted=False):
         # the path's state as it ends at xy, input frame: its folds, the
@@ -185,27 +183,15 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
                           elapsed=elapsed, hit_boundary=hit, folds=folds,
                           weight=math.exp(log_w), approx_used=approx), faulted
 
+    # the first cell runs the recursion on its triple, its normals unturned
+    # (base 0), and blocks start after it: a convention of the stream,
+    # which EULER_TABLE3_DIGEST pins
+    j, run, size, base = 0, 0, 1, 0.0
     k = 0
     while k < steps:
         t_k = horizon * k / steps
         dt = (horizon * (k + 1) / steps if k + 1 < steps else horizon) - t_k
-        b_k = drift(x, t_k)
-        (a, b), (c, d) = s_k = diffusion(x, t_k)
-        # the frame depends on sigma alone: keep it while sigma is unchanged
-        # (compared entry by entry, so any 2x2 sequence, arrays too, works)
-        if (a, b, c, d) != frame_sigma:
-            frame_sigma = (a, b, c, d)
-            fwd, bwd, cell_wedge = standard_frame(s_k, wedge)
-            pos = mat_vec(fwd, x)  # the cell's start, cell frame
-            # the columns of bwd and fwd, as (2, 1) arrays, for runs of cells
-            columns = (np.array((bwd, fwd)).transpose(0, 2, 1)[..., None]
-                       if drifts else None)
-            # the frame's first cell runs the recursion, whatever its triple
-            # (so any turn of its normals will do), and blocks start after
-            # it: a sigma that changes with the state changes the frame at
-            # every cell, where a block would hold one cell
-            j, run, size, base = 0, 0, 1, 0.0
-        b_cell = mat_vec(fwd, b_k)  # mu (x - kappa) can overflow mid-path
+        b_cell = mat_vec(fwd, drift(x))  # mu (x - kappa) can overflow mid-path
         if not (math.isfinite(b_cell[0]) and math.isfinite(b_cell[1])):
             raise _drift_error(b_cell)
         if j == size:
@@ -215,9 +201,10 @@ def _euler(coeffs, start, horizon, steps, wedge, rng, reflected, epsilon,
                                             reflected, epsilon)
             j = 0
         if j < run:
-            if j == 0 and drifts and run > _MIN_RUN:
+            if j == 0 and run > _MIN_RUN:
                 # the whole run at once
-                log_w = _run_log_weight(log_w, drifts, columns, cells, run)
+                log_w = _run_log_weight(log_w, field.drifts, columns, cells,
+                                        run)
                 folds += run
                 k += run - 1
                 j = run

@@ -3,8 +3,8 @@
 A wedge <alpha_minus, alpha_plus> is the set of points whose polar angle lies
 between the two ray angles. All samplers and densities work in "standard"
 coordinates where the driving noise is a standard planar Brownian motion.
-`standard_frame` is the one map there from noise sigma W in a wedge: each
-Euler cell uses it, and `montecarlo.run_frame` applies it to a correlated
+`standard_frame` is the one map there from noise sigma W in a wedge: every
+Euler cell runs in it, and `montecarlo.run_frame` applies it to a correlated
 setup (marginal scales sigma1, sigma2, correlation rho, boundary line
 y = a x) in an exact mode.
 """

@@ -148,8 +148,8 @@ def run_frame(config):
     forward. sigma^{-1} keeps the x-axis, so that frame needs no rotation;
     scripts/oracles/decorrelation_reference.py derives and checks the closed
     forms of its opening. An Euler run, which has no constant drift, stays in
-    the setup's frame with noise setup.sigma, and each cell's own standard
-    frame decorrelates it.
+    the setup's frame with noise setup.sigma, and `drift.euler_paths`
+    decorrelates it in the standard frame of setup.sigma.
     """
     setup = config.setup
     if setup is None:

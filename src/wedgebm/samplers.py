@@ -292,9 +292,8 @@ def _sub_opening(alpha):
 def _pass_plan(alpha):
     """(theta_cap, m, sub-wedge <0, theta_cap>, image angles of its
     bisector) of every pass in a wedge of opening alpha. Cached per opening:
-    a run, and every Euler cell of a constant diffusion, reuses one plan.
-    The small fixed size bounds the cache when a state-dependent diffusion
-    gives each cell its own opening.
+    a run, and every Euler cell of its paths, reuses one plan. The small
+    fixed size bounds the cache over a process that runs many openings.
     """
     theta_cap, m = _sub_opening(alpha)
     sub = WedgeSpec(0.0, theta_cap)

@@ -1,12 +1,12 @@
 import math
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from wedgebm import drift as drift_module
 from wedgebm import samplers
-from wedgebm.drift import _euler, euler_paths, girsanov_log_weight, linear_field
+from wedgebm.drift import euler_paths, girsanov_log_weight, linear_field
 from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, WedgeSpec,
                               standard_frame)
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
@@ -15,8 +15,6 @@ from wedgebm.samplers import (APEX_RADIUS_FLOOR, DEFAULT_EPSILON,
                               DEFAULT_FOLD_CAP, _image_sum_arrays, _pass_plan,
                               _plain_cells, _sure_survivors,
                               algorithm_reflected, algorithm_stopped)
-
-from test_golden import _state_dependent_field
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -168,25 +166,27 @@ def test_reflected_corner_weight_is_mean_one():
 
 def test_time_grid_validation():
     # the grid is (horizon, steps): at least one cell and a finite horizon,
-    # and the last cell ends exactly at the horizon
+    # checked before any path is drawn, and the last cell ends exactly at
+    # the horizon
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
     for reflected in (False, True):
         for horizon, steps in ((1.0, 0), (math.inf, 4), (0.0, 4),
                                (math.nan, 4)):
-            with pytest.raises(ValueError):
-                _euler(field, START, horizon, steps, W09, RngStream(1),
-                       reflected, DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
-    sample, faulted = _euler(field, START, 0.3, 7, W09, RngStream(1), True,
-                             DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
+            for indices in ([0], []):
+                with pytest.raises(ValueError):
+                    euler_paths(field, START, horizon, steps, W09, 1, indices,
+                                reflected, DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
+    [(sample, faulted)] = euler_paths(field, START, 0.3, 7, W09, 1, [0], True,
+                                      DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
     assert sample.elapsed == 0.3 and not faulted
 
 
 def test_linear_field_values():
     field = linear_field((0.1, 0.2), (0.7, 0.5), ((1.0, 0.0), (0.0, 1.0)))
-    bx, by = field.drift((1.7, 0.0), 0.0)
+    bx, by = field.drift((1.7, 0.0))
     assert bx == pytest.approx(-0.1 * 1.0)
     assert by == pytest.approx(-0.2 * (-0.5))
-    assert field.diffusion((0.0, 0.0), 0.0) == ((1.0, 0.0), (0.0, 1.0))
+    assert field.sigma == ((1.0, 0.0), (0.0, 1.0))
 
 
 def test_cell_frame_identity():
@@ -296,47 +296,26 @@ def test_euler_ou_against_brute_force():
     assert abs(mean - bvals.mean()) <= 3.5 * (se + bse) + 0.05
 
 
-def test_constant_sigma_euler_work_per_path_does_not_grow_with_steps(monkeypatch):
-    # the cell frame is kept while sigma is unchanged, and the cell wedge's
-    # sub-wedge and m come from a plan built once per opening
-    counts = {"pi_over_m": 0, "cell_frame": 0}
-    pi_over_m = WedgeSpec.pi_over_m
+def test_euler_paths_build_one_frame_per_call(monkeypatch):
+    # the frame of the field's constant sigma is built once per call,
+    # whatever the paths and steps, and the plan of the cell wedge's passes
+    # once per opening
+    frames = []
 
-    def counted_pi_over_m(self):
-        counts["pi_over_m"] += 1
-        return pi_over_m(self)
-
-    def counted_cell_frame(sigma, wedge):
-        counts["cell_frame"] += 1
+    def counted_frame(sigma, wedge):
+        frames.append(sigma)
         return standard_frame(sigma, wedge)
 
-    monkeypatch.setattr(WedgeSpec, "pi_over_m", counted_pi_over_m)
-    monkeypatch.setattr(drift_module, "standard_frame", counted_cell_frame)
-    coeffs = linear_field((0.1, 0.2), (0.7, 0.5), ((1.0, 0.0), (0.0, 1.0)))
-    seen = []
-    for steps in (50, 200):
-        _pass_plan.cache_clear()
-        counts.update(pi_over_m=0, cell_frame=0)
-        _euler(coeffs, START, 1.0, steps, W09, RngStream(2), True, 0.01,
-               DEFAULT_FOLD_CAP)
-        seen.append(dict(counts))
-    assert seen[0] == seen[1]
-    assert seen[0]["cell_frame"] == 1
-    assert seen[0]["pi_over_m"] <= 1
-
-
-def test_euler_accepts_an_array_valued_diffusion():
-    # the frame cache compares sigma entry by entry, so a numpy diffusion
-    # runs, with the same draws and result as the equal tuple one
-    sig = ((1.1, 0.2), (-0.1, 0.9))
-    as_tuple = linear_field((0.1, 0.2), (0.7, 0.5), sig)
-    as_array = SimpleNamespace(drift=as_tuple.drift,
-                               diffusion=lambda _x, _t: np.array(sig))
-    for reflected in (False, True):
-        assert _euler(as_array, START, 1.0, 30, W09, RngStream(6), reflected,
-                      DEFAULT_EPSILON, DEFAULT_FOLD_CAP) == \
-            _euler(as_tuple, START, 1.0, 30, W09, RngStream(6), reflected,
-                   DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
+    monkeypatch.setattr(drift_module, "standard_frame", counted_frame)
+    field = linear_field((0.1, 0.2), (0.7, 0.5), ((1.0, 0.0), (0.0, 1.0)))
+    for paths in (1, 3):
+        for steps in (50, 200):
+            _pass_plan.cache_clear()
+            frames.clear()
+            euler_paths(field, START, 1.0, steps, W09, 2, range(paths), True,
+                        0.01, DEFAULT_FOLD_CAP)
+            assert frames == [field.sigma]
+            assert _pass_plan.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +491,7 @@ def test_the_survivor_screen_passes_only_sure_cells(alpha):
 
 SIG = ((1.1, 0.2), (-0.1, 0.9))
 SCHEMES = ((True, 0.01), (False, DEFAULT_EPSILON))  # (reflected, epsilon)
-FIELDS = {
-    "tuple": linear_field((0.1, 0.2), (0.7, 0.5), SIG),
-    "array": SimpleNamespace(drift=linear_field((0.1, 0.2), (0.7, 0.5), SIG).drift,
-                             diffusion=lambda _x, _t: np.array(SIG)),
-    "state_dependent": _state_dependent_field(),  # the golden one
-}
+FIELDS = {"tuple": linear_field((0.1, 0.2), (0.7, 0.5), SIG)}
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -589,11 +563,6 @@ def test_a_faulted_euler_path_reports_the_path_state():
 # runs of plain cells as arrays
 # ---------------------------------------------------------------------------
 
-def per_cell(field):
-    """The field without its array drift, which the schemes call per cell."""
-    return SimpleNamespace(drift=field.drift, diffusion=field.diffusion)
-
-
 def watched_runs(monkeypatch):
     """A list with an entry for every run that `_run_log_weight` takes:
     whether it raised."""
@@ -618,34 +587,31 @@ def euler_path(field, seed, index, steps, reflected, epsilon,
     return row
 
 
+def per_cell_path(monkeypatch, field, seed, index, steps, reflected, epsilon,
+                  fold_cap=DEFAULT_FOLD_CAP):
+    """`euler_path` with no run taken as arrays: the loop moves every cell,
+    which is the reference of the array runs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(drift_module, "_MIN_RUN", steps)
+        return euler_path(field, seed, index, steps, reflected, epsilon,
+                          fold_cap)
+
+
 @pytest.mark.parametrize("sigma", [((1.0, 0.0), (0.0, 1.0)), SIG])
 @pytest.mark.parametrize("steps", [20, 500, 5000])
 def test_array_runs_give_the_per_cell_paths(steps, sigma, monkeypatch):
     # every float of a linear field's path, run by the arrays, is the one of
-    # the per-cell loop on the same callables
+    # the per-cell loop
     field = linear_field((0.1, 0.2), (0.7, 0.5), sigma)
     runs = watched_runs(monkeypatch)
     for seed in range(3):
         for reflected, epsilon in SCHEMES:
             fast = euler_path(field, seed, 1, steps, reflected, epsilon)
-            slow = euler_path(per_cell(field), seed, 1, steps, reflected,
-                              epsilon)
+            slow = per_cell_path(monkeypatch, field, seed, 1, steps,
+                                 reflected, epsilon)
             assert fast == slow == (fast[0], False)
             assert repr(vars(fast[0])) == repr(vars(slow[0]))
     assert runs or steps == 20
-
-
-def test_only_the_linear_field_runs_as_arrays(monkeypatch):
-    # an array drift on any other field is never read, so it cannot disagree
-    # with the drift that the loop calls
-    field = linear_field((0.1, 0.2), (0.7, 0.5), SIG)
-    other = SimpleNamespace(drift=field.drift, diffusion=field.diffusion,
-                            drifts=lambda xy: 0.0 * xy)
-    runs = watched_runs(monkeypatch)
-    for reflected, epsilon in SCHEMES:
-        assert euler_path(other, 0, 1, 5000, reflected, epsilon) == \
-            euler_path(per_cell(field), 0, 1, 5000, reflected, epsilon)
-    assert not runs
 
 
 def test_array_runs_give_the_per_cell_faults(monkeypatch):
@@ -656,8 +622,8 @@ def test_array_runs_give_the_per_cell_faults(monkeypatch):
         for reflected in (True, False):
             fast = euler_path(field, seed, 0, 100, reflected, DEFAULT_EPSILON,
                               fold_cap=1)
-            slow = euler_path(per_cell(field), seed, 0, 100, reflected,
-                              DEFAULT_EPSILON, fold_cap=1)
+            slow = per_cell_path(monkeypatch, field, seed, 0, 100, reflected,
+                                 DEFAULT_EPSILON, fold_cap=1)
             assert repr(vars(fast[0])) == repr(vars(slow[0]))
             assert fast[1] == slow[1]
             faults += fast[1]
@@ -674,9 +640,9 @@ def test_array_runs_raise_the_per_cell_drift_error(monkeypatch):
                          ((1.0, 0.0), (0.0, 1.0)))
     for reflected in (True, False):
         messages = []
-        for coeffs in (field, per_cell(field)):
+        for path in (euler_path, partial(per_cell_path, monkeypatch)):
             with pytest.raises(ValueError, match="must be a finite") as err:
-                euler_path(coeffs, 3, 0, 5000, reflected, DEFAULT_EPSILON)
+                path(field, 3, 0, 5000, reflected, DEFAULT_EPSILON)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
     assert any(runs)

@@ -13,12 +13,10 @@ To print the digests of the current code:
 import hashlib
 import math
 import sys
-from types import SimpleNamespace
 
 import pytest
 
 from wedgebm.cli import ESTIMATE_PRESETS, ITO_PRESETS, run_cli
-from wedgebm.drift import euler_paths
 from wedgebm.geometry import CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
@@ -197,19 +195,8 @@ DIGESTS = {
         "288fc67304448c25d76e12d13161febf829f5af3cbe3fd489780669ec779049f",
 }
 
-# recorded again when the survivor proposal became the folded free Gaussian
-# endpoint, when the passes became survivor-first (every Euler cell ends in a
-# survivor draw), and when the Euler cells became blocked. The Euler cases
-# (ito_table3_* and the two below) were recorded again when `RngStream`
-# became the lanes' Philox stream. The two below, which hash the repr of
-# every float, were recorded again when a raw word x became the uniform
-# ((x >> 12) + 0.5) 2^-52 instead of ((x >> 11) + 0.5) 2^-53; that moves
-# each uniform by at most 2^-53, below the 12 digits of every CSV case
-EULER_STATE_DEPENDENT_DIGEST = (
-    "0878c9323584ce37b2df437a4f3ac2d92095e1d1554794536caf33e906cc8346")
-
 # a correlated setup's reflected Euler run, in the setup's own coordinates
-# with diffusion setup.sigma: each cell's standard frame decorrelates.
+# with diffusion setup.sigma: the standard frame of sigma decorrelates.
 # Recorded again when the passes became survivor-first, when the Euler
 # cells became blocked, when `RngStream` became a Philox stream, and when
 # the uniforms became ((x >> 12) + 0.5) 2^-52
@@ -235,31 +222,6 @@ LANES_DIGEST = (
 # (the sub-wedge is the wedge itself)
 LANES_STOPPED_DIGEST = (
     "d267acccc6dc3e589adba9433db70934f6d4c0436ab973a7307a553dde7d42e1")
-
-
-# the frozen diffusion changes with the state, so every Euler cell has its
-# own frame and its own sub-wedge opening
-def _state_dependent_field():
-    def b(x, _t):
-        return (-0.5 * x[0], 0.2 - 0.3 * x[1])
-
-    def s(x, _t):
-        return ((1.0 + 0.3 * math.tanh(x[0]), 0.2 * math.sin(x[1])),
-                (-0.1, 0.8 + 0.2 * math.cos(x[0])))
-
-    return SimpleNamespace(drift=b, diffusion=s)
-
-
-def euler_state_dependent_digest():
-    """sha256 of the repr of every PathSample field of five Euler paths."""
-    rows = euler_paths(_state_dependent_field(), PolarPoint(1.5, 0.3), 1.0, 40,
-                       WedgeSpec(0.0, 0.9), 7, range(5), True, 0.03,
-                       DEFAULT_FOLD_CAP)
-    h = hashlib.sha256()
-    for sample, faulted in rows:
-        assert not faulted
-        h.update(repr(vars(sample)).encode())
-    return h.hexdigest()
 
 
 def euler_correlated_digest():
@@ -345,10 +307,6 @@ def test_every_case_has_a_digest():
     assert sorted(DIGESTS) == sorted(CASES)
 
 
-def test_euler_state_dependent_diffusion_matches_golden_digest():
-    assert euler_state_dependent_digest() == EULER_STATE_DEPENDENT_DIGEST
-
-
 def test_euler_correlated_setup_matches_golden_digest():
     assert euler_correlated_digest() == EULER_CORRELATED_DIGEST
 
@@ -373,7 +331,6 @@ if __name__ == "__main__":
         out = pathlib.Path(tmp) / "out.csv"
         for name in sorted(CASES):
             sys.stdout.write(f'    "{name}":\n        "{digest(CASES[name], out)}",\n')
-    print(f'EULER_STATE_DEPENDENT_DIGEST = "{euler_state_dependent_digest()}"')
     print(f'EULER_CORRELATED_DIGEST = "{euler_correlated_digest()}"')
     print(f'EULER_TABLE3_DIGEST = "{euler_table3_digest()}"')
     print(f'LANES_DIGEST = "{lanes_digest()}"')

@@ -412,7 +412,11 @@ def _close(a, b):
 
 W058, W4, W02 = WedgeSpec(0.0, 0.58), WedgeSpec(0.0, 4.0), WedgeSpec(0.0, 0.2)
 PI_3 = WedgeSpec(0.0, math.pi / 3)
-# name -> (stopped, start, T, wedge, epsilon, cap, paths)
+# wedges whose lower ray is not at angle 0
+W_ROT, W_ROT_WIDE = WedgeSpec(0.3, 1.2), WedgeSpec(2.0, TWO_PI)
+# name -> (stopped, start, T, wedge, epsilon, cap, paths); path i of a case
+# draws from seed 1900 + the case's place in sorted order, so a new case
+# whose name sorts last leaves the seeds of the others as they were
 PARITY = {
     "table1_stopped": (True, START, 1.0, W09, None, CAP, 1500),
     "table2_stopped": (True, PolarPoint(3.0, 0.4), 1.0, W058, None, CAP, 1500),
@@ -444,6 +448,16 @@ PARITY = {
                             500),
     "alpha_4.0_reflected": (False, PolarPoint(1.5, 2.0), 1.0, W4, 0.03, CAP,
                             500),
+    "wedge_rotated_stopped": (True, PolarPoint(1.5, 0.6), 1.0, W_ROT, None,
+                              CAP, 1500),
+    "wedge_rotated_exit": (True, PolarPoint(1.5, 0.6), math.inf, W_ROT, None,
+                           CAP, 1500),
+    "wedge_rotated_reflected": (False, PolarPoint(1.5, 0.6), 1.0, W_ROT, 0.03,
+                                CAP, 1500),
+    "wedge_rotated_wide_stopped": (True, PolarPoint(1.0, 4.0), 1.0,
+                                   W_ROT_WIDE, None, CAP, 500),
+    "wedge_rotated_wide_reflected": (False, PolarPoint(1.0, 4.0), 1.0,
+                                     W_ROT_WIDE, 0.03, CAP, 500),
 }
 
 

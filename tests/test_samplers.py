@@ -10,7 +10,7 @@ from scipy.stats import chi2, kstest, kstwo, ks_2samp, norm
 
 from wedgebm.densities import ExitLawParams, killed_density_images
 from wedgebm import samplers
-from wedgebm.drift import _euler, linear_field
+from wedgebm.drift import euler_paths, linear_field
 from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, Side, WedgeSpec,
                               image_angles)
 from wedgebm.rng import RngStream
@@ -557,21 +557,23 @@ def test_starts_on_and_near_a_ray(alpha, log_r, upper, outside, d, seed):
     start = PolarPoint(10.0 ** log_r, ray + d if upper == outside else ray - d)
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
     runs = {
-        "stopped": lambda rng: algorithm_stopped(start, 1.0, wedge, rng),
-        "reflected": lambda rng: algorithm_reflected(start, 1.0, wedge, rng),
-        "euler_stopped": lambda rng: _euler(field, start, 1.0, 2, wedge, rng,
-                                            False, DEFAULT_EPSILON,
-                                            DEFAULT_FOLD_CAP)[0],
-        "euler_reflected": lambda rng: _euler(field, start, 1.0, 2, wedge, rng,
-                                              True, DEFAULT_EPSILON,
-                                              DEFAULT_FOLD_CAP)[0],
+        "stopped": lambda: algorithm_stopped(start, 1.0, wedge,
+                                             RngStream(seed)),
+        "reflected": lambda: algorithm_reflected(start, 1.0, wedge,
+                                                 RngStream(seed)),
+        "euler_stopped": lambda: euler_paths(field, start, 1.0, 2, wedge, seed,
+                                             [0], False, DEFAULT_EPSILON,
+                                             DEFAULT_FOLD_CAP)[0][0],
+        "euler_reflected": lambda: euler_paths(field, start, 1.0, 2, wedge,
+                                               seed, [0], True, DEFAULT_EPSILON,
+                                               DEFAULT_FOLD_CAP)[0][0],
     }
     for name, run in runs.items():
         if outside and d > ANGLE_TOL:
             with pytest.raises(ValueError):
-                run(RngStream(seed))
+                run()
             continue
-        sample = run(RngStream(seed))
+        sample = run()
         end = sample.endpoint
         assert end.r == 0.0 or contains_angle(wedge, end.theta)
         if "stopped" not in name:
