@@ -32,6 +32,12 @@ passes, 40 batches a repeat). And a path run as a batch of one lane
 its own stream (`samplers.scalar_reflected_path_us`, `derive` included),
 400 reflected paths at eps 0.03 from the Table 1 start.
 
+The reduction (`montecarlo.reduce_us_per_path`) is what `estimate` does
+after the engine: the Girsanov weights, the endpoints in the input frame,
+the test function and the sums, per path, on the columns of one batch of
+1000 paths of the Table 1 reflected row under drift (0.3, -0.2), which the
+engine hands back again on every call.
+
 The JSON record holds the figures, the seed, the repeat count, the number of
 cores this process may run on and the Python, numpy and scipy versions.
 """
@@ -44,15 +50,17 @@ import platform
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy
 
-from wedgebm import lanes
+from wedgebm import lanes, montecarlo
 from wedgebm.corner import sample_corner
 from wedgebm.densities import killed_density_series
 from wedgebm.drift import euler_paths, linear_field
 from wedgebm.geometry import PolarPoint, WedgeSpec
+from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, estimate
 from wedgebm.rng import LANE_BUFFER, LaneDraws, RngStream
 from wedgebm.samplers import (_exit_draw, _pass_plan, _survivor_trial,
                               algorithm_reflected)
@@ -108,7 +116,7 @@ def exit_rounds_per_pass(batch):
 
     lanes._exit_draw, LaneDraws.take = counted_draw, counted_take
     try:
-        list(batch())
+        batch()
     finally:
         lanes._exit_draw, LaneDraws.take = draw, take
     return counts["rounds"] / counts["draws"]
@@ -124,6 +132,25 @@ def refill_us(n, calls, repeats):
     return _per_call_us(refill, calls, repeats)
 
 
+def reduce_us(repeats):
+    """us per path from a batch's columns to its McReport: `estimate` of
+    the drifted Table 1 reflected row at LANES paths (one batch), its
+    engine handing back the columns it returned once."""
+    config = EstimatorConfig(mode=Mode.REFLECTED, func=TestFunction.RADIUS_SQ,
+                             horizon=1.0, n_samples=LANES, seed=SEED,
+                             wedge=WEDGE, start=START, drift=(0.3, -0.2))
+    batch = montecarlo.reflected_paths(START, 1.0, WEDGE, SEED, range(LANES),
+                                       0.03, 10 ** 6)
+    engine = montecarlo.reflected_paths
+    # a fresh record each call: map_paths sets the weights and the endpoint
+    montecarlo.reflected_paths = lambda *_args, **_kwargs: replace(
+        batch, weight=batch.weight.copy())
+    try:
+        return _per_call_us(lambda _i: estimate(config), 20, repeats) / LANES
+    finally:
+        montecarlo.reflected_paths = engine
+
+
 def lane_layers(repeats):
     out = {}
     out["lanes.philox_ns_per_double"] = 1e3 * refill_us(
@@ -131,18 +158,19 @@ def lane_layers(repeats):
     out["lanes.tail_refill_us"] = refill_us(8, 2000, repeats)
     for name, batch in LANE_BATCHES.items():
         out[f"lanes.{name}_path_us"] = _per_call_us(
-            lambda _i: list(batch()), 1, repeats) / LANES
+            lambda _i: batch(), 1, repeats) / LANES
         out[f"lanes.{name}_exit_rounds_per_pass"] = exit_rounds_per_pass(batch)
     for name, epsilon in TAIL_BATCHES.items():
         def tail(_i, epsilon=epsilon):
-            return list(lanes.reflected_paths(START, 1.0, WEDGE, SEED,
-                                              range(TAIL_LANES), epsilon, 150))
-        passes = max(sample.folds for sample, _faulted in tail(0))
+            return lanes.reflected_paths(START, 1.0, WEDGE, SEED,
+                                         range(TAIL_LANES), epsilon, 150)
+        passes = int(tail(0).folds.max())
         out[f"lanes.{name}_pass_us"] = _per_call_us(tail, 40, repeats) / passes
+    out["montecarlo.reduce_us_per_path"] = reduce_us(repeats)
     root = RngStream(SEED)
     out["lanes.one_lane_reflected_path_us"] = _per_call_us(
-        lambda i: list(lanes.reflected_paths(START, 1.0, WEDGE, SEED, [i],
-                                             0.03, 10 ** 6)),
+        lambda i: lanes.reflected_paths(START, 1.0, WEDGE, SEED, [i], 0.03,
+                                        10 ** 6),
         ONE_LANE_PATHS, repeats)
     out["samplers.scalar_reflected_path_us"] = _per_call_us(
         lambda i: algorithm_reflected(START, 1.0, WEDGE, root.derive(i),
@@ -184,9 +212,8 @@ def layers(repeats):
                                    range(lo, lo + group), reflected, 0.01,
                                    10 ** 6)
                 took[reflected] += time.perf_counter() - t0
-                ran[reflected] += sum(
-                    math.ceil(sample.elapsed * steps) if sample.hit_boundary
-                    else steps for sample, _faulted in rows)
+                ran[reflected] += int(np.where(
+                    rows.hit, np.ceil(rows.elapsed * steps), steps).sum())
         return {reflected: took[reflected] / ran[reflected] * 1e6
                 for reflected in took}
 

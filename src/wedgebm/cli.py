@@ -320,13 +320,15 @@ def cmd_density(args):
 
 def cmd_sample(args):
     config = _build_config(args, args.mode, "constant_1", n_default=10)
-
-    def row(index, sample, fault, xy):
-        return _row(index, xy[0], xy[1], sample.elapsed,
-                    int(sample.hit_boundary), sample.folds, sample.weight,
-                    int(fault))
-
-    _emit([SAMPLE_HEADER] + map_paths(config, row), args.out)
+    paths = map_paths(config)
+    lines = [SAMPLE_HEADER]
+    for index, (x, y, elapsed, hit, folds, weight, fault) in enumerate(zip(*(
+            column.tolist() for column in (
+                paths.x, paths.y, paths.elapsed, paths.hit, paths.folds,
+                paths.weight, paths.faulted)))):
+        lines.append(_row(index, x, y, elapsed, int(hit), folds, weight,
+                          int(fault)))
+    _emit(lines, args.out)
     return 0
 
 

@@ -63,10 +63,11 @@ log-weight one at a time, in cell order. So every sampled float is the one
 the loop gives.
 
 `euler_paths` has the shape of `lanes.stopped_paths` and
-`lanes.reflected_paths`: a seed and path indices in, a (PathSample,
-faulted) pair per path out. Each path ends as one such pair, at the
-horizon, at a boundary hit or, faulted, in a cell whose recursion passes
-fold_cap.
+`lanes.reflected_paths`: a seed and path indices in, a `PathColumns`
+record of the paths out. Each path ends as one tuple of its column
+entries, at the horizon, at a boundary hit or, faulted, in a cell whose
+recursion passes fold_cap; its endpoint is the `PolarPoint` of its
+input-frame point, and it has no driving endpoint.
 """
 
 import math
@@ -77,7 +78,7 @@ from scipy.special import ndtri
 
 from .geometry import PolarPoint, mat_vec, standard_frame
 from .rng import RngStream
-from .samplers import (FoldCapExceeded, PathSample, _plain_cells,
+from .samplers import (FoldCapExceeded, PathColumns, _plain_cells,
                        algorithm_reflected, algorithm_stopped)
 
 _BLOCK = 256  # cells a block draws and tries at once; paths do not depend on it
@@ -89,9 +90,11 @@ _MIN_RUN = 12
 def girsanov_log_weight(b, driving_endpoint, elapsed, start):
     """Log of the reweighting factor of constant drift b, a 2-tuple, for one
     path: b . (W_end - W_start) - |b|^2 elapsed / 2, where driving_endpoint
-    and start are the end and start of the driving Brownian motion.
+    and start are the end and start of the driving Brownian motion. Given
+    arrays of driving endpoints (x over y) and of elapsed times, it gives
+    the array of the paths' factors, each the float of its own call.
     """
-    if elapsed < 0:
+    if (elapsed < 0).any() if isinstance(elapsed, np.ndarray) else elapsed < 0:
         raise ValueError(f"elapsed must be nonnegative, got {elapsed}")
     bx, by = b
     dx = driving_endpoint[0] - start[0]
@@ -137,14 +140,15 @@ class _LinearField:
 def euler_paths(field, start, horizon, steps, wedge, seed, indices,
                 reflected, epsilon, fold_cap):
     """Paths `indices` of `seed` of the Euler scheme of `field`, a
-    `linear_field`, as a list of (PathSample, faulted) pairs in index
-    order; path i draws from `RngStream(seed).derive(i)`.
+    `linear_field`, as a `PathColumns` record in index order, with no
+    driving endpoints; path i draws from `RngStream(seed).derive(i)`.
 
     start is a PolarPoint in the wedge; cell k of the `steps` cells starts
     at horizon * k / steps and the last ends at horizon. A stopped path ends
     at the exact hit state of its first cell that hits the boundary; a
     reflected one reflects in the frame of sigma, with corner threshold
-    epsilon. The weight holds the cells' Girsanov factors. A cell past
+    epsilon. The weight holds the cells' Girsanov factors, and the endpoint
+    is `PolarPoint.from_cartesian` of the input-frame one. A cell past
     fold_cap passes ends its path, faulted, with the path's state where the
     cell's recursion stopped: its clock and folds, the weight of the cells
     before, and its point in the input frame. A grid that is not
@@ -159,14 +163,22 @@ def euler_paths(field, start, horizon, steps, wedge, seed, indices,
     columns = np.array((bwd, fwd)).transpose(0, 2, 1)[..., None]
     frame = fwd, bwd, cell_wedge, columns
     root = RngStream(seed)
-    return [_euler(field, frame, x, horizon, steps, root.derive(i), reflected,
+    rows = [_euler(field, frame, x, horizon, steps, root.derive(i), reflected,
                    epsilon, fold_cap) for i in indices]
+    # flags and fold counts pass through the float array exactly
+    r, theta, elapsed, hit, folds, faulted, approx, weight = np.array(
+        rows, dtype=float).reshape(len(rows), 8).T
+    return PathColumns(r=r, theta=theta, elapsed=elapsed, hit=hit == 1.0,
+                       folds=folds.astype(int), faulted=faulted == 1.0,
+                       approx=approx == 1.0, weight=weight,
+                       driving=np.full((2, len(rows)), math.nan))
 
 
 def _euler(field, frame, x, horizon, steps, rng, reflected, epsilon,
            fold_cap):
-    """One Euler path from x (input frame), drawn from rng, as a
-    (PathSample, faulted) pair. `frame` is (fwd, bwd, cell wedge, columns)
+    """One Euler path from x (input frame), drawn from rng, as the tuple
+    (r, theta, elapsed, hit, folds, faulted, approx, weight) of its
+    `PathColumns` entries. `frame` is (fwd, bwd, cell wedge, columns)
     of `euler_paths`; `reflected` picks the recursion a fallback cell runs."""
     fwd, bwd, cell_wedge, columns = frame
     draws = _CellDraws(rng, steps)
@@ -179,9 +191,9 @@ def _euler(field, frame, x, horizon, steps, rng, reflected, epsilon,
     def ending(xy, elapsed, hit=False, faulted=False):
         # the path's state as it ends at xy, input frame: its folds, the
         # weight of its cells and whether any used the corner ending
-        return PathSample(endpoint=PolarPoint.from_cartesian(*xy),
-                          elapsed=elapsed, hit_boundary=hit, folds=folds,
-                          weight=math.exp(log_w), approx_used=approx), faulted
+        end = PolarPoint.from_cartesian(*xy)
+        return (end.r, end.theta, elapsed, hit, folds, faulted, approx,
+                math.exp(log_w))
 
     # the first cell runs the recursion on its triple, its normals unturned
     # (base 0), and blocks start after it: a convention of the stream,

@@ -6,7 +6,8 @@ branch for branch: every pass runs once for all the lanes still going, as
 array operations, and the lanes that finish leave after it. A pass holds
 only the live lanes' state, compressed as lanes end, and each lane's
 results are written once, when it ends (a capped lane's after the last
-pass), all under one floating-point scope a batch. A refused survivor
+pass), all under one floating-point scope a batch. A batch returns its
+`samplers.PathColumns`, made from those arrays with no object per path. A refused survivor
 trial draws its exit in rejection rounds over the lanes still pending, at
 its radius times 2^-k, from line tables and ratio coefficients made once
 a draw, or on a reflected pass, which starts on the bisector, once an
@@ -42,11 +43,11 @@ import math
 import numpy as np
 from scipy import special
 
-from .geometry import TWO_PI, PolarPoint
+from .geometry import TWO_PI
 from .rng import LANE_BUFFER, LaneDraws
-from .samplers import (_IMAGE_CAP, _PROPOSALS, APEX_RADIUS_FLOOR, PathSample,
+from .samplers import (_IMAGE_CAP, _PROPOSALS, APEX_RADIUS_FLOOR, PathColumns,
                        _absolute_driving, _chunks, _image_sum_arrays,
-                       _pass_plan, _stopped_sample)
+                       _pass_plan)
 
 # pending lanes at most for which an exit draw draws rounds ahead
 _AHEAD_LANES = 64
@@ -219,6 +220,15 @@ class _Batch:
             self.folds[lanes] = folds
             self.faulted[lanes] = False
 
+    def columns(self, theta, elapsed, driving):
+        """The batch's `PathColumns`, its endpoints at absolute angles
+        theta; a faulted lane has no driving endpoint."""
+        return PathColumns(
+            r=self.r, theta=theta, elapsed=elapsed, hit=self.hit,
+            folds=self.folds, faulted=self.faulted, approx=self.approx,
+            weight=np.ones(len(self.r)),
+            driving=np.where(self.faulted, math.nan, driving))
+
 
 # a batch's own floating-point flags: an exit ratio's terms past x <= 0,
 # r^2 / t' past any double (no corner) and the exit law's overflow, which
@@ -227,24 +237,24 @@ _BATCH_ERRORS = dict(divide="ignore", over="ignore", invalid="ignore")
 
 
 def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
-    """The (PathSample, faulted) pairs of `samplers.algorithm_stopped` for
-    the paths `indices` of `seed`, in index order, each drawn from its lane
-    stream: an iterator, whose samples are made as they are read. A path
-    that exceeds the pass cap gives its partial state with faulted=True."""
+    """The `PathColumns` of `samplers.algorithm_stopped` for the paths
+    `indices` of `seed`, in index order, each drawn from its lane stream. A
+    path that exceeds the pass cap gives its partial state, faulted."""
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     alpha = wedge.opening
     start = wedge.place(start)
     th0 = start.theta - wedge.alpha_minus
     n = len(indices)
-    if start.r == 0.0 or th0 <= 0.0 or th0 >= alpha:
-        # tau = 0; the apex is reported on the lower ray
-        ray = (wedge.alpha_minus if start.r == 0.0 or th0 <= alpha - th0
-               else wedge.alpha_plus)
-        return ((_stopped_sample(PolarPoint(start.r, ray), 0.0, True, 0),
-                 False) for _ in range(n))
     out = _Batch(n, iteration_cap)
     end = np.full(n, math.nan)  # the endpoint's absolute angle
+    if start.r == 0.0 or th0 <= 0.0 or th0 >= alpha:
+        # tau = 0; the apex is reported on the lower ray
+        out.write(slice(None), start.r, th0, 0.0, 0)
+        out.hit[:] = True
+        end[:] = (wedge.alpha_minus if start.r == 0.0 or th0 <= alpha - th0
+                  else wedge.alpha_plus)
+        return _stopped_columns(wedge, out, end)
     theta_cap, _, _, _ = _pass_plan(alpha)
     draws = LaneDraws(seed, indices)
     # the live lanes and their state, compressed as lanes end
@@ -289,26 +299,22 @@ def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
                 going = ~over
                 live, r, th, t = (a[going] for a in (live, r, th, t))
     out.write(live, r, th, t)
-    return _stopped_samples(wedge, out, end)
+    return _stopped_columns(wedge, out, end)
 
 
-def _stopped_samples(wedge, out, end):
-    """The (PathSample, faulted) pairs of a stopped batch, made one at a
-    time as they are read."""
-    for r, th, t, hit, folds, fault, angle in zip(*(c.tolist() for c in (
-            out.r, out.th, out.t, out.hit, out.folds, out.faulted, end))):
-        if fault:
-            yield PathSample(endpoint=PolarPoint(r, wedge.alpha_minus + th),
-                             elapsed=t, hit_boundary=False, folds=folds), True
-        else:
-            yield _stopped_sample(PolarPoint(r, angle), t, hit, folds), False
+def _stopped_columns(wedge, out, end):
+    """The columns of a stopped batch whose ended lanes end at absolute
+    angles `end`; a stopped path's driving endpoint is its endpoint."""
+    theta = np.where(out.faulted, wedge.alpha_minus + out.th, end)
+    with np.errstate(**_BATCH_ERRORS):
+        return out.columns(theta, out.t,
+                           (out.r * np.cos(theta), out.r * np.sin(theta)))
 
 
 def reflected_paths(start, T, wedge, seed, indices, epsilon, fold_cap):
-    """The (PathSample, faulted) pairs of `samplers.algorithm_reflected`
-    for the paths `indices` of `seed`, in index order, each drawn from its
-    lane stream: an iterator, as for `stopped_paths`. A path that exceeds
-    the fold cap gives its partial state with faulted=True."""
+    """The `PathColumns` of `samplers.algorithm_reflected` for the paths
+    `indices` of `seed`, in index order, each drawn from its lane stream. A
+    path that exceeds the fold cap gives its partial state, faulted."""
     if not (T > 0 and math.isfinite(T)):
         raise ValueError(f"horizon must be positive and finite, got {T}")
     if not epsilon >= 0:  # NaN included
@@ -384,21 +390,6 @@ def reflected_paths(start, T, wedge, seed, indices, epsilon, fold_cap):
                 live, r, th, t, wx, wy = (
                     a[going] for a in (live, r, th, t, wx, wy))
     out.write(live, r, th, t)
-    return _reflected_samples(start, T, base, out)
-
-
-def _reflected_samples(start, T, base, out):
-    """The (PathSample, faulted) pairs of a reflected batch, made one at a
-    time as they are read."""
-    for r, th, t, folds, fault, corner, dx, dy in zip(*(c.tolist() for c in (
-            out.r, out.th, out.t, out.folds, out.faulted, out.approx, out.wx,
-            out.wy))):
-        end = PolarPoint(r, base + th)
-        if fault:
-            yield PathSample(endpoint=end, elapsed=t, hit_boundary=False,
-                             folds=folds), True
-        else:
-            yield PathSample(
-                endpoint=end, elapsed=T, hit_boundary=False, folds=folds,
-                approx_used=corner,
-                driving_endpoint=_absolute_driving(start, base, dx, dy)), False
+    with np.errstate(**_BATCH_ERRORS):
+        return out.columns(base + out.th, np.where(out.faulted, out.t, T),
+                           _absolute_driving(start, base, out.wx, out.wy))

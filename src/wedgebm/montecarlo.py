@@ -5,13 +5,16 @@ diagnostics.
 LANE_BATCH and hands each batch to the engine of its mode:
 `lanes.stopped_paths` and `lanes.reflected_paths` run the exact modes as
 numpy lanes, and `drift.euler_paths` runs the Euler modes one path after
-another. Each takes the seed and a batch's indices and returns a
-(PathSample, faulted) pair per path, path i drawing from its own stream of
-the seed; a path past its fold cap comes back faulted, with its partial
-state. A worker thread runs one batch at a time. So results are
-byte-reproducible for a fixed (config, seed) however the paths are batched
-and however many workers run them; the reduction always runs in index
-order.
+another. Each takes the seed and a batch's indices and returns the batch
+as a `samplers.PathColumns` record, a numpy array per field over its
+paths, path i drawing from its own stream of the seed; a path past its
+fold cap comes back faulted, with its partial state. A worker thread runs
+one batch at a time. `map_paths` joins the batches in index order, and
+`estimate`, `folding_stats` and the `sample-*` commands reduce those
+columns: the test functions are array expressions, and every sum is a
+`math.fsum` over the paths in index order, so no Python object is made
+per path. So results are byte-reproducible for a fixed (config, seed)
+however the paths are batched and however many workers run them.
 """
 
 import math
@@ -21,17 +24,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
-from itertools import chain
+
+import numpy as np
 
 from .drift import euler_paths, girsanov_log_weight, linear_field
 from .geometry import PolarPoint, WedgeSpec, mat_vec, standard_frame
 from .lanes import reflected_paths, stopped_paths
-from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
+from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathColumns
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 # paths one batch of lanes runs; the results do not depend on it, and a
-# run's memory is bounded by it, not by the number of paths
+# batch's working memory is bounded by it, not by the number of paths
 LANE_BATCH = 1024
 
 
@@ -52,21 +56,23 @@ class TestFunction(Enum):
     ELAPSED_TIME = "elapsed_time"
 
 
-def apply_test_function(func, sample, endpoint_xy):
-    x, y = endpoint_xy
-    if func is TestFunction.RADIUS_SQ:
-        return x * x + y * y
-    if func is TestFunction.SIN_SQ_THETA:
-        r2 = x * x + y * y
-        return 0.0 if r2 == 0.0 else y * y / r2
+def apply_test_function(func, x, y, elapsed, hit):
+    """The values of `func` at the paths whose input-frame endpoints are
+    (x, y), their elapsed times and hit flags (arrays over the paths)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if func is TestFunction.RADIUS_SQ:
+            return x * x + y * y
+        if func is TestFunction.SIN_SQ_THETA:
+            r2 = x * x + y * y
+            return np.where(r2 == 0.0, 0.0, y * y / r2)
     if func is TestFunction.COORD_1:
         return x
     if func is TestFunction.INDICATOR_SURVIVAL:
-        return 0.0 if sample.hit_boundary else 1.0
+        return np.where(hit, 0.0, 1.0)
     if func is TestFunction.CONSTANT_1:
-        return 1.0
+        return np.ones(len(x))
     if func is TestFunction.ELAPSED_TIME:
-        return sample.elapsed
+        return elapsed
     raise ValueError(f"unknown test function {func}")
 
 
@@ -175,17 +181,19 @@ class McReport:
     seed: int
 
 
-def map_paths(config, fn):
-    """[fn(index, sample, faulted, xy) for every path index of `config`].
+def map_paths(config):
+    """The `PathColumns` of every path of `config`, in index order, with x
+    and y, each endpoint mapped back to the input frame (r, theta and the
+    driving endpoint stay in the frame the paths ran in).
 
-    xy is the sample's endpoint mapped back to the input frame. An exact
-    path is weighted by the Girsanov factor of the constant drift, which is
-    1 exactly for zero drift. Path i's draws depend on the seed and i alone,
-    so the list depends neither on LANE_BATCH nor on config.workers.
+    An exact path that did not fault is weighted by the Girsanov factor of
+    the constant drift, `math.exp` of its log; zero drift leaves every
+    weight 1.0 and reads no driving endpoint. Path i's draws depend on the
+    seed and i alone, so the columns depend neither on LANE_BATCH nor on
+    config.workers.
     """
     wedge, start, drift, sigma, backward = run_frame(config)
     start = wedge.place(start)  # the driving motion starts where the path does
-    x0 = start.cartesian()
     n, seed, T = config.n_samples, config.seed, config.horizon
     if config.mode is Mode.STOPPED:
         run = partial(stopped_paths, start, T, wedge, seed,
@@ -194,30 +202,32 @@ def map_paths(config, fn):
         run = partial(reflected_paths, start, T, wedge, seed,
                       epsilon=config.epsilon, fold_cap=config.fold_cap)
     else:
-        # the sample carries the Girsanov factors of its cells
+        # the weights are the Girsanov factors of the paths' cells
         run = partial(euler_paths,
                       linear_field(config.mu, config.kappa, sigma), start, T,
                       config.steps, wedge, seed,
                       reflected=config.mode is Mode.EULER_REFLECTED,
                       epsilon=config.epsilon, fold_cap=config.fold_cap)
-    exact = config.mode in (Mode.STOPPED, Mode.REFLECTED)
     jobs = [range(lo, min(lo + LANE_BATCH, n))
             for lo in range(0, n, LANE_BATCH)]
     if config.workers <= 1:
-        parts = map(run, jobs)
+        parts = list(map(run, jobs))
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             parts = list(pool.map(run, jobs))
-    out = []
-    for index, (sample, faulted) in enumerate(chain.from_iterable(parts)):
-        if exact and not faulted:
-            sample.weight = math.exp(girsanov_log_weight(
-                drift, sample.driving_endpoint, sample.elapsed, x0))
-        xy = sample.cartesian_endpoint()
-        if backward is not None:
-            xy = mat_vec(backward, xy)
-        out.append(fn(index, sample, faulted, xy))
-    return out
+    paths = PathColumns.join(parts)
+    exact = config.mode in (Mode.STOPPED, Mode.REFLECTED)
+    if exact and any(drift):
+        kept = ~paths.faulted
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_w = girsanov_log_weight(drift, paths.driving[:, kept],
+                                        paths.elapsed[kept], start.cartesian())
+        paths.weight[kept] = [math.exp(v) for v in log_w.tolist()]
+    paths.x = paths.r * np.cos(paths.theta)
+    paths.y = paths.r * np.sin(paths.theta)
+    if backward is not None:
+        paths.x, paths.y = mat_vec(backward, (paths.x, paths.y))
+    return paths
 
 
 def estimate(config):
@@ -226,33 +236,30 @@ def estimate(config):
     Faulted paths (recursion cap) are excluded from the estimate and
     counted; more than 10% of them aborts the run. Kept paths whose weights
     are all 0, and an estimate or half-width that overflows, are a
-    ValueError.
+    ValueError. Every sum is `math.fsum` over the kept paths in index order.
     """
     t0 = time.perf_counter()
     func = config.func
-
-    def row(_index, sample, faulted, xy):
-        if faulted:
-            return None
-        value = apply_test_function(func, sample, xy)
-        return value * sample.weight, sample.folds, sample.weight
-
-    rows = map_paths(config, row)
+    paths = map_paths(config)
     n = config.n_samples
-    good = [r for r in rows if r is not None]
-    n_faults = n - len(good)
+    kept = ~paths.faulted
+    weight = paths.weight[kept]
+    m = len(weight)
+    n_faults = n - m
     if n_faults > 0.1 * n:
         raise FaultFractionExceeded(
             f"{n_faults} of {n} paths exceeded the recursion cap "
             f"(> 10%); raise fold_cap or epsilon", n_faults, n)
-    weights = [r[2] for r in good]
-    wsum = math.fsum(weights)
+    wsum = math.fsum(weight.tolist())
     if wsum == 0:
-        raise ValueError(f"the weights of all {len(good)} kept paths are 0: "
+        raise ValueError(f"the weights of all {m} kept paths are 0: "
                          f"their Girsanov factors round to 0, so the estimate "
                          f"would read 0 whatever the law")
-    vals = [r[0] for r in good]
-    m = len(vals)
+    values = apply_test_function(func, paths.x, paths.y, paths.elapsed,
+                                 paths.hit)[kept]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (values * weight).tolist()
+        wsq = math.fsum((weight * weight).tolist())
     # float ** 2 and fsum raise OverflowError where other sums give inf
     try:
         mean = math.fsum(vals) / m
@@ -263,13 +270,12 @@ def estimate(config):
     if not math.isfinite(mean) or (m > 1 and not math.isfinite(half)):
         raise ValueError(f"the estimate of {func.value} overflows: its values "
                          f"at these endpoints are out of floating-point range")
-    wsq = math.fsum(w * w for w in weights)
     return McReport(
         estimate=mean,
         half_width_95=half,
         n_samples=n,
         n_faults=n_faults,
-        mean_folds=math.fsum(r[1] for r in good) / m,
+        mean_folds=math.fsum(paths.folds[kept].tolist()) / m,
         mean_weight=wsum / m,
         ess=(wsum * wsum / wsq) if wsq > 0 else 0.0,
         wall_time_seconds=time.perf_counter() - t0,
@@ -294,14 +300,14 @@ def folding_stats(config):
     an explicit overflow bucket (they enter the mean at the cap value)."""
     if config.mode is not Mode.REFLECTED:
         raise ValueError("folding stats are defined for the REFLECTED mode")
-    done = map_paths(config, lambda _i, sample, faulted, _xy:
-                     None if faulted else sample.folds)
-    counts = Counter(f for f in done if f is not None)
-    overflow = done.count(None)
-    folds_all = sorted(config.fold_cap if f is None else f for f in done)
+    paths = map_paths(config)
+    counts = Counter(paths.folds[~paths.faulted].tolist())
+    folds_all = np.sort(np.where(paths.faulted, config.fold_cap,
+                                 paths.folds)).tolist()
     n = len(folds_all)
     quant = {q: folds_all[min(n - 1, int(q * n))] for q in (0.5, 0.9, 0.99)}
-    return FoldingStats(counts=counts, overflow=overflow,
+    return FoldingStats(counts=counts,
+                        overflow=int(np.count_nonzero(paths.faulted)),
                         mean=math.fsum(folds_all) / n, quantiles=quant,
                         n_samples=n)
 

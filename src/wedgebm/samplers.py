@@ -22,7 +22,7 @@ boundary hits carry the exact ray angle, never a rounded float.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtri_exp
@@ -70,6 +70,50 @@ class PathSample:
 
     def cartesian_endpoint(self):
         return self.endpoint.cartesian()
+
+
+@dataclass
+class PathColumns:
+    """The terminal states of a batch of paths, one numpy array per field
+    of `PathSample`, over the paths in index order, as the path engines
+    (`lanes.stopped_paths`, `lanes.reflected_paths`, `drift.euler_paths`)
+    return them: the endpoint's radius r and absolute angle theta, elapsed,
+    hit, folds, faulted (past the pass cap, with the partial state) and
+    approx (the corner ending), the weight (an Euler path's Girsanov
+    factors, 1 for an exact path) and the driving endpoint as a (2, n)
+    array, NaN where a path has none (an Euler path, a fault).
+    `montecarlo.map_paths` adds x and y, the endpoint in the input frame.
+
+    Every endpoint must be a valid `PolarPoint`; one check per record
+    raises that class's error for the first that is not.
+    """
+
+    r: np.ndarray
+    theta: np.ndarray
+    elapsed: np.ndarray
+    hit: np.ndarray
+    folds: np.ndarray
+    faulted: np.ndarray
+    approx: np.ndarray
+    weight: np.ndarray
+    driving: np.ndarray
+    x: np.ndarray = None
+    y: np.ndarray = None
+
+    def __post_init__(self):
+        bad = ~((self.r >= 0.0) & np.isfinite(self.r) & np.isfinite(self.theta))
+        if bad.any():
+            i = bad.argmax()
+            PolarPoint(float(self.r[i]), float(self.theta[i]))  # raises
+
+    @classmethod
+    def join(cls, parts):
+        """One record of the paths of `parts`, in their order."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts],
+                                    axis=-1)
+                     for f in fields(cls) if f.name not in ("x", "y")))
 
 
 class FoldCapExceeded(RuntimeError):
@@ -505,7 +549,8 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
 
 def _absolute_driving(start, base, wx, wy):
     """Map the accumulated internal-frame driving displacement back to the
-    absolute frame and anchor it at the start point."""
+    absolute frame and anchor it at the start point (wx and wy floats, or
+    arrays over a batch's lanes)."""
     sx, sy = start.cartesian()
     if base == 0.0:
         return (sx + wx, sy + wy)

@@ -563,6 +563,37 @@ def test_start_radius_too_large_for_exit_law_is_a_clean_error(radius):
     assert "overflows" in proc.stderr
 
 
+# (mode, func) -> (exit code, estimate or error message) from radius 1.7e308,
+# where |x|^2 and the squares of sin^2 theta = y^2 / |x|^2 overflow
+HUGE_START = {
+    ("stopped", "coord_1"): (2, "error: the estimate of coord_1 overflows"),
+    ("stopped", "constant_1"): (0, "1"),
+    ("stopped", "sin_sq_theta"): (0, "0"),
+    ("reflected", "coord_1"): (2, "error: the estimate of coord_1 overflows"),
+    # the driving endpoint overflows to -inf, and 0 (-inf) made every
+    # zero-drift weight NaN: "the estimate of constant_1 overflows"
+    ("reflected", "constant_1"): (0, "1"),
+    ("reflected", "sin_sq_theta"): (
+        2, "error: the estimate of sin_sq_theta overflows"),
+}
+
+
+@pytest.mark.parametrize("mode, func", sorted(HUGE_START))
+def test_an_estimate_from_radius_1_7e308(mode, func, tmp_path, capsys):
+    code, want = HUGE_START[mode, func]
+    argv = ["estimate", "--alpha", "0.9", "--start", "1.7e308,0.3", "--T",
+            "1", "--n", "5", "--seed", "1", "--mode", mode, "--func", func]
+    out = tmp_path / "huge.csv"
+    assert run_cli(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(want + ": its values at these endpoints")
+    else:
+        [row] = parse_csv(out.read_bytes())[1]
+        assert (row["estimate"], row["mean_weight"], row["n_faults"]) == \
+            (want, "1", "0")
+
+
 def test_density_at_a_radius_past_the_overflow_of_4_r_r0(tmp_path):
     # an image-sum grid at radius 1e160 printed nan and exited 0
     code, data = run_to_file(tmp_path, "far.csv", [

@@ -31,6 +31,8 @@ from wedgebm.rng import RngStream
 from wedgebm.samplers import (DEFAULT_FOLD_CAP, algorithm_reflected,
                               algorithm_stopped)
 
+from columns import pairs
+
 N_PATHS = 4000
 P_MIN = 1e-3
 NODES, WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -142,7 +144,7 @@ def test_lane_endpoint_law_matches_series_density(name, recursion):
     else:
         rows = reflected_paths(start, t, wedge, SEEDS[name], paths, EPSILON,
                                DEFAULT_FOLD_CAP)
-    samples = [sample for sample, _faulted in rows]
+    samples = [sample for sample, _faulted in pairs(rows)]
     assert _p_value(samples, recursion == "stopped", wedge, start, t) > P_MIN
 
 
@@ -160,10 +162,10 @@ def test_driftless_euler_endpoint_law_matches_series_density(recursion):
     alpha, (r0, th0), t = GEOMETRIES["alpha_0.9"]
     wedge, start = WedgeSpec(0.0, alpha), PolarPoint(r0, th0)
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
-    rows = euler_paths(field, start, t, EULER_STEPS, wedge,
-                       EULER_SEEDS[recursion], range(N_PATHS),
-                       recursion == "reflected", EULER_EPSILON,
-                       DEFAULT_FOLD_CAP)
+    rows = pairs(euler_paths(field, start, t, EULER_STEPS, wedge,
+                             EULER_SEEDS[recursion], range(N_PATHS),
+                             recursion == "reflected", EULER_EPSILON,
+                             DEFAULT_FOLD_CAP))
     assert not any(faulted for _sample, faulted in rows)
     samples = [sample for sample, _faulted in rows]
     assert _p_value(samples, recursion == "stopped", wedge, start, t) > P_MIN

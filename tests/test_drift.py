@@ -16,6 +16,8 @@ from wedgebm.samplers import (APEX_RADIUS_FLOOR, DEFAULT_EPSILON,
                               _plain_cells, _sure_survivors,
                               algorithm_reflected, algorithm_stopped)
 
+from columns import pairs, sample_rows, samples
+
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
 QUARTER = WedgeSpec(0.0, math.pi / 2)
@@ -27,18 +29,15 @@ def drifted_paths(mode, start, drift, T, wedge, seed, n, **kwargs):
     config = EstimatorConfig(mode=mode, func=TestFunction.CONSTANT_1,
                              horizon=T, n_samples=n, seed=seed, wedge=wedge,
                              start=start, drift=drift, **kwargs)
-    rows = map_paths(config, lambda _i, sample, faulted, _xy: (sample, faulted))
-    assert not any(faulted for _sample, faulted in rows)
-    return [sample for sample, _faulted in rows]
+    return samples(map_paths(config))
 
 
 def euler_samples(field, start, steps, wedge, seed, n, reflected):
     """The samples of Euler paths 0 .. n - 1 of seed over [0, 1], none of
     them faulted."""
-    rows = euler_paths(field, start, 1.0, steps, wedge, seed, range(n),
-                       reflected, DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
-    assert not any(faulted for _sample, faulted in rows)
-    return [sample for sample, _faulted in rows]
+    return samples(euler_paths(field, start, 1.0, steps, wedge, seed,
+                               range(n), reflected, DEFAULT_EPSILON,
+                               DEFAULT_FOLD_CAP))
 
 
 def test_girsanov_log_weight_by_hand():
@@ -176,8 +175,9 @@ def test_time_grid_validation():
                 with pytest.raises(ValueError):
                     euler_paths(field, START, horizon, steps, W09, 1, indices,
                                 reflected, DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
-    [(sample, faulted)] = euler_paths(field, START, 0.3, 7, W09, 1, [0], True,
-                                      DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
+    [(sample, faulted)] = pairs(euler_paths(field, START, 0.3, 7, W09, 1, [0],
+                                            True, DEFAULT_EPSILON,
+                                            DEFAULT_FOLD_CAP))
     assert sample.elapsed == 0.3 and not faulted
 
 
@@ -511,8 +511,9 @@ def test_euler_paths_do_not_depend_on_the_block_length(name, monkeypatch):
     runs = []
     for block in (1, 7, drift_module._BLOCK):
         monkeypatch.setattr(drift_module, "_BLOCK", block)
-        runs.append([euler_paths(FIELDS[name], START, 1.0, 150, W09, 12,
-                                 range(4), reflected, epsilon, DEFAULT_FOLD_CAP)
+        runs.append([pairs(euler_paths(FIELDS[name], START, 1.0, 150, W09, 12,
+                                       range(4), reflected, epsilon,
+                                       DEFAULT_FOLD_CAP))
                      for reflected, epsilon in SCHEMES])
     assert runs[0] == runs[1] == runs[2]
     assert fallbacks
@@ -527,8 +528,7 @@ def test_euler_faults_do_not_depend_on_the_block_length(monkeypatch):
     runs = []
     for block in (1, 7, drift_module._BLOCK):
         monkeypatch.setattr(drift_module, "_BLOCK", block)
-        runs.append(map_paths(config, lambda _i, sample, faulted, xy:
-                              (vars(sample), faulted, xy)))
+        runs.append(sample_rows(map_paths(config)))
     assert runs[0] == runs[1] == runs[2]
     assert any(faulted for _sample, faulted, _xy in runs[0])
 
@@ -540,8 +540,8 @@ def test_a_faulted_euler_path_reports_the_path_state():
     # cell, its endpoint is in the input wedge, and its weight is that of
     # the path cut after k cells
     field = linear_field((0.1, 0.2), (0.7, 0.5), ((1.2, 0.4), (0.0, 0.8)))
-    rows = euler_paths(field, START, 1.0, 20, W09, 3, range(30), False, 0.03,
-                       1)
+    rows = pairs(euler_paths(field, START, 1.0, 20, W09, 3, range(30), False,
+                             0.03, 1))
     faulted = [(i, sample) for i, (sample, fault) in enumerate(rows) if fault]
     assert len(faulted) == 6
     for i, sample in faulted:
@@ -552,8 +552,9 @@ def test_a_faulted_euler_path_reports_the_path_state():
         if k == 0:
             assert sample.weight == 1.0
         else:
-            [(cut, cut_fault)] = euler_paths(field, START, 0.05 * k, k, W09,
-                                             3, [i], False, 0.03, 1)
+            [(cut, cut_fault)] = pairs(euler_paths(field, START, 0.05 * k, k,
+                                                   W09, 3, [i], False, 0.03,
+                                                   1))
             assert not cut_fault and cut.folds == k
             assert sample.weight == pytest.approx(cut.weight, rel=1e-12)
     assert any(sample.weight != 1.0 for _i, sample in faulted)
@@ -582,8 +583,8 @@ def watched_runs(monkeypatch):
 def euler_path(field, seed, index, steps, reflected, epsilon,
                fold_cap=DEFAULT_FOLD_CAP):
     """(sample, faulted) of Euler path `index` of seed over [0, 1]."""
-    [row] = euler_paths(field, START, 1.0, steps, W09, seed, [index],
-                        reflected, epsilon, fold_cap)
+    [row] = pairs(euler_paths(field, START, 1.0, steps, W09, seed, [index],
+                              reflected, epsilon, fold_cap))
     return row
 
 

@@ -21,6 +21,8 @@ from wedgebm.geometry import CorrelatedSetup, PolarPoint, RegionCase, WedgeSpec
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP
 
+from columns import sample_rows
+
 T1 = ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "1"]
 CORR = ["--sigma1", "1.2", "--sigma2", "0.8", "--rho", "0.4",
         "--slope", "2.0", "--region", "and_pos", "--x", "1.0,0.5", "--T", "1"]
@@ -233,8 +235,7 @@ def euler_correlated_digest():
                              func=TestFunction.RADIUS_SQ, horizon=1.0,
                              n_samples=5, seed=7, setup=setup, steps=40,
                              mu=(0.5, 0.3), kappa=(0.2, 0.1), epsilon=0.03)
-    rows = map_paths(config, lambda _i, sample, faulted, xy:
-                     (vars(sample), faulted, xy))
+    rows = sample_rows(map_paths(config))
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
@@ -257,8 +258,7 @@ def preset_config(preset, n, **overrides):
 def repr_digest(configs):
     """sha256 of the repr of every PathSample field, fault flag and
     input-frame endpoint of the paths of each config, through map_paths."""
-    rows = [map_paths(config, lambda _i, sample, faulted, xy:
-                      (vars(sample), faulted, xy)) for config in configs]
+    rows = [sample_rows(map_paths(config)) for config in configs]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 

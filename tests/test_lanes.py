@@ -13,7 +13,9 @@ seeds and the p threshold were fixed before the first run.
 """
 
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from wedgebm.rng import (LANE_BUFFER, LaneDraws, RngStream, raw_to_uniforms,
 from wedgebm.samplers import (_PROPOSALS, APEX_RADIUS_FLOOR,
                               DEFAULT_FOLD_CAP, FoldCapExceeded, _pass_plan,
                               algorithm_reflected, algorithm_stopped)
+
+from columns import pairs
 
 W09 = WedgeSpec(0.0, 0.9)
 START = PolarPoint(1.5, 0.3)
@@ -368,7 +372,6 @@ def test_a_batch_holds_its_image_terms_in_bounded_blocks():
     field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
     tracemalloc.start()
     try:
-        # the lanes run when called; only the samples are made as read
         stopped_paths(start, 1e-5, wedge, 1, range(1024), CAP)
         reflected_paths(start, 1e-5, wedge, 1, range(1024), 0.03, CAP)
         euler_paths(field, PolarPoint(1000.0, 5e-4), 1e-5, 300,
@@ -388,7 +391,7 @@ def lane_samples(stopped, start, T, wedge, n, seed, epsilon=0.03, cap=CAP):
         rows = stopped_paths(start, T, wedge, seed, range(n), cap)
     else:
         rows = reflected_paths(start, T, wedge, seed, range(n), epsilon, cap)
-    return list(rows)
+    return pairs(rows)
 
 
 def scalar_sample(stopped, start, T, wedge, rng, epsilon, cap):
@@ -543,11 +546,26 @@ def test_stopped_exit_radius_underflowing_onto_the_apex(T):
 def test_a_start_radius_past_the_exit_law_range_is_a_value_error():
     start = PolarPoint(1e160, 0.3)
     with pytest.raises(ValueError, match="too large for the exit law"):
-        list(stopped_paths(start, math.inf, W09, 0, range(3), CAP))
+        stopped_paths(start, math.inf, W09, 0, range(3), CAP)
     with pytest.raises(ValueError, match="too large for the exit law"):
         algorithm_stopped(start, math.inf, W09, RngStream(0))
     assert run_cli(["estimate", "--alpha", "0.9", "--start", "1e160,0.3",
                     "--T", "1", "--n", "2"]) == 2
+
+
+@pytest.mark.parametrize("r, theta, message", [
+    (math.inf, 0.3, "radius must be finite and nonnegative, got inf"),
+    (math.nan, 0.3, "radius must be finite and nonnegative, got nan"),
+    (-1.0, 0.3, "radius must be finite and nonnegative, got -1.0"),
+    (1.0, math.inf, "angle must be finite, got inf"),
+])
+def test_a_column_record_holds_only_polar_points(r, theta, message):
+    # one check a record raises PolarPoint's error for the first bad path
+    paths = stopped_paths(START, 1.0, W09, 3, range(4), CAP)
+    paths.r[1], paths.theta[1] = r, theta
+    paths.r[3] = math.inf
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(paths)
 
 
 @pytest.mark.parametrize("mode", [Mode.STOPPED, Mode.REFLECTED])
@@ -555,6 +573,6 @@ def test_drift_mass_row_has_mean_weight_one(mode):
     config = EstimatorConfig(mode=mode, func=TestFunction.CONSTANT_1,
                              horizon=1.0, n_samples=N_LAW, seed=1808,
                              wedge=W09, start=START, drift=(0.3, -0.2))
-    weights = map_paths(config, lambda _i, sample, _f, _xy: sample.weight)
+    weights = map_paths(config).weight
     se = np.std(weights, ddof=1) / math.sqrt(N_LAW)
     assert abs(np.mean(weights) - 1.0) <= 3.5 * se

@@ -1,6 +1,6 @@
-import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from wedgebm.geometry import (CorrelatedSetup, PolarPoint, RegionCase,
@@ -52,19 +52,20 @@ def test_rng_nested_derivation_order_matters():
 # ---------------------------------------------------------------------------
 
 def test_apply_test_function_values():
-    boundary = PathSample(endpoint=PolarPoint(2.0, 0.0), elapsed=0.7,
-                          hit_boundary=True, folds=1)
-    xy = (1.0, 2.0)
-    assert apply_test_function(TestFunction.RADIUS_SQ, boundary, xy) == 5.0
-    assert apply_test_function(TestFunction.SIN_SQ_THETA, boundary, xy) == \
-        pytest.approx(0.8)
-    assert apply_test_function(TestFunction.COORD_1, boundary, xy) == 1.0
-    assert apply_test_function(TestFunction.INDICATOR_SURVIVAL, boundary, xy) == 0.0
-    assert apply_test_function(TestFunction.CONSTANT_1, boundary, xy) == 1.0
-    assert apply_test_function(TestFunction.ELAPSED_TIME, boundary, xy) == 0.7
-    survivor = dataclasses.replace(boundary, hit_boundary=False)
-    assert apply_test_function(TestFunction.INDICATOR_SURVIVAL, survivor, xy) == 1.0
-    assert apply_test_function(TestFunction.SIN_SQ_THETA, survivor, (0.0, 0.0)) == 0.0
+    # paths ending at (1, 2) on a ray and inside, both at time 0.7, and a
+    # path ending at the apex
+    x, y = np.array([1.0, 1.0, 0.0]), np.array([2.0, 2.0, 0.0])
+    elapsed, hit = np.full(3, 0.7), np.array([True, False, False])
+
+    def values(func):
+        return apply_test_function(func, x, y, elapsed, hit).tolist()
+
+    assert values(TestFunction.RADIUS_SQ) == [5.0, 5.0, 0.0]
+    assert values(TestFunction.SIN_SQ_THETA) == pytest.approx([0.8, 0.8, 0.0])
+    assert values(TestFunction.COORD_1) == [1.0, 1.0, 0.0]
+    assert values(TestFunction.INDICATOR_SURVIVAL) == [0.0, 1.0, 1.0]
+    assert values(TestFunction.CONSTANT_1) == [1.0, 1.0, 1.0]
+    assert values(TestFunction.ELAPSED_TIME) == [0.7, 0.7, 0.7]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,27 @@ def test_folding_stats_histogram_accounts_for_every_path():
     assert stats.quantiles[0.5] <= stats.quantiles[0.9] <= stats.quantiles[0.99]
     total = sum(k * v for k, v in stats.counts.items()) + 150 * stats.overflow
     assert stats.mean == pytest.approx(total / cfg.n_samples)
+
+
+def test_exact_runs_make_no_object_per_path(monkeypatch):
+    # the engines return columns and the reductions read them: a run makes
+    # as many PathSample and PolarPoint objects at n = 10 as at n = 2000
+    made = []
+    for cls, name in ((PathSample, "__init__"), (PolarPoint, "__post_init__")):
+        def counted(self, *args, original=getattr(cls, name), **kwargs):
+            made.append(type(self))
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    counts = []
+    for n in (10, 2000):
+        made.clear()
+        estimate(table1_config(n_samples=n))
+        estimate(table1_config(mode=Mode.REFLECTED, n_samples=n,
+                               drift=(0.3, -0.2)))
+        folding_stats(table1_config(mode=Mode.REFLECTED, n_samples=n,
+                                    epsilon=0.0, fold_cap=150))
+        counts.append(len(made))
+    assert counts[0] == counts[1]
 
 
 def test_folding_stats_requires_reflected_mode():

@@ -20,6 +20,7 @@ from wedgebm.samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP,
                               _image_sum_arrays, _pass_plan, _sector_fold,
                               _sub_opening, _survivor_trial)
 
+from columns import samples
 from laws import (contains_angle, cumulative_integral,
                   direct_pi_over_m_reflected, exit_joint_density,
                   exit_radius_cdf, exit_radius_marginal, exit_radius_quantile,
@@ -561,12 +562,12 @@ def test_starts_on_and_near_a_ray(alpha, log_r, upper, outside, d, seed):
                                              RngStream(seed)),
         "reflected": lambda: algorithm_reflected(start, 1.0, wedge,
                                                  RngStream(seed)),
-        "euler_stopped": lambda: euler_paths(field, start, 1.0, 2, wedge, seed,
-                                             [0], False, DEFAULT_EPSILON,
-                                             DEFAULT_FOLD_CAP)[0][0],
-        "euler_reflected": lambda: euler_paths(field, start, 1.0, 2, wedge,
-                                               seed, [0], True, DEFAULT_EPSILON,
-                                               DEFAULT_FOLD_CAP)[0][0],
+        "euler_stopped": lambda: samples(euler_paths(
+            field, start, 1.0, 2, wedge, seed, [0], False, DEFAULT_EPSILON,
+            DEFAULT_FOLD_CAP))[0],
+        "euler_reflected": lambda: samples(euler_paths(
+            field, start, 1.0, 2, wedge, seed, [0], True, DEFAULT_EPSILON,
+            DEFAULT_FOLD_CAP))[0],
     }
     for name, run in runs.items():
         if outside and d > ANGLE_TOL:
