@@ -180,7 +180,9 @@ def lane_layers(repeats):
 
 
 def layers(repeats):
-    theta_cap, m, sub, mid_images = _pass_plan(WEDGE.opening)
+    plan = _pass_plan(WEDGE.opening)
+    theta_cap, m, sub, mid_images = (plan.theta_cap, plan.m, plan.sub,
+                                     plan.mid_images)
     rel = PolarPoint(START.r, theta_cap / 2.0)  # a reflected pass's start
     root = RngStream(SEED)
     out = {}

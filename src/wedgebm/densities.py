@@ -59,22 +59,21 @@ def image_sums(r, theta, r0, images, horizon):
     # the squared image distances are (r - r0)^2 + 4 r r0 sin^2(half the
     # angle) and only their gaps count: the half-angle form keeps a gap
     # r^2 + r0^2 - 2 r r0 cos cancels (1e-9 off a ray at radius 1e10). Each
-    # gap is multiplied into 4 r, then into r0: 4 r r0 alone overflows past
-    # radius ~1e154, and a zero gap times inf is nan
-    r4 = 4.0 * r
+    # gap is multiplied into r, then 4, then r0: 4 r r0 alone overflows past
+    # radius ~1e154, 4 r past ~4.5e307, and a zero gap times inf is nan
     two_h = 2.0 * horizon
     sin_sq = [math.sin(0.5 * (theta - ang)) ** 2 for ang in images]
     base = min(sin_sq)
     signed = 0.0
     total = 0.0
     for k in range(0, len(images), 2):
-        even = math.exp((base - sin_sq[k]) * r4 * r0 / two_h)
-        odd = math.exp((base - sin_sq[k + 1]) * r4 * r0 / two_h)
+        even = math.exp((base - sin_sq[k]) * r * 4.0 * r0 / two_h)
+        odd = math.exp((base - sin_sq[k + 1]) * r * 4.0 * r0 / two_h)
         signed += even - odd
         total += even + odd
     if signed < 0.0:
         signed = 0.0
-    return -((r - r0) ** 2 + base * r4 * r0) / two_h, signed, total
+    return -((r - r0) ** 2 + base * r * 4.0 * r0) / two_h, signed, total
 
 
 def _images_density(m, x, y, t, killed):

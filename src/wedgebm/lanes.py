@@ -7,14 +7,14 @@ array operations, and the lanes that finish leave after it. A pass holds
 only the live lanes' state, compressed as lanes end, and each lane's
 results are written once, when it ends (a capped lane's after the last
 pass), all under one floating-point scope a batch. A batch returns its
-`samplers.PathColumns`, made from those arrays with no object per path. A refused survivor
-trial draws its exit in rejection rounds over the lanes still pending, at
-its radius times 2^-k, from line tables and ratio coefficients made once
-a draw, or on a reflected pass, which starts on the bisector, once an
-opening. Boundary and apex starts,
-APEX_RADIUS_FLOOR, the corner ending, the fold into the wedge, the pass
-caps with their partial state, the overflow `ValueError` and the driving
-endpoint are those of the scalar recursions.
+`samplers.PathColumns`, made from those arrays with no object per path.
+A refused survivor trial draws its exit in rejection rounds over the lanes
+still pending, at its radius times 2^-k, from line tables and ratio
+coefficients made once a draw, or on a reflected pass, which starts on the
+bisector, once an opening (`samplers.PassPlan.mid_exit`). Boundary and
+apex starts, APEX_RADIUS_FLOOR, the corner ending, the fold into the
+wedge, the pass caps with their partial state, the overflow `ValueError`
+and the driving endpoint are those of the scalar recursions.
 
 Lane j draws from its path's Philox stream (`rng.LaneDraws`) what the
 scalar recursion draws from `RngStream(seed).derive(i)`, in its order: a
@@ -37,7 +37,6 @@ coefficients and terms are made in blocks of at most `samplers._IMAGE_CAP`
 values.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -47,7 +46,7 @@ from .geometry import TWO_PI
 from .rng import LANE_BUFFER, LaneDraws
 from .samplers import (_IMAGE_CAP, _PROPOSALS, APEX_RADIUS_FLOOR, PathColumns,
                        _absolute_driving, _chunks, _image_sum_arrays,
-                       _pass_plan)
+                       _pass_plan, _ratio_table)
 
 # pending lanes at most for which an exit draw draws rounds ahead
 _AHEAD_LANES = 64
@@ -58,7 +57,7 @@ def _survivor(r0, rel, horizon, u, alpha):
     sub-wedge of opening alpha's plan, with time horizon left (arrays over
     the lanes), from the uniforms u (3, lanes): (kept, radius, angle in the
     sub-wedge), as `samplers._survivor_trial` does it one path at a time."""
-    theta_cap, m, _, _ = _pass_plan(alpha)
+    theta_cap, m = _pass_plan(alpha).theta_cap, _pass_plan(alpha).m
     sd = np.sqrt(horizon)
     normals = special.ndtri(u[:2])
     x = r0 * np.cos(rel) + sd * normals[0]
@@ -75,25 +74,6 @@ def _survivor(r0, rel, horizon, u, alpha):
     return u[2] * total <= np.maximum(signed, 0.0), r, th
 
 
-def _ratio_table(phi, m):
-    """The coefficients sin g_k / sin g_0 and cos g_k - cos g_0, k = 1 ..
-    m - 1, of the wedge's exit density over the half-plane's
-    (samplers._exit_ratio_plan) from start angles g_0 = phi from a line,
-    with g_k = g_0 + 2 pi k / m: an array (2, m - 1) + phi.shape."""
-    g = phi + (TWO_PI / m) * np.arange(1, m).reshape((-1,) + (1,) * phi.ndim)
-    return np.array((np.sin(g) / np.sin(phi), np.cos(g) - np.cos(phi)))
-
-
-@functools.lru_cache(maxsize=16)
-def _bisector_plan(alpha):
-    """The sine and cosine of a start on the bisector of opening alpha's
-    sub-wedge from either line, and its `_ratio_table` (None when m = 1),
-    each with one line of one column: a reflected pass's exit tables."""
-    theta_cap, m, _, _ = _pass_plan(alpha)
-    phi = np.full((1, 1), theta_cap / 2.0)
-    return np.sin(phi), np.cos(phi), _ratio_table(phi, m) if m > 1 else None
-
-
 def _exit_draw(draws, lanes, r, rel, horizon, alpha):
     """The exits of `lanes` from radius r and angle rel in the pi/m
     sub-wedge, conditioned on time <= horizon (arrays over the lanes; rel
@@ -103,9 +83,10 @@ def _exit_draw(draws, lanes, r, rel, horizon, alpha):
     and ratio coefficients are made once, and each round picks them by the
     line it drew; on the bisector the two lines are alike, and the
     coefficients are the opening's own."""
-    theta_cap, m, _, _ = _pass_plan(alpha)
+    plan = _pass_plan(alpha)
+    theta_cap, m = plan.theta_cap, plan.m
     if rel is None:
-        sin_phi, cos_phi, ratio_table = _bisector_plan(alpha)
+        sin_phi, cos_phi, ratio_table = plan.mid_exit
     else:
         if m > 1 and len(r) > max(1, _IMAGE_CAP // (2 * (m - 1))):
             # a block of lanes at a time, within _IMAGE_CAP coefficients;
@@ -255,7 +236,7 @@ def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
         end[:] = (wedge.alpha_minus if start.r == 0.0 or th0 <= alpha - th0
                   else wedge.alpha_plus)
         return _stopped_columns(wedge, out, end)
-    theta_cap, _, _, _ = _pass_plan(alpha)
+    theta_cap = _pass_plan(alpha).theta_cap
     draws = LaneDraws(seed, indices)
     # the live lanes and their state, compressed as lanes end
     live = np.arange(n)
@@ -324,7 +305,7 @@ def reflected_paths(start, T, wedge, seed, indices, epsilon, fold_cap):
     base = wedge.alpha_minus
     n = len(indices)
     out = _Batch(n, fold_cap)
-    theta_cap, _, _, _ = _pass_plan(alpha)
+    theta_cap = _pass_plan(alpha).theta_cap
     half = theta_cap / 2.0
     mid = np.full(n, half)  # every pass starts on its sub-wedge's bisector
     draws = LaneDraws(seed, indices)

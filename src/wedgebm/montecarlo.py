@@ -63,8 +63,10 @@ def apply_test_function(func, x, y, elapsed, hit):
         if func is TestFunction.RADIUS_SQ:
             return x * x + y * y
         if func is TestFunction.SIN_SQ_THETA:
+            # the squares overflow past |x| ~1.3e154: there, by hypot
             r2 = x * x + y * y
-            return np.where(r2 == 0.0, 0.0, y * y / r2)
+            return np.where(r2 == 0.0, 0.0, np.where(
+                r2 < math.inf, y * y / r2, (y / np.hypot(x, y)) ** 2))
     if func is TestFunction.COORD_1:
         return x
     if func is TestFunction.INDICATOR_SURVIVAL:

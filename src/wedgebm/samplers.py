@@ -22,6 +22,7 @@ boundary hits carry the exact ray angle, never a rounded float.
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -184,7 +185,7 @@ def _plain_cells(xs, ys, dt, u, alpha, reflected, epsilon):
     a cell whose turn overflows (both points past radius ~1e154) is not
     plain.
     """
-    theta_cap, _, _, _ = _pass_plan(alpha)
+    theta_cap = _pass_plan(alpha).theta_cap
     x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
     r0 = np.hypot(x0, y0)
     th = np.arctan2(y0, x0) % TWO_PI
@@ -206,17 +207,14 @@ def _plain_cells(xs, ys, dt, u, alpha, reflected, epsilon):
         run = len(placed)
     cells = (turn[:run], rel[:run], np.hypot(x1[:run], y1[:run]), r0[:run],
              dt[:run], u[:run])
-    left = None  # the cells left after the screen, if it ran
-    if run >= _SURE_RUN:
-        left = np.flatnonzero(~_sure_survivors(*cells[:5], theta_cap))
-        cells = [a[left] for a in cells]
-    turn, rel, r, r0, dt, u = cells
+    left = np.flatnonzero(~_sure_survivors(*cells[:5], theta_cap))
+    turn, rel, r, r0, dt, u = (a[left] for a in cells)
     if turn.size:
         signed, total = _image_sum_arrays(turn, rel, r, r0, dt, alpha)
         kept = u * total <= signed
         first = int(kept.argmin())
         if not kept[first]:
-            run = first if left is None else int(left[first])
+            run = int(left[first])
     return run, (float(base[run]) if run < len(base) else None)
 
 
@@ -224,9 +222,6 @@ def _plain_cells(xs, ys, dt, u, alpha, reflected, epsilon):
 # product, at which `_sure_survivors` settles a cell
 _SURE_GAP = 64.0
 _SURE_SINES = 2.0 ** -20
-# the shortest run of placed cells that `_plain_cells` screens: below it
-# the screen's numpy calls cost more than the sums that it saves
-_SURE_RUN = 32
 
 
 def _sure_survivors(turn, rel, r, r0, dt, theta_cap):
@@ -253,14 +248,14 @@ def _sure_survivors(turn, rel, r, r0, dt, theta_cap):
     The rounding: `_image_sum_arrays` takes each sin^2 to within ~1e-15,
     so where both products are at least 2^-20 each computed gap is within
     a relative 1e-8 of its true value and image 0's is the least. Its term
-    is then exp(0) = 1.0 exactly, provided that 4 r and r0 are finite and
-    dt is not 0 (the sums take its exponent as 0 times 4 r, times r0, over
-    2 dt, which is NaN otherwise); the screen asks for a finite
+    is then exp(0) = 1.0 exactly, provided that r and r0 are finite and dt
+    is not 0 (the sums take its exponent as 0 times r, times 4, times r0,
+    over 2 dt, which is NaN otherwise); the screen asks for a finite
     4 r r0 / (2 dt), which implies that. With G >= 64 every other term is
     below e^-63 < 2^-90. The even sum starts at 1.0 and adds terms below
     2^-53, half an ulp of 1, so it stays 1.0; the odd sum, of m terms, is
     below m 2^-90, under 2^-54, half an ulp below 1, for any m < 2^36
-    (`_sub_opening` refuses m past MAX_M = 10^6). So
+    (`_pass_plan` refuses m past MAX_M = 10^6). So
     signed = 1 - odd and total = 1 + odd both round to 1.0.
     """
     scale = 4.0 * r * r0 / (2.0 * dt)
@@ -278,16 +273,17 @@ def _image_sum_arrays(turn, rel, r, r0, horizon, alpha):
     time horizon. The 2m terms of each point are made a block of points at
     a time, within _IMAGE_CAP values, and each point's sums do not depend
     on its block."""
-    _, odd2, shift = _image_gap_plan(alpha)
+    plan = _pass_plan(alpha)
+    odd2, shift = plan.odd2, plan.shift
     if len(r) > max(1, _IMAGE_CAP // len(shift)):  # more than one block
         sums = [_image_sum_arrays(turn[p], rel[p], r[p], r0[p], horizon[p],
                                   alpha) for p in _chunks(len(r), len(shift))]
         return tuple(np.concatenate(c) for c in zip(*sums))
     sin_sq = np.sin(0.5 * (turn + odd2 * rel - shift)) ** 2
     # each term relative to the nearest image's, its gap multiplied into
-    # 4 r, then into r0, as in image_sums; far out, an exponent is -inf
+    # r, 4 and r0 in turn, as in image_sums; far out, an exponent is -inf
     with np.errstate(over="ignore"):
-        terms = np.exp((sin_sq.min(axis=0) - sin_sq) * (4.0 * r) * r0
+        terms = np.exp((sin_sq.min(axis=0) - sin_sq) * r * 4.0 * r0
                        / (2.0 * horizon))
     # the sums of the even and of the odd images, each in k order
     even, odd = np.add.accumulate(terms.reshape(-1, 2, terms.shape[1]),
@@ -302,52 +298,70 @@ def _chunks(n, width):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+@dataclass(frozen=True)
+class PassPlan:
+    """What every pass in opening alpha needs: the sub-wedge <0, theta_cap>
+    of opening pi/m and, as columns over its 2m images, odd2 = 2 odd_k and
+    shift = (k + odd_k) theta_cap: image k of a start at angle rel lies at
+    rel + k theta_cap (k even) or (k + 1) theta_cap - rel (k odd), so
+    rel + turn is turn + odd2_k rel - shift_k from it. Made on first use,
+    the bisector's (a reflected pass's start): `mid_exit`, its sine, cosine
+    and `_ratio_table` (None if m = 1), one line of one column each, and
+    `mid_images`, the list of its 2m image angles (the scalar recursion's).
+    """
+
+    theta_cap: float
+    m: int
+    sub: WedgeSpec
+    odd2: np.ndarray
+    shift: np.ndarray
+
+    @functools.cached_property
+    def mid_exit(self):
+        phi = np.full((1, 1), self.theta_cap / 2.0)
+        return (np.sin(phi), np.cos(phi),
+                _ratio_table(phi, self.m) if self.m > 1 else None)
+
+    @functools.cached_property
+    def mid_images(self):
+        return image_angles(self.theta_cap / 2.0, self.sub, self.m)
+
+
 @functools.lru_cache(maxsize=16)
-def _image_gap_plan(alpha):
-    """(theta_cap, 2 odd_k, shift_k) of the pass plan of opening alpha, as
-    columns over the 2m images: image k of a start at angle rel in the
-    sub-wedge lies at rel + k theta_cap (k even) or (k + 1) theta_cap - rel
-    (k odd), so an endpoint at rel + turn is turn + 2 odd_k rel - shift_k
-    from it, with shift_k = (k + odd_k) theta_cap."""
-    theta_cap, m, _, _ = _pass_plan(alpha)
-    k = np.arange(2 * m)[:, None]
-    odd = k % 2
-    return theta_cap, 2.0 * odd, (k + odd) * theta_cap
-
-
-def _sub_opening(alpha):
-    """Largest opening of the form pi/m that fits inside alpha.
-
-    If alpha itself is pi/m (within the geometry tolerance), the sub-wedge
-    reuses alpha exactly so that both sub-wedge rays coincide with the outer
-    rays; otherwise m = ceil(pi/alpha) (an alpha within rounding of some
-    pi/k is that pi/k within the tolerance, so the ceiling is never one
-    too large). An m past densities.MAX_M is a ValueError.
+def _pass_plan(alpha):
+    """The `PassPlan` of opening alpha, cached per opening (a run and its
+    Euler cells reuse one; 16 bound the cache). Its pi/m is alpha itself
+    if alpha is pi/m within the geometry tolerance, so that the rays
+    coincide, else pi / ceil(pi/alpha), the largest that fits (an alpha
+    within rounding of pi/k is that pi/k within the tolerance). An m past
+    densities.MAX_M is a ValueError.
     """
     m_exact = WedgeSpec(0.0, alpha).pi_over_m() if alpha <= math.pi else None
     m = m_exact or math.ceil(math.pi / alpha)
     if m > MAX_M:
         raise ValueError(f"opening {alpha:g} is too narrow: its passes need "
                          f"m = {m} > {MAX_M} sub-wedges")
-    return (alpha if m_exact else math.pi / m), m
+    theta_cap = alpha if m_exact else math.pi / m
+    k = np.arange(2 * m)[:, None]
+    odd = k % 2
+    return PassPlan(theta_cap, m, WedgeSpec(0.0, theta_cap), 2.0 * odd,
+                    (k + odd) * theta_cap)
 
 
-@functools.lru_cache(maxsize=16)
-def _pass_plan(alpha):
-    """(theta_cap, m, sub-wedge <0, theta_cap>, image angles of its
-    bisector) of every pass in a wedge of opening alpha. Cached per opening:
-    a run, and every Euler cell of its paths, reuses one plan. The small
-    fixed size bounds the cache over a process that runs many openings.
-    """
-    theta_cap, m = _sub_opening(alpha)
-    sub = WedgeSpec(0.0, theta_cap)
-    return theta_cap, m, sub, image_angles(theta_cap / 2.0, sub, m)
+def _ratio_table(phi, m):
+    """The coefficients sin g_k / sin g_0 and cos g_k - cos g_0, k = 1 ..
+    m - 1, of the wedge's exit density over the half-plane's
+    (_exit_ratio_plan) from start angles g_0 = phi from a line, with
+    g_k = g_0 + 2 pi k / m: an array (2, m - 1) + phi.shape."""
+    g = phi + (TWO_PI / m) * np.arange(1, m).reshape((-1,) + (1,) * phi.ndim)
+    return np.array((np.sin(g) / np.sin(phi), np.cos(g) - np.cos(phi)))
 
 
 @functools.lru_cache(maxsize=64)
 def _exit_ratio_plan(sub, theta0, side):
-    """[(sin g_k / sin g_0, (c_k - c_0) / 2) for k >= 1] of the exit law on
-    `side` of the pi/m sub-wedge from angle theta0 at unit radius. As
+    """The columns w_k = sin g_k / sin g_0 and h_k = (c_k - c_0) / 2,
+    k >= 1, of the exit law on `side` of the pi/m sub-wedge from angle
+    theta0 at unit radius, each an array('d') of m - 1 floats. As
     c_k - c_0 = 2 r r0 (cos g_0 - cos g_k), a hit at radius r and time tau
     from radius r0 is kept with probability 1 + sum_k w_k e^{-r r0 h_k / tau},
     the wedge's exit density over its k = 0 term, the half-plane's. Cached:
@@ -356,8 +370,8 @@ def _exit_ratio_plan(sub, theta0, side):
     params = ExitLawParams.for_side(sub, PolarPoint(1.0, theta0), side)
     cs = params.c_values(1.0)
     sin0 = math.sin(params.gammas[0])
-    return tuple((math.sin(g) / sin0, 0.5 * (c - cs[0]))
-                 for g, c in zip(params.gammas[1:], cs[1:]))
+    return (array("d", (math.sin(g) / sin0 for g in params.gammas[1:])),
+            array("d", (0.5 * (c - cs[0]) for c in cs[1:])))
 
 
 def _exit_draw(rel, horizon, sub, m, rng):
@@ -402,7 +416,8 @@ def _exit_draw(rel, horizon, sub, m, rng):
                 u = rng.uniform()
                 if x > 0.0 and u <= 1.0 + sum(
                         w * math.exp(-x * r0 / (q * q) * h)
-                        for w, h in _exit_ratio_plan(sub, rel.theta, line)):
+                        for w, h in zip(*_exit_ratio_plan(sub, rel.theta,
+                                                          line))):
                     side, r, root = line, x, q
                     # the rest of the round is drawn, to keep the stream
                     # in step, but not transformed
@@ -439,7 +454,8 @@ def algorithm_stopped(start, T, wedge, rng, iteration_cap=DEFAULT_FOLD_CAP):
     if r_n == 0.0 or th <= 0.0 or th >= alpha:
         ray = wedge.alpha_minus if r_n == 0.0 or th <= alpha - th else wedge.alpha_plus
         return _stopped_sample(PolarPoint(r_n, ray), 0.0, True, 0)
-    theta_cap, m_sub, sub, _ = _pass_plan(alpha)
+    plan = _pass_plan(alpha)
+    theta_cap, m_sub, sub = plan.theta_cap, plan.m, plan.sub
     t_n = 0.0
     for n in range(1, iteration_cap + 1):
         beta_lo = min(max(th - theta_cap / 2.0, 0.0), alpha - theta_cap)
@@ -500,7 +516,8 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
     th = start.theta - wedge.alpha_minus
     r_n = start.r
     base = wedge.alpha_minus
-    theta_cap, m_sub, sub, mid_images = _pass_plan(alpha)
+    plan = _pass_plan(alpha)
+    theta_cap, m_sub, sub = plan.theta_cap, plan.m, plan.sub
     outer = WedgeSpec(0.0, alpha) if base > 0.0 else wedge
     wx, wy = (0.0, 0.0)  # accumulated driving displacement, internal frame
     t_n = 0.0
@@ -521,7 +538,7 @@ def algorithm_reflected(start, T, wedge, rng, epsilon=DEFAULT_EPSILON,
         # every pass starts on the bisector of its sub-wedge
         beta_lo = th - theta_cap / 2.0
         rel = PolarPoint(r_n, theta_cap / 2.0)
-        surv = _survivor_trial(rel, sub, m_sub, mid_images, t_rem, rng)
+        surv = _survivor_trial(rel, sub, m_sub, plan.mid_images, t_rem, rng)
         if surv is not None:
             r_new, pre_fold = surv.r, beta_lo + surv.theta
         else:

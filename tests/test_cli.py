@@ -564,17 +564,18 @@ def test_start_radius_too_large_for_exit_law_is_a_clean_error(radius):
 
 
 # (mode, func) -> (exit code, estimate or error message) from radius 1.7e308,
-# where |x|^2 and the squares of sin^2 theta = y^2 / |x|^2 overflow
+# where |x|^2 and the squares of sin^2 theta = y^2 / |x|^2 overflow, and so
+# did 4 r in the image sums: every survivor trial was refused, and the
+# stopped paths ended on the lower ray (sin^2 theta 0)
 HUGE_START = {
     ("stopped", "coord_1"): (2, "error: the estimate of coord_1 overflows"),
     ("stopped", "constant_1"): (0, "1"),
-    ("stopped", "sin_sq_theta"): (0, "0"),
+    ("stopped", "sin_sq_theta"): (0, "0.0873321925452"),
     ("reflected", "coord_1"): (2, "error: the estimate of coord_1 overflows"),
     # the driving endpoint overflows to -inf, and 0 (-inf) made every
     # zero-drift weight NaN: "the estimate of constant_1 overflows"
     ("reflected", "constant_1"): (0, "1"),
-    ("reflected", "sin_sq_theta"): (
-        2, "error: the estimate of sin_sq_theta overflows"),
+    ("reflected", "sin_sq_theta"): (0, "0.0873321925452"),
 }
 
 
@@ -592,6 +593,33 @@ def test_an_estimate_from_radius_1_7e308(mode, func, tmp_path, capsys):
         [row] = parse_csv(out.read_bytes())[1]
         assert (row["estimate"], row["mean_weight"], row["n_faults"]) == \
             (want, "1", "0")
+
+
+@pytest.mark.parametrize("mode", ["stopped", "reflected"])
+def test_sin_sq_theta_past_the_overflow_of_its_squares(mode, tmp_path):
+    # x^2 overflows past |x| ~1.3e154, and the estimate of values that all
+    # lie in [0, 1] was refused as out of range
+    code, data = run_to_file(tmp_path, "far.csv", [
+        "estimate", "--alpha", "0.9", "--start", "1e200,0.3", "--T", "1",
+        "--n", "5", "--mode", mode, "--func", "sin_sq_theta"])
+    assert code == 0
+    [row] = parse_csv(data)[1]
+    assert row["estimate"] == "0.0873321925452"  # sin^2 0.3
+
+
+@pytest.mark.parametrize("command", ["sample-stopped", "sample-reflected"])
+def test_a_sample_from_radius_1_7e308_keeps_its_survivor(command, tmp_path):
+    # 4 r overflowed in the image sums, whose nearest term was then 0 times
+    # inf: every survivor trial was refused, and the stopped paths ended on
+    # the lower ray at elapsed 0, the reflected ones ~1e308 away in 18 folds
+    code, data = run_to_file(tmp_path, "far.csv", [
+        command, "--alpha", "0.9", "--start", "1.7e308,0.3", "--T", "1",
+        "--n", "3", "--seed", "1"])
+    assert code == 0
+    rows = parse_csv(data)[1]
+    assert [(row["x"], row["y"], row["elapsed"], row["hit_boundary"],
+             row["folds"]) for row in rows] == [
+        ("1.62407203151e+308", "5.02384351324e+307", "1", "0", "1")] * 3
 
 
 def test_density_at_a_radius_past_the_overflow_of_4_r_r0(tmp_path):

@@ -171,6 +171,17 @@ def test_images_past_the_overflow_of_4_r_r0(density):
 
 @pytest.mark.parametrize("density", [killed_density_images,
                                      reflected_density_images])
+def test_images_past_the_overflow_of_4_r(density):
+    # 4 r is inf past radius ~4.5e307, and the start's own zero gap met it
+    # as 0 * inf = nan: each gap is multiplied into r, then 4, then r0
+    point = PolarPoint(1.7e308, 0.3)
+    assert density(3, point, point, 1.0) == pytest.approx(1.0 / TWO_PI,
+                                                          rel=1e-12)
+    assert density(3, PolarPoint(1.7e308, 0.5), point, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("density", [killed_density_images,
+                                     reflected_density_images])
 def test_images_refuse_more_than_a_million_sectors(density):
     # the 2m image angles are a list: m = 3.1e9 (opening 1e-9) ran out of
     # memory. m = 10^6 is the largest accepted; m = 31416 still runs

@@ -332,7 +332,7 @@ def test_uniforms_are_successive_uniform_draws():
 def per_cell_plain(xs, ys, dt, u, alpha, reflected, epsilon):
     """The per-cell reference of `_plain_cells`: the arrays (plain, base)
     of every cell of the block, each cell's sums computed."""
-    theta_cap, _, _, _ = _pass_plan(alpha)
+    theta_cap = _pass_plan(alpha).theta_cap
     x0, y0, x1, y1 = xs[:-1], ys[:-1], xs[1:], ys[1:]
     r0 = np.hypot(x0, y0)
     th = np.arctan2(y0, x0) % TWO_PI
@@ -432,10 +432,11 @@ def test_plain_run_matches_the_per_cell_reference(alpha, reflected, screened,
                                                   monkeypatch):
     # the run length and the base of the cell that ends it are the per-cell
     # reference's, on blocks of every length up to 256 with apex,
-    # near-ray, overflowing and NaN cells among them, with the screen on
-    # every run or only on long ones
-    if screened:
-        monkeypatch.setattr(samplers, "_SURE_RUN", 1)
+    # near-ray, overflowing and NaN cells among them, with the screen on,
+    # or settling no cell, so that every placed cell has its sums made
+    if not screened:
+        monkeypatch.setattr(samplers, "_sure_survivors",
+                            lambda turn, *_: np.zeros(turn.shape, dtype=bool))
     gen = np.random.default_rng(23)
     runs = []
     for _ in range(300):
@@ -458,7 +459,7 @@ def test_the_survivor_screen_passes_only_sure_cells(alpha):
     # opening, from near-ray angles (1e-9) and radii up to 1e150 to cell
     # lengths down to 1e-12, and some cells where the sums' scale overflows
     # or has a zero cell length
-    theta_cap, _, _, _ = _pass_plan(alpha)
+    theta_cap = _pass_plan(alpha).theta_cap
     gen = np.random.default_rng(29)
     n = 25000
     rel = gen.uniform(0.0, theta_cap, n)

@@ -22,10 +22,10 @@ import pytest
 from scipy import special, stats
 from scipy.special import ndtri
 
-from wedgebm import montecarlo
+from wedgebm import montecarlo, samplers
 from wedgebm.cli import run_cli
 from wedgebm.drift import euler_paths, linear_field
-from wedgebm.geometry import TWO_PI, PolarPoint, WedgeSpec
+from wedgebm.geometry import TWO_PI, PolarPoint, WedgeSpec, image_angles
 from wedgebm.lanes import _exit_draw as lane_exit_draw
 from wedgebm.lanes import reflected_paths, stopped_paths
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
@@ -250,7 +250,8 @@ def test_lane_uniforms_lie_strictly_inside_the_unit_interval():
 def exit_draw_round_by_round(draws, lane_ids, r, rel, horizon, alpha):
     """`lanes._exit_draw` one round of `_PROPOSALS` proposals at a time for
     every pending lane: the reference of the rounds it draws ahead."""
-    theta_cap, m, _, _ = _pass_plan(alpha)
+    plan = _pass_plan(alpha)
+    theta_cap, m = plan.theta_cap, plan.m
     mant, k = np.frexp(r)
     sd = np.ldexp(np.sqrt(horizon), -k)
     phi = np.stack((rel, theta_cap - rel)[:1 if m == 1 else 2])
@@ -300,7 +301,7 @@ def test_exit_rounds_drawn_ahead_are_the_round_by_round_draws(n, alpha):
     # once few are left. The lanes start anywhere in the sub-wedge, and
     # then all on its bisector (rel None), as on a reflected pass
     gen = np.random.default_rng(n)
-    theta_cap = _pass_plan(alpha)[0]
+    theta_cap = _pass_plan(alpha).theta_cap
     r = gen.uniform(0.2, 3.0, n)
     anywhere = theta_cap * gen.uniform(0.02, 0.98, n)
     horizon = np.choose(gen.integers(0, 3, n),
@@ -551,6 +552,50 @@ def test_a_start_radius_past_the_exit_law_range_is_a_value_error():
         algorithm_stopped(start, math.inf, W09, RngStream(0))
     assert run_cli(["estimate", "--alpha", "0.9", "--start", "1e160,0.3",
                     "--T", "1", "--n", "2"]) == 2
+
+
+def test_a_start_radius_past_the_overflow_of_4_r_keeps_its_survivor():
+    # 4 r overflowed in the image sums, whose nearest term was then 0 times
+    # inf: every survivor trial was refused, the scalar stopped recursion
+    # raised ZeroDivisionError, and the lanes moved every path far off
+    start = PolarPoint(1.7e308, 0.3)
+    for sample in (algorithm_stopped(start, 1.0, W09, RngStream(1).derive(0)),
+                   algorithm_reflected(start, 1.0, W09,
+                                       RngStream(1).derive(0))):
+        assert (sample.endpoint, sample.elapsed, sample.folds) == \
+            (start, 1.0, 1)
+    for paths in (stopped_paths(start, 1.0, W09, 1, range(3), CAP),
+                  reflected_paths(start, 1.0, W09, 1, range(3), 0.03, CAP)):
+        assert (paths.r.tolist(), paths.theta.tolist(), paths.folds.tolist(),
+                paths.hit.any()) == ([1.7e308] * 3, [0.3] * 3, [1] * 3, False)
+
+
+@pytest.mark.parametrize("reflected", [False, True])
+def test_the_lanes_leave_the_bisector_image_list_unmade(reflected,
+                                                        monkeypatch):
+    # at m = 10^5 the bisector's 2m image angles are a list of 2 10^5
+    # floats, which only the scalar reflected recursion reads
+    alpha = math.pi / 10 ** 5
+    wedge, start = WedgeSpec(0.0, alpha), PolarPoint(1.0, 0.3 * alpha)
+    _pass_plan.cache_clear()
+    plan = _pass_plan(alpha)
+    assert plan.m == 10 ** 5
+    if reflected:
+        reflected_paths(start, 1e-11, wedge, 2, range(4), 0.03, CAP)
+    else:
+        stopped_paths(start, 1e-11, wedge, 2, range(4), CAP)
+    assert _pass_plan(alpha) is plan and "mid_images" not in vars(plan)
+    if reflected:
+        # the scalar recursion's survivor trials read exactly those angles
+        seen = []
+        trial = samplers._survivor_trial
+        monkeypatch.setattr(samplers, "_survivor_trial",
+                            lambda rel, sub, m, images, *rest: seen.append(
+                                images) or trial(rel, sub, m, images, *rest))
+        algorithm_reflected(start, 1e-11, wedge, RngStream(2).derive(0))
+        assert seen and all(images is plan.mid_images for images in seen)
+        assert plan.mid_images == image_angles(plan.theta_cap / 2.0,
+                                               plan.sub, plan.m)
 
 
 @pytest.mark.parametrize("r, theta, message", [

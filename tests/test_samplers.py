@@ -18,7 +18,7 @@ from wedgebm.samplers import (DEFAULT_EPSILON, DEFAULT_FOLD_CAP,
                               FoldCapExceeded, algorithm_reflected,
                               algorithm_stopped, _chunks, _exit_draw,
                               _image_sum_arrays, _pass_plan, _sector_fold,
-                              _sub_opening, _survivor_trial)
+                              _survivor_trial)
 
 from columns import samples
 from laws import (contains_angle, cumulative_integral,
@@ -238,8 +238,8 @@ def test_exit_acceptance_ratio_is_at_most_one(m):
         for side in Side:
             plan = samplers._exit_ratio_plan(sub, theta0, side)
             g0 = theta0 if side is Side.MINUS else sub.opening - theta0
-            tol = 1e-15 * (sum(abs(w) for w, _ in plan) + 1.0 / math.sin(g0))
-            kept = 1.0 + sum(w * np.exp(-xs * h) for w, h in plan)
+            tol = 1e-15 * (sum(map(abs, plan[0])) + 1.0 / math.sin(g0))
+            kept = 1.0 + sum(w * np.exp(-xs * h) for w, h in zip(*plan))
             assert np.all(kept <= 1.0 + tol) and np.all(kept >= -tol)
             params = ExitLawParams.for_side(sub, PolarPoint(1.3, theta0), side)
             for r, t in ((0.4, 0.2), (1.3, 1.0), (2.5, 3.0)):
@@ -247,7 +247,8 @@ def test_exit_acceptance_ratio_is_at_most_one(m):
                 half_plane = (1.3 * math.sin(params.gammas[0])
                               / (TWO_PI * t * t) * math.exp(-c0 / (2.0 * t)))
                 want = exit_joint_density(params, r, t) / half_plane
-                got = 1.0 + sum(w * math.exp(-r * 1.3 / t * h) for w, h in plan)
+                got = 1.0 + sum(w * math.exp(-r * 1.3 / t * h)
+                                for w, h in zip(*plan))
                 assert got == pytest.approx(want, rel=1e-9, abs=10 * tol)
 
 
@@ -380,7 +381,8 @@ def test_survivor_needs_pi_over_m():
 @given(st.floats(0.05, 2.0 * math.pi - 1e-9))
 @settings(deadline=None, max_examples=300)
 def test_sub_opening_properties(alpha):
-    theta, m = _sub_opening(alpha)
+    plan = _pass_plan(alpha)
+    theta, m = plan.theta_cap, plan.m
     assert theta <= alpha + 1e-12
     assert theta == pytest.approx(math.pi / m, rel=1e-15)
     # the next larger pi/(m-1) must not fit (maximality)
@@ -391,26 +393,27 @@ def test_sub_opening_properties(alpha):
 def test_sub_opening_exact_reuse():
     for m in (1, 2, 3, 6):
         alpha = math.pi / m
-        theta, got_m = _sub_opening(alpha)
-        assert theta == alpha
-        assert got_m == m
+        plan = _pass_plan(alpha)
+        assert plan.theta_cap == alpha
+        assert plan.m == m
 
 
 def test_sub_opening_refuses_more_than_a_million_sub_wedges():
-    # the 2m image angles of a pass plan are a list: at opening 1e-9 it
-    # would hold 6.3e9 floats. Opening 1e-4 (m = 31416) still runs
-    assert _sub_opening(1e-4)[1] == 31416
-    assert _sub_opening(math.pi / 10 ** 6)[1] == 10 ** 6
+    # a pass plan holds columns over the 2m images: at opening 1e-9 they
+    # would hold 1.3e10 floats. Opening 1e-4 (m = 31416) still runs
+    assert _pass_plan(1e-4).m == 31416
+    assert _pass_plan(math.pi / 10 ** 6).m == 10 ** 6
     for alpha in (math.pi / (2 * 10 ** 6), 3e-6):
         with pytest.raises(ValueError, match="too narrow"):
-            _sub_opening(alpha)
+            _pass_plan(alpha)
 
 
 def test_image_sums_in_blocks_equal_their_one_point_calls():
     # opening 0.01 has m = 315: the 2m terms of 200 points are cut into
     # blocks, and each point's sums must not depend on its block
     alpha = 0.01
-    theta_cap, m, _, _ = _pass_plan(alpha)
+    plan = _pass_plan(alpha)
+    theta_cap, m = plan.theta_cap, plan.m
     gen = np.random.default_rng(31)
     n = 200
     assert len(_chunks(n, 2 * m)) > 2
@@ -434,11 +437,11 @@ def test_image_sums_in_blocks_equal_their_one_point_calls():
 def test_pass_plan_m_is_the_sub_wedge_m(alpha):
     # the recursions hand this m to for_side and the survivor trial, which
     # would otherwise compute it from the sub-wedge
-    theta, m, sub, mid_images = _pass_plan(alpha)
-    assert (theta, m) == _sub_opening(alpha)
-    assert sub == WedgeSpec(0.0, theta)
-    assert sub.pi_over_m() == m
-    assert mid_images == image_angles(theta / 2.0, sub, m)
+    plan = _pass_plan(alpha)
+    theta, m = plan.theta_cap, plan.m
+    assert plan.sub == WedgeSpec(0.0, theta)
+    assert plan.sub.pi_over_m() == m
+    assert plan.mid_images == image_angles(theta / 2.0, plan.sub, m)
 
 
 def test_survivor_and_exit_law_same_with_and_without_known_m():
