@@ -25,42 +25,39 @@ particular for identity diffusion).
 
 How cells run. Cell k owns one triple of variates, uniforms 3k to 3k + 2 of
 the path's stream: two normals (by the inverse normal CDF) and the uniform
-of its first survivor trial. A block takes the triples of the next cells
-at once and puts each cell's free endpoint at its start plus sqrt(dt)
-times its normals. A cell is plain when the recursion
-would end it there after one kept survivor trial with no fold
-(`samplers._plain_cells`); a plain cell just moves to its endpoint and adds
-its Girsanov factor. Every other cell, a fallback, runs `algorithm_stopped`
-or `algorithm_reflected` on its own triple, its normals turned into the
-frame of its first pass, so that the recursion proposes the very endpoint
-the block refused; whatever else it draws comes from one side stream of
-the path, derived the first time a fallback needs it. Either way a cell
-uses its own triple, independent of everything before it, so every cell is
-exact, and the path does not depend on how the cells are cut into blocks.
+of its first survivor trial. A cell is plain when the recursion would end
+it at its free endpoint, its start plus sqrt(dt) times its normals, after
+one kept survivor trial with no fold (`samplers._plain_cells`); it just
+moves there and adds its Girsanov factor. Every other cell, a fallback,
+runs `algorithm_stopped` or `algorithm_reflected` on its own triple, its
+normals turned into the frame of its first pass, so that the recursion
+proposes the very endpoint the plain test refused; whatever else it draws
+comes from one side stream of the path, derived on first use. Either way a
+cell uses its own triple, independent of everything before it, so every
+cell is exact.
 
-A block ends after _BLOCK cells and at a fallback (the cells after it start
-from the fallback's endpoint). The path's first cell runs the recursion
-before any block, its normals unturned: a convention of the stream, which
-the golden digests pin.
-
-So a block's plain cells are one run from its first cell, and the block
-asks `samplers._plain_cells` for that run's length and the first-pass base
-of the fallback that ends it, nothing about the cells after. It tests every
-cell's geometry (its start and endpoint placed for one pass with no fold
-or corner), but makes the survivor trial's image sums only for the cells
-before the first that fails it, and not for those whose sums a certified
+Each pass of the path's loop moves one fallback cell, at whose start the
+field's scalar drift is evaluated, then the run of plain cells after it.
+The path's first cell is its first fallback, its normals unturned: a
+convention of the stream, which the golden digests pin. A block takes the
+triples of the next _BLOCK cells at once, places their free endpoints by a
+cumulative sum from the block's start, and asks `samplers._plain_cells`
+for the length of the plain run that starts it and the first-pass base of
+the fallback after it. The loop takes blocks while a whole block is plain,
+so the path does not depend on where blocks end. A block tests every
+cell's geometry, but makes the survivor trial's image sums only for the
+cells before the first that fails it, and not for those that a certified
 screen shows to be exactly 1 (`samplers._sure_survivors`), which at 5000
 steps is most of them; the sums hold at most `samplers._IMAGE_CAP` terms
 at once, whatever the opening.
 
-The loop moves a cell at a time and calls the field's drift once per cell,
-at its start x (input frame), in cell order. That loop is the reference.
-A run of more than _MIN_RUN plain cells is taken whole, from its first
-cell: the input-frame starts, the drift at each (the field's `drifts`),
-its cell-frame form and each cell's Girsanov term are arrays, made by the
-loop's IEEE operations in the loop's order, and the terms are added to the
-log-weight one at a time, in cell order. So every sampled float is the one
-the loop gives.
+`_run_log_weight` takes each run whole, whatever its length: the
+input-frame starts, the drift at each (the field's `drifts`), its
+cell-frame form and each cell's Girsanov term are arrays, made by the
+IEEE operations of `mat_vec`, the scalar drift and `girsanov_log_weight`
+in their order, and the terms are added to the log-weight one at a time,
+in cell order. So every sampled float is the one a cell by cell loop
+gives; the tests hold every run to such a loop.
 
 `euler_paths` has the shape of `lanes.stopped_paths` and
 `lanes.reflected_paths`: a seed and path indices in, a `PathColumns`
@@ -71,6 +68,7 @@ input-frame point, and it has no driving endpoint.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +80,6 @@ from .samplers import (FoldCapExceeded, PathColumns, _plain_cells,
                        algorithm_reflected, algorithm_stopped)
 
 _BLOCK = 256  # cells a block draws and tries at once; paths do not depend on it
-# the fewest plain cells that `_run_log_weight` takes at once: its numpy
-# calls cost about as much as this many cells of the loop in `_euler`
-_MIN_RUN = 12
 
 
 def girsanov_log_weight(b, driving_endpoint, elapsed, start):
@@ -137,6 +132,20 @@ class _LinearField:
         return self._neg_mu * (xy - self._kappa_col)
 
 
+def check_grid(horizon, steps):
+    """Refuse, naming T and steps, a grid of `steps` cells over [0, horizon]
+    with a point that is not finite or a cell of length 0. Within these
+    bounds each point horizon * k / steps past 0 is a normal float rounded
+    twice, by at most 2**-53 of itself each time, and neighbours lie
+    horizon / steps > horizon * 2**-51 apart."""
+    if not (1 <= steps < 2 ** 51 and 0.0 < horizon < math.inf
+            and horizon / steps >= sys.float_info.min
+            and horizon * steps < math.inf):
+        raise ValueError(f"an Euler grid needs 1 <= steps < 2**51, 0 < T, "
+                         f"T / steps >= {sys.float_info.min} and T * steps "
+                         f"< inf; got T={horizon}, steps={steps}")
+
+
 def euler_paths(field, start, horizon, steps, wedge, seed, indices,
                 reflected, epsilon, fold_cap):
     """Paths `indices` of `seed` of the Euler scheme of `field`, a
@@ -151,12 +160,10 @@ def euler_paths(field, start, horizon, steps, wedge, seed, indices,
     is `PolarPoint.from_cartesian` of the input-frame one. A cell past
     fold_cap passes ends its path, faulted, with the path's state where the
     cell's recursion stopped: its clock and folds, the weight of the cells
-    before, and its point in the input frame. A grid that is not
-    steps >= 1 and 0 < horizon < inf is a ValueError, before any path.
+    before, and its point in the input frame. The grid goes through
+    `check_grid` before any path.
     """
-    if not (steps >= 1 and 0.0 < horizon < math.inf):
-        raise ValueError(f"need steps >= 1 and 0 < horizon < inf, got "
-                         f"steps={steps}, horizon={horizon}")
+    check_grid(horizon, steps)
     x = wedge.place(start).cartesian()
     fwd, bwd, cell_wedge = standard_frame(field.sigma, wedge)
     # the columns of bwd and fwd, as (2, 1) arrays, for runs of cells
@@ -186,7 +193,6 @@ def _euler(field, frame, x, horizon, steps, rng, reflected, epsilon,
     log_w = 0.0
     folds = 0
     approx = False
-    drift = field.drift
 
     def ending(xy, elapsed, hit=False, faulted=False):
         # the path's state as it ends at xy, input frame: its folds, the
@@ -195,68 +201,56 @@ def _euler(field, frame, x, horizon, steps, rng, reflected, epsilon,
         return (end.r, end.theta, elapsed, hit, folds, faulted, approx,
                 math.exp(log_w))
 
-    # the first cell runs the recursion on its triple, its normals unturned
-    # (base 0), and blocks start after it: a convention of the stream,
-    # which EULER_TABLE3_DIGEST pins
-    j, run, size, base = 0, 0, 1, 0.0
-    k = 0
+    # the first cell is the first fallback, its normals unturned (base 0)
+    # and its drift taken at x as given: a convention of the stream, which
+    # EULER_TABLE3_DIGEST pins
+    k, base = 0, 0.0
     while k < steps:
         t_k = horizon * k / steps
         dt = (horizon * (k + 1) / steps if k + 1 < steps else horizon) - t_k
-        b_cell = mat_vec(fwd, drift(x))  # mu (x - kappa) can overflow mid-path
+        b_cell = mat_vec(fwd, field.drift(x))  # mu (x - kappa) can overflow
         if not (math.isfinite(b_cell[0]) and math.isfinite(b_cell[1])):
             raise _drift_error(b_cell)
-        if j == size:
+        # round-off can put a point on a ray a hair off it
+        cell_start = cell_wedge.place(PolarPoint.from_cartesian(*pos))
+        draws.replay(k, base)
+        try:
+            if reflected:
+                sub = algorithm_reflected(cell_start, dt, cell_wedge, draws,
+                                          epsilon=epsilon, fold_cap=fold_cap)
+            else:
+                sub = algorithm_stopped(cell_start, dt, cell_wedge, draws,
+                                        iteration_cap=fold_cap)
+        except FoldCapExceeded as fault:
+            # the path's state, not the cell's: the earlier cells' weight,
+            # and the cell's partial state on the path's clock and folds,
+            # in the input frame
+            cell = fault.partial
+            folds += cell.folds
+            return ending(mat_vec(bwd, cell.cartesian_endpoint()),
+                          t_k + cell.elapsed, faulted=True)
+        # a reflected sub-path always runs the whole cell: elapsed == dt
+        log_w += girsanov_log_weight(b_cell, sub.driving_endpoint,
+                                     sub.elapsed, cell_start.cartesian())
+        pos = sub.cartesian_endpoint()
+        folds += sub.folds
+        approx = approx or sub.approx_used
+        if sub.hit_boundary:
+            return ending(mat_vec(bwd, pos), t_k + sub.elapsed, hit=True)
+        k += 1
+        # then the plain cells after it, while a whole block is plain
+        run = size = 0
+        while run == size and k < steps:
             size = min(_BLOCK, steps - k)
-            run, base, ends, cells = _block(draws, pos, k, size, horizon,
-                                            steps, cell_wedge.opening,
-                                            reflected, epsilon)
-            j = 0
-        if j < run:
-            if j == 0 and run > _MIN_RUN:
-                # the whole run at once
+            run, base, cells = _block(draws, pos, k, size, horizon, steps,
+                                      cell_wedge.opening, reflected, epsilon)
+            if run:
                 log_w = _run_log_weight(log_w, field.drifts, columns, cells,
                                         run)
                 folds += run
-                k += run - 1
-                j = run
-            else:
-                log_w += girsanov_log_weight(b_cell, ends[j + 1], dt, pos)
-                folds += 1
-                j += 1
-            end = ends[j]
-        else:
-            # round-off can put a point on a ray a hair off it
-            cell_start = cell_wedge.place(PolarPoint.from_cartesian(*pos))
-            draws.replay(k, base)
-            try:
-                if reflected:
-                    sub = algorithm_reflected(cell_start, dt, cell_wedge,
-                                              draws, epsilon=epsilon,
-                                              fold_cap=fold_cap)
-                else:
-                    sub = algorithm_stopped(cell_start, dt, cell_wedge, draws,
-                                            iteration_cap=fold_cap)
-            except FoldCapExceeded as fault:
-                # the path's state, not the cell's: the earlier cells'
-                # weight, and the cell's partial state on the path's clock
-                # and folds, in the input frame
-                cell = fault.partial
-                folds += cell.folds
-                return ending(mat_vec(bwd, cell.cartesian_endpoint()),
-                              t_k + cell.elapsed, faulted=True)
-            # a reflected sub-path always runs the whole cell: elapsed == dt
-            log_w += girsanov_log_weight(b_cell, sub.driving_endpoint,
-                                         sub.elapsed, cell_start.cartesian())
-            end = sub.cartesian_endpoint()
-            folds += sub.folds
-            approx = approx or sub.approx_used
-            if sub.hit_boundary:
-                return ending(mat_vec(bwd, end), t_k + sub.elapsed, hit=True)
-            j = size = 0  # the block's later cells start elsewhere
-        pos = end
+                k += run
+                pos = cells[0][:, run].tolist()
         x = mat_vec(bwd, pos)
-        k += 1
     return ending(x, horizon)
 
 
@@ -269,9 +263,10 @@ def _run_log_weight(log_w, drifts, columns, cells, e):
     added one at a time in cell order. `columns` holds the columns of the
     frame's backward and forward matrices as (2, 1) arrays, and `cells` the
     block's cell starts and ends, as a (2, n + 1) array, and its cell
-    lengths. Each term is the float of the loop in `_euler`, from the same
-    operations in the same order, and a drift that is not finite raises the
-    loop's error at the first such cell."""
+    lengths. Each term is the float of `girsanov_log_weight` at the cell's
+    drift (the field's drift at its start mapped back by bwd, then mapped
+    by fwd), from the same operations in the same order, and a drift that
+    is not finite raises `_drift_error` at the first such cell."""
     ends, dt = cells
     starts = ends[:, :e]
     (a, b), (c, d) = columns
@@ -295,10 +290,9 @@ def _run_log_weight(log_w, drifts, columns, cells, e):
 def _block(draws, pos, k, n, horizon, steps, alpha, reflected, epsilon):
     """Cells k .. k + n - 1 run in one frame from pos, the start of cell k,
     each to its free endpoint: the number of plain cells that start the
-    block and the first-pass base of the cell after them (see
-    samplers._plain_cells), the starts and ends of those cells as a list
-    of [x, y], and (all n + 1 starts and ends as a (2, n + 1) array, the
-    cell lengths)."""
+    block, the first-pass base of the cell after them (see
+    samplers._plain_cells), and (all n + 1 starts and ends as a
+    (2, n + 1) array, the cell lengths)."""
     triples = draws.block(k, n)
     t = horizon * np.arange(k, k + n + 1) / steps
     if k + n == steps:
@@ -313,7 +307,7 @@ def _block(draws, pos, k, n, horizon, steps, alpha, reflected, epsilon):
         np.cumsum(ends, axis=0, out=ends)
         run, base = _plain_cells(ends[:, 0], ends[:, 1], dt, triples[:, 2],
                                  alpha, reflected, epsilon)
-    return run, base, ends[:run + 1].tolist(), (ends.T, dt)
+    return run, base, (ends.T, dt)
 
 
 class _CellDraws:

@@ -24,10 +24,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
-from .drift import euler_paths, girsanov_log_weight, linear_field
+from .drift import (check_grid, euler_paths, girsanov_log_weight,
+                    linear_field)
 from .geometry import PolarPoint, WedgeSpec, mat_vec, standard_frame
 from .lanes import reflected_paths, stopped_paths
 from .samplers import DEFAULT_EPSILON, DEFAULT_FOLD_CAP, PathColumns
@@ -106,6 +108,10 @@ class EstimatorConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "steps", "fold_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         if self.seed < 0:
@@ -125,10 +131,7 @@ class EstimatorConfig:
             raise ValueError("give a correlated setup or a wedge and a start, "
                              "not both")
         if self.mode in (Mode.EULER_STOPPED, Mode.EULER_REFLECTED):
-            if self.steps < 1:
-                raise ValueError("Euler modes need steps >= 1")
-            if not math.isfinite(self.horizon):
-                raise ValueError("Euler modes need a finite horizon")
+            check_grid(self.horizon, self.steps)
             if any(self.drift):
                 raise ValueError("Euler modes take drift through mu and kappa; "
                                  "a constant drift would be ignored")

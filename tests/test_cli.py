@@ -364,6 +364,16 @@ USAGE_ERRORS = {
                 "--mu", "nan,0"], "mu must be a finite 2-vector"),
     "kappa-inf": (["ito", "--table3-stopped", "--steps", "5", "--n", "2",
                    "--kappa", "0,inf"], "kappa must be a finite 2-vector"),
+    # grids whose cells round to length 0 used to fail inside a cell
+    "grid-cells-of-length-0": (["ito"] + T1[:4] + [
+        "--T", "5e-324", "--steps", "3", "--n", "2"],
+        "got T=5e-324, steps=3"),
+    "grid-subnormal-cells": (["ito"] + T1[:4] + [
+        "--T", "1e-320", "--steps", "100000", "--n", "2", "--mode",
+        "euler_reflected"], "got T=1e-320, steps=100000"),
+    "grid-too-many-steps": (["ito"] + T1 + ["--steps", str(2 ** 60), "--n",
+                                            "2"],
+                            f"got T=1.0, steps={2 ** 60}"),
     # an --eps that a stopped mode would ignore
     "eps-sample-stopped": (["sample-stopped"] + T1 + ["--n", "3", "--eps",
                                                       "0.5"],

@@ -1,14 +1,16 @@
 import math
-from functools import partial
+import re
+import sys
 
 import numpy as np
 import pytest
 
 from wedgebm import drift as drift_module
 from wedgebm import samplers
-from wedgebm.drift import euler_paths, girsanov_log_weight, linear_field
+from wedgebm.drift import (check_grid, euler_paths, girsanov_log_weight,
+                           linear_field)
 from wedgebm.geometry import (ANGLE_TOL, TWO_PI, PolarPoint, WedgeSpec,
-                              standard_frame)
+                              mat_vec, standard_frame)
 from wedgebm.montecarlo import EstimatorConfig, Mode, TestFunction, map_paths
 from wedgebm.rng import RngStream
 from wedgebm.samplers import (APEX_RADIUS_FLOOR, DEFAULT_EPSILON,
@@ -179,6 +181,35 @@ def test_time_grid_validation():
                                             True, DEFAULT_EPSILON,
                                             DEFAULT_FOLD_CAP))
     assert sample.elapsed == 0.3 and not faulted
+
+
+@pytest.mark.parametrize("horizon, steps", [
+    (5e-324, 3), (1e-320, 100000), (1.0, math.inf), (1.0, 2 ** 60),
+    (1e308, 3)])
+def test_a_grid_whose_cells_round_to_length_0_is_refused(horizon, steps):
+    # such a grid used to fail inside a cell, naming a horizon of 0.0 or
+    # inf that was never given, and 2**60 cells ran for ever
+    field = linear_field((0.0, 0.0), (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"got T={horizon}, steps={steps}")):
+        euler_paths(field, START, horizon, steps, W09, 1, [0], True,
+                    DEFAULT_EPSILON, DEFAULT_FOLD_CAP)
+
+
+@pytest.mark.parametrize("horizon, steps", [
+    (1.0, 2 ** 51 - 1), (0.7, 2 ** 51 - 3), (3 * sys.float_info.min, 3),
+    (sys.float_info.max / 5, 4), (5e-308, 2), (1.0, 1)])
+def test_a_grid_that_check_grid_lets_through_has_distinct_points(horizon,
+                                                                 steps):
+    # the points horizon * k / steps, as the cells and blocks make them,
+    # at both ends of the grid
+    check_grid(horizon, steps)
+    ends = (0, 1, 2, steps - 2, steps - 1)
+    ks = sorted({k for k in ends if 0 <= k < steps})
+    points = [horizon * k / steps for k in ks] + [horizon]
+    assert all(a < b for a, b in zip(points, points[1:]))
+    arrays = horizon * np.array(ks + [steps]) / steps
+    assert arrays[:-1].tolist() == points[:-1] and np.isfinite(arrays).all()
 
 
 def test_linear_field_values():
@@ -565,19 +596,48 @@ def test_a_faulted_euler_path_reports_the_path_state():
 # runs of plain cells as arrays
 # ---------------------------------------------------------------------------
 
-def watched_runs(monkeypatch):
-    """A list with an entry for every run that `_run_log_weight` takes:
-    whether it raised."""
+def reference_log_weight(log_w, drifts, columns, cells, e):
+    """`_run_log_weight` cell by cell, its reference: for each of cells
+    0 .. e - 1, in cell order, its start mapped to the input frame by bwd,
+    the drift -mu (x - kappa) there, that drift mapped to the cell frame by
+    fwd, and the cell's `girsanov_log_weight`, added to log_w. A drift
+    that is not finite raises at its cell."""
+    mu, kappa = drifts.__self__.mu, drifts.__self__.kappa
+    bwd, fwd = (matrix[..., 0].T.tolist() for matrix in columns)
+    ends, dt = cells
+    points, dt = ends.T.tolist(), dt.tolist()
+    for i in range(e):
+        x = mat_vec(bwd, points[i])
+        b = mat_vec(fwd, (-mu[0] * (x[0] - kappa[0]),
+                          -mu[1] * (x[1] - kappa[1])))
+        if not (math.isfinite(b[0]) and math.isfinite(b[1])):
+            raise ValueError(f"drift must be a finite 2-vector, got {b}")
+        log_w += girsanov_log_weight(b, points[i + 1], dt[i], points[i])
+    return log_w
+
+
+def checked_runs(monkeypatch):
+    """Check every call of `_run_log_weight` against `reference_log_weight`:
+    the same float, by repr, or the same error. A list with each call's
+    outcome, its log-weight or its error."""
     runs = []
     run_log_weight = drift_module._run_log_weight
 
-    def watched(*args):
-        runs.append(True)
-        log_w = run_log_weight(*args)
-        runs[-1] = False
-        return log_w
+    def outcome(function, args):
+        try:
+            return function(*args)
+        except ValueError as err:
+            return err
 
-    monkeypatch.setattr(drift_module, "_run_log_weight", watched)
+    def checked(*args):
+        got = outcome(run_log_weight, args)
+        assert repr(got) == repr(outcome(reference_log_weight, args))
+        runs.append(got)
+        if isinstance(got, ValueError):
+            raise got
+        return got
+
+    monkeypatch.setattr(drift_module, "_run_log_weight", checked)
     return runs
 
 
@@ -589,62 +649,75 @@ def euler_path(field, seed, index, steps, reflected, epsilon,
     return row
 
 
-def per_cell_path(monkeypatch, field, seed, index, steps, reflected, epsilon,
-                  fold_cap=DEFAULT_FOLD_CAP):
-    """`euler_path` with no run taken as arrays: the loop moves every cell,
-    which is the reference of the array runs."""
-    with monkeypatch.context() as patch:
-        patch.setattr(drift_module, "_MIN_RUN", steps)
-        return euler_path(field, seed, index, steps, reflected, epsilon,
-                          fold_cap)
-
-
 @pytest.mark.parametrize("sigma", [((1.0, 0.0), (0.0, 1.0)), SIG])
 @pytest.mark.parametrize("steps", [20, 500, 5000])
 def test_array_runs_give_the_per_cell_paths(steps, sigma, monkeypatch):
-    # every float of a linear field's path, run by the arrays, is the one of
-    # the per-cell loop
+    # every run of a linear field's paths gives the float of the cell by
+    # cell reference
     field = linear_field((0.1, 0.2), (0.7, 0.5), sigma)
-    runs = watched_runs(monkeypatch)
+    runs = checked_runs(monkeypatch)
     for seed in range(3):
         for reflected, epsilon in SCHEMES:
-            fast = euler_path(field, seed, 1, steps, reflected, epsilon)
-            slow = per_cell_path(monkeypatch, field, seed, 1, steps,
-                                 reflected, epsilon)
-            assert fast == slow == (fast[0], False)
-            assert repr(vars(fast[0])) == repr(vars(slow[0]))
-    assert runs or steps == 20
+            assert not euler_path(field, seed, 1, steps, reflected,
+                                  epsilon)[1]
+    assert runs
 
 
 def test_array_runs_give_the_per_cell_faults(monkeypatch):
     field = linear_field((0.1, 0.2), (0.7, 0.5), SIG)
-    runs = watched_runs(monkeypatch)
+    runs = checked_runs(monkeypatch)
     faults = 0
     for seed in range(8):
         for reflected in (True, False):
-            fast = euler_path(field, seed, 0, 100, reflected, DEFAULT_EPSILON,
-                              fold_cap=1)
-            slow = per_cell_path(monkeypatch, field, seed, 0, 100, reflected,
-                                 DEFAULT_EPSILON, fold_cap=1)
-            assert repr(vars(fast[0])) == repr(vars(slow[0]))
-            assert fast[1] == slow[1]
-            faults += fast[1]
+            faults += euler_path(field, seed, 0, 100, reflected,
+                                 DEFAULT_EPSILON, fold_cap=1)[1]
     assert runs and faults
 
 
 def test_array_runs_raise_the_per_cell_drift_error(monkeypatch):
     # the drift overflows once x is more than 1.797 past kappa, here 0.097
-    # right of the start: a cell inside a run of plain cells, taken by the
-    # arrays, raises what the loop raises at that cell
-    runs = watched_runs(monkeypatch)
+    # right of the start: a cell inside a run of plain cells raises what
+    # the cell by cell reference raises at that cell
+    runs = checked_runs(monkeypatch)
     x0 = START.cartesian()[0]
     field = linear_field((1e308, 0.1), (x0 - 1.7, 0.5),
                          ((1.0, 0.0), (0.0, 1.0)))
     for reflected in (True, False):
-        messages = []
-        for path in (euler_path, partial(per_cell_path, monkeypatch)):
-            with pytest.raises(ValueError, match="must be a finite") as err:
-                path(field, 3, 0, 5000, reflected, DEFAULT_EPSILON)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-    assert any(runs)
+        with pytest.raises(ValueError, match="must be a finite") as err:
+            euler_path(field, 3, 0, 5000, reflected, DEFAULT_EPSILON)
+        assert err.value is runs[-1]
+
+
+def test_drift_is_evaluated_once_per_fallback_cell(monkeypatch):
+    # the scalar drift runs at each fallback cell and at no plain cell;
+    # the plain cells are the runs, and with the fallbacks they make every
+    # cell of a reflected path
+    calls = {"drift": 0, "fallback": 0}
+    runs = []
+
+    def counted(function, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("algorithm_stopped", "algorithm_reflected"):
+        monkeypatch.setattr(drift_module, name,
+                            counted(getattr(drift_module, name), "fallback"))
+    monkeypatch.setattr(drift_module._LinearField, "drift",
+                        counted(drift_module._LinearField.drift, "drift"))
+    run_log_weight = drift_module._run_log_weight
+    monkeypatch.setattr(drift_module, "_run_log_weight",
+                        lambda *args: runs.append(args[-1])
+                        or run_log_weight(*args))
+    field = linear_field((0.1, 0.2), (0.7, 0.5), SIG)
+    for steps in (20, 500):
+        for reflected, epsilon in SCHEMES:
+            for key in calls:
+                calls[key] = 0
+            runs.clear()
+            sample, _fault = euler_path(field, 4, 2, steps, reflected, epsilon)
+            assert calls["drift"] == calls["fallback"] >= 1
+            assert runs
+            if not sample.hit_boundary:
+                assert calls["fallback"] + sum(runs) == steps

@@ -132,6 +132,17 @@ def test_config_validation():
         table1_config(mode=Mode.EULER_REFLECTED, steps=10, horizon=math.inf)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_samples", 2.5), ("fold_cap", 2.5), ("steps", 2.5), ("seed", 1.5),
+    ("n_samples", True)])
+def test_counts_must_be_integers(name, value):
+    # 2.5 used to fail deep in the run, seed 1.5 ran seed 1's streams and
+    # reported 1.5, and n_samples True ran one path
+    mode = Mode.EULER_STOPPED if name == "steps" else Mode.STOPPED
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        table1_config(mode=mode, **{name: value})
+
+
 @pytest.mark.parametrize("geometry", [dict(wedge=W09), dict(start=START),
                                       dict(wedge=W09, start=START)])
 def test_a_setup_with_a_wedge_or_a_start_is_refused(geometry):
