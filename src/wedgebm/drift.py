@@ -52,12 +52,12 @@ steps is most of them; the sums hold at most `samplers._IMAGE_CAP` terms
 at once, whatever the opening.
 
 `_run_log_weight` takes each run whole, whatever its length: the
-input-frame starts, the drift at each (the field's `drifts`), its
-cell-frame form and each cell's Girsanov term are arrays, made by the
-IEEE operations of `mat_vec`, the scalar drift and `girsanov_log_weight`
-in their order, and the terms are added to the log-weight one at a time,
-in cell order. So every sampled float is the one a cell by cell loop
-gives; the tests hold every run to such a loop.
+input-frame starts, the drift at each (the field's `drift`, given the
+array of them), its cell-frame form and each cell's Girsanov term are
+arrays, made by the IEEE operations of `mat_vec`, the drift and
+`girsanov_log_weight` in their order, and the terms are added to the
+log-weight one at a time, in cell order. So every sampled float is the
+one a cell by cell loop gives; the tests hold every run to such a loop.
 
 `euler_paths` has the shape of `lanes.stopped_paths` and
 `lanes.reflected_paths`: a seed and path indices in, a `PathColumns`
@@ -110,26 +110,18 @@ def linear_field(mu, kappa, sigma):
 
 @dataclass(frozen=True)
 class _LinearField:
-    """The field of `linear_field`: its constant diffusion `sigma`, its
-    drift at a point and `drifts`, the drift over the (2, n) array of n
-    points, x over y. Both drifts are made from the same mu and kappa, so
-    `drifts` gives, bit for bit, the drift at each point."""
+    """The field of `linear_field`: its constant diffusion `sigma` and its
+    drift at a point x. Given a (2, n) array of n points, x over y, `drift`
+    gives the pair of arrays of their drifts, each float that of its own
+    point's call."""
 
     mu: tuple
     kappa: tuple
     sigma: tuple
 
-    def __post_init__(self):
-        # the (2, 1) columns of `drifts`, made once
-        object.__setattr__(self, "_neg_mu", -np.array(self.mu)[:, None])
-        object.__setattr__(self, "_kappa_col", np.array(self.kappa)[:, None])
-
     def drift(self, x):
         mu, kappa = self.mu, self.kappa
         return (-mu[0] * (x[0] - kappa[0]), -mu[1] * (x[1] - kappa[1]))
-
-    def drifts(self, xy):
-        return self._neg_mu * (xy - self._kappa_col)
 
 
 def check_grid(horizon, steps):
@@ -245,7 +237,7 @@ def _euler(field, frame, x, horizon, steps, rng, reflected, epsilon,
             run, base, cells = _block(draws, pos, k, size, horizon, steps,
                                       cell_wedge.opening, reflected, epsilon)
             if run:
-                log_w = _run_log_weight(log_w, field.drifts, columns, cells,
+                log_w = _run_log_weight(log_w, field.drift, columns, cells,
                                         run)
                 folds += run
                 k += run
@@ -258,7 +250,7 @@ def _drift_error(b_cell):
     return ValueError(f"drift must be a finite 2-vector, got {b_cell}")
 
 
-def _run_log_weight(log_w, drifts, columns, cells, e):
+def _run_log_weight(log_w, drift_at, columns, cells, e):
     """log_w plus the Girsanov terms of plain cells 0 .. e - 1 of a block,
     added one at a time in cell order. `columns` holds the columns of the
     frame's backward and forward matrices as (2, 1) arrays, and `cells` the
@@ -271,7 +263,7 @@ def _run_log_weight(log_w, drifts, columns, cells, e):
     starts = ends[:, :e]
     (a, b), (c, d) = columns
     with np.errstate(over="ignore", invalid="ignore"):
-        drift = drifts(a * starts[0] + b * starts[1])  # input frame
+        drift = drift_at(a * starts[0] + b * starts[1])  # input frame
         drift = c * drift[0] + d * drift[1]  # cell frame
         moved = drift * (ends[:, 1:e + 1] - starts)
         sq = drift * drift

@@ -181,31 +181,33 @@ def _exit_draw(draws, lanes, r, rel, horizon, alpha):
 
 
 class _Batch:
-    """The per-lane results of one batch: the state, folds and fault flag,
+    """The per-lane results of one batch, written as each lane ends: its
+    endpoint (radius, absolute angle, elapsed time), folds and fault flag,
     a stopped path's hit, and a reflected path's corner flag and driving
     displacement (internal frame)."""
 
     def __init__(self, n, cap):
-        self.r, self.th, self.t = np.empty(n), np.empty(n), np.empty(n)
+        self.r, self.theta, self.t = np.empty(n), np.empty(n), np.empty(n)
         self.folds = np.full(n, cap)
         self.faulted = np.ones(n, dtype=bool)
         self.hit = np.zeros(n, dtype=bool)
         self.approx = np.zeros(n, dtype=bool)
         self.wx, self.wy = np.zeros(n), np.zeros(n)
 
-    def write(self, lanes, r, th, t, folds=None):
-        """The state of `lanes` (th from the wedge's lower ray), ended at
-        pass `folds`, or with folds None their partial state at the cap."""
-        self.r[lanes], self.th[lanes], self.t[lanes] = r, th, t
+    def write(self, lanes, r, theta, t, folds=None):
+        """The endpoints of `lanes`, at absolute angles theta and times t,
+        ended at pass `folds`, or with folds None their partial state at
+        the cap."""
+        self.r[lanes], self.theta[lanes], self.t[lanes] = r, theta, t
         if folds is not None:
             self.folds[lanes] = folds
             self.faulted[lanes] = False
 
-    def columns(self, theta, elapsed, driving):
-        """The batch's `PathColumns`, its endpoints at absolute angles
-        theta; a faulted lane has no driving endpoint."""
+    def columns(self, driving):
+        """The batch's `PathColumns`: a faulted lane has no driving
+        endpoint."""
         return PathColumns(
-            r=self.r, theta=theta, elapsed=elapsed, hit=self.hit,
+            r=self.r, theta=self.theta, elapsed=self.t, hit=self.hit,
             folds=self.folds, faulted=self.faulted, approx=self.approx,
             weight=np.ones(len(self.r)),
             driving=np.where(self.faulted, math.nan, driving))
@@ -219,8 +221,9 @@ _BATCH_ERRORS = dict(divide="ignore", over="ignore", invalid="ignore")
 
 def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
     """The `PathColumns` of `samplers.algorithm_stopped` for the paths
-    `indices` of `seed`, in index order, each drawn from its lane stream. A
-    path that exceeds the pass cap gives its partial state, faulted."""
+    `indices` of `seed`, in index order, each drawn from its lane stream
+    and its endpoint written in the pass that ends it. A path that exceeds
+    the pass cap gives its partial state, faulted."""
     if T <= 0:
         raise ValueError(f"horizon must be positive, got {T}")
     alpha = wedge.opening
@@ -228,14 +231,13 @@ def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
     th0 = start.theta - wedge.alpha_minus
     n = len(indices)
     out = _Batch(n, iteration_cap)
-    end = np.full(n, math.nan)  # the endpoint's absolute angle
     if start.r == 0.0 or th0 <= 0.0 or th0 >= alpha:
-        # tau = 0; the apex is reported on the lower ray
-        out.write(slice(None), start.r, th0, 0.0, 0)
+        # tau = 0, on the nearer ray; the apex is reported on the lower ray
+        ray = (wedge.alpha_minus if start.r == 0.0 or th0 <= alpha - th0
+               else wedge.alpha_plus)
+        out.write(slice(None), start.r, ray, 0.0, 0)
         out.hit[:] = True
-        end[:] = (wedge.alpha_minus if start.r == 0.0 or th0 <= alpha - th0
-                  else wedge.alpha_plus)
-        return _stopped_columns(wedge, out, end)
+        return _stopped_columns(out)
     theta_cap = _pass_plan(alpha).theta_cap
     draws = LaneDraws(seed, indices)
     # the live lanes and their state, compressed as lanes end
@@ -253,9 +255,8 @@ def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
                 kept, r_s, th_s = _survivor(r, rel, t_rem, draws.take(live, 3),
                                             alpha)
                 if kept.any():
-                    done = live[kept]
-                    out.write(done, r_s[kept], th[kept], T, p)
-                    end[done] = wedge.alpha_minus + beta[kept] + th_s[kept]
+                    out.write(live[kept], r_s[kept], wedge.alpha_minus
+                              + beta[kept] + th_s[kept], T, p)
                     refused = ~kept
                     live, r, th, beta, rel, t, t_rem = (
                         a[refused] for a in (live, r, th, beta, rel, t, t_rem))
@@ -271,25 +272,23 @@ def stopped_paths(start, T, wedge, seed, indices, iteration_cap):
             over = hit | (t >= T)
             if over.any():
                 done = live[over]
-                out.write(done, np.where(apex, 0.0, r)[over], th[over],
+                out.write(done, np.where(apex, 0.0, r)[over],
+                          np.where(on_plus, wedge.alpha_plus,
+                                   np.where(hit, wedge.alpha_minus,
+                                            wedge.alpha_minus + th))[over],
                           np.minimum(t[over], T), p)
                 out.hit[done] = hit[over]
-                end[done] = np.where(on_plus, wedge.alpha_plus,
-                                     np.where(hit, wedge.alpha_minus,
-                                              wedge.alpha_minus + th))[over]
                 going = ~over
                 live, r, th, t = (a[going] for a in (live, r, th, t))
-    out.write(live, r, th, t)
-    return _stopped_columns(wedge, out, end)
+    out.write(live, r, wedge.alpha_minus + th, t)
+    return _stopped_columns(out)
 
 
-def _stopped_columns(wedge, out, end):
-    """The columns of a stopped batch whose ended lanes end at absolute
-    angles `end`; a stopped path's driving endpoint is its endpoint."""
-    theta = np.where(out.faulted, wedge.alpha_minus + out.th, end)
+def _stopped_columns(out):
+    """The columns of a stopped batch: its driving endpoint is its endpoint."""
     with np.errstate(**_BATCH_ERRORS):
-        return out.columns(theta, out.t,
-                           (out.r * np.cos(theta), out.r * np.sin(theta)))
+        return out.columns((out.r * np.cos(out.theta),
+                            out.r * np.sin(out.theta)))
 
 
 def reflected_paths(start, T, wedge, seed, indices, epsilon, fold_cap):
@@ -333,8 +332,8 @@ def reflected_paths(start, T, wedge, seed, indices, epsilon, fold_cap):
                 out.wx[lanes] = wx[corner] + (c * dx - s * dy)
                 out.wy[lanes] = wy[corner] + (s * dx + c * dy)
                 out.approx[lanes] = ~at_apex[corner]
-                out.write(lanes, np.hypot(r[corner] + dx, dy), alpha * u[2],
-                          t[corner], p)
+                out.write(lanes, np.hypot(r[corner] + dx, dy),
+                          base + alpha * u[2], T, p)
                 going = ~corner
                 live, r, th, t, t_rem, wx, wy = (
                     a[going] for a in (live, r, th, t, t_rem, wx, wy))
@@ -365,12 +364,11 @@ def reflected_paths(start, T, wedge, seed, indices, epsilon, fold_cap):
             over = kept | (t >= T)
             if over.any():
                 done = live[over]
-                out.write(done, r[over], th[over], t[over], p)
+                out.write(done, r[over], base + th[over], T, p)
                 out.wx[done], out.wy[done] = wx[over], wy[over]
                 going = ~over
                 live, r, th, t, wx, wy = (
                     a[going] for a in (live, r, th, t, wx, wy))
-    out.write(live, r, th, t)
+    out.write(live, r, base + th, t)
     with np.errstate(**_BATCH_ERRORS):
-        return out.columns(base + out.th, np.where(out.faulted, out.t, T),
-                           _absolute_driving(start, base, out.wx, out.wy))
+        return out.columns(_absolute_driving(start, base, out.wx, out.wy))

@@ -108,7 +108,7 @@ class EstimatorConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("n_samples", "seed", "steps", "fold_cap"):
+        for name in ("n_samples", "seed", "steps", "fold_cap", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -118,6 +118,9 @@ class EstimatorConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
+        if self.mode is Mode.REFLECTED and not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be positive and finite, got "
+                             f"{self.horizon}")
         if not self.epsilon >= 0:  # NaN included
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.workers < 1:

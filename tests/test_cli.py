@@ -452,6 +452,17 @@ def test_commands_that_weight_no_path_take_no_drift_flag(argv, capsys):
     assert "unrecognized arguments: --drift" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["estimate", "--mode", "reflected"], ["sample-reflected"], ["folds"]])
+def test_a_reflected_command_refuses_an_infinite_horizon(command, capsys):
+    # EstimatorConfig refuses it as it is made, with the lanes' own words
+    argv = command + ["--alpha", "0.9", "--start", "1.5,0.3", "--T", "inf",
+                      "--n", "5"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == ("error: horizon must be positive and "
+                                       "finite, got inf\n")
+
+
 @pytest.mark.parametrize("sweep", [",", ""])
 def test_empty_eps_sweep_is_a_usage_error(sweep, capsys):
     assert run_cli(["folds"] + T1 + ["--n", "10", "--eps-sweep", sweep]) == 2

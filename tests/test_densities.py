@@ -11,7 +11,9 @@ from scipy.stats import norm, rice
 
 import wedgebm
 from wedgebm.bessel import SeriesCapExceeded
-from wedgebm.densities import (ExitLawParams, Kind, killed_density_images,
+from wedgebm import densities
+from wedgebm.densities import (CANCEL_CLAMP, ExitLawParams, Kind,
+                               _signed_sum, killed_density_images,
                                killed_density_series, reflected_density_images,
                                reflected_density_series)
 from wedgebm.geometry import PolarPoint, Side, WedgeSpec
@@ -120,6 +122,35 @@ def test_killed_series_in_a_narrow_wedge_is_zero():
     value = killed_density_series(wedge, PolarPoint(1.5, 0.005),
                                   PolarPoint(1.4, 0.004), 1.0)
     assert value == 0.0
+
+
+@pytest.mark.parametrize("terms, want", [
+    # below 1 in all, the bound is CANCEL_CLAMP itself
+    ([-CANCEL_CLAMP], 0.0),
+    ([-math.nextafter(CANCEL_CLAMP, 1.0)], -math.nextafter(CANCEL_CLAMP, 1.0)),
+    # past it, CANCEL_CLAMP times the terms' magnitude, here about 2.1e6
+    # (a bound of 2.1e-6), with sums -2^-20 (9.5e-7) and -2^-18 (3.8e-6)
+    ([2.0 ** 20, -(2.0 ** 20 + 2.0 ** -20)], 0.0),
+    ([2.0 ** 20, -(2.0 ** 20 + 2.0 ** -18)], -2.0 ** -18),
+    # a positive sum is never clamped
+    ([2.0 ** 20, -(2.0 ** 20 - 2.0 ** -20)], 2.0 ** -20),
+])
+def test_signed_sum_clamps_only_tiny_negative_residue(terms, want):
+    assert repr(_signed_sum(terms)) == repr(want)
+
+
+def test_killed_series_clamps_its_cancellation_noise(monkeypatch):
+    # the true density, about e^-126 of the terms' scale, is lost in their
+    # cancellation: the sum comes out -5e-16 of 0.054 and is clamped to 0
+    sums = []
+    signed_sum = densities._signed_sum
+    monkeypatch.setattr(densities, "_signed_sum",
+                        lambda terms: sums.append(math.fsum(terms))
+                        or signed_sum(terms))
+    value = killed_density_series(WedgeSpec(0.0, 0.9), PolarPoint(4.0, 0.6),
+                                  PolarPoint(4.0, 0.2), 0.01)
+    assert value == 0.0
+    assert len(sums) == 1 and -1e-15 < sums[0] < 0.0
 
 
 def test_quarter_plane_kernels_factor_into_1d_products():

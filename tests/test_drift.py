@@ -689,10 +689,10 @@ def test_array_runs_raise_the_per_cell_drift_error(monkeypatch):
 
 
 def test_drift_is_evaluated_once_per_fallback_cell(monkeypatch):
-    # the scalar drift runs at each fallback cell and at no plain cell;
-    # the plain cells are the runs, and with the fallbacks they make every
-    # cell of a reflected path
-    calls = {"drift": 0, "fallback": 0}
+    # the drift runs on a point at each fallback cell, on an array once a
+    # run and at no single plain cell; the plain cells are the runs, and
+    # with the fallbacks they make every cell of a reflected path
+    calls = {"point": 0, "array": 0, "fallback": 0}
     runs = []
 
     def counted(function, name):
@@ -701,11 +701,16 @@ def test_drift_is_evaluated_once_per_fallback_cell(monkeypatch):
             return function(*args, **kwargs)
         return wrapper
 
+    drift = drift_module._LinearField.drift
+
+    def counted_drift(field, x):
+        calls["array" if isinstance(x, np.ndarray) else "point"] += 1
+        return drift(field, x)
+
     for name in ("algorithm_stopped", "algorithm_reflected"):
         monkeypatch.setattr(drift_module, name,
                             counted(getattr(drift_module, name), "fallback"))
-    monkeypatch.setattr(drift_module._LinearField, "drift",
-                        counted(drift_module._LinearField.drift, "drift"))
+    monkeypatch.setattr(drift_module._LinearField, "drift", counted_drift)
     run_log_weight = drift_module._run_log_weight
     monkeypatch.setattr(drift_module, "_run_log_weight",
                         lambda *args: runs.append(args[-1])
@@ -717,7 +722,7 @@ def test_drift_is_evaluated_once_per_fallback_cell(monkeypatch):
                 calls[key] = 0
             runs.clear()
             sample, _fault = euler_path(field, 4, 2, steps, reflected, epsilon)
-            assert calls["drift"] == calls["fallback"] >= 1
-            assert runs
+            assert calls["point"] == calls["fallback"] >= 1
+            assert calls["array"] == len(runs) >= 1
             if not sample.hit_boundary:
                 assert calls["fallback"] + sum(runs) == steps

@@ -22,6 +22,7 @@ import pytest
 from scipy import special, stats
 from scipy.special import ndtri
 
+from wedgebm import lanes as lane_module
 from wedgebm import montecarlo, samplers
 from wedgebm.cli import run_cli
 from wedgebm.drift import euler_paths, linear_field
@@ -544,6 +545,40 @@ def test_stopped_exit_radius_underflowing_onto_the_apex(T):
                for s in apex)
 
 
+def test_an_exit_that_takes_all_the_time_left_ends_on_an_inner_ray(
+        monkeypatch):
+    # each path's first exit takes exactly the time left; the wrapped draw
+    # still draws, so the streams stay in step. A path whose first
+    # survivor is refused then ends at that exit, at T: on the lower ray,
+    # hit, or on the inner ray pi/4, unhit, in both engines alike
+    scalar_draw, lane_draw = samplers._exit_draw, lane_module._exit_draw
+    first = []
+
+    def scalar_exit(rel, horizon, sub, m, rng):
+        side, r, tau = scalar_draw(rel, horizon, sub, m, rng)
+        return (side, r, horizon) if first and first.pop() else (side, r, tau)
+
+    def lane_exit(draws, lanes, r, rel, horizon, alpha):
+        plus, radius, tau = lane_draw(draws, lanes, r, rel, horizon, alpha)
+        return plus, radius, horizon.copy() if first and first.pop() else tau
+
+    monkeypatch.setattr(samplers, "_exit_draw", scalar_exit)
+    monkeypatch.setattr(lane_module, "_exit_draw", lane_exit)
+    first[:] = [True]
+    rows = lane_samples(True, START, 1.0, W09, 64, 1811)
+    root = RngStream(1811)
+    inner = 0
+    for i, (lane, faulted) in enumerate(rows):
+        first[:] = [True]
+        ref = algorithm_stopped(START, 1.0, W09, root.derive(i))
+        assert not faulted and repr(lane) == repr(ref), i
+        assert lane.elapsed == 1.0 and lane.folds == 1
+        if lane.endpoint.theta == math.pi / 4:
+            assert not lane.hit_boundary
+            inner += 1
+    assert inner
+
+
 def test_a_start_radius_past_the_exit_law_range_is_a_value_error():
     start = PolarPoint(1e160, 0.3)
     with pytest.raises(ValueError, match="too large for the exit law"):
@@ -596,6 +631,13 @@ def test_the_lanes_leave_the_bisector_image_list_unmade(reflected,
         assert seen and all(images is plan.mid_images for images in seen)
         assert plan.mid_images == image_angles(plan.theta_cap / 2.0,
                                                plan.sub, plan.m)
+
+
+@pytest.mark.parametrize("T", [math.inf, 0.0, -1.0, math.nan])
+def test_reflected_lanes_need_a_positive_finite_horizon(T):
+    with pytest.raises(ValueError, match="horizon must be positive and "
+                                         "finite"):
+        reflected_paths(START, T, W09, 1, range(2), 0.03, CAP)
 
 
 @pytest.mark.parametrize("r, theta, message", [

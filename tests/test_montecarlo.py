@@ -134,13 +134,25 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("n_samples", 2.5), ("fold_cap", 2.5), ("steps", 2.5), ("seed", 1.5),
-    ("n_samples", True)])
+    ("n_samples", True), ("workers", 1.5), ("workers", 2.5),
+    ("workers", True)])
 def test_counts_must_be_integers(name, value):
     # 2.5 used to fail deep in the run, seed 1.5 ran seed 1's streams and
-    # reported 1.5, and n_samples True ran one path
+    # reported 1.5, n_samples True ran one path, and workers 1.5, 2.5 or
+    # True were taken without a word
     mode = Mode.EULER_STOPPED if name == "steps" else Mode.STOPPED
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         table1_config(mode=mode, **{name: value})
+
+
+def test_a_reflected_run_needs_a_finite_horizon():
+    # an exact reflected run with T = inf used to be refused only by the
+    # lanes, once it started
+    with pytest.raises(ValueError, match="horizon must be positive and "
+                                         "finite, got inf"):
+        table1_config(mode=Mode.REFLECTED, horizon=math.inf)
+    # the stopped mode takes it: the path runs to its exit
+    assert table1_config(horizon=math.inf).horizon == math.inf
 
 
 @pytest.mark.parametrize("geometry", [dict(wedge=W09), dict(start=START),
